@@ -9,12 +9,14 @@ from .closures import (BlasiusConstant, ClosureEvaluation, FalknerSkanFit,
                        evaluate_closure, ue_gradient)
 from .errors import (ConfigError, CriticalFlow, DegenerateProfile, DomainError,
                      DryCell, EswError, MismatchedGrids, NegativeDiscriminant,
-                     NonSteady, TridiagonalFailure)
+                     NonFiniteState, NonpositiveTimeStep, NonSteady,
+                     StepFailure, TridiagonalFailure)
 from .state import (ConservedState, Grid1D, PhysicalParams, PrimitiveState,
                     from_primitive, recover_delta1, to_primitive)
 from .hyperbolicity import (WaveSpeeds, characteristic_roots, decoupled_speeds,
                             jacobian_coeffs, nickalls_bounds)
-from .riemann import RiemannFan, physical_flux, solve_local_riemann
+from .riemann import (CellEval, RiemannFan, evaluate_cells, physical_flux,
+                      solve_local_riemann)
 from .timeloop import (BoundarySpec, FreeOutflow, RunState, SubcriticalInflow,
                        SupercriticalInflow, advance, compute_dt, step)
 from .analytic import (ReferenceCurve, blasius_perturbed_steady,

@@ -19,8 +19,8 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, EswError
-from .scenarios import (ScenarioConfig, convergence_study, parse_config,
-                        run_mlsw_scenario, run_scenario)
+from .scenarios import (convergence_study, parse_config, run_mlsw_scenario,
+                        run_scenario)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -28,26 +28,8 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 
-def _load_config(args) -> ScenarioConfig:
-    if args.config is not None:
-        return parse_config(args.config, args.set)
-    values = {}
-    from .scenarios import _CONFIG_KEYS
-    for ov in args.set:
-        key, _, val = ov.partition("=")
-        key = key.strip()
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(f"--set: unknown key {key!r}")
-        fieldname, conv = _CONFIG_KEYS[key]
-        try:
-            values[fieldname] = conv(val.strip())
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"--set: bad value for {key}: {exc}") from exc
-    return ScenarioConfig(**values)
-
-
 def _cmd_run(args) -> int:
-    config = _load_config(args)
+    config = parse_config(args.config, args.set)
     run = run_scenario(config, out_dir=args.out)
     if hasattr(run, "t"):
         print(f"done: t={run.t:.6g} steps={run.step_count}")
@@ -55,7 +37,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    config = _load_config(args)
+    config = parse_config(args.config, args.set)
     dx_list = [float(v) for v in args.dx]
     results = convergence_study(config, dx_list, out_dir=args.out)
     print("dx,error,runtime_seconds")
@@ -65,7 +47,7 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_mlsw(args) -> int:
-    config = _load_config(args)
+    config = parse_config(args.config, args.set)
     if config.scenario != "MlswCompare":
         from dataclasses import replace
         config = replace(config, scenario="MlswCompare")

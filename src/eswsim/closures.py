@@ -9,7 +9,6 @@ factor H, the friction factor f2 and the rescaled wall shear
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -51,7 +50,9 @@ class Pohlhausen4:
     """Fourth-order polynomial profile with free parameter Lambda."""
 
 
-ClosureLaw = Union[FalknerSkanFit, BlasiusConstant, FixedProfile, Pohlhausen4]
+# an X | Y union, not typing.Union: typing's cache would keep every
+# re-imported copy of the package alive
+ClosureLaw = FalknerSkanFit | BlasiusConstant | FixedProfile | Pohlhausen4
 
 
 @dataclass(frozen=True)

@@ -39,3 +39,26 @@ class TridiagonalFailure(EswError):
 
 class ConfigError(EswError):
     """Invalid scenario configuration."""
+
+
+class StepFailure(EswError):
+    """A time step could not be taken; the time loop sets step and t."""
+
+    step = t = None
+
+    def __str__(self):
+        where = "" if self.step is None else \
+            f" (step {self.step}, t={self.t!r})"
+        return super().__str__() + where
+
+
+class NonFiniteState(StepFailure):
+    """NaN or inf in a cell; cell counts the interior cells from 0."""
+
+    def __init__(self, field, cell):
+        super().__init__(f"non-finite {field} in cell {cell}")
+        self.field, self.cell = field, cell
+
+
+class NonpositiveTimeStep(StepFailure):
+    """The selected time step is zero or negative."""

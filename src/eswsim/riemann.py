@@ -27,6 +27,29 @@ _NEWTON_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
+class CellEval:
+    """Per-cell closure, Nickalls bounds and physical flux of one state,
+    evaluated once per step and read by every phase of it."""
+
+    h: np.ndarray
+    q: np.ndarray
+    r: np.ndarray
+    delta1: np.ndarray
+    H: np.ndarray
+    f2: np.ndarray
+    lam_L: np.ndarray
+    lam_R: np.ndarray
+    F: tuple    # (h, q, r) components of the physical flux
+
+    def at(self, idx) -> "CellEval":
+        """The evaluation of the cells selected by idx."""
+        return CellEval(self.h[idx], self.q[idx], self.r[idx],
+                        self.delta1[idx], self.H[idx], self.f2[idx],
+                        self.lam_L[idx], self.lam_R[idx],
+                        tuple(f[idx] for f in self.F))
+
+
+@dataclass(frozen=True)
 class RiemannFan:
     """Interface wave speeds, star states and the two numerical fluxes."""
 
@@ -50,11 +73,24 @@ def physical_flux(h, q, r, H, params: PhysicalParams):
     return F0, F1, F2
 
 
-def source_averages(W_L: ConservedState, W_R: ConservedState, jump_fb, froude):
+def source_averages(W_L, W_R, jump_fb, froude):
     """Vol'pert averages of the two non-conservative source terms."""
     topo_src = (W_L.h + W_R.h) / (2.0 * froude**2) * np.asarray(jump_fb, float)
     exchange_src = (W_L.q + W_R.q) / (W_L.h + W_R.h) * (W_R.r - W_L.r)
     return topo_src, exchange_src
+
+
+def evaluate_cells(W: ConservedState, params: PhysicalParams,
+                   dudx=0.0) -> CellEval:
+    """Evaluate every cell of W at its frozen velocity gradient dudx."""
+    u_e = W.q / W.h
+    delta1 = recover_delta1(W.q, W.r, W.h)
+    lambda1 = delta1**2 * dudx
+    H, f2 = closure_factors(params.closure, lambda1)
+    _, b = jacobian_coeffs(u_e, W.r, lambda1, H, params.closure)
+    lam_L, lam_R = nickalls_bounds(u_e, b, W.h, params.froude)
+    return CellEval(W.h, W.q, W.r, delta1, H, f2, lam_L, lam_R,
+                    physical_flux(W.h, W.q, W.r, H, params))
 
 
 def _star_depths(h_L, h_R, q_star, C, jump_fb, lam_L, lam_R, froude):
@@ -73,7 +109,7 @@ def _star_depths(h_L, h_R, q_star, C, jump_fb, lam_L, lam_R, froude):
     hR = h_hll.copy()
     hL = h_hll.copy()
 
-    if np.any(active):
+    if active.any():
         idx = np.nonzero(active)[0]
         hr = h_hll[idx].copy()
         lamL = lam_L[idx]
@@ -82,35 +118,36 @@ def _star_depths(h_L, h_R, q_star, C, jump_fb, lam_L, lam_R, froude):
         qi = q_star[idx]
         jfb = jump_fb[idx]
         ok = np.ones(idx.size, dtype=bool)
-        hl = (lamR * hr - Ci) / lamL
+        # loop invariants of the Newton iteration: q*^2/2 and dh_L*/dh_R*
+        q2h = qi**2 / 2.0
+        dhl = lamR / lamL
+        two_dhl = 2.0 * dhl
+        dg_lin = (1.0 - dhl) / fr2
         for _ in range(_NEWTON_MAX_ITER):
             hl = (lamR * hr - Ci) / lamL
             bad = (hr <= 0.0) | (hl <= 0.0)
             ok &= ~bad
             hr_s = np.where(bad, 1.0, hr)
             hl_s = np.where(bad, 1.0, hl)
-            g = (qi**2 / 2.0 * (1.0 / hr_s**2 - 1.0 / hl_s**2)
+            g = (q2h * (1.0 / hr_s**2 - 1.0 / hl_s**2)
                  + (hr_s - hl_s + jfb) / fr2)
-            dhl = lamR / lamL
-            dg = (qi**2 / 2.0 * (-2.0 / hr_s**3 + 2.0 * dhl / hl_s**3)
-                  + (1.0 - dhl) / fr2)
-            small = np.abs(dg) < 1e-8
-            if np.any(small & ok):
-                log.debug("near-critical star-depth solve at %d interfaces",
-                          int(np.count_nonzero(small & ok)))
+            dg = q2h * (-2.0 / hr_s**3 + two_dhl / hl_s**3) + dg_lin
+            if log.isEnabledFor(logging.DEBUG):
+                near = int(np.count_nonzero((np.abs(dg) < 1e-8) & ok))
+                if near:
+                    log.debug("near-critical star-depth solve at %d "
+                              "interfaces", near)
             step = np.where(np.abs(dg) > 1e-300, g / np.where(dg == 0, 1.0, dg),
                             0.0)
             hr = hr - np.where(ok, step, 0.0)
-            if not np.any(ok) or np.all(
-                    np.abs(step[ok]) <= _NEWTON_TOL * np.maximum(1.0, hr[ok])):
+            if not ok.any() or (np.abs(step[ok])
+                                <= _NEWTON_TOL * np.maximum(1.0, hr[ok])).all():
                 break
         hl = (lamR * hr - Ci) / lamL
         ok &= (hr > 0.0) & (hl > 0.0)
         hR[idx] = np.where(ok, hr, h_hll[idx])
         hL[idx] = np.where(ok, hl, h_hll[idx])
-        fb_mask = np.zeros(idx.size, dtype=bool)
-        fb_mask[~ok] = True
-        fallback[idx] = fb_mask
+        fallback[idx] = ~ok
 
     # degenerate outer speeds: zero-width star region on that side
     left_degenerate = lam_L >= 0.0
@@ -126,53 +163,36 @@ def _star_depths(h_L, h_R, q_star, C, jump_fb, lam_L, lam_R, froude):
     return hL, hR, fallback
 
 
-def solve_local_riemann(W_L: ConservedState, W_R: ConservedState, jump_fb,
-                        params: PhysicalParams, dx,
-                        dudx_L=0.0, dudx_R=0.0) -> RiemannFan:
+def solve_local_riemann(L: CellEval, R: CellEval, jump_fb,
+                        params: PhysicalParams) -> RiemannFan:
     """Star states and left/right numerical fluxes at each interface.
 
-    dudx_L/dudx_R are the frozen velocity-gradient samples of the two cells,
-    feeding the per-side closure evaluation.
+    L and R evaluate the cells left and right of each interface.
     """
-    jump_fb = np.broadcast_to(np.asarray(jump_fb, float), W_L.h.shape).copy()
     fr = params.froude
     db = params.delta_bar
 
-    u_L = W_L.q / W_L.h
-    u_R = W_R.q / W_R.h
-    d1_L = recover_delta1(W_L.q, W_L.r, W_L.h)
-    d1_R = recover_delta1(W_R.q, W_R.r, W_R.h)
-    lam1_L = d1_L**2 * np.asarray(dudx_L, float)
-    lam1_R = d1_R**2 * np.asarray(dudx_R, float)
-    H_L, _ = closure_factors(params.closure, lam1_L)
-    H_R, _ = closure_factors(params.closure, lam1_R)
-
-    _, b_L = jacobian_coeffs(u_L, W_L.r, lam1_L, H_L, params.closure)
-    _, b_R = jacobian_coeffs(u_R, W_R.r, lam1_R, H_R, params.closure)
-    lamL_L, lamR_L = nickalls_bounds(u_L, b_L, W_L.h, fr)
-    lamL_R, lamR_R = nickalls_bounds(u_R, b_R, W_R.h, fr)
-    lam_L = np.minimum(np.minimum(lamL_L, lamL_R), 0.0)
-    lam_R = np.maximum(np.maximum(lamR_L, lamR_R), 0.0)
+    lam_L = np.minimum(np.minimum(L.lam_L, R.lam_L), 0.0)
+    lam_R = np.maximum(np.maximum(L.lam_R, R.lam_R), 0.0)
     span = lam_R - lam_L
 
-    F_L = physical_flux(W_L.h, W_L.q, W_L.r, H_L, params)
-    F_R = physical_flux(W_R.h, W_R.q, W_R.r, H_R, params)
-    topo_src, exchange_src = source_averages(W_L, W_R, jump_fb, fr)
+    F_L, F_R = L.F, R.F
+    topo_src, exchange_src = source_averages(L, R, jump_fb, fr)
 
-    r_star = (lam_R * W_R.r - lam_L * W_L.r - (F_R[2] - F_L[2])
+    r_star = (lam_R * R.r - lam_L * L.r - (F_R[2] - F_L[2])
               + exchange_src) / span
-    q_star = (lam_R * W_R.q - lam_L * W_L.q - (F_R[1] - F_L[1])
+    q_star = (lam_R * R.q - lam_L * L.q - (F_R[1] - F_L[1])
               - topo_src + db * exchange_src) / span
-    C = lam_R * W_R.h - lam_L * W_L.h - (F_R[0] - F_L[0])
+    C = lam_R * R.h - lam_L * L.h - (F_R[0] - F_L[0])
     h_L_star, h_R_star, fallback = _star_depths(
-        W_L.h, W_R.h, q_star, C, jump_fb, lam_L, lam_R, fr)
+        L.h, R.h, q_star, C, jump_fb, lam_L, lam_R, fr)
 
-    FL0 = F_L[0] + lam_L * (h_L_star - W_L.h)
-    FL1 = F_L[1] + lam_L * (q_star - W_L.q)
-    FL2 = F_L[2] + lam_L * (r_star - W_L.r)
-    FR0 = F_R[0] - lam_R * (W_R.h - h_R_star)
-    FR1 = F_R[1] - lam_R * (W_R.q - q_star)
-    FR2 = F_R[2] - lam_R * (W_R.r - r_star)
+    FL0 = F_L[0] + lam_L * (h_L_star - L.h)
+    FL1 = F_L[1] + lam_L * (q_star - L.q)
+    FL2 = F_L[2] + lam_L * (r_star - L.r)
+    FR0 = F_R[0] - lam_R * (R.h - h_R_star)
+    FR1 = F_R[1] - lam_R * (R.q - q_star)
+    FR2 = F_R[2] - lam_R * (R.r - r_star)
 
     return RiemannFan(lam_L=lam_L, lam_R=lam_R, q_star=q_star, r_star=r_star,
                       h_L_star=h_L_star, h_R_star=h_R_star,

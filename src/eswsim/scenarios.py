@@ -12,7 +12,8 @@ import numpy as np
 from . import __version__
 from .analytic import ReferenceCurve, blasius_steady, gaussian_bump, l1_error
 from .closures import (BlasiusConstant, ClosureLaw, FalknerSkanFit,
-                       FixedProfile, Pohlhausen4, closure_factors, ue_gradient)
+                       FixedProfile, Pohlhausen4, evaluate_closure,
+                       ue_gradient)
 from .errors import ConfigError, NonSteady
 from .mlsw import LayerGrid, MlswState, mlsw_compute_dt, mlsw_diagnostics, \
     mlsw_step
@@ -128,13 +129,11 @@ _CONFIG_KEYS = {
     "output.dir": ("out_dir", str),
 }
 
-_FIELD_TO_KEY = {v[0]: k for k, v in _CONFIG_KEYS.items()}
 
-
-def parse_config(path, overrides: Sequence[str] = ()) -> ScenarioConfig:
-    """Read a flat key=value config file; overrides apply afterwards."""
+def parse_config(path=None, overrides: Sequence[str] = ()) -> ScenarioConfig:
+    """Read a key=value config file, if any; overrides apply afterwards."""
     values = {}
-    lines = Path(path).read_text().splitlines()
+    lines = Path(path).read_text().splitlines() if path is not None else []
     pairs = []
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
@@ -144,14 +143,14 @@ def parse_config(path, overrides: Sequence[str] = ()) -> ScenarioConfig:
             raise ConfigError(f"{path}:{lineno}: expected key=value")
         key, _, val = line.partition("=")
         pairs.append((f"{path}:{lineno}", key.strip(), val.strip()))
-    for src, key, val in pairs + [("--set", *ov.split("=", 1))
-                                  for ov in overrides]:
+    pairs += [("--set", *ov.partition("=")[::2]) for ov in overrides]
+    for src, key, val in pairs:
         key = key.strip()
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"{src}: unknown key {key!r}")
         fieldname, conv = _CONFIG_KEYS[key]
         try:
-            values[fieldname] = conv(val.strip() if isinstance(val, str) else val)
+            values[fieldname] = conv(val.strip())
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"{src}: bad value for {key}: {exc}") from exc
     try:
@@ -182,15 +181,13 @@ def emit_snapshot(W: ConservedState, grid: Grid1D, params: PhysicalParams,
     delta1 = recover_delta1(W.q, W.r, W.h)
     dudx = ue_gradient(u_e, grid.dx, order=gradient_order) if x.size >= 5 \
         else np.zeros_like(u_e)
-    lambda1 = delta1**2 * dudx
-    H, f2 = closure_factors(params.closure, lambda1)
-    tau_b = f2 * H * u_e / np.maximum(delta1, 1e-12)
+    ev = evaluate_closure(params.closure, delta1, u_e, dudx)
     U = (1.0 - params.delta_bar * delta1 / W.h) * u_e
     rows = ["x,fb,h,u_e,delta1,tau_b,H,f2,Lambda1,U"]
     for j in range(x.size):
         rows.append(",".join(_fmt(v) for v in (
-            x[j], grid.topo[j], W.h[j], u_e[j], delta1[j], tau_b[j],
-            H[j], f2[j], lambda1[j], U[j])))
+            x[j], grid.topo[j], W.h[j], u_e[j], delta1[j], ev.tau_bar[j],
+            ev.H[j], ev.f2[j], ev.lambda1[j], U[j])))
     Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 

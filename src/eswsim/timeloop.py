@@ -1,24 +1,25 @@
 """Time integration: splitting scheme, CFL control and boundary conditions.
 
 Each step applies, in order: ghost-cell boundary conditions, velocity
-gradient freeze, CFL time-step selection, the Godunov convection step and
-the semi-implicit friction step.
+gradient freeze, one evaluation of every cell (closure, wave-speed bounds,
+flux) that the later phases share, CFL time-step selection, the Godunov
+convection step and the semi-implicit friction step.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
-from .closures import closure_factors, ue_gradient
-from .errors import DryCell, NegativeDiscriminant
-from .hyperbolicity import jacobian_coeffs, nickalls_bounds
-from .riemann import solve_local_riemann
+from .closures import ue_gradient
+from .errors import (DryCell, NegativeDiscriminant, NonFiniteState,
+                     NonpositiveTimeStep, StepFailure)
+from .riemann import CellEval, evaluate_cells, solve_local_riemann
 from .state import (ConservedState, Grid1D, H_DRY, PhysicalParams,
-                    recover_delta1)
+                    layer_fill_fraction, recover_delta1)
 
 log = logging.getLogger(__name__)
 
@@ -41,7 +42,8 @@ class FreeOutflow:
     pass
 
 
-InflowSpec = Union[SubcriticalInflow, SupercriticalInflow]
+# not typing.Union, for the reason given at closures.ClosureLaw
+InflowSpec = SubcriticalInflow | SupercriticalInflow
 
 
 @dataclass(frozen=True)
@@ -108,57 +110,52 @@ def frozen_gradient(W_ext: ConservedState, dx, order=4) -> np.ndarray:
     return ue_gradient(u_e, dx, order=order)
 
 
-def compute_dt(W_ext: ConservedState, params: PhysicalParams, dx,
-               cfl_number=0.9, dudx=None, dt_max=np.inf) -> float:
-    """CFL time step from the Nickalls bounds plus the reverse-flow cap."""
+def compute_dt(cells: CellEval, dx, cfl_number=0.9, dt_max=np.inf,
+               dt_cap: Optional[float] = None):
+    """(dt, limiter) for an evaluated extended state: the CFL step from the
+    Nickalls bounds, reduced by the reverse-flow cap, dt_max and dt_cap;
+    limiter is "cfl", "reverse_flow", "dt_max" or "cap"."""
     if not 0.0 < cfl_number <= 1.0:
         raise ValueError("cfl_number must lie in (0, 1]")
-    u_e = W_ext.q / W_ext.h
-    delta1 = recover_delta1(W_ext.q, W_ext.r, W_ext.h)
-    if dudx is None:
-        dudx = np.zeros_like(u_e)
-    lambda1 = delta1**2 * dudx
-    H, f2 = closure_factors(params.closure, lambda1)
-    _, b = jacobian_coeffs(u_e, W_ext.r, lambda1, H, params.closure)
-    lam_L, lam_R = nickalls_bounds(u_e, b, W_ext.h, params.froude)
-    lam_max = np.max(np.maximum(np.abs(lam_L), np.abs(lam_R)))
+    lam_max = np.maximum(np.abs(cells.lam_L), np.abs(cells.lam_R)).max()
+    if not np.isfinite(lam_max):
+        for name in ("h", "q", "r", "delta1", "H", "lam_L", "lam_R"):
+            bad = np.flatnonzero(~np.isfinite(getattr(cells, name)))
+            if bad.size:
+                raise NonFiniteState(name, int(bad[0]) - N_GHOST)
     if lam_max <= 0.0:
-        dt = dt_max
+        dt, limiter = dt_max, "dt_max"
     else:
-        dt = cfl_number * dx / (2.0 * lam_max)
-    f2H = f2 * H
-    reverse = f2 < 0.0
-    if np.any(reverse):
-        cap = np.min(-delta1[reverse] ** 2 / (4.0 * f2H[reverse]))
-        dt = min(dt, cap)
-    dt = min(dt, dt_max)
+        dt, limiter = cfl_number * dx / (2.0 * lam_max), "cfl"
+    reverse = cells.f2 < 0.0
+    if reverse.any():
+        cap = (-cells.delta1[reverse] ** 2
+               / (4.0 * (cells.f2 * cells.H)[reverse])).min()
+        if cap < dt:
+            dt, limiter = cap, "reverse_flow"
+    for limit, name in ((dt_max, "dt_max"), (dt_cap, "cap")):
+        if limit is not None and limit < dt:
+            dt, limiter = limit, name
     if not dt > 0.0:
-        raise ValueError("nonpositive time step")
-    return float(dt)
+        raise NonpositiveTimeStep(f"nonpositive time step {float(dt)!r} "
+                                  f"set by {limiter}")
+    return float(dt), limiter
 
 
-def convection_step(W_ext: ConservedState, topo_ext, params: PhysicalParams,
-                    dx, dt, dudx=None):
-    """One Godunov update of the interior cells of the extended state.
-
-    Returns (interior ConservedState, interface RiemannFan).
-    """
-    n_ext = W_ext.h.size
-    n = n_ext - 2 * N_GHOST
-    if dudx is None:
-        dudx = np.zeros(n_ext)
+def convection_step(cells: CellEval, topo_ext, params: PhysicalParams, dx,
+                    dt):
+    """One Godunov update of the interior cells of an evaluated extended
+    state; returns (interior ConservedState, interface RiemannFan)."""
+    n_ext = cells.h.size
     sl = slice(N_GHOST - 1, n_ext - N_GHOST)      # left cells of interfaces
     sr = slice(N_GHOST, n_ext - N_GHOST + 1)      # right cells
-    W_L = ConservedState(W_ext.h[sl], W_ext.q[sl], W_ext.r[sl])
-    W_R = ConservedState(W_ext.h[sr], W_ext.q[sr], W_ext.r[sr])
-    jump_fb = topo_ext[sr] - topo_ext[sl]
-    fan = solve_local_riemann(W_L, W_R, jump_fb, params, dx,
-                              dudx_L=dudx[sl], dudx_R=dudx[sr])
+    fan = solve_local_riemann(cells.at(sl), cells.at(sr),
+                              topo_ext[sr] - topo_ext[sl], params)
     # interfaces 0..n surround the n interior cells
     lam = dt / dx
-    h_new = W_ext.h[N_GHOST:-N_GHOST] - lam * (fan.F_left[0][1:] - fan.F_right[0][:-1])
-    q_new = W_ext.q[N_GHOST:-N_GHOST] - lam * (fan.F_left[1][1:] - fan.F_right[1][:-1])
-    r_new = W_ext.r[N_GHOST:-N_GHOST] - lam * (fan.F_left[2][1:] - fan.F_right[2][:-1])
+    h_new = cells.h[N_GHOST:-N_GHOST] - lam * (fan.F_left[0][1:] - fan.F_right[0][:-1])
+    q_new = cells.q[N_GHOST:-N_GHOST] - lam * (fan.F_left[1][1:] - fan.F_right[1][:-1])
+    r_new = cells.r[N_GHOST:-N_GHOST] - lam * (fan.F_left[2][1:] - fan.F_right[2][:-1])
     if np.any(h_new <= H_DRY):
         raise DryCell("depth fell below the dry threshold during convection")
     return ConservedState(h=h_new, q=q_new, r=r_new), fan
@@ -185,29 +182,28 @@ def step(run: RunState, grid: Grid1D, params: PhysicalParams,
          dt_max=np.inf, dt_cap: Optional[float] = None):
     """Advance one full split step; returns the new RunState."""
     W_ext = apply_boundaries(run.W, boundaries, params)
-    topo_ext = extended_topo(grid)
     dudx = frozen_gradient(W_ext, grid.dx, order=gradient_order)
-    dt = compute_dt(W_ext, params, grid.dx, cfl_number=cfl_number,
-                    dudx=dudx, dt_max=dt_max)
-    if dt_cap is not None:
-        dt = min(dt, dt_cap)
-
-    delta1_ext = recover_delta1(W_ext.q, W_ext.r, W_ext.h)
-    lambda1 = delta1_ext**2 * dudx
-    H, f2 = closure_factors(params.closure, lambda1)
+    cells = evaluate_cells(W_ext, params, dudx)
+    try:
+        dt, limiter = compute_dt(cells, grid.dx, cfl_number=cfl_number,
+                                 dt_max=dt_max, dt_cap=dt_cap)
+    except StepFailure as exc:
+        exc.step, exc.t = run.step_count, run.t
+        raise
+    W_half, fan = convection_step(cells, extended_topo(grid), params,
+                                  grid.dx, dt)
     interior = slice(N_GHOST, -N_GHOST)
-
-    W_half, fan = convection_step(W_ext, topo_ext, params, grid.dx, dt,
-                                  dudx=dudx)
-    W_new = friction_step(W_half, dt, params, (f2 * H)[interior])
+    W_new = friction_step(W_half, dt, params, (cells.f2 * cells.H)[interior])
 
     diag = dict(run.diagnostics)
     diag["last_dt"] = dt
-    diag["min_f2"] = float(np.min(f2))
+    diag["dt_limiter"] = limiter
+    diag["n_fallback"] = int(np.count_nonzero(fan.fallback))
+    diag["min_f2"] = float(cells.f2.min())
     diag["max_abs_lambda"] = float(np.max(np.maximum(np.abs(fan.lam_L),
                                                      np.abs(fan.lam_R))))
-    fill = params.delta_bar * recover_delta1(W_new.q, W_new.r, W_new.h) / W_new.h
-    diag["n_thick_layer"] = int(np.count_nonzero(fill > 0.5))
+    diag["n_thick_layer"] = int(np.count_nonzero(
+        layer_fill_fraction(W_new, params) > 0.5))
     return RunState(t=run.t + dt, step_count=run.step_count + 1, W=W_new,
                     diagnostics=diag)
 

@@ -4,11 +4,18 @@ import numpy as np
 import pytest
 
 from eswsim import ConservedState, PhysicalParams
-from eswsim.riemann import physical_flux, solve_local_riemann, source_averages
+from eswsim.riemann import (evaluate_cells, physical_flux,
+                            solve_local_riemann, source_averages)
 
 
 def params(db=1e-3, fr=1.0):
     return PhysicalParams(froude=fr, delta_bar=db)
+
+
+def riemann(W_L, W_R, jump_fb, p):
+    """Interface fan of two states, each evaluated at zero velocity gradient."""
+    return solve_local_riemann(evaluate_cells(W_L, p), evaluate_cells(W_R, p),
+                               jump_fb, p)
 
 
 def plain_hll_flux(h_L, q_L, h_R, q_R, lam_L, lam_R, fr):
@@ -47,7 +54,7 @@ class TestSourceAverages:
 class TestConsistency:
     def test_equal_states_give_physical_flux(self):
         W = ConservedState(h=[2.0], q=[2.2], r=[0.3])
-        fan = solve_local_riemann(W, W, np.array([0.0]), params(), 0.01)
+        fan = riemann(W, W, np.array([0.0]), params())
         F = physical_flux(W.h, W.q, W.r, np.array([2.59]), params())
         # H here comes from lambda1=0 since dudx defaults to 0
         for k in range(3):
@@ -65,13 +72,13 @@ class TestConsistency:
         W_R = ConservedState.from_primitive_fields(
             rng.uniform(0.5, 3.0, n), rng.uniform(0.1, 2.0, n),
             rng.uniform(0.0, 1.0, n))
-        fan = solve_local_riemann(W_L, W_R, np.zeros(n), params(), 0.01)
+        fan = riemann(W_L, W_R, np.zeros(n), params())
         # mass component is always single-valued at an interface
         assert np.allclose(fan.F_left[0], fan.F_right[0], rtol=1e-12,
                            atol=1e-13)
         # with [delta1*u_e] = 0 as well the whole flux is conservative
         W_R2 = ConservedState(W_R.h, W_R.q, W_L.r.copy())
-        fan2 = solve_local_riemann(W_L, W_R2, np.zeros(n), params(), 0.01)
+        fan2 = riemann(W_L, W_R2, np.zeros(n), params())
         for k in range(3):
             assert np.allclose(fan2.F_left[k], fan2.F_right[k], rtol=1e-11,
                                atol=1e-12)
@@ -85,8 +92,7 @@ class TestConsistency:
         W_R = ConservedState.from_primitive_fields(
             rng.uniform(0.2, 3.0, n), rng.uniform(-2.0, 2.0, n),
             rng.uniform(0.0, 1.0, n))
-        fan = solve_local_riemann(W_L, W_R, rng.normal(0, 0.01, n), params(),
-                                  0.01)
+        fan = riemann(W_L, W_R, rng.normal(0, 0.01, n), params())
         assert np.all(fan.lam_L <= 0.0)
         assert np.all(fan.lam_R >= 0.0)
 
@@ -97,8 +103,7 @@ class TestWellBalanced:
         jump_fb = h_L - h_R  # [h] + [f_b] = 0
         W_L = ConservedState(h=[h_L], q=[0.0], r=[0.0])
         W_R = ConservedState(h=[h_R], q=[0.0], r=[0.0])
-        fan = solve_local_riemann(W_L, W_R, np.array([jump_fb]), params(),
-                                  0.01)
+        fan = riemann(W_L, W_R, np.array([jump_fb]), params())
         assert fan.q_star[0] == pytest.approx(0.0, abs=1e-14)
         assert fan.r_star[0] == pytest.approx(0.0, abs=1e-14)
         assert fan.h_L_star[0] == pytest.approx(h_L, rel=1e-12)
@@ -123,7 +128,7 @@ class TestHllOracle:
         for h_L, u_L, h_R, u_R in cases:
             W_L = ConservedState(h=[h_L], q=[h_L * u_L], r=[0.0])
             W_R = ConservedState(h=[h_R], q=[h_R * u_R], r=[0.0])
-            fan = solve_local_riemann(W_L, W_R, np.array([0.0]), p, 0.01)
+            fan = riemann(W_L, W_R, np.array([0.0]), p)
             oracle = plain_hll_flux(h_L, h_L * u_L, h_R, h_R * u_R,
                                     float(fan.lam_L[0]), float(fan.lam_R[0]),
                                     1.0)
@@ -137,9 +142,8 @@ class TestHllOracle:
             u_L, u_R = rng.uniform(-1.0, 1.0, 2)
             W_L = ConservedState(h=[h_L], q=[h_L * u_L], r=[0.0])
             W_R = ConservedState(h=[h_R], q=[h_R * u_R], r=[0.0])
-            fan = solve_local_riemann(W_L, W_R,
-                                      np.array([rng.normal(0, 0.05)]),
-                                      params(), 0.01)
+            fan = riemann(W_L, W_R, np.array([rng.normal(0, 0.05)]),
+                          params())
             assert fan.h_L_star[0] > 0.0
             assert fan.h_R_star[0] > 0.0
 
@@ -150,7 +154,7 @@ class TestStarDepthTopography:
         # activate and return depths close to, but distinct from, h_HLL
         W_L = ConservedState(h=[2.0], q=[2.0], r=[0.2])
         W_R = ConservedState(h=[1.99], q=[2.0], r=[0.2])
-        fan = solve_local_riemann(W_L, W_R, np.array([0.01]), params(), 0.01)
+        fan = riemann(W_L, W_R, np.array([0.01]), params())
         assert not fan.fallback[0]
         assert fan.h_L_star[0] != fan.h_R_star[0]
         # Bernoulli residual of the returned star depths is tiny

@@ -1,16 +1,20 @@
 """Splitting scheme: boundaries, CFL, conservation, friction step."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from eswsim import (BoundarySpec, ConservedState, Grid1D, PhysicalParams,
                     RunState, SubcriticalInflow, SupercriticalInflow,
-                    advance, compute_dt, step)
+                    advance, closures, compute_dt, hyperbolicity, riemann,
+                    scenarios, state, step, timeloop)
 from eswsim.analytic import gaussian_bump
-from eswsim.errors import DryCell
+from eswsim.errors import DryCell, NonFiniteState, NonpositiveTimeStep
+from eswsim.riemann import evaluate_cells
 from eswsim.timeloop import (N_GHOST, apply_boundaries, convection_step,
-                             extended_topo, friction_step)
+                             extended_topo, friction_step, frozen_gradient)
 
 
 def params(db=1e-3, fr=1.0):
@@ -58,7 +62,8 @@ class TestBoundaries:
 class TestComputeDt:
     def test_cfl_bound(self):
         W = uniform_state(10)
-        dt = compute_dt(W, params(), dx=0.01, cfl_number=0.9)
+        dt, _ = compute_dt(evaluate_cells(W, params()), dx=0.01,
+                           cfl_number=0.9)
         # fastest Nickalls bound ~2.48 for (h=2, u=1, Fr=1)
         assert dt == pytest.approx(0.9 * 0.01 / (2 * 2.4789), rel=1e-3)
 
@@ -67,7 +72,8 @@ class TestComputeDt:
         n = 10
         W = uniform_state(n, d1=0.5)
         dudx = np.full(n, -20.0)  # Lambda1 = -5 -> H ~ 16.5, f2 < 0
-        dt = compute_dt(W, params(), dx=1.0, cfl_number=0.9, dudx=dudx)
+        dt, _ = compute_dt(evaluate_cells(W, params(), dudx), dx=1.0,
+                           cfl_number=0.9)
         from eswsim.closures import closure_factors
         H, f2 = closure_factors(params().closure, np.full(n, 0.25 * -20.0))
         cap = -0.25 / (4.0 * f2[0] * H[0])
@@ -75,7 +81,8 @@ class TestComputeDt:
 
     def test_dt_max_respected(self):
         W = uniform_state(10)
-        dt = compute_dt(W, params(), dx=0.01, cfl_number=0.9, dt_max=1e-5)
+        dt, _ = compute_dt(evaluate_cells(W, params()), dx=0.01,
+                           cfl_number=0.9, dt_max=1e-5)
         assert dt == 1e-5
 
 
@@ -84,7 +91,8 @@ class TestConvectionStep:
         n = 16
         W = uniform_state(n + 2 * N_GHOST)
         topo = np.zeros(n + 2 * N_GHOST)
-        W2, _ = convection_step(W, topo, params(), 0.01, 1e-3)
+        W2, _ = convection_step(evaluate_cells(W, params()), topo, params(),
+                                0.01, 1e-3)
         assert np.allclose(W2.h, 2.0, atol=1e-15)
         assert np.allclose(W2.q, 2.0, atol=1e-15)
 
@@ -99,7 +107,8 @@ class TestConvectionStep:
         W_ext = apply_boundaries(W_int, spec, params())
         topo = np.zeros(n + 2 * N_GHOST)
         dt, dx = 1e-4, 0.01
-        W2, fan = convection_step(W_ext, topo, params(), dx, dt)
+        W2, fan = convection_step(evaluate_cells(W_ext, params()), topo,
+                                  params(), dx, dt)
         dM = np.sum(W2.h - W_int.h) * dx
         boundary = -dt * (fan.F_left[0][-1] - fan.F_right[0][0])
         assert dM == pytest.approx(boundary, abs=1e-14)
@@ -114,7 +123,8 @@ class TestConvectionStep:
             h=np.concatenate([[h[0]] * N_GHOST, h, [h[-1]] * N_GHOST]),
             q=np.zeros(n + 4), r=np.zeros(n + 4))
         topo = extended_topo(grid)
-        W2, _ = convection_step(W_ext, topo, params(), grid.dx, 1e-3)
+        W2, _ = convection_step(evaluate_cells(W_ext, params()), topo,
+                                params(), grid.dx, 1e-3)
         assert np.max(np.abs(W2.h - h)) < 1e-13
         assert np.max(np.abs(W2.q)) < 1e-13
 
@@ -127,7 +137,8 @@ class TestConvectionStep:
         W = ConservedState.from_primitive_fields(h, u, np.zeros(m))
         topo = np.zeros(m)
         with pytest.raises(DryCell):
-            convection_step(W, topo, params(), 1e-4, 1.0)
+            convection_step(evaluate_cells(W, params()), topo, params(),
+                            1e-4, 1.0)
 
 
 class TestFrictionStep:
@@ -227,3 +238,79 @@ class TestStepAndAdvance:
             run = step(run, grid, params(), spec)
         assert np.max(np.abs(run.W.h - h0)) < 1e-12
         assert np.max(np.abs(run.W.q)) < 1e-12
+
+
+class TestStepDiagnostics:
+    def bump_run(self):
+        # supercritical inflow onto a steep bump: some star-depth Newton
+        # solves fail on the first step and fall back to HLL depths
+        grid = Grid1D.uniform(0.0, 2.0, 40,
+                              lambda x: gaussian_bump(x, 0.3, 0.1, 1.0))
+        spec = BoundarySpec(left=SupercriticalInflow(u_in=1.0, h_in=0.5))
+        return RunState(0.0, 0, uniform_state(40, h0=0.5)), grid, spec
+
+    def test_one_cell_evaluation_per_step(self, monkeypatch):
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        names = ("closure_factors", "jacobian_coeffs", "nickalls_bounds",
+                 "physical_flux")
+        for mod in (closures, hyperbolicity, riemann, scenarios, state,
+                    timeloop):
+            for name in names:
+                if name in vars(mod):
+                    monkeypatch.setattr(mod, name,
+                                        counting(name, getattr(mod, name)))
+        run, grid, spec = self.bump_run()
+        step(run, grid, params(), spec)
+        assert calls == {name: 1 for name in names}
+
+    def test_dt_limiter_and_fallback_count(self):
+        run, grid, spec = self.bump_run()
+        p = params()
+        W_ext = apply_boundaries(run.W, spec, p)
+        cells = evaluate_cells(W_ext, p, frozen_gradient(W_ext, grid.dx))
+        dt, limiter = compute_dt(cells, grid.dx)
+        _, fan = convection_step(cells, extended_topo(grid), p, grid.dx, dt)
+        after = step(run, grid, p, spec)
+        assert limiter == after.diagnostics["dt_limiter"] == "cfl"
+        assert after.diagnostics["last_dt"] == dt
+        assert after.diagnostics["n_fallback"] == \
+            np.count_nonzero(fan.fallback) > 0
+
+        capped = step(run, grid, p, spec, dt_max=0.5 * dt)
+        assert capped.diagnostics["dt_limiter"] == "dt_max"
+
+        seen = []
+        advance(run, dt, grid, p, spec, snapshot_times=(0.5 * dt,),
+                on_snapshot=lambda s: seen.append(s.diagnostics["dt_limiter"]))
+        assert seen == ["cap"]
+
+        n = 10
+        W = uniform_state(n, d1=0.5)
+        reverse = evaluate_cells(W, p, np.full(n, -20.0))
+        assert compute_dt(reverse, dx=1.0)[1] == "reverse_flow"
+
+    def test_non_finite_cell_is_named(self):
+        n = 20
+        W = uniform_state(n)
+        W.h[7] = np.nan
+        run = RunState(t=0.125, step_count=3, W=W)
+        spec = BoundarySpec(left=SubcriticalInflow(u_in=1.0))
+        with pytest.raises(NonFiniteState) as info:
+            step(run, Grid1D.uniform(0.0, 1.0, n), params(), spec)
+        assert (info.value.field, info.value.cell) == ("h", 7)
+        assert (info.value.step, info.value.t) == (3, 0.125)
+        assert "cell 7" in str(info.value) and "step 3" in str(info.value)
+
+    def test_nonpositive_dt_is_named(self):
+        run = RunState(t=0.0, step_count=0, W=uniform_state(10))
+        spec = BoundarySpec(left=SubcriticalInflow(u_in=1.0))
+        with pytest.raises(NonpositiveTimeStep, match="cap"):
+            step(run, Grid1D.uniform(0.0, 1.0, 10), params(), spec,
+                 dt_cap=0.0)
