@@ -26,10 +26,7 @@ class LayerGrid:
 
     @property
     def fractions(self) -> np.ndarray:
-        N = self.n_layers
-        alpha = np.arange(N + 1)
-        z = (np.exp(10.0 * alpha / N) - 1.0) / (np.exp(10.0) - 1.0)
-        return np.diff(z)
+        return np.diff(self.interfaces)
 
     @property
     def interfaces(self) -> np.ndarray:
@@ -82,27 +79,34 @@ def mlsw_compute_dt(state: MlswState, params: PhysicalParams, dx,
     return dt
 
 
-def _thomas(lower, diag, upper, rhs):
-    """Batched Thomas solve; systems along axis 0, batches along axis 1."""
+def _thomas(off, diag, rhs):
+    """Batched symmetric Thomas solve, systems along axis 0, batches along
+    axis 1; off[i] couples unknowns i and i + 1. Rows go into preallocated
+    buffers; a zero pivot raises TridiagonalFailure, with no warning first."""
     n = diag.shape[0]
-    c = np.empty_like(diag)
-    d = np.empty_like(rhs)
-    denom = diag[0]
-    if np.any(denom == 0.0):
-        raise TridiagonalFailure("zero pivot in vertical friction solve")
-    c[0] = upper[0] / denom
-    d[0] = rhs[0] / denom
-    for i in range(1, n):
-        denom = diag[i] - lower[i] * c[i - 1]
-        if np.any(denom == 0.0):
+    pivot, c, d = np.empty_like(diag), np.empty_like(off), np.empty_like(rhs)
+    # row views listed once: a list index is cheaper than an array index
+    O, A, R, P, C, D = map(list, (off, diag, rhs, pivot, c, d))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        pivot[0] = diag[0]
+        np.divide(off[:1], pivot[:1], out=c[:1])   # no row when n == 1
+        np.divide(R[0], P[0], out=D[0])
+        for i in range(1, n):
+            p, di, o = P[i], D[i], O[i - 1]
+            np.multiply(o, C[i - 1], out=p)
+            np.subtract(A[i], p, out=p)
+            if i < n - 1:
+                np.divide(O[i], p, out=C[i])
+            np.multiply(o, D[i - 1], out=di)
+            np.subtract(R[i], di, out=di)
+            np.divide(di, p, out=di)
+        if (pivot == 0.0).any():
             raise TridiagonalFailure("zero pivot in vertical friction solve")
-        c[i] = upper[i] / denom if i < n - 1 else 0.0
-        d[i] = (rhs[i] - lower[i] * d[i - 1]) / denom
-    x = np.empty_like(rhs)
-    x[-1] = d[-1]
-    for i in range(n - 2, -1, -1):
-        x[i] = d[i] - c[i] * x[i + 1]
-    return x
+        # back substitution in place, with the spent pivot rows as scratch
+        for i in range(n - 2, -1, -1):
+            np.multiply(C[i], D[i + 1], out=P[i])
+            np.subtract(D[i], P[i], out=D[i])
+    return d
 
 
 def mlsw_step(state: MlswState, layers: LayerGrid, dt,
@@ -145,7 +149,8 @@ def mlsw_step(state: MlswState, layers: LayerGrid, dt,
     u_up = np.where(G[:-1] >= 0.0, u_int[1:], u_int[:-1])
     m = np.zeros_like(G)
     m[:-1] = u_up * G[:-1]
-    dm = m - np.vstack([np.zeros((1, m.shape[1])), m[:-1]])
+    dm = m.copy()
+    dm[1:] -= m[:-1]
 
     # central free-surface slope for the hydrostatic pressure term
     deta_dx = (eta[2:] - eta[:-2]) / (2.0 * dx)
@@ -157,22 +162,15 @@ def mlsw_step(state: MlswState, layers: LayerGrid, dt,
     h_alpha_new = ell * h_new[None, :]
     u_star = hu_star / h_alpha_new
     nu = params.delta_bar**2
-    N = layers.n_layers
-    c_int = np.zeros((N, h_new.size))          # c_int[a] couples a and a+1
-    if N > 1:
-        c_int[:-1] = 2.0 * nu * dt / (h_alpha_new[1:] + h_alpha_new[:-1])
+    # symmetric matrix: off[a] = -(interface coupling of layers a, a+1)
+    off = -2.0 * nu * dt / (h_alpha_new[1:] + h_alpha_new[:-1])
     c_bot = 2.0 * nu * dt / h_alpha_new[0]
     diag = h_alpha_new.copy()
     diag[0] += c_bot
-    diag += c_int
-    diag[1:] += c_int[:-1]
-    lower = np.zeros_like(diag)
-    upper = np.zeros_like(diag)
-    if N > 1:
-        lower[1:] = -c_int[:-1]
-        upper[:-1] = -c_int[:-1]
+    diag[:-1] -= off
+    diag[1:] -= off
     rhs = h_alpha_new * u_star
-    u_new = _thomas(lower, diag, upper, rhs)
+    u_new = _thomas(off, diag, rhs)
     return MlswState(h=h_new, u=u_new)
 
 

@@ -22,6 +22,8 @@ from .timeloop import (BoundarySpec, FreeOutflow, RunState, SubcriticalInflow,
                        SupercriticalInflow, advance)
 
 SCENARIOS = ("BlasiusSteady", "ImpulsiveStart", "Bump", "MlswCompare")
+_SNAPSHOT_HEADER = "x,fb,h,u_e,delta1,tau_b,H,f2,Lambda1,U"
+_CHUNK_ROWS = 4096  # rows formatted per write; bounds the string held
 
 
 @dataclass(frozen=True)
@@ -60,6 +62,10 @@ class ScenarioConfig:
             raise ConfigError("snapshot times must lie in [0, t_end]")
         if self.gradient_order not in (2, 4):
             raise ConfigError("gradient_order must be 2 or 4")
+        if not 0.0 < self.cfl_number <= 1.0:
+            raise ConfigError("cfl_number must lie in (0, 1]")
+        if self.n_layers < 1:
+            raise ConfigError("n_layers must be at least 1")
 
     def closure_law(self) -> ClosureLaw:
         name = self.closure
@@ -169,8 +175,17 @@ def config_to_text(config: ScenarioConfig) -> str:
     return "\n".join(out) + "\n"
 
 
-def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
+def _write_rows(path, header: str, columns) -> None:
+    """Write a CSV of equal-length columns, every value as "%.17g"
+    (the bytes of f"{v:.17g}"), one template substitution per chunk of
+    _CHUNK_ROWS rows so that no whole-file string is held."""
+    table = np.column_stack(columns)
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(header + "\n")
+        for start in range(0, len(table), _CHUNK_ROWS):
+            chunk = table[start:start + _CHUNK_ROWS]
+            f.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def emit_snapshot(W: ConservedState, grid: Grid1D, params: PhysicalParams,
@@ -183,12 +198,9 @@ def emit_snapshot(W: ConservedState, grid: Grid1D, params: PhysicalParams,
         else np.zeros_like(u_e)
     ev = evaluate_closure(params.closure, delta1, u_e, dudx)
     U = (1.0 - params.delta_bar * delta1 / W.h) * u_e
-    rows = ["x,fb,h,u_e,delta1,tau_b,H,f2,Lambda1,U"]
-    for j in range(x.size):
-        rows.append(",".join(_fmt(v) for v in (
-            x[j], grid.topo[j], W.h[j], u_e[j], delta1[j], ev.tau_bar[j],
-            ev.H[j], ev.f2[j], ev.lambda1[j], U[j])))
-    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
+    _write_rows(path, _SNAPSHOT_HEADER,
+                (x, grid.topo, W.h, u_e, delta1, ev.tau_bar, ev.H, ev.f2,
+                 ev.lambda1, U))
 
 
 def _write_metadata(config: ScenarioConfig, out_dir: Path, wall_time: float,
@@ -293,10 +305,8 @@ def convergence_study(config: ScenarioConfig, dx_list,
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        rows = ["dx,error,runtime_seconds"]
-        rows += [f"{_fmt(dx)},{_fmt(e)},{_fmt(s)}" for dx, e, s in results]
-        (out / "convergence.csv").write_text("\n".join(rows) + "\n",
-                                             encoding="utf-8")
+        _write_rows(out / "convergence.csv", "dx,error,runtime_seconds",
+                    np.reshape(results, (-1, 3)).T)
     return results
 
 
@@ -320,7 +330,7 @@ def run_mlsw_scenario(config: ScenarioConfig, out_dir=None):
     emit_mlsw_snapshot(state, layers, grid, params, out / "final.csv",
                        out / "final_profiles.csv")
     _write_metadata(config, out, time.perf_counter() - t0,
-                    extra={"t_final": _fmt(t)})
+                    extra={"t_final": f"{t:.17g}"})
     return state, layers, grid
 
 
@@ -334,19 +344,14 @@ def emit_mlsw_snapshot(state: MlswState, layers: LayerGrid, grid: Grid1D,
     dudx = ue_gradient(u_e, grid.dx, order=4) if x.size >= 5 \
         else np.zeros_like(u_e)
     lambda1 = delta1**2 * dudx
-    rows = ["x,fb,h,u_e,delta1,tau_b,H,f2,Lambda1,U"]
-    for j in range(x.size):
-        rows.append(",".join(_fmt(v) for v in (
-            x[j], grid.topo[j], state.h[j], u_e[j], delta1[j], tau_bar[j],
-            H[j], f2[j], lambda1[j], U[j])))
-    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
+    _write_rows(path, _SNAPSHOT_HEADER,
+                (x, grid.topo, state.h, u_e, delta1, tau_bar, H, f2, lambda1,
+                 U))
     if profiles_path is not None:
         z = layers.interfaces
         z_mid = 0.5 * (z[:-1] + z[1:])
-        rows = ["x,layer_index,z_mid,u"]
-        for j in range(x.size):
-            for a in range(layers.n_layers):
-                rows.append(",".join(_fmt(v) for v in (
-                    x[j], a + 1, z_mid[a] * state.h[j], state.u[a, j])))
-        Path(profiles_path).write_text("\n".join(rows) + "\n",
-                                       encoding="utf-8")
+        N = layers.n_layers      # one row per (cell, layer), layer fastest
+        _write_rows(profiles_path, "x,layer_index,z_mid,u",
+                    (np.repeat(x, N), np.tile(np.arange(1, N + 1), x.size),
+                     (z_mid[None, :] * state.h[:, None]).ravel(),
+                     state.u.T.ravel()))

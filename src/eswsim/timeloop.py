@@ -118,7 +118,9 @@ def compute_dt(cells: CellEval, dx, cfl_number=0.9, dt_max=np.inf,
     if not 0.0 < cfl_number <= 1.0:
         raise ValueError("cfl_number must lie in (0, 1]")
     lam_max = np.maximum(np.abs(cells.lam_L), np.abs(cells.lam_R)).max()
-    if not np.isfinite(lam_max):
+    # a NaN in q or r alone can leave the bounds finite (the closure maps a
+    # NaN Lambda1 to a finite H), but it always reaches delta1
+    if not (np.isfinite(lam_max) and np.isfinite(cells.delta1.sum())):
         for name in ("h", "q", "r", "delta1", "H", "lam_L", "lam_R"):
             bad = np.flatnonzero(~np.isfinite(getattr(cells, name)))
             if bad.size:

@@ -1,6 +1,7 @@
 """Multilayer reference solver: degenerations, oracles, diagnostics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ import pytest
 from eswsim import (Grid1D, LayerGrid, MlswState, PhysicalParams,
                     SupercriticalInflow, mlsw_compute_dt, mlsw_diagnostics,
                     mlsw_step)
-from eswsim.errors import DegenerateProfile
+from eswsim.errors import DegenerateProfile, TridiagonalFailure
+from eswsim.mlsw import _thomas
 
 
 def params(db=1e-3, fr=1.0):
@@ -27,6 +29,37 @@ class TestLayerGrid:
         ell = LayerGrid(100).fractions
         assert np.all(np.diff(ell) > 0)  # thin layers at the bottom
         assert ell[0] < 1e-5
+
+
+class TestThomas:
+    def test_matches_dense_solve(self):
+        rng = np.random.default_rng(61)
+        m = 7
+        for N in (1, 2, 100):
+            off = -rng.uniform(0.0, 1.0, (N - 1, m))
+            diag = rng.uniform(0.1, 1.0, (N, m))
+            diag[:-1] -= off
+            diag[1:] -= off
+            rhs = rng.normal(size=(N, m))
+            got = _thomas(off, diag, rhs)
+            assert got.shape == (N, m)
+            for j in range(m):
+                A = (np.diag(diag[:, j]) + np.diag(off[:, j], 1)
+                     + np.diag(off[:, j], -1))
+                ref = np.linalg.solve(A, rhs[:, j])
+                assert np.allclose(got[:, j], ref, rtol=1e-12, atol=0)
+
+    def test_zero_pivot_raises_without_warning(self):
+        rhs = np.ones((3, 2))
+        first = np.array([[0.0, 1.0], [3.0, 3.0], [3.0, 3.0]])
+        # the second row's pivot is 1 - 1*1/1 = 0 in column 1
+        later = np.array([[2.0, 1.0], [3.0, 1.0], [3.0, 3.0]])
+        off = np.array([[-1.0, -1.0], [-1.0, -1.0]])
+        for diag in (first, later):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(TridiagonalFailure):
+                    _thomas(off, diag, rhs)
 
 
 class TestSingleLayerDegeneration:

@@ -5,8 +5,9 @@ import pytest
 
 from eswsim import cli
 from eswsim.errors import ConfigError
-from eswsim.scenarios import (ScenarioConfig, config_to_text, emit_snapshot,
-                              parse_config, run_scenario)
+from eswsim.scenarios import (_CHUNK_ROWS, ScenarioConfig, _write_rows,
+                              config_to_text, emit_snapshot, parse_config,
+                              run_scenario)
 from eswsim.state import ConservedState, Grid1D, PhysicalParams
 
 
@@ -61,6 +62,11 @@ class TestConfigParsing:
             ScenarioConfig(snapshot_times=(2.0,), t_end=1.0)
         with pytest.raises(ConfigError):
             ScenarioConfig(gradient_order=3)
+        for cfl in (0.0, 2.0):
+            with pytest.raises(ConfigError, match="cfl_number"):
+                ScenarioConfig(cfl_number=cfl)
+        with pytest.raises(ConfigError, match="n_layers"):
+            ScenarioConfig(n_layers=0)
 
     def test_boundary_auto_switches_on_local_froude(self):
         from eswsim import SubcriticalInflow, SupercriticalInflow
@@ -102,6 +108,20 @@ class TestSnapshotCsv:
         assert float(row[2]) == h
 
 
+class TestWriteRows:
+    def test_bytes_match_per_value_format(self, tmp_path):
+        special = [-0.0, 5e-324, 1e300, float("nan"), 0.1, -2.5e-17]
+        for n in (1, _CHUNK_ROWS, _CHUNK_ROWS + 1):
+            values = np.resize(special, n)
+            index = np.arange(1, n + 1)
+            path = tmp_path / f"rows{n}.csv"
+            _write_rows(path, "v,layer_index,w", (values, index, values[::-1]))
+            ref = "v,layer_index,w\n" + "".join(
+                ",".join(f"{float(v):.17g}" for v in row) + "\n"
+                for row in zip(values, index, values[::-1]))
+            assert path.read_bytes() == ref.encode("utf-8")
+
+
 class TestRunScenario:
     def test_blasius_outputs(self, tmp_path):
         cfg = ScenarioConfig(n_cells=40, t_end=0.02,
@@ -129,6 +149,10 @@ class TestCli:
         rc = cli.main(["run", "--set", "no.such.key=1"])
         assert rc == 2
         assert "configuration error" in capsys.readouterr().err
+        # out-of-range values are configuration errors, not failed runs
+        assert cli.main(["run", "--set", "run.cfl_number=2"]) == 2
+        assert cli.main(["mlsw", "--set", "scenario=MlswCompare",
+                         "--set", "mlsw.n_layers=0"]) == 2
 
     def test_bad_config_file_exit_2(self, tmp_path, capsys):
         f = tmp_path / "c.cfg"

@@ -297,16 +297,20 @@ class TestStepDiagnostics:
         assert compute_dt(reverse, dx=1.0)[1] == "reverse_flow"
 
     def test_non_finite_cell_is_named(self):
+        # a NaN in r alone leaves the wave-speed bounds finite; it must
+        # still be named in the step that meets it
         n = 20
-        W = uniform_state(n)
-        W.h[7] = np.nan
-        run = RunState(t=0.125, step_count=3, W=W)
         spec = BoundarySpec(left=SubcriticalInflow(u_in=1.0))
-        with pytest.raises(NonFiniteState) as info:
-            step(run, Grid1D.uniform(0.0, 1.0, n), params(), spec)
-        assert (info.value.field, info.value.cell) == ("h", 7)
-        assert (info.value.step, info.value.t) == (3, 0.125)
-        assert "cell 7" in str(info.value) and "step 3" in str(info.value)
+        for field, step_count, t in (("h", 3, 0.125), ("r", 0, 0.0)):
+            W = uniform_state(n)
+            getattr(W, field)[7] = np.nan
+            run = RunState(t=t, step_count=step_count, W=W)
+            with pytest.raises(NonFiniteState) as info:
+                step(run, Grid1D.uniform(0.0, 1.0, n), params(), spec)
+            assert (info.value.field, info.value.cell) == (field, 7)
+            assert (info.value.step, info.value.t) == (step_count, t)
+            assert "cell 7" in str(info.value)
+            assert f"step {step_count}" in str(info.value)
 
     def test_nonpositive_dt_is_named(self):
         run = RunState(t=0.0, step_count=0, W=uniform_state(10))
