@@ -111,13 +111,16 @@ def _star_depths(h_L, h_R, q_star, C, jump_fb, lam_L, lam_R, froude):
 
     if active.any():
         idx = np.nonzero(active)[0]
-        hr = h_hll[idx].copy()
+        hr = hr0 = h_hll[idx]
         lamL = lam_L[idx]
         lamR = lam_R[idx]
         Ci = C[idx]
         qi = q_star[idx]
         jfb = jump_fb[idx]
         ok = np.ones(idx.size, dtype=bool)
+        # while every iterate is ok, each guard below is one reduction and
+        # the unmasked expressions give the bits of the masked ones
+        all_ok = True
         # loop invariants of the Newton iteration: q*^2/2 and dh_L*/dh_R*
         q2h = qi**2 / 2.0
         dhl = lamR / lamL
@@ -125,10 +128,14 @@ def _star_depths(h_L, h_R, q_star, C, jump_fb, lam_L, lam_R, froude):
         dg_lin = (1.0 - dhl) / fr2
         for _ in range(_NEWTON_MAX_ITER):
             hl = (lamR * hr - Ci) / lamL
-            bad = (hr <= 0.0) | (hl <= 0.0)
-            ok &= ~bad
-            hr_s = np.where(bad, 1.0, hr)
-            hl_s = np.where(bad, 1.0, hl)
+            if all_ok and hr.min() > 0.0 and hl.min() > 0.0:
+                hr_s, hl_s = hr, hl
+            else:
+                bad = (hr <= 0.0) | (hl <= 0.0)
+                ok &= ~bad
+                all_ok = bool(ok.all())
+                hr_s = np.where(bad, 1.0, hr)
+                hl_s = np.where(bad, 1.0, hl)
             g = (q2h * (1.0 / hr_s**2 - 1.0 / hl_s**2)
                  + (hr_s - hl_s + jfb) / fr2)
             dg = q2h * (-2.0 / hr_s**3 + two_dhl / hl_s**3) + dg_lin
@@ -137,19 +144,33 @@ def _star_depths(h_L, h_R, q_star, C, jump_fb, lam_L, lam_R, froude):
                 if near:
                     log.debug("near-critical star-depth solve at %d "
                               "interfaces", near)
-            step = np.where(np.abs(dg) > 1e-300, g / np.where(dg == 0, 1.0, dg),
-                            0.0)
-            hr = hr - np.where(ok, step, 0.0)
-            if not ok.any() or (np.abs(step[ok])
-                                <= _NEWTON_TOL * np.maximum(1.0, hr[ok])).all():
+            if all_ok and np.abs(dg).min() > 1e-300:
+                step = g / dg
+                hr = hr - step
+                converged = (np.abs(step)
+                             <= _NEWTON_TOL * np.maximum(1.0, hr)).all()
+            else:
+                step = np.where(np.abs(dg) > 1e-300,
+                                g / np.where(dg == 0, 1.0, dg), 0.0)
+                hr = hr - np.where(ok, step, 0.0)
+                converged = not ok.any() or (
+                    np.abs(step[ok])
+                    <= _NEWTON_TOL * np.maximum(1.0, hr[ok])).all()
+            if converged:
                 break
         hl = (lamR * hr - Ci) / lamL
-        ok &= (hr > 0.0) & (hl > 0.0)
-        hR[idx] = np.where(ok, hr, h_hll[idx])
-        hL[idx] = np.where(ok, hl, h_hll[idx])
-        fallback[idx] = ~ok
+        if all_ok and hr.min() > 0.0 and hl.min() > 0.0:
+            hR[idx] = hr
+            hL[idx] = hl
+        else:
+            ok &= (hr > 0.0) & (hl > 0.0)
+            hR[idx] = np.where(ok, hr, hr0)
+            hL[idx] = np.where(ok, hl, hr0)
+            fallback[idx] = ~ok
 
     # degenerate outer speeds: zero-width star region on that side
+    if lam_L.max() < 0.0 and lam_R.min() > 0.0:
+        return hL, hR, fallback
     left_degenerate = lam_L >= 0.0
     right_degenerate = lam_R <= 0.0
     hL = np.where(left_degenerate, h_L, hL)

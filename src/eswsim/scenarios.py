@@ -14,7 +14,7 @@ from .analytic import ReferenceCurve, blasius_steady, gaussian_bump, l1_error
 from .closures import (BlasiusConstant, ClosureLaw, FalknerSkanFit,
                        FixedProfile, Pohlhausen4, evaluate_closure,
                        ue_gradient)
-from .errors import ConfigError, NonSteady
+from .errors import ConfigError, DomainError, NonSteady
 from .mlsw import LayerGrid, MlswState, mlsw_compute_dt, mlsw_diagnostics, \
     mlsw_step
 from .state import ConservedState, Grid1D, PhysicalParams, recover_delta1
@@ -66,6 +66,12 @@ class ScenarioConfig:
             raise ConfigError("cfl_number must lie in (0, 1]")
         if self.n_layers < 1:
             raise ConfigError("n_layers must be at least 1")
+        if not (np.isfinite(self.froude) and self.froude > 0.0):
+            raise ConfigError("froude must be finite and positive")
+        if not (np.isfinite(self.delta_bar) and self.delta_bar >= 0.0):
+            raise ConfigError("delta_bar must be finite and nonnegative")
+        if not self.x_max > self.x_min:
+            raise ConfigError("x_max must exceed x_min")
 
     def closure_law(self) -> ClosureLaw:
         name = self.closure
@@ -93,6 +99,10 @@ class ScenarioConfig:
         return Grid1D.uniform(self.x_min, self.x_max, self.n_cells, topo_fn)
 
     def boundary_spec(self) -> BoundarySpec:
+        # a named numerical failure (exit code 3) before a sqrt of h0 or of
+        # the inflow depth warns about an invalid value
+        if not self.h0 > 0.0:
+            raise DomainError(f"initial depth h0 = {self.h0!r} is not positive")
         mode = self.boundary
         if mode == "auto":
             local_froude = self.froude * self.u0 / np.sqrt(self.h0)

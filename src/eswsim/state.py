@@ -77,9 +77,11 @@ class ConservedState:
     r: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "h", np.atleast_1d(np.asarray(self.h, float)))
-        object.__setattr__(self, "q", np.atleast_1d(np.asarray(self.q, float)))
-        object.__setattr__(self, "r", np.atleast_1d(np.asarray(self.r, float)))
+        for name in ("h", "q", "r"):
+            v = getattr(self, name)
+            # the time loop passes float64 arrays, which asarray keeps as is
+            if not (type(v) is np.ndarray and v.dtype == np.float64 and v.ndim):
+                object.__setattr__(self, name, np.atleast_1d(np.asarray(v, float)))
 
     @classmethod
     def from_primitive_fields(cls, h, u_e, delta1) -> "ConservedState":
@@ -109,6 +111,10 @@ def _check_wet(h):
 def recover_delta1(q, r, h):
     """delta1 = r/u_e, defined as 0 at (near-)stagnation where u_e ~ 0."""
     u_e = q / h
+    # with no (near-)stagnant or NaN cell the unmasked quotient is bitwise
+    # the masked one; scalars and empty arrays take the masked path
+    if type(u_e) is np.ndarray and u_e.size and np.abs(u_e).min() > U_EPS:
+        return r / u_e
     return np.where(np.abs(u_e) > U_EPS, r / np.where(u_e == 0, 1.0, u_e), 0.0)
 
 

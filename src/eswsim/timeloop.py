@@ -88,14 +88,18 @@ def apply_boundaries(W: ConservedState, spec: BoundarySpec,
             h_g = sqrt_hg**2
     else:
         raise TypeError(f"unsupported left boundary: {left!r}")
-    ghost_left = (np.full(N_GHOST, h_g), np.full(N_GHOST, h_g * u_g),
-                  np.zeros(N_GHOST))
-    ghost_right = (np.full(N_GHOST, W.h[-1]), np.full(N_GHOST, W.q[-1]),
-                   np.full(N_GHOST, W.r[-1]))
-    return ConservedState(
-        h=np.concatenate([ghost_left[0], W.h, ghost_right[0]]),
-        q=np.concatenate([ghost_left[1], W.q, ghost_right[1]]),
-        r=np.concatenate([ghost_left[2], W.r, ghost_right[2]]))
+    return ConservedState(h=_with_ghosts(W.h, h_g),
+                          q=_with_ghosts(W.q, h_g * u_g),
+                          r=_with_ghosts(W.r, 0.0))
+
+
+def _with_ghosts(interior, left):
+    """interior between N_GHOST copies of left and of its last value."""
+    out = np.empty(interior.size + 2 * N_GHOST)
+    out[:N_GHOST] = left
+    out[N_GHOST:-N_GHOST] = interior
+    out[-N_GHOST:] = interior[-1]
+    return out
 
 
 def extended_topo(grid: Grid1D) -> np.ndarray:

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from eswsim import ConservedState, PhysicalParams
-from eswsim.riemann import (evaluate_cells, physical_flux,
+from eswsim import (BoundarySpec, ConservedState, Grid1D, PhysicalParams,
+                    RunState, SubcriticalInflow, advance, riemann as rm)
+from eswsim.analytic import gaussian_bump
+from eswsim.riemann import (_NEWTON_MAX_ITER, _NEWTON_TOL, _star_depths,
+                            evaluate_cells, physical_flux,
                             solve_local_riemann, source_averages)
 
 
@@ -161,3 +164,179 @@ class TestStarDepthTopography:
         q, hl, hr = fan.q_star[0], fan.h_L_star[0], fan.h_R_star[0]
         res = q**2 / 2.0 * (1.0 / hr**2 - 1.0 / hl**2) + (hr - hl + 0.01)
         assert abs(res) < 1e-10
+
+
+def masked_star_depths(h_L, h_R, q_star, C, jump_fb, lam_L, lam_R, froude):
+    """Reference: _star_depths with every guard a mask on every element."""
+    fr2 = froude**2
+    span = lam_R - lam_L
+    h_hll = C / span
+    fallback = np.zeros_like(h_L, dtype=bool)
+    active = (jump_fb != 0.0) & (lam_L < 0.0) & (lam_R > 0.0)
+    hR = h_hll.copy()
+    hL = h_hll.copy()
+    if active.any():
+        idx = np.nonzero(active)[0]
+        hr = h_hll[idx].copy()
+        lamL, lamR, Ci = lam_L[idx], lam_R[idx], C[idx]
+        qi, jfb = q_star[idx], jump_fb[idx]
+        ok = np.ones(idx.size, dtype=bool)
+        q2h = qi**2 / 2.0
+        dhl = lamR / lamL
+        two_dhl = 2.0 * dhl
+        dg_lin = (1.0 - dhl) / fr2
+        for _ in range(_NEWTON_MAX_ITER):
+            hl = (lamR * hr - Ci) / lamL
+            bad = (hr <= 0.0) | (hl <= 0.0)
+            ok &= ~bad
+            hr_s = np.where(bad, 1.0, hr)
+            hl_s = np.where(bad, 1.0, hl)
+            g = (q2h * (1.0 / hr_s**2 - 1.0 / hl_s**2)
+                 + (hr_s - hl_s + jfb) / fr2)
+            dg = q2h * (-2.0 / hr_s**3 + two_dhl / hl_s**3) + dg_lin
+            step = np.where(np.abs(dg) > 1e-300,
+                            g / np.where(dg == 0, 1.0, dg), 0.0)
+            hr = hr - np.where(ok, step, 0.0)
+            if not ok.any() or (np.abs(step[ok])
+                                <= _NEWTON_TOL * np.maximum(1.0, hr[ok])).all():
+                break
+        hl = (lamR * hr - Ci) / lamL
+        ok &= (hr > 0.0) & (hl > 0.0)
+        hR[idx] = np.where(ok, hr, h_hll[idx])
+        hL[idx] = np.where(ok, hl, h_hll[idx])
+        fallback[idx] = ~ok
+    left_degenerate = lam_L >= 0.0
+    right_degenerate = lam_R <= 0.0
+    hL = np.where(left_degenerate, h_L, hL)
+    hR = np.where(right_degenerate, h_R, hR)
+    one_sided_L = left_degenerate & ~right_degenerate & (jump_fb != 0.0)
+    one_sided_R = right_degenerate & ~left_degenerate & (jump_fb != 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hR = np.where(one_sided_L, (C + lam_L * h_L)
+                      / np.where(lam_R == 0, 1.0, lam_R), hR)
+        hL = np.where(one_sided_R, (lam_R * h_R - C)
+                      / np.where(lam_L == 0, -1.0, lam_L), hL)
+    return hL, hR, fallback
+
+
+@pytest.fixture(scope="module")
+def bump_interfaces():
+    """_star_depths arguments of the last step of a short subcritical run
+    over a Gaussian bump: every interface but the two ends has a jump."""
+    calls = []
+    original = rm._star_depths
+
+    def record(*args):
+        calls.append(args)
+        return original(*args)
+
+    n = 60
+    grid = Grid1D.uniform(0.0, 2.0, n,
+                          lambda x: gaussian_bump(x, 0.03, 0.1, 1.0))
+    W = ConservedState(h=np.full(n, 2.0), q=np.full(n, 2.0), r=np.zeros(n))
+    rm._star_depths = record
+    try:
+        advance(RunState(0.0, 0, W), 0.05, grid, PhysicalParams(1.0, 1e-3),
+                BoundarySpec(left=SubcriticalInflow(u_in=1.0)))
+    finally:
+        rm._star_depths = original
+    return [np.array(a, dtype=float) for a in calls[-1][:7]] + [1.0]
+
+
+class TestStarDepthsMatchMasked:
+    """The guarded _star_depths gives the masked reference's bits."""
+
+    def check(self, args, quiet=False):
+        with np.errstate(all="ignore" if quiet else "raise"):
+            got = _star_depths(*args)
+            want = masked_star_depths(*args)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b, equal_nan=True)
+        return got
+
+    def with_values(self, base, **changes):
+        """Copy of the argument list with {name: {interface: value}}."""
+        names = ("h_L", "h_R", "q_star", "C", "jump_fb", "lam_L", "lam_R")
+        args = [a.copy() for a in base[:7]] + [base[7]]
+        for name, values in changes.items():
+            for i, v in values.items():
+                args[names.index(name)][i] = v
+        return args
+
+    def test_all_positive_newton(self, bump_interfaces):
+        args = bump_interfaces
+        assert np.count_nonzero(args[4]) == args[4].size - 2
+        _, _, fallback = self.check(args)
+        assert not fallback.any()
+
+    def test_seeded_jumps(self, bump_interfaces):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            args = self.with_values(bump_interfaces)
+            args[4] = rng.normal(0.0, 0.02, args[4].size)
+            args[2] *= rng.uniform(0.5, 1.5, args[2].size)
+            self.check(args, quiet=True)
+
+    def test_iterates_go_nonpositive(self, bump_interfaces):
+        # the first iterate h_hll is positive, so the loop starts unmasked;
+        # a large jump makes a Newton step overshoot below zero
+        args = self.with_values(bump_interfaces,
+                                jump_fb={30: 5.0, 31: -5.0})
+        assert (args[3] / (args[6] - args[5]))[[30, 31]].min() > 0.0
+        _, _, fallback = self.check(args, quiet=True)
+        assert np.flatnonzero(fallback).tolist() == [30, 31]
+
+    def test_first_iterate_nonpositive(self, bump_interfaces):
+        args = self.with_values(bump_interfaces, C={12: -1.0})
+        _, _, fallback = self.check(args, quiet=True)
+        assert np.flatnonzero(fallback).tolist() == [12]
+
+    def test_nan_inputs(self, bump_interfaces):
+        for changes in ({"q_star": {20: np.nan}}, {"C": {20: np.nan}},
+                        {"q_star": {3: np.nan}, "C": {40: np.nan}}):
+            self.check(self.with_values(bump_interfaces, **changes),
+                       quiet=True)
+
+    def test_zero_newton_derivative(self):
+        # lam = -1, 1, h_hll = 1 and q* = 1 at Fr = 1: dg is exactly 0 at
+        # the first iterate, so the masked step is 0 there for good
+        n = 5
+        ones = np.ones(n)
+        args = [ones, ones, np.array([1.0, 0.5, 1.0, 0.8, 1.0]),
+                2.0 * ones, np.full(n, 0.01), -ones, ones, 1.0]
+        hL, hR, _ = self.check(args, quiet=True)
+        assert hR[0] == hR[2] == hR[4] == 1.0
+
+    def test_tiny_newton_derivative(self):
+        # q* = 0 and Fr = 1e154 give dg = 2/Fr^2 = 2e-308, below 1e-300
+        n = 4
+        ones = np.ones(n)
+        args = [ones, ones, np.array([0.0, 1.0, 0.0, 1.0]), 2.0 * ones,
+                np.full(n, 0.01), -ones, ones, 1e154]
+        self.check(args, quiet=True)
+
+    def test_degenerate_outer_speeds(self, bump_interfaces):
+        for changes in (
+                {"lam_L": {5: 0.0, 9: 0.3}},                # left only
+                {"lam_R": {7: 0.0, 11: -0.2}},              # right only
+                {"lam_L": {5: 0.0}, "lam_R": {5: 0.0}},     # two-sided
+                {"lam_L": {5: 0.0, 8: 0.1}, "lam_R": {8: -0.1, 21: 0.0}},
+                {"lam_L": {0: 0.0, 6: np.nan}},             # NaN beside 0
+                {"lam_R": {0: 0.0, 6: np.nan}}):
+            self.check(self.with_values(bump_interfaces, **changes),
+                       quiet=True)
+        # one-sided with a jump: the linear relation sets the other depth
+        args = self.with_values(bump_interfaces, lam_L={5: 0.0})
+        hL, hR, _ = self.check(args, quiet=True)
+        assert hL[5] == args[0][5]
+        assert hR[5] == (args[3][5] + 0.0 * args[0][5]) / args[6][5]
+
+    def test_no_active_interface(self, bump_interfaces):
+        flat = self.with_values(bump_interfaces)
+        flat[4] = np.zeros_like(flat[4])
+        hL, hR, fallback = self.check(flat)
+        assert np.array_equal(hL, hR) and not fallback.any()
+        supercritical = self.with_values(bump_interfaces)
+        supercritical[5] = np.zeros_like(supercritical[5])
+        self.check(supercritical, quiet=True)

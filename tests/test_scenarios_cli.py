@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from eswsim import cli
-from eswsim.errors import ConfigError
+from eswsim.errors import ConfigError, DomainError
 from eswsim.scenarios import (_CHUNK_ROWS, ScenarioConfig, _write_rows,
                               config_to_text, emit_snapshot, parse_config,
                               run_scenario)
@@ -67,6 +67,22 @@ class TestConfigParsing:
                 ScenarioConfig(cfl_number=cfl)
         with pytest.raises(ConfigError, match="n_layers"):
             ScenarioConfig(n_layers=0)
+        for fr in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="froude"):
+                ScenarioConfig(froude=fr)
+        for db in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="delta_bar"):
+                ScenarioConfig(delta_bar=db)
+        for x_max in (-1.0, 0.0, float("nan")):
+            with pytest.raises(ConfigError, match="x_max"):
+                ScenarioConfig(x_min=0.0, x_max=x_max)
+        ScenarioConfig(delta_bar=0.0)   # the inviscid limit is valid
+
+    def test_nonpositive_h0_is_named_before_sqrt(self):
+        for h0 in (-1.0, 0.0, float("nan")):
+            for mode in ("auto", "subcritical", "supercritical"):
+                with pytest.raises(DomainError, match="h0"):
+                    ScenarioConfig(h0=h0, boundary=mode).boundary_spec()
 
     def test_boundary_auto_switches_on_local_froude(self):
         from eswsim import SubcriticalInflow, SupercriticalInflow
@@ -153,6 +169,9 @@ class TestCli:
         assert cli.main(["run", "--set", "run.cfl_number=2"]) == 2
         assert cli.main(["mlsw", "--set", "scenario=MlswCompare",
                          "--set", "mlsw.n_layers=0"]) == 2
+        for setting in ("physics.froude=0", "physics.froude=nan",
+                        "physics.delta_bar=-1", "grid.x_max=-1"):
+            assert cli.main(["run", "--set", setting]) == 2, setting
 
     def test_bad_config_file_exit_2(self, tmp_path, capsys):
         f = tmp_path / "c.cfg"

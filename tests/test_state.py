@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from eswsim import (ConservedState, Grid1D, PhysicalParams, from_primitive,
                     recover_delta1, to_primitive)
 from eswsim.errors import DomainError, DryCell
-from eswsim.state import apparent_topography_view, energy_density
+from eswsim.state import U_EPS, apparent_topography_view, energy_density
 
 
 def params(db=1e-3, fr=1.0):
@@ -40,6 +40,24 @@ class TestContainers:
         assert np.allclose(g.topo, 0.5 * g.cell_centers)
 
 
+class TestConservedState:
+    def test_float64_arrays_are_kept(self):
+        h, q, r = np.ones(3), np.full(3, 2.0), np.zeros(3)
+        W = ConservedState(h=h, q=q, r=r)
+        assert W.h is h and W.q is q and W.r is r
+
+    @pytest.mark.parametrize("value", [
+        [1, 2, 3], np.arange(3), np.arange(3, dtype=np.float32),
+        np.arange(3, dtype=">f8"), 2.0, np.array(2.0),
+        np.ma.masked_array([1.0, 2.0])])
+    def test_other_inputs_become_1d_float64(self, value):
+        W = ConservedState(h=value, q=value, r=value)
+        want = np.atleast_1d(np.asarray(value, float))
+        for a in (W.h, W.q, W.r):
+            assert type(a) is np.ndarray and a.dtype == np.float64
+            assert a.ndim == 1 and np.array_equal(a, want)
+
+
 class TestPrimitive:
     def test_zero_thickness_layer(self):
         W = ConservedState(h=[2.0], q=[2.0], r=[0.0])
@@ -66,6 +84,31 @@ class TestPrimitive:
     def test_stagnation_delta1(self):
         d1 = recover_delta1(np.array([0.0]), np.array([0.3]), np.array([1.0]))
         assert d1[0] == 0.0
+
+    @pytest.mark.parametrize("u_e", [
+        [1.0, 0.5, -2.0, 1e-7],    # no guard trips: the unmasked quotient
+        [1.0, 0.0, -2.0],          # stagnant cell
+        [1.0, 5e-9, -5e-9],        # |u_e| below U_EPS
+        [1.0, U_EPS, -U_EPS],      # at U_EPS exactly
+        [1.0, np.nan, 2.0],
+        [np.inf, 1.0, 2.0],
+        1.5, 0.0, [], [[]]])
+    def test_delta1_matches_masked_quotient(self, u_e):
+        u_e = np.asarray(u_e, float)
+        h = np.full(u_e.shape, 2.0)
+        q = u_e * h
+        r = np.linspace(0.1, 0.7, u_e.size).reshape(u_e.shape)
+        d1 = recover_delta1(q, r, h)
+        u = q / h
+        want = np.where(np.abs(u) > U_EPS,
+                        r / np.where(u == 0, 1.0, u), 0.0)
+        assert type(d1) is type(want)
+        assert d1.shape == want.shape
+        assert np.array_equal(d1, want, equal_nan=True)
+
+    def test_delta1_python_scalars(self):
+        assert recover_delta1(0.6, 0.3, 2.0) == pytest.approx(1.0)
+        assert recover_delta1(0.0, 0.3, 2.0) == 0.0
 
     def test_roundtrip(self):
         rng = np.random.default_rng(3)

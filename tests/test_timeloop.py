@@ -58,6 +58,23 @@ class TestBoundaries:
         ext = apply_boundaries(W, spec, params())
         assert np.all(ext.r[-N_GHOST:] == 0.7)
 
+    @pytest.mark.parametrize("left", [SupercriticalInflow(u_in=1, h_in=2),
+                                      SubcriticalInflow(u_in=1.1)])
+    def test_ghosts_match_concatenation(self, left):
+        rng = np.random.default_rng(5)
+        W = ConservedState.from_primitive_fields(
+            rng.uniform(1.5, 2.5, 9), rng.uniform(0.8, 1.2, 9),
+            rng.uniform(0.0, 0.3, 9))
+        ext = apply_boundaries(W, BoundarySpec(left=left), params())
+        g = ext.h[0]
+        u_g = left.u_in
+        for got, interior, ghost in ((ext.h, W.h, g), (ext.q, W.q, g * u_g),
+                                     (ext.r, W.r, 0.0)):
+            want = np.concatenate([np.full(N_GHOST, ghost), interior,
+                                   np.full(N_GHOST, interior[-1])])
+            assert got.dtype == np.float64
+            assert np.array_equal(got, want)
+
 
 class TestComputeDt:
     def test_cfl_bound(self):
