@@ -11,8 +11,7 @@ from .errors import (ConfigError, CriticalFlow, DegenerateProfile, DomainError,
                      DryCell, EswError, MismatchedGrids, NegativeDiscriminant,
                      NonFiniteState, NonpositiveTimeStep, NonSteady,
                      StepFailure, TridiagonalFailure)
-from .state import (ConservedState, Grid1D, PhysicalParams, PrimitiveState,
-                    from_primitive, recover_delta1, to_primitive)
+from .state import ConservedState, Grid1D, PhysicalParams, recover_delta1
 from .hyperbolicity import (WaveSpeeds, characteristic_roots, decoupled_speeds,
                             jacobian_coeffs, nickalls_bounds)
 from .riemann import (CellEval, RiemannFan, evaluate_cells, physical_flux,

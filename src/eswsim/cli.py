@@ -3,7 +3,7 @@
 Verbs:
   run       integrate a scenario and write snapshot/final CSVs
   converge  mesh-refinement study against the flat-plate reference
-  mlsw      run the multilayer reference solver
+  mlsw      run with scenario=MlswCompare (multilayer reference solver)
   analyze   summary statistics of a snapshot CSV
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure, 4 I/O
@@ -19,8 +19,7 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, EswError
-from .scenarios import (convergence_study, parse_config, run_mlsw_scenario,
-                        run_scenario)
+from .scenarios import convergence_study, parse_config, run_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -31,8 +30,7 @@ EXIT_IO = 4
 def _cmd_run(args) -> int:
     config = parse_config(args.config, args.set)
     run = run_scenario(config, out_dir=args.out)
-    if hasattr(run, "t"):
-        print(f"done: t={run.t:.6g} steps={run.step_count}")
+    print(f"done: t={run.t:.6g} steps={run.step_count}")
     return EXIT_OK
 
 
@@ -47,13 +45,8 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_mlsw(args) -> int:
-    config = parse_config(args.config, args.set)
-    if config.scenario != "MlswCompare":
-        from dataclasses import replace
-        config = replace(config, scenario="MlswCompare")
-    run_mlsw_scenario(config, out_dir=args.out)
-    print("done")
-    return EXIT_OK
+    args.set = [*args.set, "scenario=MlswCompare"]
+    return _cmd_run(args)
 
 
 def _cmd_analyze(args) -> int:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateProfile, DomainError, TridiagonalFailure
+from .errors import (DegenerateProfile, DomainError, NonFiniteState,
+                     NonpositiveTimeStep, TridiagonalFailure)
 from .state import Grid1D, PhysicalParams, U_EPS
 from .timeloop import InflowSpec, SubcriticalInflow, SupercriticalInflow
 
@@ -73,9 +74,12 @@ def mlsw_compute_dt(state: MlswState, params: PhysicalParams, dx,
     """CFL step from the fastest layer speed |u| + sqrt(h)/Fr."""
     lam = np.max(np.abs(state.u), axis=0) + np.sqrt(state.h) / params.froude
     lam_max = float(np.max(lam))
+    if not np.isfinite(lam_max):
+        cell = int(np.flatnonzero(~np.isfinite(lam))[0])
+        raise NonFiniteState("u" if np.isfinite(state.h[cell]) else "h", cell)
     dt = min(cfl_number * dx / (2.0 * lam_max), dt_max)
     if not dt > 0.0:
-        raise DomainError("nonpositive time step")
+        raise NonpositiveTimeStep(f"nonpositive time step {dt!r}")
     return dt
 
 

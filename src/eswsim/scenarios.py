@@ -5,7 +5,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -14,16 +14,17 @@ from .analytic import ReferenceCurve, blasius_steady, gaussian_bump, l1_error
 from .closures import (BlasiusConstant, ClosureLaw, FalknerSkanFit,
                        FixedProfile, Pohlhausen4, evaluate_closure,
                        ue_gradient)
-from .errors import ConfigError, DomainError, NonSteady
+from .errors import ConfigError, DomainError, NonSteady, StepFailure
 from .mlsw import LayerGrid, MlswState, mlsw_compute_dt, mlsw_diagnostics, \
     mlsw_step
 from .state import ConservedState, Grid1D, PhysicalParams, recover_delta1
 from .timeloop import (BoundarySpec, FreeOutflow, RunState, SubcriticalInflow,
-                       SupercriticalInflow, advance)
+                       SupercriticalInflow, advance, step)
 
 SCENARIOS = ("BlasiusSteady", "ImpulsiveStart", "Bump", "MlswCompare")
 _SNAPSHOT_HEADER = "x,fb,h,u_e,delta1,tau_b,H,f2,Lambda1,U"
 _CHUNK_ROWS = 4096  # rows formatted per write; bounds the string held
+_STEADY_CHECK_EVERY = 200  # steps between two steadiness checks
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,8 @@ class ScenarioConfig:
             raise ConfigError("n_cells must be at least 10")
         if any(t < 0 or t > self.t_end for t in self.snapshot_times):
             raise ConfigError("snapshot times must lie in [0, t_end]")
+        if self.scenario == "MlswCompare" and self.snapshot_times:
+            raise ConfigError("MlswCompare takes no run.snapshot_times")
         if self.gradient_order not in (2, 4):
             raise ConfigError("gradient_order must be 2 or 4")
         if not 0.0 < self.cfl_number <= 1.0:
@@ -101,8 +104,10 @@ class ScenarioConfig:
     def boundary_spec(self) -> BoundarySpec:
         # a named numerical failure (exit code 3) before a sqrt of h0 or of
         # the inflow depth warns about an invalid value
-        if not self.h0 > 0.0:
-            raise DomainError(f"initial depth h0 = {self.h0!r} is not positive")
+        if not (np.isfinite(self.h0) and self.h0 > 0.0):
+            raise DomainError(f"init.h0 = {self.h0!r} is not finite and > 0")
+        if not np.isfinite(self.u0):
+            raise DomainError(f"init.u0 = {self.u0!r} is not finite")
         mode = self.boundary
         if mode == "auto":
             local_froude = self.froude * self.u0 / np.sqrt(self.h0)
@@ -214,12 +219,11 @@ def emit_snapshot(W: ConservedState, grid: Grid1D, params: PhysicalParams,
 
 
 def _write_metadata(config: ScenarioConfig, out_dir: Path, wall_time: float,
-                    extra: Optional[dict] = None) -> None:
+                    run: RunState) -> None:
     lines = [f"code_version={__version__}",
              f"wall_time_seconds={wall_time:.3f}"]
     lines += config_to_text(config).rstrip("\n").split("\n")
-    for k, v in (extra or {}).items():
-        lines.append(f"{k}={v}")
+    lines += [f"t_final={run.t:.17g}", f"steps={run.step_count}"]
     (out_dir / "metadata.txt").write_text("\n".join(lines) + "\n",
                                           encoding="utf-8")
 
@@ -233,34 +237,54 @@ def initial_state(config: ScenarioConfig) -> RunState:
 
 
 def run_scenario(config: ScenarioConfig, out_dir=None) -> RunState:
-    """Run one scenario, writing snapshot CSVs, a final CSV and metadata."""
-    if config.scenario == "MlswCompare":
-        return run_mlsw_scenario(config, out_dir)
+    """Run one scenario: write final.csv, metadata.txt and the snapshot CSVs
+    (ESW) or final_profiles.csv (MlswCompare, whose RunState.W is the final
+    MlswState); returns the final RunState."""
     out = Path(out_dir if out_dir is not None else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     grid = config.grid()
     params = config.physical_params()
     boundaries = config.boundary_spec()
-    run = initial_state(config)
     t0 = time.perf_counter()
+    if config.scenario == "MlswCompare":
+        layers = LayerGrid(config.n_layers)
+        state = MlswState.uniform(layers, config.n_cells, config.h0,
+                                  config.u0)
+        t, steps = 0.0, 0
+        while t < config.t_end - 1e-14:
+            try:
+                dt = mlsw_compute_dt(state, params, grid.dx,
+                                     cfl_number=config.cfl_number,
+                                     dt_max=min(config.dt_max,
+                                                config.t_end - t))
+            except StepFailure as exc:
+                exc.step, exc.t = steps, t
+                raise
+            state = mlsw_step(state, layers, dt, params, grid,
+                              boundaries.left)
+            t += dt
+            steps += 1
+        run = RunState(t=t, step_count=steps, W=state)
+        emit_mlsw_snapshot(state, layers, grid, params, out / "final.csv",
+                           out / "final_profiles.csv")
+    else:
+        def snap(state: RunState):
+            emit_snapshot(state.W, grid, params,
+                          out / f"snapshot_t{state.t:.6f}.csv",
+                          gradient_order=config.gradient_order)
 
-    def snap(state: RunState):
-        emit_snapshot(state.W, grid, params,
-                      out / f"snapshot_t{state.t:.6f}.csv",
+        run = advance(initial_state(config), config.t_end, grid, params,
+                      boundaries, cfl_number=config.cfl_number,
+                      gradient_order=config.gradient_order,
+                      dt_max=config.dt_max,
+                      snapshot_times=config.snapshot_times, on_snapshot=snap)
+        emit_snapshot(run.W, grid, params, out / "final.csv",
                       gradient_order=config.gradient_order)
-
-    run = advance(run, config.t_end, grid, params, boundaries,
-                  cfl_number=config.cfl_number,
-                  gradient_order=config.gradient_order,
-                  dt_max=config.dt_max,
-                  snapshot_times=config.snapshot_times, on_snapshot=snap)
-    emit_snapshot(run.W, grid, params, out / "final.csv",
-                  gradient_order=config.gradient_order)
-    _write_metadata(config, out, time.perf_counter() - t0)
+    _write_metadata(config, out, time.perf_counter() - t0, run)
     return run
 
 
-def run_to_steady(config: ScenarioConfig, check_every: int = 200):
+def run_to_steady(config: ScenarioConfig):
     """Advance until the state stops changing; returns (RunState, grid).
 
     Steadiness: max relative state change per unit time below steady_tol.
@@ -269,15 +293,14 @@ def run_to_steady(config: ScenarioConfig, check_every: int = 200):
     params = config.physical_params()
     boundaries = config.boundary_spec()
     run = initial_state(config)
-    from .timeloop import step as _step
     prev = None
     t_prev = 0.0
     while run.step_count < config.max_steps:
-        run = _step(run, grid, params, boundaries,
-                    cfl_number=config.cfl_number,
-                    gradient_order=config.gradient_order,
-                    dt_max=config.dt_max)
-        if run.step_count % check_every == 0:
+        run = step(run, grid, params, boundaries,
+                   cfl_number=config.cfl_number,
+                   gradient_order=config.gradient_order,
+                   dt_max=config.dt_max)
+        if run.step_count % _STEADY_CHECK_EVERY == 0:
             cur = np.concatenate([run.W.h, run.W.q, run.W.r])
             if prev is not None:
                 scale = np.maximum(np.max(np.abs(cur)), 1.0)
@@ -318,30 +341,6 @@ def convergence_study(config: ScenarioConfig, dx_list,
         _write_rows(out / "convergence.csv", "dx,error,runtime_seconds",
                     np.reshape(results, (-1, 3)).T)
     return results
-
-
-def run_mlsw_scenario(config: ScenarioConfig, out_dir=None):
-    """Run the multilayer reference on the configured topography."""
-    out = Path(out_dir if out_dir is not None else config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    grid = config.grid()
-    params = config.physical_params()
-    layers = LayerGrid(config.n_layers)
-    left = config.boundary_spec().left
-    state = MlswState.uniform(layers, config.n_cells, config.h0, config.u0)
-    t = 0.0
-    t0 = time.perf_counter()
-    while t < config.t_end - 1e-14:
-        dt = mlsw_compute_dt(state, params, grid.dx,
-                             cfl_number=config.cfl_number,
-                             dt_max=min(config.dt_max, config.t_end - t))
-        state = mlsw_step(state, layers, dt, params, grid, left)
-        t += dt
-    emit_mlsw_snapshot(state, layers, grid, params, out / "final.csv",
-                       out / "final_profiles.csv")
-    _write_metadata(config, out, time.perf_counter() - t0,
-                    extra={"t_final": f"{t:.17g}"})
-    return state, layers, grid
 
 
 def emit_mlsw_snapshot(state: MlswState, layers: LayerGrid, grid: Grid1D,

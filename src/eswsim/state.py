@@ -8,11 +8,10 @@ momentum. All containers are immutable value objects.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
-from .closures import ClosureLaw, FalknerSkanFit, closure_factors
+from .closures import ClosureLaw, FalknerSkanFit
 from .errors import DomainError, DryCell
 
 H_DRY = 1e-12
@@ -91,18 +90,6 @@ class ConservedState:
         return cls(h=h.copy(), q=h * u_e, r=delta1 * u_e)
 
 
-@dataclass(frozen=True)
-class PrimitiveState:
-    """Primitive view of the state with diagnostic fields."""
-
-    h: np.ndarray
-    u_e: np.ndarray
-    delta1: np.ndarray
-    U: np.ndarray
-    beta: np.ndarray
-    H_eff: np.ndarray
-
-
 def _check_wet(h):
     if np.any(h <= H_DRY):
         raise DryCell("water depth at or below the dry threshold")
@@ -118,33 +105,6 @@ def recover_delta1(q, r, h):
     return np.where(np.abs(u_e) > U_EPS, r / np.where(u_e == 0, 1.0, u_e), 0.0)
 
 
-def to_primitive(W: ConservedState, params: PhysicalParams,
-                 dudx: Optional[np.ndarray] = None) -> PrimitiveState:
-    """Convert conserved to primitive variables.
-
-    The Boussinesq coefficient uses the first-order form
-    beta = 1 + (1 - 1/H)*delta_bar*delta1/h with H from the configured
-    closure; dudx defaults to zero (Blasius value of H).
-    """
-    _check_wet(W.h)
-    u_e = W.q / W.h
-    delta1 = recover_delta1(W.q, W.r, W.h)
-    db = params.delta_bar
-    U = (1.0 - db * delta1 / W.h) * u_e
-    if dudx is None:
-        dudx = np.zeros_like(u_e)
-    lambda1 = delta1**2 * np.asarray(dudx, float)
-    H, _ = closure_factors(params.closure, lambda1)
-    beta = 1.0 + (1.0 - 1.0 / H) * db * delta1 / W.h
-    return PrimitiveState(h=W.h.copy(), u_e=u_e, delta1=delta1, U=U,
-                          beta=beta, H_eff=W.h - db * delta1)
-
-
-def from_primitive(P: PrimitiveState) -> ConservedState:
-    """Reassemble the conserved vector from a primitive view."""
-    return ConservedState.from_primitive_fields(P.h, P.u_e, P.delta1)
-
-
 def layer_fill_fraction(W: ConservedState, params: PhysicalParams):
     """delta_bar*delta1/h; the model loses validity where this nears 1.
 
@@ -152,18 +112,6 @@ def layer_fill_fraction(W: ConservedState, params: PhysicalParams):
     """
     delta1 = recover_delta1(W.q, W.r, W.h)
     return params.delta_bar * delta1 / W.h
-
-
-def apparent_topography_view(W: ConservedState, params: PhysicalParams,
-                             topo=None):
-    """(H_eff, u_e, apparent_bed): the ideal fluid over a thickened bed."""
-    _check_wet(W.h)
-    f_b = np.zeros_like(W.h) if topo is None else np.asarray(topo, float)
-    u_e = W.q / W.h
-    delta1 = recover_delta1(W.q, W.r, W.h)
-    H_eff = W.h - params.delta_bar * delta1
-    apparent_bed = f_b + params.delta_bar * delta1
-    return H_eff, u_e, apparent_bed
 
 
 def energy_density(W: ConservedState, params: PhysicalParams, f_b):

@@ -217,8 +217,7 @@ def step(run: RunState, grid: Grid1D, params: PhysicalParams,
 def advance(run: RunState, t_end, grid: Grid1D, params: PhysicalParams,
             boundaries: BoundarySpec, cfl_number=0.9, gradient_order=4,
             dt_max=np.inf, snapshot_times=(),
-            on_snapshot: Optional[Callable] = None,
-            log_every: int = 0) -> RunState:
+            on_snapshot: Optional[Callable] = None) -> RunState:
     """Run the loop until t_end, clipping the last step to land exactly.
 
     Snapshot callbacks fire at end-of-step states, once per requested time,
@@ -238,8 +237,4 @@ def advance(run: RunState, t_end, grid: Grid1D, params: PhysicalParams,
             if on_snapshot is not None:
                 on_snapshot(run)
             pending.pop(0)
-        if log_every and run.step_count % log_every == 0:
-            log.info("step=%d t=%.6g dt=%.3g thick_cells=%d",
-                     run.step_count, run.t, run.diagnostics.get("last_dt", 0),
-                     run.diagnostics.get("n_thick_layer", 0))
     return run

@@ -9,7 +9,8 @@ import pytest
 from eswsim import (Grid1D, LayerGrid, MlswState, PhysicalParams,
                     SupercriticalInflow, mlsw_compute_dt, mlsw_diagnostics,
                     mlsw_step)
-from eswsim.errors import DegenerateProfile, TridiagonalFailure
+from eswsim.errors import (DegenerateProfile, NonFiniteState,
+                           NonpositiveTimeStep, TridiagonalFailure)
 from eswsim.mlsw import _thomas
 
 
@@ -60,6 +61,24 @@ class TestThomas:
                 warnings.simplefilter("error")
                 with pytest.raises(TridiagonalFailure):
                     _thomas(off, diag, rhs)
+
+
+class TestComputeDt:
+    def test_non_finite_cell_is_named(self):
+        layers = LayerGrid(5)
+        for field, value in (("h", np.nan), ("u", np.nan), ("h", np.inf)):
+            state = MlswState.uniform(layers, 10, 2.0, 1.0)
+            getattr(state, field)[..., 4] = value
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NonFiniteState) as info:
+                    mlsw_compute_dt(state, params(), 0.1)
+            assert (info.value.field, info.value.cell) == (field, 4)
+
+    def test_nonpositive_time_step(self):
+        state = MlswState.uniform(LayerGrid(5), 10, 2.0, 1.0)
+        with pytest.raises(NonpositiveTimeStep):
+            mlsw_compute_dt(state, params(), 0.1, dt_max=0.0)
 
 
 class TestSingleLayerDegeneration:

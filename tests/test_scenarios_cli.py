@@ -1,10 +1,12 @@
 """Config parsing, CSV emission and command-line behaviour."""
 
+import re
+
 import numpy as np
 import pytest
 
-from eswsim import cli
-from eswsim.errors import ConfigError, DomainError
+from eswsim import cli, scenarios
+from eswsim.errors import ConfigError, DomainError, NonFiniteState
 from eswsim.scenarios import (_CHUNK_ROWS, ScenarioConfig, _write_rows,
                               config_to_text, emit_snapshot, parse_config,
                               run_scenario)
@@ -76,13 +78,20 @@ class TestConfigParsing:
         for x_max in (-1.0, 0.0, float("nan")):
             with pytest.raises(ConfigError, match="x_max"):
                 ScenarioConfig(x_min=0.0, x_max=x_max)
+        # the multilayer run writes its final state only
+        with pytest.raises(ConfigError, match="snapshot_times"):
+            ScenarioConfig(scenario="MlswCompare", snapshot_times=(0.5,))
         ScenarioConfig(delta_bar=0.0)   # the inviscid limit is valid
 
     def test_nonpositive_h0_is_named_before_sqrt(self):
-        for h0 in (-1.0, 0.0, float("nan")):
-            for mode in ("auto", "subcritical", "supercritical"):
-                with pytest.raises(DomainError, match="h0"):
-                    ScenarioConfig(h0=h0, boundary=mode).boundary_spec()
+        inf, nan = float("inf"), float("nan")
+        for field, values in (("h0", (-1.0, 0.0, nan, inf)),
+                              ("u0", (inf, -inf, nan))):
+            for value in values:
+                for mode in ("auto", "subcritical", "supercritical"):
+                    cfg = ScenarioConfig(boundary=mode, **{field: value})
+                    with pytest.raises(DomainError, match=field):
+                        cfg.boundary_spec()
 
     def test_boundary_auto_switches_on_local_froude(self):
         from eswsim import SubcriticalInflow, SupercriticalInflow
@@ -150,6 +159,29 @@ class TestRunScenario:
         assert "code_version=" in meta
         assert "scenario=BlasiusSteady" in meta
         assert "wall_time_seconds=" in meta
+        t_final = re.search(r"\nt_final=(\S+)\n", meta)
+        assert t_final and float(t_final.group(1)) == run.t
+        assert f"\nsteps={run.step_count}\n" in meta
+
+    def test_mlsw_failure_names_step_and_time(self, tmp_path, monkeypatch):
+        real_step, steps = scenarios.mlsw_step, []
+
+        def poisoned(*args):
+            state = real_step(*args)
+            steps.append(state)
+            if len(steps) == 3:
+                state.u[2, 4] = np.nan
+            return state
+
+        monkeypatch.setattr(scenarios, "mlsw_step", poisoned)
+        cfg = ScenarioConfig(scenario="MlswCompare", x_max=2.0, n_cells=30,
+                             n_layers=10, t_end=0.1, out_dir=str(tmp_path))
+        with pytest.raises(NonFiniteState) as info:
+            run_scenario(cfg)
+        exc = info.value
+        assert (exc.field, exc.cell, exc.step) == ("u", 4, 3)
+        assert 0.0 < exc.t < cfg.t_end
+        assert str(exc) == f"non-finite u in cell 4 (step 3, t={exc.t!r})"
 
 
 class TestCli:
@@ -169,6 +201,7 @@ class TestCli:
         assert cli.main(["run", "--set", "run.cfl_number=2"]) == 2
         assert cli.main(["mlsw", "--set", "scenario=MlswCompare",
                          "--set", "mlsw.n_layers=0"]) == 2
+        assert cli.main(["mlsw", "--set", "run.snapshot_times=0.01"]) == 2
         for setting in ("physics.froude=0", "physics.froude=nan",
                         "physics.delta_bar=-1", "grid.x_max=-1"):
             assert cli.main(["run", "--set", setting]) == 2, setting
@@ -192,6 +225,16 @@ class TestCli:
                        "--set", "run.t_end=0.01"])
         assert rc == 3
         assert "numerical failure" in capsys.readouterr().err
+        # a non-finite initial state is named before any step, both models
+        for verb in ("run", "mlsw"):
+            for setting in ("init.h0=inf", "init.u0=inf", "init.u0=nan"):
+                rc = cli.main([verb, "--out", str(tmp_path / "o"),
+                               "--set", setting, "--set", "grid.n_cells=40",
+                               "--set", "run.t_end=0.01"])
+                assert rc == 3, (verb, setting)
+                err = capsys.readouterr().err
+                assert f"numerical failure: {setting.split('=')[0]} = " \
+                    in err, (verb, setting)
 
     def test_analyze(self, tmp_path, capsys):
         cli.main(["run", "--out", str(tmp_path / "o"),
@@ -221,13 +264,35 @@ class TestCli:
         rows = (tmp_path / "o" / "convergence.csv").read_text().strip()
         assert len(rows.split("\n")) == 3
 
-    def test_mlsw_verb(self, tmp_path):
-        rc = cli.main(["mlsw", "--out", str(tmp_path / "o"),
-                       "--set", "scenario=MlswCompare",
-                       "--set", "grid.x_max=2.0",
-                       "--set", "grid.n_cells=30",
-                       "--set", "mlsw.n_layers=10",
-                       "--set", "run.t_end=0.02"])
+    MLSW_SETTINGS = ("grid.x_max=2.0", "grid.n_cells=30", "mlsw.n_layers=10",
+                     "run.t_end=0.02")
+
+    def mlsw_args(self, verb, out, *settings):
+        args = [verb, "--out", str(out)]
+        for setting in (*settings, *self.MLSW_SETTINGS):
+            args += ["--set", setting]
+        return args
+
+    def test_mlsw_verb(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = cli.main(self.mlsw_args("mlsw", out, "scenario=MlswCompare"))
         assert rc == 0
-        assert (tmp_path / "o" / "final.csv").exists()
-        assert (tmp_path / "o" / "final_profiles.csv").exists()
+        assert (out / "final.csv").exists()
+        assert (out / "final_profiles.csv").exists()
+        m = re.fullmatch(r"done: t=0\.02 steps=(\d+)\n",
+                         capsys.readouterr().out)
+        assert m is not None and int(m.group(1)) > 0
+        meta = (out / "metadata.txt").read_text()
+        assert f"\nsteps={m.group(1)}\n" in meta
+        t_final = re.search(r"\nt_final=(\S+)\n", meta)
+        assert t_final and float(t_final.group(1)) == pytest.approx(0.02)
+
+    def test_mlsw_verb_is_run_with_mlsw_scenario(self, tmp_path):
+        # the verb overrides a scenario set earlier
+        assert cli.main(self.mlsw_args("mlsw", tmp_path / "a",
+                                       "scenario=Bump")) == 0
+        assert cli.main(self.mlsw_args("run", tmp_path / "b",
+                                       "scenario=MlswCompare")) == 0
+        for name in ("final.csv", "final_profiles.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == \
+                (tmp_path / "b" / name).read_bytes()
