@@ -117,10 +117,12 @@ def _star_depths(h_L, h_R, q_star, C, jump_fb, lam_L, lam_R, froude):
         Ci = C[idx]
         qi = q_star[idx]
         jfb = jump_fb[idx]
-        ok = np.ones(idx.size, dtype=bool)
+        # a non-finite q* gives no usable Newton depth, and a NaN one would
+        # pass as converged (g and dg NaN, masked step 0): HLL from the start
+        ok = np.isfinite(qi)
         # while every iterate is ok, each guard below is one reduction and
         # the unmasked expressions give the bits of the masked ones
-        all_ok = True
+        all_ok = bool(ok.all())
         # loop invariants of the Newton iteration: q*^2/2 and dh_L*/dh_R*
         q2h = qi**2 / 2.0
         dhl = lamR / lamL

@@ -59,6 +59,10 @@ class ScenarioConfig:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
         if self.n_cells < 10:
             raise ConfigError("n_cells must be at least 10")
+        if not (np.isfinite(self.t_end) and self.t_end > 0.0):
+            raise ConfigError("t_end must be finite and positive")
+        if not self.dt_max > 0.0:   # NaN fails too; inf is the default
+            raise ConfigError("dt_max must be positive")
         if any(t < 0 or t > self.t_end for t in self.snapshot_times):
             raise ConfigError("snapshot times must lie in [0, t_end]")
         if self.scenario == "MlswCompare" and self.snapshot_times:
@@ -75,6 +79,14 @@ class ScenarioConfig:
             raise ConfigError("delta_bar must be finite and nonnegative")
         if not self.x_max > self.x_min:
             raise ConfigError("x_max must exceed x_min")
+        if self.scenario in ("Bump", "MlswCompare") and not (
+                np.isfinite(self.bump_sigma) and self.bump_sigma > 0.0):
+            raise ConfigError("bump sigma must be finite and positive")
+        if self.closure == "fixed" and not (
+                np.isfinite(self.fixed_H) and self.fixed_H >= 1.0
+                and np.isfinite(self.fixed_f2)):
+            raise ConfigError("the fixed closure needs a finite fixed_H >= 1 "
+                              "and a finite fixed_f2")
 
     def closure_law(self) -> ClosureLaw:
         name = self.closure
@@ -190,17 +202,43 @@ def config_to_text(config: ScenarioConfig) -> str:
     return "\n".join(out) + "\n"
 
 
+def _run_columns(bits: np.ndarray):
+    """Run breaks (bits[i] != bits[i-1] for rows 1..m-1) of an (m, k) chunk,
+    and which columns have at most m/2 runs of equal neighbours."""
+    breaks = bits[1:] != bits[:-1]
+    return breaks, 2 * (1 + breaks.sum(axis=0)) <= len(bits)
+
+
 def _write_rows(path, header: str, columns) -> None:
     """Write a CSV of equal-length columns, every value as "%.17g"
     (the bytes of f"{v:.17g}"), one template substitution per chunk of
-    _CHUNK_ROWS rows so that no whole-file string is held."""
+    _CHUNK_ROWS rows so that no whole-file string is held.
+
+    Within a chunk, a column that is mostly runs of equal bits formats each
+    run's first value once and repeats the string. Bits, not values, define
+    a run: -0.0 and 0.0 print differently, and NaNs merge only when equal."""
     table = np.column_stack(columns)
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    bits = table.view(f"u{table.itemsize}")
+    plain = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as f:
         f.write(header + "\n")
         for start in range(0, len(table), _CHUNK_ROWS):
             chunk = table[start:start + _CHUNK_ROWS]
-            f.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
+            m = len(chunk)
+            breaks, runs = _run_columns(bits[start:start + _CHUNK_ROWS])
+            if not runs.any():
+                f.write(plain * m % tuple(chunk.ravel().tolist()))
+                continue
+            cells = np.empty(chunk.shape, dtype=object)  # this chunk only
+            cells[:, ~runs] = chunk[:, ~runs]
+            for j in np.flatnonzero(runs):
+                first = np.flatnonzero(np.concatenate(([True],
+                                                       breaks[:, j])))
+                text = ["%.17g" % v for v in chunk[first, j].tolist()]
+                cells[:, j] = np.repeat(np.array(text, dtype=object),
+                                        np.diff(first, append=m))
+            row = ",".join("%s" if r else "%.17g" for r in runs) + "\n"
+            f.write(row * m % tuple(cells.ravel().tolist()))
 
 
 def emit_snapshot(W: ConservedState, grid: Grid1D, params: PhysicalParams,

@@ -180,7 +180,10 @@ def masked_star_depths(h_L, h_R, q_star, C, jump_fb, lam_L, lam_R, froude):
         hr = h_hll[idx].copy()
         lamL, lamR, Ci = lam_L[idx], lam_R[idx], C[idx]
         qi, jfb = q_star[idx], jump_fb[idx]
-        ok = np.ones(idx.size, dtype=bool)
+        # as in _star_depths: a NaN q* makes g and dg NaN, so the masked
+        # step is 0 and the interface would count as converged with a finite
+        # depth; a non-finite q* is a fallback from the start
+        ok = np.isfinite(qi)
         q2h = qi**2 / 2.0
         dhl = lamR / lamL
         two_dhl = 2.0 * dhl
@@ -297,6 +300,12 @@ class TestStarDepthsMatchMasked:
                         {"q_star": {3: np.nan}, "C": {40: np.nan}}):
             self.check(self.with_values(bump_interfaces, **changes),
                        quiet=True)
+        # a NaN q* falls back to the HLL depth on both sides and is counted
+        args = self.with_values(bump_interfaces, q_star={20: np.nan})
+        hL, hR, fallback = self.check(args, quiet=True)
+        assert np.flatnonzero(fallback).tolist() == [20]
+        h_hll = args[3][20] / (args[6][20] - args[5][20])
+        assert hL[20] == hR[20] == h_hll
 
     def test_zero_newton_derivative(self):
         # lam = -1, 1, h_hll = 1 and q* = 1 at Fr = 1: dg is exactly 0 at

@@ -4,12 +4,13 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eswsim import cli, scenarios
 from eswsim.errors import ConfigError, DomainError, NonFiniteState
-from eswsim.scenarios import (_CHUNK_ROWS, ScenarioConfig, _write_rows,
-                              config_to_text, emit_snapshot, parse_config,
-                              run_scenario)
+from eswsim.scenarios import (_CHUNK_ROWS, ScenarioConfig, _run_columns,
+                              _write_rows, config_to_text, emit_snapshot,
+                              parse_config, run_scenario)
 from eswsim.state import ConservedState, Grid1D, PhysicalParams
 
 
@@ -82,6 +83,26 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="snapshot_times"):
             ScenarioConfig(scenario="MlswCompare", snapshot_times=(0.5,))
         ScenarioConfig(delta_bar=0.0)   # the inviscid limit is valid
+        inf, nan = float("inf"), float("nan")
+        for scenario in ("BlasiusSteady", "MlswCompare"):
+            for t_end in (0.0, -1.0, nan, inf):
+                with pytest.raises(ConfigError, match="t_end"):
+                    ScenarioConfig(scenario=scenario, t_end=t_end)
+            for dt_max in (0.0, -1.0, nan):
+                with pytest.raises(ConfigError, match="dt_max"):
+                    ScenarioConfig(scenario=scenario, dt_max=dt_max)
+        ScenarioConfig(dt_max=inf)      # the default: no cap
+        for scenario in ("Bump", "MlswCompare"):
+            for sigma in (0.0, -0.1, nan, inf):
+                with pytest.raises(ConfigError, match="sigma"):
+                    ScenarioConfig(scenario=scenario, bump_sigma=sigma)
+        ScenarioConfig(bump_sigma=0.0)  # no bump is built
+        for H, f2 in ((0.5, 0.22), (nan, 0.22), (inf, 0.22), (2.59, nan),
+                      (2.59, inf)):
+            with pytest.raises(ConfigError, match="fixed"):
+                ScenarioConfig(closure="fixed", fixed_H=H, fixed_f2=f2)
+        ScenarioConfig(closure="fixed", fixed_H=1.0, fixed_f2=-0.1)
+        ScenarioConfig(fixed_H=0.5)     # read by the fixed closure only
 
     def test_nonpositive_h0_is_named_before_sqrt(self):
         inf, nan = float("inf"), float("nan")
@@ -133,18 +154,119 @@ class TestSnapshotCsv:
         assert float(row[2]) == h
 
 
+INF, NAN = float("inf"), float("nan")
+NEG_NAN = -np.abs(np.float64(NAN))   # a NaN with other bits
+SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 1e300, 0.1, -2.5e-17, 1.0, INF, -INF,
+           NAN, NEG_NAN)
+
+
+def per_value_bytes(header, columns) -> bytes:
+    """The CSV _write_rows must write, one f"{v:.17g}" per value."""
+    return (header + "\n" + "".join(
+        ",".join(f"{float(v):.17g}" for v in row) + "\n"
+        for row in zip(*columns))).encode("utf-8")
+
+
 class TestWriteRows:
+    def check(self, path, *columns):
+        header = ",".join(f"c{j}" for j in range(len(columns)))
+        _write_rows(path, header, columns)
+        assert path.read_bytes() == per_value_bytes(header, columns)
+
     def test_bytes_match_per_value_format(self, tmp_path):
         special = [-0.0, 5e-324, 1e300, float("nan"), 0.1, -2.5e-17]
         for n in (1, _CHUNK_ROWS, _CHUNK_ROWS + 1):
             values = np.resize(special, n)
-            index = np.arange(1, n + 1)
-            path = tmp_path / f"rows{n}.csv"
-            _write_rows(path, "v,layer_index,w", (values, index, values[::-1]))
-            ref = "v,layer_index,w\n" + "".join(
-                ",".join(f"{float(v):.17g}" for v in row) + "\n"
-                for row in zip(values, index, values[::-1]))
-            assert path.read_bytes() == ref.encode("utf-8")
+            self.check(tmp_path / f"rows{n}.csv", values,
+                       np.arange(1, n + 1), values[::-1])
+
+    def test_constant_column(self, tmp_path):
+        for n in (2, _CHUNK_ROWS, 2 * _CHUNK_ROWS + 3):
+            self.check(tmp_path / f"c{n}.csv", np.full(n, 0.1))
+            self.check(tmp_path / f"d{n}.csv", np.full(n, -0.0),
+                       np.full(n, 2.0 / 3.0))
+
+    def test_runs_straddle_the_chunk_boundary(self, tmp_path):
+        b = _CHUNK_ROWS
+        lengths = [b - 5, 10, b - 7, 1, 3, b]   # breaks at b - 5 and b + 5
+        values = np.repeat([0.1, 0.2, 0.3, 0.4, 0.5, 0.6], lengths)
+        self.check(tmp_path / "s.csv", values, values[::-1])
+
+    def test_alternating_signed_zeros(self, tmp_path):
+        # equal as floats, different bits: "-0" and "0" must both appear
+        zeros = np.repeat(np.resize([-0.0, 0.0], 600), 7)
+        self.check(tmp_path / "z.csv", zeros, np.full(zeros.size, -0.0))
+        assert b"-0," in (tmp_path / "z.csv").read_bytes()
+
+    def test_runs_of_nonfinite_and_subnormal(self, tmp_path):
+        values = np.repeat([NAN, INF, -INF, NEG_NAN, NAN, 5e-324, -5e-324],
+                           [9, 4, 8, 3, 5, 11, 6])
+        self.check(tmp_path / "n.csv", values)
+        self.check(tmp_path / "m.csv", values, np.arange(values.size) * 0.1)
+
+    def test_integer_column(self, tmp_path):
+        layer = np.repeat(np.arange(1, 6), 1000)
+        self.check(tmp_path / "i.csv", layer)
+        self.check(tmp_path / "j.csv", layer, np.linspace(0.0, 1.0, 5000))
+
+    def test_mixed_chunk(self, tmp_path):
+        # one chunk with run columns (x, z) beside distinct ones (u, w)
+        n = 3000
+        x = np.repeat(np.linspace(0.0, 1.0, 30), 100)
+        u = np.sin(np.arange(n) * 0.37)
+        z = np.where(np.arange(n) < 2000, 0.5, -0.0)
+        self.check(tmp_path / "m.csv", x, u, z, u * 1e-300)
+
+    def test_one_row(self, tmp_path):
+        self.check(tmp_path / "one.csv", np.array([-0.0]), np.array([NAN]),
+                   np.array([5e-324]))
+
+    def test_run_column_threshold(self):
+        # a column qualifies with at most half as many runs as rows
+        m = 8
+        halves = np.repeat([1.0, 2.0, 3.0, 4.0], 2)            # 4 runs
+        more = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 5.0, 5.0, 5.0])  # 5 runs
+        table = np.column_stack((np.full(m, 7.0), halves, more,
+                                 np.arange(m, dtype=float)))
+        breaks, runs = _run_columns(table.view(np.uint64))
+        assert breaks.shape == (m - 1, 4)
+        assert runs.tolist() == [True, True, False, False]
+        assert _run_columns(np.zeros((1, 2), np.uint64))[1].tolist() == \
+            [False, False]
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.lists(st.lists(st.tuples(st.sampled_from(SPECIAL),
+                                       st.integers(1, _CHUNK_ROWS // 2)),
+                             min_size=1, max_size=6),
+                    min_size=1, max_size=4))
+    def test_runs_of_special_values(self, tmp_path_factory, columns):
+        cols = [np.repeat([v for v, _ in runs], [k for _, k in runs])
+                for runs in columns]
+        n = min(c.size for c in cols)
+        self.check(tmp_path_factory.mktemp("runs") / "r.csv",
+                   *(c[:n] for c in cols))
+
+    def test_solver_snapshots_round_trip(self, tmp_path):
+        # the impulsive start leaves most columns as runs of one far-field
+        # value; every file must hold exactly the per-value "%.17g" bytes
+        out = tmp_path / "o"
+        assert cli.main(["run", "--out", str(out)] + [
+            arg for setting in (
+                "scenario=ImpulsiveStart", "grid.x_max=10.0",
+                "grid.n_cells=2000", "init.h0=0.5", "run.t_end=0.03",
+                "run.snapshot_times=0.01 0.02")
+            for arg in ("--set", setting)]) == 0
+        names = ["snapshot_t0.010000.csv", "snapshot_t0.020000.csv",
+                 "final.csv"]
+        for name in names:
+            raw = (out / name).read_bytes()
+            header, *rows = raw.decode("utf-8").rstrip("\n").split("\n")
+            table = np.array([[float(v) for v in row.split(",")]
+                              for row in rows])
+            assert table.shape == (2000, 10)
+            assert per_value_bytes(header, table.T) == raw
+            # the run path is taken on these files
+            assert _run_columns(table.view(np.uint64))[1].sum() >= 5
 
 
 class TestRunScenario:
@@ -205,6 +327,21 @@ class TestCli:
         for setting in ("physics.froude=0", "physics.froude=nan",
                         "physics.delta_bar=-1", "grid.x_max=-1"):
             assert cli.main(["run", "--set", setting]) == 2, setting
+        # these used to exit 0 after no step, or 3 from inside the run
+        for verb in ("run", "mlsw"):
+            for settings in (["run.t_end=nan"], ["run.t_end=-1"],
+                             ["run.dt_max=0"], ["run.dt_max=nan"],
+                             ["scenario=Bump", "bump.sigma=0"],
+                             ["scenario=Bump", "bump.sigma=nan"],
+                             ["physics.closure=fixed", "physics.fixed_H=0.5"],
+                             ["physics.closure=fixed",
+                              "physics.fixed_f2=nan"]):
+                args = [verb, "--out", str(tmp_path / "o")]
+                for setting in settings:
+                    args += ["--set", setting]
+                assert cli.main(args) == 2, (verb, settings)
+                assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_bad_config_file_exit_2(self, tmp_path, capsys):
         f = tmp_path / "c.cfg"
