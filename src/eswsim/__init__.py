@@ -9,8 +9,8 @@ from .closures import (BlasiusConstant, ClosureEvaluation, FalknerSkanFit,
                        evaluate_closure, ue_gradient)
 from .errors import (ConfigError, CriticalFlow, DegenerateProfile, DomainError,
                      DryCell, EswError, MismatchedGrids, NegativeDiscriminant,
-                     NonFiniteState, NonpositiveTimeStep, NonSteady,
-                     StepFailure, TridiagonalFailure)
+                     NonFiniteState, NonpositiveDepth, NonpositiveTimeStep,
+                     NonSteady, StepFailure, TridiagonalFailure)
 from .state import ConservedState, Grid1D, PhysicalParams, recover_delta1
 from .hyperbolicity import (WaveSpeeds, characteristic_roots, decoupled_speeds,
                             jacobian_coeffs, nickalls_bounds)

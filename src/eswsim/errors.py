@@ -62,3 +62,14 @@ class NonFiniteState(StepFailure):
 
 class NonpositiveTimeStep(StepFailure):
     """The selected time step is zero or negative."""
+
+
+class NonpositiveDepth(StepFailure):
+    """Total depth h at or below zero after the multilayer transport; cell
+    counts the interior cells from 0."""
+
+    field = "h"
+
+    def __init__(self, cell):
+        super().__init__(f"nonpositive h in cell {cell} after transport")
+        self.cell = cell

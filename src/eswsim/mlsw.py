@@ -10,11 +10,13 @@ cell. Used as a qualitative cross-check of the integrated model.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (DegenerateProfile, DomainError, NonFiniteState,
-                     NonpositiveTimeStep, TridiagonalFailure)
+                     NonpositiveDepth, NonpositiveTimeStep,
+                     TridiagonalFailure)
 from .state import Grid1D, PhysicalParams, U_EPS
 from .timeloop import InflowSpec, SubcriticalInflow, SupercriticalInflow
 
@@ -25,9 +27,12 @@ class LayerGrid:
 
     n_layers: int = 100
 
-    @property
+    @cached_property
     def fractions(self) -> np.ndarray:
-        return np.diff(self.interfaces)
+        """Relative layer depths, built once per grid and read-only."""
+        ell = np.diff(self.interfaces)
+        ell.flags.writeable = False
+        return ell
 
     @property
     def interfaces(self) -> np.ndarray:
@@ -113,69 +118,109 @@ def _thomas(off, diag, rhs):
     return d
 
 
+def _reuse(spent, rows, cols):
+    """A C-contiguous (rows, cols) view on the front of a spent C-contiguous
+    buffer, which is likely still in cache."""
+    return spent.reshape(-1, copy=False)[:rows * cols].reshape(rows, cols)
+
+
 def mlsw_step(state: MlswState, layers: LayerGrid, dt,
               params: PhysicalParams, grid: Grid1D,
               left: InflowSpec) -> MlswState:
-    """One transport + exchange + implicit vertical friction step."""
+    """One transport + exchange + implicit vertical friction step.
+
+    Each quantity is computed once, mostly in place or into a buffer whose
+    last use is above. The in-place updates keep the left-to-right order of
+    the expression quoted above them, so every element gets its bits."""
+    N, n = state.u.shape
     dx = grid.dx
     fr2 = params.froude**2
     ell = layers.fractions[:, None]
     h, u = _ghosted(state, left, layers, params)
     topo = np.concatenate([[grid.topo[0]], grid.topo, [grid.topo[-1]]])
     eta = h + topo
-    hu = ell * h[None, :] * u             # (N, n+2)
+    ellh = ell * h                        # (N, n+2) layer depths
+    hu = ellh * u
+    abs_u = np.abs(u)
 
     # interface wave speed (local Lax-Friedrichs)
-    cell_speed = np.max(np.abs(u), axis=0) + np.sqrt(h) / params.froude
-    s = np.maximum(cell_speed[:-1], cell_speed[1:])   # (n+1,)
+    cell_speed = np.max(abs_u, axis=0) + np.sqrt(h) / params.froude
+    half_s = 0.5 * np.maximum(cell_speed[:-1], cell_speed[1:])   # (n+1,)
+    huu = np.multiply(hu, u, out=abs_u)
 
-    jump_eta = eta[1:] - eta[:-1]
-    flux_mass = 0.5 * (hu[:, :-1] + hu[:, 1:]) \
-        - 0.5 * s[None, :] * ell * jump_eta[None, :]
-    flux_mom = 0.5 * (hu[:, :-1] * u[:, :-1] + hu[:, 1:] * u[:, 1:]) \
-        - 0.5 * s[None, :] * (hu[:, 1:] - hu[:, :-1])
+    # flux_mass = 0.5*(hu_l + hu_r) - 0.5*s*ell*(eta_r - eta_l)
+    flux_mass = np.add(hu[:, :-1], hu[:, 1:])
+    flux_mass *= 0.5
+    work = np.multiply(half_s, ell)       # (N, n+1)
+    work *= eta[1:] - eta[:-1]
+    flux_mass -= work
+    # flux_mom = 0.5*(huu_l + huu_r) - 0.5*s*(hu_r - hu_l)
+    flux_mom = np.add(huu[:, :-1], huu[:, 1:])
+    flux_mom *= 0.5
+    np.subtract(hu[:, 1:], hu[:, :-1], out=work)
+    work *= half_s
+    flux_mom -= work
     flux_total = np.sum(flux_mass, axis=0)
 
-    div_mass = (flux_mass[:, 1:] - flux_mass[:, :-1]) / dx      # (N, n)
+    # from here on u, hu, huu and work are spent
+    div_mass = np.subtract(flux_mass[:, 1:], flux_mass[:, :-1],
+                           out=_reuse(u, N, n))
+    div_mass /= dx
     div_total = (flux_total[1:] - flux_total[:-1]) / dx          # (n,)
-    div_mom = (flux_mom[:, 1:] - flux_mom[:, :-1]) / dx
+    div_mom = np.subtract(flux_mom[:, 1:], flux_mom[:, :-1],
+                          out=_reuse(hu, N, n))
+    div_mom /= dx
 
     h_new = state.h - dt * div_total
     if np.any(h_new <= 0.0):
-        raise DomainError("total depth became nonpositive in transport")
+        raise NonpositiveDepth(int(np.flatnonzero(h_new <= 0.0)[0]))
 
-    # cumulative mass exchange through layer interfaces (top one vanishes)
-    G = np.cumsum(div_mass - ell * div_total[None, :], axis=0)
-    G[-1] = 0.0
-    u_int = state.u
-    # interface velocity upwinded by the sign of G (downward flux carries
-    # the upper layer's velocity)
-    u_up = np.where(G[:-1] >= 0.0, u_int[1:], u_int[:-1])
-    m = np.zeros_like(G)
-    m[:-1] = u_up * G[:-1]
-    dm = m.copy()
-    dm[1:] -= m[:-1]
+    # cumulative mass exchange G = cumsum(div_mass - ell*div_total) through
+    # the N - 1 inner layer interfaces (through the top one it vanishes)
+    G = np.multiply(ell[:-1], div_total, out=_reuse(huu, N - 1, n))
+    np.subtract(div_mass[:-1], G, out=G)
+    np.cumsum(G, axis=0, out=G)
+    # m = u_up*G, the interface velocity upwinded by the sign of G (a
+    # downward flux carries the upper layer's velocity)
+    m = _reuse(work, N - 1, n)
+    np.copyto(m, state.u[:-1])
+    np.copyto(m, state.u[1:], where=G >= 0.0)
+    m *= G
+    # dm = m - (m one layer down), with m = 0 at the bed and the surface
+    dm = div_mass
+    dm[:-1] = m
+    dm[-1] = 0.0
+    dm[1:] -= m
 
-    # central free-surface slope for the hydrostatic pressure term
+    # hu_star = h_alpha*u - dt*div_mom - dt*h_alpha*deta_dx/fr2 + dt*dm,
+    # with a central free-surface slope for the hydrostatic pressure term;
+    # flux_mass and flux_mom are spent
     deta_dx = (eta[2:] - eta[:-2]) / (2.0 * dx)
-    h_alpha = ell * state.h[None, :]
-    hu_star = (h_alpha * state.u - dt * div_mom
-               - dt * h_alpha * deta_dx[None, :] / fr2 + dt * dm)
+    h_alpha = ellh[:, 1:-1]               # the interior is state.h
+    hu_star = np.multiply(h_alpha, state.u, out=_reuse(flux_mass, N, n))
+    div_mom *= dt
+    hu_star -= div_mom
+    pressure = np.multiply(dt, h_alpha, out=div_mom)
+    pressure *= deta_dx
+    pressure /= fr2
+    hu_star -= pressure
+    dm *= dt
+    hu_star += dm
 
     # implicit vertical friction on the updated layer depths
-    h_alpha_new = ell * h_new[None, :]
-    u_star = hu_star / h_alpha_new
+    h_alpha_new = np.multiply(ell, h_new, out=_reuse(flux_mom, N, n))
+    rhs = np.divide(hu_star, h_alpha_new, out=hu_star)    # u_star
+    rhs *= h_alpha_new
     nu = params.delta_bar**2
     # symmetric matrix: off[a] = -(interface coupling of layers a, a+1)
-    off = -2.0 * nu * dt / (h_alpha_new[1:] + h_alpha_new[:-1])
+    off = np.add(h_alpha_new[1:], h_alpha_new[:-1], out=G)
+    np.divide(-2.0 * nu * dt, off, out=off)
     c_bot = 2.0 * nu * dt / h_alpha_new[0]
-    diag = h_alpha_new.copy()
+    diag = h_alpha_new                    # last use of h_alpha_new
     diag[0] += c_bot
     diag[:-1] -= off
     diag[1:] -= off
-    rhs = h_alpha_new * u_star
-    u_new = _thomas(off, diag, rhs)
-    return MlswState(h=h_new, u=u_new)
+    return MlswState(h=h_new, u=_thomas(off, diag, rhs))
 
 
 def mlsw_diagnostics(state: MlswState, layers: LayerGrid,

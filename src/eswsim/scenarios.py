@@ -79,9 +79,15 @@ class ScenarioConfig:
             raise ConfigError("delta_bar must be finite and nonnegative")
         if not self.x_max > self.x_min:
             raise ConfigError("x_max must exceed x_min")
-        if self.scenario in ("Bump", "MlswCompare") and not (
-                np.isfinite(self.bump_sigma) and self.bump_sigma > 0.0):
-            raise ConfigError("bump sigma must be finite and positive")
+        if self.scenario in ("Bump", "MlswCompare"):
+            if not (np.isfinite(self.bump_sigma) and self.bump_sigma > 0.0):
+                raise ConfigError("bump sigma must be finite and positive")
+            if not np.isfinite([self.bump_alpha, self.bump_center]).all():
+                raise ConfigError("bump alpha and center must be finite")
+        if not (np.isfinite(self.steady_tol) and self.steady_tol > 0.0):
+            raise ConfigError("steady_tol must be finite and positive")
+        if self.max_steps < 1:
+            raise ConfigError("max_steps must be at least 1")
         if self.closure == "fixed" and not (
                 np.isfinite(self.fixed_H) and self.fixed_H >= 1.0
                 and np.isfinite(self.fixed_f2)):
@@ -295,11 +301,11 @@ def run_scenario(config: ScenarioConfig, out_dir=None) -> RunState:
                                      cfl_number=config.cfl_number,
                                      dt_max=min(config.dt_max,
                                                 config.t_end - t))
+                state = mlsw_step(state, layers, dt, params, grid,
+                                  boundaries.left)
             except StepFailure as exc:
                 exc.step, exc.t = steps, t
                 raise
-            state = mlsw_step(state, layers, dt, params, grid,
-                              boundaries.left)
             t += dt
             steps += 1
         run = RunState(t=t, step_count=steps, W=state)

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from eswsim import (Grid1D, LayerGrid, MlswState, PhysicalParams,
-                    SupercriticalInflow, mlsw_compute_dt, mlsw_diagnostics,
-                    mlsw_step)
-from eswsim.errors import (DegenerateProfile, NonFiniteState,
-                           NonpositiveTimeStep, TridiagonalFailure)
-from eswsim.mlsw import _thomas
+                    SubcriticalInflow, SupercriticalInflow, mlsw_compute_dt,
+                    mlsw_diagnostics, mlsw_step)
+from eswsim.analytic import gaussian_bump
+from eswsim.errors import (DegenerateProfile, DomainError, NonFiniteState,
+                           NonpositiveDepth, NonpositiveTimeStep,
+                           TridiagonalFailure)
+from eswsim.mlsw import _ghosted, _thomas
 
 
 def params(db=1e-3, fr=1.0):
@@ -30,6 +32,20 @@ class TestLayerGrid:
         ell = LayerGrid(100).fractions
         assert np.all(np.diff(ell) > 0)  # thin layers at the bottom
         assert ell[0] < 1e-5
+
+    def test_fractions_built_once_and_read_only(self):
+        for N in (1, 2, 100):
+            layers = LayerGrid(N)
+            ell = layers.fractions
+            assert layers.fractions is ell
+            assert not ell.flags.writeable
+            with pytest.raises(ValueError):
+                ell[0] = 0.5
+            assert np.array_equal(ell.view(np.uint64),
+                                  np.diff(layers.interfaces).view(np.uint64))
+        # equal grids stay equal and hashable with the cache filled
+        assert LayerGrid(5) == LayerGrid(5)
+        assert hash(LayerGrid(5)) == hash(LayerGrid(5))
 
 
 class TestThomas:
@@ -79,6 +95,153 @@ class TestComputeDt:
         state = MlswState.uniform(LayerGrid(5), 10, 2.0, 1.0)
         with pytest.raises(NonpositiveTimeStep):
             mlsw_compute_dt(state, params(), 0.1, dt_max=0.0)
+
+
+def reference_step(state, layers, dt, params, grid, left):
+    """mlsw_step as it was before its in-place rewrite, frozen as the
+    bit-for-bit reference; it also returns the exchange G."""
+    dx = grid.dx
+    fr2 = params.froude**2
+    ell = layers.fractions[:, None]
+    h, u = _ghosted(state, left, layers, params)
+    topo = np.concatenate([[grid.topo[0]], grid.topo, [grid.topo[-1]]])
+    eta = h + topo
+    hu = ell * h[None, :] * u             # (N, n+2)
+
+    # interface wave speed (local Lax-Friedrichs)
+    cell_speed = np.max(np.abs(u), axis=0) + np.sqrt(h) / params.froude
+    s = np.maximum(cell_speed[:-1], cell_speed[1:])   # (n+1,)
+
+    jump_eta = eta[1:] - eta[:-1]
+    flux_mass = 0.5 * (hu[:, :-1] + hu[:, 1:]) \
+        - 0.5 * s[None, :] * ell * jump_eta[None, :]
+    flux_mom = 0.5 * (hu[:, :-1] * u[:, :-1] + hu[:, 1:] * u[:, 1:]) \
+        - 0.5 * s[None, :] * (hu[:, 1:] - hu[:, :-1])
+    flux_total = np.sum(flux_mass, axis=0)
+
+    div_mass = (flux_mass[:, 1:] - flux_mass[:, :-1]) / dx      # (N, n)
+    div_total = (flux_total[1:] - flux_total[:-1]) / dx          # (n,)
+    div_mom = (flux_mom[:, 1:] - flux_mom[:, :-1]) / dx
+
+    h_new = state.h - dt * div_total
+    if np.any(h_new <= 0.0):
+        raise DomainError("total depth became nonpositive in transport")
+
+    # cumulative mass exchange through layer interfaces (top one vanishes)
+    G = np.cumsum(div_mass - ell * div_total[None, :], axis=0)
+    G[-1] = 0.0
+    u_int = state.u
+    # interface velocity upwinded by the sign of G (downward flux carries
+    # the upper layer's velocity)
+    u_up = np.where(G[:-1] >= 0.0, u_int[1:], u_int[:-1])
+    m = np.zeros_like(G)
+    m[:-1] = u_up * G[:-1]
+    dm = m.copy()
+    dm[1:] -= m[:-1]
+
+    # central free-surface slope for the hydrostatic pressure term
+    deta_dx = (eta[2:] - eta[:-2]) / (2.0 * dx)
+    h_alpha = ell * state.h[None, :]
+    hu_star = (h_alpha * state.u - dt * div_mom
+               - dt * h_alpha * deta_dx[None, :] / fr2 + dt * dm)
+
+    # implicit vertical friction on the updated layer depths
+    h_alpha_new = ell * h_new[None, :]
+    u_star = hu_star / h_alpha_new
+    nu = params.delta_bar**2
+    # symmetric matrix: off[a] = -(interface coupling of layers a, a+1)
+    off = -2.0 * nu * dt / (h_alpha_new[1:] + h_alpha_new[:-1])
+    c_bot = 2.0 * nu * dt / h_alpha_new[0]
+    diag = h_alpha_new.copy()
+    diag[0] += c_bot
+    diag[:-1] -= off
+    diag[1:] -= off
+    rhs = h_alpha_new * u_star
+    u_new = _thomas(off, diag, rhs)
+    return MlswState(h=h_new, u=u_new), G
+
+
+def bump_setup(fr, db, N, inflow, u0, alpha=0.2, n=40, seed=3):
+    """A perturbed uniform flow over a bump, so that every interface has a
+    depth and velocity jump and the exchange G takes both signs."""
+    grid = Grid1D.uniform(0.0, 2.0, n,
+                          lambda x: gaussian_bump(x, alpha, 0.1, 1.0))
+    rng = np.random.default_rng(seed)
+    state = MlswState(h=2.0 - grid.topo + 0.01 * rng.standard_normal(n),
+                      u=u0 * (1.0 + 0.05 * rng.standard_normal((N, n))))
+    left = SupercriticalInflow(u_in=u0, h_in=2.0) if inflow == "super" \
+        else SubcriticalInflow(u_in=u0)
+    return grid, params(db=db, fr=fr), LayerGrid(N), state, left
+
+
+class TestMlswStepMatchesReference:
+    """The in-place mlsw_step gives the frozen reference's bits."""
+
+    CASES = [(0.7, 1e-3, 10, "sub", 1.0), (0.9, 1e-3, 10, "super", 1.0),
+             (1.3, 1e-3, 10, "sub", 1.0), (2.5, 1e-3, 10, "super", 1.0),
+             (1.0, 0.0, 17, "sub", 1.0), (1.0, 0.05, 40, "super", 1.0),
+             (1.0, 1e-3, 1, "super", 1.0), (1.0, 1e-3, 2, "sub", 1.0),
+             (0.9, 1e-3, 8, "sub", -0.5)]
+
+    @staticmethod
+    def bits(a):
+        return a.view(np.uint64)
+
+    @pytest.mark.parametrize("fr, db, N, inflow, u0", CASES)
+    def test_steps_match_bit_for_bit(self, fr, db, N, inflow, u0):
+        grid, p, layers, state, left = bump_setup(fr, db, N, inflow, u0)
+        signs = set()
+        for _ in range(8):
+            dt = mlsw_compute_dt(state, p, grid.dx)
+            want, G = reference_step(state, layers, dt, p, grid, left)
+            before = state.h.copy(), state.u.copy()
+            got = mlsw_step(state, layers, dt, p, grid, left)
+            assert np.array_equal(self.bits(got.h), self.bits(want.h))
+            assert np.array_equal(self.bits(got.u), self.bits(want.u))
+            # the work arrays are the step's own, never its input
+            assert np.array_equal(state.h, before[0])
+            assert np.array_equal(state.u, before[1])
+            signs |= set(np.sign(G[:-1]).ravel().tolist())
+            state = got
+        if N > 1:   # the exchange upwinds both ways
+            assert {-1.0, 1.0} <= signs
+
+    def test_uniform_state_matches(self):
+        # lake-at-rest and uniform flow: zero fluxes and exchange
+        for u0 in (0.0, 1.0):
+            grid, p, layers, state, left = bump_setup(1.3, 1e-3, 6, "super",
+                                                      u0, alpha=0.0)
+            state = MlswState.uniform(layers, grid.n_cells, 2.0, u0)
+            want, _ = reference_step(state, layers, 1e-3, p, grid, left)
+            got = mlsw_step(state, layers, 1e-3, p, grid, left)
+            assert np.array_equal(self.bits(got.h), self.bits(want.h))
+            assert np.array_equal(self.bits(got.u), self.bits(want.u))
+
+
+class TestTransportFailure:
+    def test_first_nonpositive_cell_is_named(self):
+        grid, p, layers, _, left = bump_setup(1.0, 1e-3, 10, "super", 1.0,
+                                              alpha=0.5, n=30)
+        state = MlswState.uniform(layers, grid.n_cells, 2.0, 1.0)
+        dt = 100.0 * mlsw_compute_dt(state, p, grid.dx)
+        # the total-depth update by hand, from the layer-summed mass flux
+        h, u = _ghosted(state, left, layers, p)
+        eta = h + np.concatenate([[grid.topo[0]], grid.topo,
+                                  [grid.topo[-1]]])
+        speed = np.max(np.abs(u), axis=0) + np.sqrt(h)
+        s = np.maximum(speed[:-1], speed[1:])
+        hU = h * np.sum(layers.fractions[:, None] * u, axis=0)
+        F = 0.5 * (hU[:-1] + hU[1:]) - 0.5 * s * (eta[1:] - eta[:-1])
+        h_new = state.h - dt / grid.dx * (F[1:] - F[:-1])
+        first = int(np.flatnonzero(h_new <= 0.0)[0])
+        assert h_new.min() < -0.1    # far from the sign change
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonpositiveDepth) as info:
+                mlsw_step(state, layers, dt, p, grid, left)
+        exc = info.value
+        assert (exc.field, exc.cell, exc.step) == ("h", first, None)
+        assert str(exc) == f"nonpositive h in cell {first} after transport"
 
 
 class TestSingleLayerDegeneration:

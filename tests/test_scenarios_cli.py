@@ -97,6 +97,20 @@ class TestConfigParsing:
                 with pytest.raises(ConfigError, match="sigma"):
                     ScenarioConfig(scenario=scenario, bump_sigma=sigma)
         ScenarioConfig(bump_sigma=0.0)  # no bump is built
+        for scenario in ("Bump", "MlswCompare"):
+            for key in ("bump_alpha", "bump_center"):
+                for value in (nan, inf, -inf):
+                    with pytest.raises(ConfigError, match="alpha and center"):
+                        ScenarioConfig(scenario=scenario, **{key: value})
+        ScenarioConfig(bump_alpha=nan)  # no bump is built
+        ScenarioConfig(scenario="Bump", bump_alpha=-0.01)   # a dip is valid
+        for tol in (0.0, -1e-8, nan, inf):
+            with pytest.raises(ConfigError, match="steady_tol"):
+                ScenarioConfig(steady_tol=tol)
+        for max_steps in (0, -1):
+            with pytest.raises(ConfigError, match="max_steps"):
+                ScenarioConfig(max_steps=max_steps)
+        ScenarioConfig(max_steps=1)
         for H, f2 in ((0.5, 0.22), (nan, 0.22), (inf, 0.22), (2.59, nan),
                       (2.59, inf)):
             with pytest.raises(ConfigError, match="fixed"):
@@ -333,6 +347,11 @@ class TestCli:
                              ["run.dt_max=0"], ["run.dt_max=nan"],
                              ["scenario=Bump", "bump.sigma=0"],
                              ["scenario=Bump", "bump.sigma=nan"],
+                             ["scenario=Bump", "bump.alpha=nan"],
+                             ["scenario=Bump", "bump.alpha=inf"],
+                             ["scenario=Bump", "bump.center=nan"],
+                             ["run.steady_tol=nan"], ["run.steady_tol=0"],
+                             ["run.max_steps=0"],
                              ["physics.closure=fixed", "physics.fixed_H=0.5"],
                              ["physics.closure=fixed",
                               "physics.fixed_f2=nan"]):
@@ -341,6 +360,12 @@ class TestCli:
                     args += ["--set", setting]
                 assert cli.main(args) == 2, (verb, settings)
                 assert "configuration error" in capsys.readouterr().err
+        # a tolerance no run can meet is rejected before any step
+        for setting in ("run.steady_tol=nan", "run.steady_tol=-1",
+                        "run.max_steps=0"):
+            assert cli.main(["converge", "--dx", "0.01", "--out",
+                             str(tmp_path / "o"), "--set", setting]) == 2
+            assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_bad_config_file_exit_2(self, tmp_path, capsys):
@@ -423,6 +448,23 @@ class TestCli:
         assert f"\nsteps={m.group(1)}\n" in meta
         t_final = re.search(r"\nt_final=(\S+)\n", meta)
         assert t_final and float(t_final.group(1)) == pytest.approx(0.02)
+
+    def test_mlsw_transport_failure_names_step_and_time(self, tmp_path,
+                                                         monkeypatch, capsys):
+        real_step, dts = scenarios.mlsw_step, []
+
+        def too_long(state, layers, dt, *rest):
+            # the second step takes 100 times the CFL step over the bump
+            dts.append(dt)
+            return real_step(state, layers, dt * (100 if len(dts) == 2
+                                                  else 1), *rest)
+
+        monkeypatch.setattr(scenarios, "mlsw_step", too_long)
+        rc = cli.main(self.mlsw_args("mlsw", tmp_path / "o", "bump.alpha=0.5"))
+        assert rc == 3
+        where = re.escape(f"after transport (step 1, t={dts[0]!r})")
+        assert re.fullmatch(rf"numerical failure: nonpositive h in cell \d+ "
+                            rf"{where}\n", capsys.readouterr().err)
 
     def test_mlsw_verb_is_run_with_mlsw_scenario(self, tmp_path):
         # the verb overrides a scenario set earlier
