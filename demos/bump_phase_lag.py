@@ -12,40 +12,40 @@ The flat-plate trend 0.332/sqrt(x) is removed by differencing against a
 run without the bump.
 """
 
+import tempfile
+
 import numpy as np
 
-from eswsim import (BoundarySpec, ConservedState, Grid1D, PhysicalParams,
-                    RunState, SubcriticalInflow, SupercriticalInflow,
-                    advance, recover_delta1)
-from eswsim.analytic import gaussian_bump
-from eswsim.closures import closure_factors, ue_gradient
+from eswsim import ScenarioConfig, run_scenario
 
-ALPHA, SIGMA, CREST = 0.01, 0.1, 1.0
+ALPHA, CREST = 0.01, 1.0
 
 
-def friction(h0, alpha, n=400):
-    topo = None if alpha == 0 else \
-        (lambda x: gaussian_bump(x, alpha, SIGMA, CREST))
-    grid = Grid1D.uniform(0.0, 2.0, n, topo)
-    params = PhysicalParams(froude=1.0, delta_bar=1e-3)
-    left = SupercriticalInflow(u_in=1.0, h_in=h0) if h0 < 1.0 \
-        else SubcriticalInflow(u_in=1.0)
-    W = ConservedState(h=np.full(n, h0), q=np.full(n, h0), r=np.zeros(n))
-    state = advance(RunState(0.0, 0, W), 6.0, grid, params,
-                    BoundarySpec(left=left))
-    u_e = state.W.q / state.W.h
-    d1 = recover_delta1(state.W.q, state.W.r, state.W.h)
-    H, f2 = closure_factors(params.closure,
-                            d1**2 * ue_gradient(u_e, grid.dx))
-    return grid.cell_centers, f2 * H * u_e / np.maximum(d1, 1e-12)
+def final_csv(**fields):
+    """final.csv of a run_scenario run with these ScenarioConfig fields."""
+    with tempfile.TemporaryDirectory() as out:
+        run_scenario(ScenarioConfig(**fields), out_dir=out)
+        return np.genfromtxt(f"{out}/final.csv", delimiter=",", names=True)
 
 
-for label, h0 in (("subcritical h0=2.0", 2.0), ("supercritical h0=0.5", 0.5)):
-    x, tau_flat = friction(h0, 0.0)
-    x, tau_bump = friction(h0, ALPHA)
-    dtau = tau_bump - tau_flat
-    w = (x > 0.5) & (x < 1.5)
-    x_peak = x[w][np.argmax(dtau[w])]
-    side = "upstream" if x_peak < CREST else "downstream"
-    print(f"{label}: friction perturbation peaks at x = {x_peak:.3f}, "
-          f"{abs(x_peak - CREST):.3f} {side} of the crest")
+def friction(h0, alpha, n):
+    final = final_csv(scenario="Bump", x_max=2.0, n_cells=n, h0=h0,
+                      bump_alpha=alpha, bump_center=CREST, t_end=6.0)
+    return final["x"], final["tau_b"]
+
+
+def main(n=400):
+    for label, h0 in (("subcritical h0=2.0", 2.0),
+                      ("supercritical h0=0.5", 0.5)):
+        x, tau_flat = friction(h0, 0.0, n)
+        x, tau_bump = friction(h0, ALPHA, n)
+        dtau = tau_bump - tau_flat
+        w = (x > 0.5) & (x < 1.5)
+        x_peak = x[w][np.argmax(dtau[w])]
+        side = "upstream" if x_peak < CREST else "downstream"
+        print(f"{label}: friction perturbation peaks at x = {x_peak:.3f}, "
+              f"{abs(x_peak - CREST):.3f} {side} of the crest")
+
+
+if __name__ == "__main__":
+    main()

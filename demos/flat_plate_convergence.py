@@ -35,12 +35,17 @@ def run(h0, n, t_end):
     return l1_error(ReferenceCurve(x, d1), ReferenceCurve(x, ref))
 
 
-print("L1 gap of delta1 against 1.718*sqrt(x)")
-print(f"{'n':>6} {'dx':>9} {'subcritical':>12} {'supercritical':>14}")
-for n in (10, 50, 100, 200):
-    e_sub = run(2.0, n, 1.0)
-    e_sup = run(0.5, n, 0.5)
-    print(f"{n:>6} {0.1 / n:>9.1e} {e_sub:>12.3e} {e_sup:>14.3e}")
-print("\nThe error decreases towards the model error ~0.1*delta_bar; the")
-print("supercritical inlet converges faster because both characteristics")
-print("enter the domain and the inflow state is imposed exactly.")
+def main(sizes=(10, 50, 100, 200)):
+    print("L1 gap of delta1 against 1.718*sqrt(x)")
+    print(f"{'n':>6} {'dx':>9} {'subcritical':>12} {'supercritical':>14}")
+    for n in sizes:
+        e_sub = run(2.0, n, 1.0)
+        e_sup = run(0.5, n, 0.5)
+        print(f"{n:>6} {0.1 / n:>9.1e} {e_sub:>12.3e} {e_sup:>14.3e}")
+    print("\nThe error decreases towards the model error ~0.1*delta_bar; the")
+    print("supercritical inlet converges faster because both characteristics")
+    print("enter the domain and the inflow state is imposed exactly.")
+
+
+if __name__ == "__main__":
+    main()

@@ -10,71 +10,53 @@ compares the friction perturbation and the (H, f2) scatter against the
 Falkner-Skan fit used by the integrated model.
 """
 
+import tempfile
+
 import numpy as np
 
-from eswsim import (BoundarySpec, ConservedState, Grid1D, LayerGrid,
-                    MlswState, PhysicalParams, RunState, SubcriticalInflow,
-                    advance, mlsw_compute_dt, mlsw_diagnostics, mlsw_step,
-                    recover_delta1)
-from eswsim.analytic import gaussian_bump
-from eswsim.closures import closure_factors, ue_gradient
+from eswsim import ScenarioConfig, run_scenario, ue_gradient
 
-ALPHA, T_END, N_CELLS = 0.01, 6.0, 300
+ALPHA = 0.01
 
 
-def topo_fn(alpha):
-    return None if alpha == 0 else \
-        (lambda x: gaussian_bump(x, alpha, 0.1, 1.0))
+def final_csv(**fields):
+    """final.csv of a run_scenario run with these ScenarioConfig fields."""
+    with tempfile.TemporaryDirectory() as out:
+        run_scenario(ScenarioConfig(**fields), out_dir=out)
+        return np.genfromtxt(f"{out}/final.csv", delimiter=",", names=True)
 
 
-def esw_friction(alpha):
-    grid = Grid1D.uniform(0.0, 2.0, N_CELLS, topo_fn(alpha))
-    params = PhysicalParams(froude=1.0, delta_bar=1e-3)
-    W = ConservedState(h=np.full(N_CELLS, 2.0), q=np.full(N_CELLS, 2.0),
-                       r=np.zeros(N_CELLS))
-    state = advance(RunState(0.0, 0, W), T_END, grid, params,
-                    BoundarySpec(left=SubcriticalInflow(u_in=1.0)))
-    u_e = state.W.q / state.W.h
-    d1 = recover_delta1(state.W.q, state.W.r, state.W.h)
-    H, f2 = closure_factors(params.closure,
-                            d1**2 * ue_gradient(u_e, grid.dx))
-    return grid.cell_centers, f2 * H * u_e / np.maximum(d1, 1e-12)
+def bump_run(scenario, alpha, n_cells, n_layers):
+    return final_csv(scenario=scenario, x_max=2.0, n_cells=n_cells, h0=2.0,
+                     bump_alpha=alpha, t_end=6.0, n_layers=n_layers)
 
 
-def mlsw_run(alpha, n_layers=100):
-    grid = Grid1D.uniform(0.0, 2.0, N_CELLS, topo_fn(alpha))
-    params = PhysicalParams(froude=1.0, delta_bar=1e-3)
-    layers = LayerGrid(n_layers)
-    state = MlswState.uniform(layers, N_CELLS, 2.0, 1.0)
-    left = SubcriticalInflow(u_in=1.0)
-    t = 0.0
-    while t < T_END - 1e-12:
-        dt = mlsw_compute_dt(state, params, grid.dx, dt_max=T_END - t)
-        state = mlsw_step(state, layers, dt, params, grid, left)
-        t += dt
-    d1, d2, H, f2, tau = mlsw_diagnostics(state, layers, params)
-    return grid.cell_centers, tau, H, f2, state.u[-1], grid.dx
+def main(n_cells=300, n_layers=100):
+    esw_flat = bump_run("Bump", 0.0, n_cells, n_layers)
+    esw = bump_run("Bump", ALPHA, n_cells, n_layers)
+    print("running the multilayer solver (takes a minute)...")
+    mlsw_flat = bump_run("MlswCompare", 0.0, n_cells, n_layers)
+    mlsw = bump_run("MlswCompare", ALPHA, n_cells, n_layers)
+
+    x = esw["x"]
+    w = (x > 0.5) & (x < 1.5)
+    d_esw = (esw["tau_b"] - esw_flat["tau_b"])[w]
+    d_m = (mlsw["tau_b"] - mlsw_flat["tau_b"])[w]
+    print(f"ESW : friction peak at x = {x[w][np.argmax(d_esw)]:.3f}, "
+          f"amplitude {np.max(d_esw) - np.min(d_esw):.4f}")
+    print(f"MLSW: friction peak at x = {x[w][np.argmax(d_m)]:.3f}, "
+          f"amplitude {np.max(d_m) - np.min(d_m):.4f}")
+
+    H, f2 = mlsw["H"], mlsw["f2"]
+    dudx = ue_gradient(mlsw["u_e"], 2.0 / n_cells)
+    acc = (dudx > 0) & (x > 0.3) & (x < 1.9)
+    gap = np.abs(f2 - 1.05 * (4.0 / H**2 - 1.0 / H))
+    print(f"accelerated side: max |f2 - f2_FS(H)| = {np.max(gap[acc]):.4f} "
+          f"over H in [{H[acc].min():.2f}, {H[acc].max():.2f}]")
+    print("\nBoth solvers shift the friction maximum upstream of the crest;")
+    print("the multilayer amplitude is smaller, and its profile diagnostics")
+    print("track the Falkner-Skan closure curve on the accelerated side.")
 
 
-x, tau_esw_flat = esw_friction(0.0)
-x, tau_esw = esw_friction(ALPHA)
-print("running the multilayer solver (takes a minute)...")
-xm, tau_m_flat, _, _, _, _ = mlsw_run(0.0)
-xm, tau_m, H, f2, u_e, dx = mlsw_run(ALPHA)
-
-w = (x > 0.5) & (x < 1.5)
-d_esw = (tau_esw - tau_esw_flat)[w]
-d_m = (tau_m - tau_m_flat)[w]
-print(f"ESW : friction peak at x = {x[w][np.argmax(d_esw)]:.3f}, "
-      f"amplitude {np.max(d_esw) - np.min(d_esw):.4f}")
-print(f"MLSW: friction peak at x = {xm[w][np.argmax(d_m)]:.3f}, "
-      f"amplitude {np.max(d_m) - np.min(d_m):.4f}")
-
-dudx = ue_gradient(u_e, dx)
-acc = (dudx > 0) & (xm > 0.3) & (xm < 1.9)
-gap = np.abs(f2 - 1.05 * (4.0 / H**2 - 1.0 / H))
-print(f"accelerated side: max |f2 - f2_FS(H)| = {np.max(gap[acc]):.4f} "
-      f"over H in [{H[acc].min():.2f}, {H[acc].max():.2f}]")
-print("\nBoth solvers shift the friction maximum upstream of the crest;")
-print("the multilayer amplitude is smaller, and its profile diagnostics")
-print("track the Falkner-Skan closure curve on the accelerated side.")
+if __name__ == "__main__":
+    main()

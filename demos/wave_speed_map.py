@@ -15,33 +15,41 @@ from eswsim.closures import FalknerSkanFit, closure_factors
 from eswsim.hyperbolicity import (characteristic_roots, decoupled_speeds,
                                   jacobian_coeffs)
 
-law = FalknerSkanFit()
-h, froude, delta_bar = 2.0, 1.0, 1e-3
 
-print("roots vs decoupled speeds at h=2, delta1=0.5, Lambda1=0:")
-for u_e in (0.25, 0.5, 1.0, 2.0):
-    H, _ = closure_factors(law, np.array([0.0]))
-    a, b = jacobian_coeffs(u_e, 0.5 * u_e, 0.0, H[0], law)
-    ws = characteristic_roots(h, u_e, float(a), float(b), froude, delta_bar)
-    dec = sorted(decoupled_speeds(h, u_e, float(b), froude))
-    shifts = [r - d for r, d in zip(sorted(ws.roots), dec)]
-    print(f"  u_e={u_e:4.2f}: roots={[f'{r:+.4f}' for r in ws.roots]} "
-          f"shifts={[f'{s:+.1e}' for s in shifts]}")
+def main(n_grid=7):
+    law = FalknerSkanFit()
+    h, froude, delta_bar = 2.0, 1.0, 1e-3
 
-print("\nhyperbolicity margin over (u_e, delta1), Lambda1 = -1 (decelerated):")
-u_grid = np.linspace(0.2, 2.0, 7)
-d_grid = np.linspace(0.0, 3.0, 7)
-header = "delta1\\u " + " ".join(f"{u:7.2f}" for u in u_grid)
-print(header)
-for d1 in d_grid:
-    row = []
-    for u_e in u_grid:
-        H, _ = closure_factors(law, np.array([-1.0]))
-        a, b = jacobian_coeffs(u_e, d1 * u_e, -1.0, H[0], law)
+    print("roots vs decoupled speeds at h=2, delta1=0.5, Lambda1=0:")
+    for u_e in (0.25, 0.5, 1.0, 2.0):
+        H, _ = closure_factors(law, np.array([0.0]))
+        a, b = jacobian_coeffs(u_e, 0.5 * u_e, 0.0, H[0], law)
         ws = characteristic_roots(h, u_e, float(a), float(b), froude,
                                   delta_bar)
-        row.append(f"{ws.margin:7.3f}" if ws.hyperbolic else "   LOST")
-    print(f"{d1:8.2f} " + " ".join(row))
-print("\nA positive margin means three real wave speeds; in the operating")
-print("regime the coupling d ~ delta_bar keeps the system comfortably")
-print("hyperbolic.")
+        dec = sorted(decoupled_speeds(h, u_e, float(b), froude))
+        shifts = [r - d for r, d in zip(sorted(ws.roots), dec)]
+        print(f"  u_e={u_e:4.2f}: roots={[f'{r:+.4f}' for r in ws.roots]} "
+              f"shifts={[f'{s:+.1e}' for s in shifts]}")
+
+    print("\nhyperbolicity margin over (u_e, delta1), "
+          "Lambda1 = -1 (decelerated):")
+    u_grid = np.linspace(0.2, 2.0, n_grid)
+    d_grid = np.linspace(0.0, 3.0, n_grid)
+    header = "delta1\\u " + " ".join(f"{u:7.2f}" for u in u_grid)
+    print(header)
+    for d1 in d_grid:
+        row = []
+        for u_e in u_grid:
+            H, _ = closure_factors(law, np.array([-1.0]))
+            a, b = jacobian_coeffs(u_e, d1 * u_e, -1.0, H[0], law)
+            ws = characteristic_roots(h, u_e, float(a), float(b), froude,
+                                      delta_bar)
+            row.append(f"{ws.margin:7.3f}" if ws.hyperbolic else "   LOST")
+        print(f"{d1:8.2f} " + " ".join(row))
+    print("\nA positive margin means three real wave speeds; in the operating")
+    print("regime the coupling d ~ delta_bar keeps the system comfortably")
+    print("hyperbolic.")
+
+
+if __name__ == "__main__":
+    main()

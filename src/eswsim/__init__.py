@@ -20,8 +20,7 @@ from .timeloop import (BoundarySpec, FreeOutflow, RunState, SubcriticalInflow,
                        SupercriticalInflow, advance, compute_dt, step)
 from .analytic import (ReferenceCurve, blasius_perturbed_steady,
                        blasius_steady, gaussian_bump, l1_error,
-                       linearized_bump, stewartson_fixed_profile,
-                       stokes_solution)
+                       linearized_bump, stewartson_fixed_profile)
 from .mlsw import (LayerGrid, MlswState, mlsw_compute_dt, mlsw_diagnostics,
                    mlsw_step)
 from .scenarios import (ScenarioConfig, convergence_study, emit_snapshot,

@@ -19,7 +19,6 @@ class ReferenceCurve:
 
     abscissae: np.ndarray
     values: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "abscissae",
@@ -41,26 +40,15 @@ def blasius_steady(x, u_e0=1.0, f2H=BLASIUS_F2 * BLASIUS_H, H=BLASIUS_H):
 
 def blasius_perturbed_steady(x, h0, ue0, froude, delta_bar,
                              f2H=BLASIUS_F2 * BLASIUS_H, H=BLASIUS_H):
-    """First-order steady correction of (h, u_e) induced by layer growth."""
+    """First-order steady correction of (h, u_e) induced by layer growth,
+    from Bernoulli and q - delta_bar*r = h0*ue0 linearised about Fr0 != 1."""
     fr0_sq = (froude * ue0) ** 2 / h0
     if abs(fr0_sq - 1.0) < 1e-6:
         raise CriticalFlow("linearized solution undefined at Fr0 = 1")
     delta1_0, _ = blasius_steady(x, ue0, f2H, H)
     h = h0 + delta_bar * fr0_sq / (fr0_sq - 1.0) * delta1_0
-    u_e = ue0 + delta_bar * delta1_0 / (1.0 - fr0_sq)
+    u_e = ue0 + ue0 / h0 * delta_bar * delta1_0 / (1.0 - fr0_sq)
     return h, u_e
-
-
-def stokes_solution(t):
-    """Impulsive-start diffusion solution (error-function profile)."""
-    t = np.asarray(t, float)
-    if np.any(t <= 0.0):
-        raise DomainError("diffusion solution requires t > 0")
-    delta1 = 2.0 * np.sqrt(t / math.pi)
-    tau = 1.0 / np.sqrt(math.pi * t)
-    H = 1.0 + math.sqrt(2.0)
-    f2 = 2.0 / (math.pi * (1.0 + math.sqrt(2.0)))
-    return delta1, tau, H, f2
 
 
 def stewartson_fixed_profile(x, t, u_e=1.0, H=BLASIUS_H, f2=BLASIUS_F2):

@@ -5,10 +5,6 @@ class EswError(Exception):
     """Base class for all solver errors."""
 
 
-class DryCell(EswError):
-    """Water depth fell at or below the dry threshold."""
-
-
 class DomainError(EswError):
     """Input outside the mathematical domain of a formula."""
 
@@ -23,10 +19,6 @@ class MismatchedGrids(EswError):
 
 class NonSteady(EswError):
     """Steady state not reached within the step budget."""
-
-
-class NegativeDiscriminant(EswError):
-    """Friction update discriminant went negative (time step too large)."""
 
 
 class DegenerateProfile(EswError):
@@ -73,3 +65,19 @@ class NonpositiveDepth(StepFailure):
     def __init__(self, cell):
         super().__init__(f"nonpositive h in cell {cell} after transport")
         self.cell = cell
+
+
+class DryCell(StepFailure):
+    """Water depth at or below the dry threshold after the convection step;
+    cell counts the interior cells from 0."""
+
+    field = "h"
+
+    def __init__(self, cell):
+        super().__init__(f"h at or below the dry threshold in cell {cell} "
+                         "after convection")
+        self.cell = cell
+
+
+class NegativeDiscriminant(StepFailure):
+    """Friction update discriminant went negative (time step too large)."""

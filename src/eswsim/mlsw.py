@@ -18,7 +18,7 @@ from .errors import (DegenerateProfile, DomainError, NonFiniteState,
                      NonpositiveDepth, NonpositiveTimeStep,
                      TridiagonalFailure)
 from .state import Grid1D, PhysicalParams, U_EPS
-from .timeloop import InflowSpec, SubcriticalInflow, SupercriticalInflow
+from .timeloop import InflowSpec, inflow_ghost, with_ghosts
 
 
 @dataclass(frozen=True)
@@ -57,21 +57,11 @@ class MlswState:
 
 def _ghosted(state: MlswState, left: InflowSpec, layers: LayerGrid,
              params: PhysicalParams):
-    """One ghost cell per side: inflow with flat profile, free outflow."""
-    if isinstance(left, SupercriticalInflow):
-        h_g, u_g = left.h_in, left.u_in
-    elif isinstance(left, SubcriticalInflow):
-        U1 = float(np.sum(layers.fractions * state.u[:, 0]))
-        # outgoing invariant U - 2*sqrt(h)/Fr fixes the ghost depth
-        sqrt_hg = np.sqrt(state.h[0]) + params.froude * (left.u_in - U1) / 2.0
-        h_g = max(sqrt_hg, 1e-6) ** 2
-        u_g = left.u_in
-    else:
-        raise TypeError(f"unsupported inflow: {left!r}")
-    h = np.concatenate([[h_g], state.h, [state.h[-1]]])
-    u = np.concatenate([np.full((layers.n_layers, 1), u_g), state.u,
-                        state.u[:, -1:]], axis=1)
-    return h, u
+    """One ghost cell per side: inflow_ghost's depth and velocity for the
+    depth-averaged U of the first cell, with a flat profile; free outflow."""
+    U1 = float(np.sum(layers.fractions * state.u[:, 0]))
+    h_g, u_g = inflow_ghost(left, state.h[0], U1, params.froude)
+    return with_ghosts(state.h, h_g, 1), with_ghosts(state.u, u_g, 1)
 
 
 def mlsw_compute_dt(state: MlswState, params: PhysicalParams, dx,
@@ -137,8 +127,7 @@ def mlsw_step(state: MlswState, layers: LayerGrid, dt,
     fr2 = params.froude**2
     ell = layers.fractions[:, None]
     h, u = _ghosted(state, left, layers, params)
-    topo = np.concatenate([[grid.topo[0]], grid.topo, [grid.topo[-1]]])
-    eta = h + topo
+    eta = h + with_ghosts(grid.topo, grid.topo[0], 1)
     ellh = ell * h                        # (N, n+2) layer depths
     hu = ellh * u
     abs_u = np.abs(u)

@@ -376,8 +376,7 @@ def convergence_study(config: ScenarioConfig, dx_list,
         x = grid.cell_centers[1:]
         delta1 = recover_delta1(run.W.q, run.W.r, run.W.h)[1:]
         ref, _ = blasius_steady(x, u_e0=cfg.u0)
-        err = l1_error(ReferenceCurve(x, delta1, "numeric"),
-                       ReferenceCurve(x, ref, "blasius"))
+        err = l1_error(ReferenceCurve(x, delta1), ReferenceCurve(x, ref))
         results.append((grid.dx, err, seconds))
     if out_dir is not None:
         out = Path(out_dir)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .closures import ClosureLaw, FalknerSkanFit
-from .errors import DomainError, DryCell
+from .errors import DomainError
 
 H_DRY = 1e-12
 U_EPS = 1e-8
@@ -82,18 +82,6 @@ class ConservedState:
             if not (type(v) is np.ndarray and v.dtype == np.float64 and v.ndim):
                 object.__setattr__(self, name, np.atleast_1d(np.asarray(v, float)))
 
-    @classmethod
-    def from_primitive_fields(cls, h, u_e, delta1) -> "ConservedState":
-        h = np.asarray(h, float)
-        u_e = np.asarray(u_e, float)
-        delta1 = np.asarray(delta1, float)
-        return cls(h=h.copy(), q=h * u_e, r=delta1 * u_e)
-
-
-def _check_wet(h):
-    if np.any(h <= H_DRY):
-        raise DryCell("water depth at or below the dry threshold")
-
 
 def recover_delta1(q, r, h):
     """delta1 = r/u_e, defined as 0 at (near-)stagnation where u_e ~ 0."""
@@ -112,18 +100,3 @@ def layer_fill_fraction(W: ConservedState, params: PhysicalParams):
     """
     delta1 = recover_delta1(W.q, W.r, W.h)
     return params.delta_bar * delta1 / W.h
-
-
-def energy_density(W: ConservedState, params: PhysicalParams, f_b):
-    """Mechanical energy and flux of the effective ideal fluid (diagnostic)."""
-    _check_wet(W.h)
-    f_b = np.asarray(f_b, float)
-    u_e = W.q / W.h
-    delta1 = recover_delta1(W.q, W.r, W.h)
-    db = params.delta_bar
-    Heff = W.h - db * delta1
-    eta = Heff + f_b + db * delta1
-    fr2 = params.froude**2
-    energy = Heff * u_e**2 / 2.0 + eta**2 / (2.0 * fr2)
-    energy_flux = u_e * (Heff * u_e**2 / 2.0 + Heff * eta**2 / (2.0 * fr2))
-    return energy, energy_flux

@@ -62,50 +62,49 @@ class RunState:
     diagnostics: dict = field(default_factory=dict)
 
 
+def inflow_ghost(left: InflowSpec, h1, u1, froude):
+    """(depth, velocity) of the inflow ghost cells for a first interior cell
+    of depth h1 and velocity u1.
+
+    The supercritical inflow imposes both. The subcritical one imposes
+    u_in and recovers the depth from the outgoing classical shallow-water
+    Riemann invariant, never below H_DRY.
+    """
+    if isinstance(left, SupercriticalInflow):
+        return left.h_in, left.u_in
+    if not isinstance(left, SubcriticalInflow):
+        raise TypeError(f"unsupported left boundary: {left!r}")
+    # outgoing characteristic u - 2*sqrt(h)/Fr extrapolated from the first
+    # interior cell fixes the ghost depth once u_in is imposed
+    sqrt_hg = np.sqrt(h1) + froude * (left.u_in - u1) / 2.0
+    h_g = sqrt_hg**2
+    if sqrt_hg <= 0.0 or h_g < H_DRY:
+        log.warning("inflow invariant gave a depth below H_DRY; clamping")
+        h_g = H_DRY
+    return h_g, left.u_in
+
+
+def with_ghosts(interior, left, n_ghost):
+    """interior padded along its last axis: n_ghost copies of left before
+    it and n_ghost copies of its last column after it."""
+    out = np.empty(interior.shape[:-1] + (interior.shape[-1] + 2 * n_ghost,))
+    out[..., :n_ghost] = left
+    out[..., n_ghost:-n_ghost] = interior
+    out[..., -n_ghost:] = interior[..., -1:]
+    return out
+
+
 def apply_boundaries(W: ConservedState, spec: BoundarySpec,
                      params: PhysicalParams) -> ConservedState:
     """Return the state extended by two ghost cells per side.
 
-    Inflow imposes the edge velocity with a flat profile (delta1 = 0); the
-    subcritical variant recovers the ghost depth from the outgoing classical
-    shallow-water Riemann invariant. Outflow copies the last interior cell.
+    Inflow imposes inflow_ghost's depth and velocity with a flat profile
+    (delta1 = 0). Outflow copies the last interior cell.
     """
-    h1, q1 = W.h[0], W.q[0]
-    u1 = q1 / h1
-    left = spec.left
-    if isinstance(left, SupercriticalInflow):
-        h_g = left.h_in
-        u_g = left.u_in
-    elif isinstance(left, SubcriticalInflow):
-        u_g = left.u_in
-        # outgoing characteristic u - 2*sqrt(h)/Fr extrapolated from the
-        # first interior cell fixes the ghost depth once u_in is imposed
-        sqrt_hg = np.sqrt(h1) + params.froude * (left.u_in - u1) / 2.0
-        if sqrt_hg <= 0.0:
-            log.warning("inflow invariant produced nonpositive depth; clamping")
-            h_g = H_DRY
-        else:
-            h_g = sqrt_hg**2
-    else:
-        raise TypeError(f"unsupported left boundary: {left!r}")
-    return ConservedState(h=_with_ghosts(W.h, h_g),
-                          q=_with_ghosts(W.q, h_g * u_g),
-                          r=_with_ghosts(W.r, 0.0))
-
-
-def _with_ghosts(interior, left):
-    """interior between N_GHOST copies of left and of its last value."""
-    out = np.empty(interior.size + 2 * N_GHOST)
-    out[:N_GHOST] = left
-    out[N_GHOST:-N_GHOST] = interior
-    out[-N_GHOST:] = interior[-1]
-    return out
-
-
-def extended_topo(grid: Grid1D) -> np.ndarray:
-    """Topography with flat extension into the ghost cells."""
-    return np.concatenate([np.full(N_GHOST, grid.topo[0]), grid.topo,
-                           np.full(N_GHOST, grid.topo[-1])])
+    h_g, u_g = inflow_ghost(spec.left, W.h[0], W.q[0] / W.h[0], params.froude)
+    return ConservedState(h=with_ghosts(W.h, h_g, N_GHOST),
+                          q=with_ghosts(W.q, h_g * u_g, N_GHOST),
+                          r=with_ghosts(W.r, 0.0, N_GHOST))
 
 
 def frozen_gradient(W_ext: ConservedState, dx, order=4) -> np.ndarray:
@@ -163,7 +162,7 @@ def convection_step(cells: CellEval, topo_ext, params: PhysicalParams, dx,
     q_new = cells.q[N_GHOST:-N_GHOST] - lam * (fan.F_left[1][1:] - fan.F_right[1][:-1])
     r_new = cells.r[N_GHOST:-N_GHOST] - lam * (fan.F_left[2][1:] - fan.F_right[2][:-1])
     if np.any(h_new <= H_DRY):
-        raise DryCell("depth fell below the dry threshold during convection")
+        raise DryCell(int(np.flatnonzero(h_new <= H_DRY)[0]))
     return ConservedState(h=h_new, q=q_new, r=r_new), fan
 
 
@@ -193,13 +192,15 @@ def step(run: RunState, grid: Grid1D, params: PhysicalParams,
     try:
         dt, limiter = compute_dt(cells, grid.dx, cfl_number=cfl_number,
                                  dt_max=dt_max, dt_cap=dt_cap)
+        W_half, fan = convection_step(
+            cells, with_ghosts(grid.topo, grid.topo[0], N_GHOST), params,
+            grid.dx, dt)
+        interior = slice(N_GHOST, -N_GHOST)
+        W_new = friction_step(W_half, dt, params,
+                              (cells.f2 * cells.H)[interior])
     except StepFailure as exc:
         exc.step, exc.t = run.step_count, run.t
         raise
-    W_half, fan = convection_step(cells, extended_topo(grid), params,
-                                  grid.dx, dt)
-    interior = slice(N_GHOST, -N_GHOST)
-    W_new = friction_step(W_half, dt, params, (cells.f2 * cells.H)[interior])
 
     diag = dict(run.diagnostics)
     diag["last_dt"] = dt

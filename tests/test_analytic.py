@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from eswsim import advance
 from eswsim.analytic import (ReferenceCurve, blasius_perturbed_steady,
                              blasius_steady, gaussian_bump, l1_error,
-                             linearized_bump, stewartson_fixed_profile,
-                             stokes_solution)
+                             linearized_bump, stewartson_fixed_profile)
 from eswsim.errors import (CriticalFlow, DomainError, MismatchedGrids)
+from eswsim.scenarios import ScenarioConfig, initial_state
 
 
 class TestBlasius:
@@ -36,41 +37,30 @@ class TestBlasius:
         d1 = blasius_steady(x)[0][0]
         # Fr0^2 = 0.5: depth dips, velocity rises
         assert h[0] == pytest.approx(2.0 - 1e-3 * d1, rel=1e-12)
-        assert u[0] == pytest.approx(1.0 + 2e-3 * d1, rel=1e-12)
+        assert u[0] == pytest.approx(1.0 + 1e-3 * d1, rel=1e-12)
+
+    def test_perturbed_supercritical_oracle(self):
+        # the supercritical inlet fixes (h, u_e) at the uniform stream, so
+        # the solver's steady perturbation should follow the linearised
+        # solution; max gaps at n = 100 are 2.9 % (h) and 3.4 % (u_e),
+        # leading-edge cell excluded
+        config = ScenarioConfig(scenario="BlasiusSteady", n_cells=100,
+                                h0=0.5, u0=1.0, t_end=0.5)
+        grid = config.grid()
+        run = advance(initial_state(config), config.t_end, grid,
+                      config.physical_params(), config.boundary_spec())
+        x = grid.cell_centers[1:]
+        h_ref, u_ref = blasius_perturbed_steady(x, h0=0.5, ue0=1.0,
+                                                froude=1.0, delta_bar=1e-3)
+        for got, ref, base in ((run.W.h, h_ref, 0.5),
+                               (run.W.q / run.W.h, u_ref, 1.0)):
+            gap = np.max(np.abs(got[1:] - ref)) / np.max(np.abs(ref - base))
+            assert gap < 0.05
 
     def test_perturbed_critical_raises(self):
         with pytest.raises(CriticalFlow):
             blasius_perturbed_steady(np.array([0.1]), h0=1.0, ue0=1.0,
                                      froude=1.0, delta_bar=1e-3)
-
-
-class TestStokes:
-    def test_frozen_values(self):
-        d1, tau, H, f2 = stokes_solution(np.array([1.0]))
-        assert d1[0] == pytest.approx(2.0 / math.sqrt(math.pi), rel=1e-14)
-        assert tau[0] == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-14)
-        assert H == pytest.approx(1.0 + math.sqrt(2.0), rel=1e-14)
-        assert f2 == pytest.approx(2.0 / (math.pi * (1 + math.sqrt(2.0))),
-                                   rel=1e-14)
-
-    def test_erf_profile_consistency(self):
-        # oracle: recompute delta1, delta2 and shear of u = erf(y/(2 sqrt t))
-        # by quadrature and compare with the closed forms
-        t = 0.7
-        y = np.linspace(0.0, 60.0, 400_001)
-        u = np.vectorize(math.erf)(y / (2.0 * math.sqrt(t)))
-        from scipy.integrate import simpson
-        d1_q = simpson(1.0 - u, x=y)
-        d2_q = simpson(u * (1.0 - u), x=y)
-        tau_q = (u[1] - u[0]) / (y[1] - y[0])
-        d1, tau, H, f2 = stokes_solution(np.array([t]))
-        assert d1[0] == pytest.approx(d1_q, rel=1e-7)
-        assert H == pytest.approx(d1_q / d2_q, rel=1e-6)
-        assert tau[0] == pytest.approx(tau_q, rel=1e-4)
-
-    def test_requires_positive_time(self):
-        with pytest.raises(DomainError):
-            stokes_solution(np.array([0.0]))
 
 
 class TestStewartson:

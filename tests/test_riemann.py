@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import from_primitive_fields
 
 from eswsim import (BoundarySpec, ConservedState, Grid1D, PhysicalParams,
                     RunState, SubcriticalInflow, advance, riemann as rm)
@@ -69,10 +70,10 @@ class TestConsistency:
     def test_flux_conservative_without_topography(self):
         rng = np.random.default_rng(17)
         n = 200
-        W_L = ConservedState.from_primitive_fields(
+        W_L = from_primitive_fields(
             rng.uniform(0.5, 3.0, n), rng.uniform(0.1, 2.0, n),
             rng.uniform(0.0, 1.0, n))
-        W_R = ConservedState.from_primitive_fields(
+        W_R = from_primitive_fields(
             rng.uniform(0.5, 3.0, n), rng.uniform(0.1, 2.0, n),
             rng.uniform(0.0, 1.0, n))
         fan = riemann(W_L, W_R, np.zeros(n), params())
@@ -89,10 +90,10 @@ class TestConsistency:
     def test_star_speeds_bracket_zero(self):
         rng = np.random.default_rng(19)
         n = 100
-        W_L = ConservedState.from_primitive_fields(
+        W_L = from_primitive_fields(
             rng.uniform(0.2, 3.0, n), rng.uniform(-2.0, 2.0, n),
             rng.uniform(0.0, 1.0, n))
-        W_R = ConservedState.from_primitive_fields(
+        W_R = from_primitive_fields(
             rng.uniform(0.2, 3.0, n), rng.uniform(-2.0, 2.0, n),
             rng.uniform(0.0, 1.0, n))
         fan = riemann(W_L, W_R, rng.normal(0, 0.01, n), params())

@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from conftest import from_primitive_fields
 from hypothesis import given, settings, strategies as st
 
 from eswsim import cli, scenarios
@@ -11,7 +12,7 @@ from eswsim.errors import ConfigError, DomainError, NonFiniteState
 from eswsim.scenarios import (_CHUNK_ROWS, ScenarioConfig, _run_columns,
                               _write_rows, config_to_text, emit_snapshot,
                               parse_config, run_scenario)
-from eswsim.state import ConservedState, Grid1D, PhysicalParams
+from eswsim.state import Grid1D, PhysicalParams
 
 
 class TestConfigParsing:
@@ -140,7 +141,7 @@ class TestSnapshotCsv:
     def snapshot_bytes(self, tmp_path, name):
         n = 12
         grid = Grid1D.uniform(0.0, 1.0, n)
-        W = ConservedState.from_primitive_fields(
+        W = from_primitive_fields(
             np.linspace(1.9, 2.1, n), np.linspace(0.9, 1.1, n),
             np.linspace(0.0, 0.3, n))
         path = tmp_path / name

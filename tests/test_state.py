@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from conftest import from_primitive_fields
 
 from eswsim import ConservedState, Grid1D, PhysicalParams, recover_delta1
-from eswsim.errors import DomainError, DryCell
+from eswsim.errors import DomainError
 from eswsim.scenarios import emit_snapshot
-from eswsim.state import U_EPS, energy_density
+from eswsim.state import U_EPS
 
 
 def params(db=1e-3, fr=1.0):
@@ -84,11 +85,6 @@ class TestPrimitive:
         P = primitive(W, params(db=0.0), tmp_path)
         assert P["U"][0] == P["u_e"][0] == 1.0
 
-    def test_dry_cell(self):
-        W = ConservedState(h=[1e-13], q=[0.0], r=[0.0])
-        with pytest.raises(DryCell):
-            energy_density(W, params(), [0.0])
-
     def test_stagnation_delta1(self):
         d1 = recover_delta1(np.array([0.0]), np.array([0.3]), np.array([1.0]))
         assert d1[0] == 0.0
@@ -123,10 +119,9 @@ class TestPrimitive:
         h = rng.uniform(0.1, 3.0, 64)
         u = rng.uniform(0.1, 2.0, 64)
         d1 = rng.uniform(0.0, 1.0, 64)
-        W = ConservedState.from_primitive_fields(h, u, d1)
+        W = from_primitive_fields(h, u, d1)
         P = primitive(W, params(), tmp_path)
-        W2 = ConservedState.from_primitive_fields(P["h"], P["u_e"],
-                                                  P["delta1"])
+        W2 = from_primitive_fields(P["h"], P["u_e"], P["delta1"])
         for a, b in ((W.h, W2.h), (W.q, W2.q), (W.r, W2.r)):
             assert np.allclose(a, b, rtol=1e-14, atol=0)
 
@@ -135,22 +130,8 @@ class TestPrimitive:
         h = rng.uniform(0.1, 3.0, 32)
         u = rng.uniform(-2.0, 2.0, 32)
         d1 = rng.uniform(0.0, 1.0, 32)
-        W = ConservedState.from_primitive_fields(h, u, d1)
+        W = from_primitive_fields(h, u, d1)
         P = primitive(W, params(), tmp_path)
         assert np.allclose(h * P["U"], (h - 1e-3 * P["delta1"]) * P["u_e"],
                            rtol=1e-13)
 
-
-class TestEnergy:
-    def test_lake_at_rest_uniform(self):
-        f_b = np.array([0.0, 0.3, 0.1])
-        h = 1.0 - f_b
-        W = ConservedState.from_primitive_fields(h, np.zeros(3), np.zeros(3))
-        e, ef = energy_density(W, params(), f_b)
-        assert np.allclose(e, e[0])
-        assert np.all(ef == 0.0)
-
-    def test_simple_value(self):
-        W = ConservedState(h=[2.0], q=[2.0], r=[0.0])
-        e, _ = energy_density(W, params(db=0.0, fr=1.0), np.array([0.0]))
-        assert e[0] == pytest.approx(3.0)

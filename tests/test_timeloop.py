@@ -4,17 +4,20 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from conftest import from_primitive_fields
 from hypothesis import given, settings, strategies as st
 
-from eswsim import (BoundarySpec, ConservedState, Grid1D, PhysicalParams,
-                    RunState, SubcriticalInflow, SupercriticalInflow,
-                    advance, closures, compute_dt, hyperbolicity, riemann,
-                    scenarios, state, step, timeloop)
+from eswsim import (BoundarySpec, ConservedState, Grid1D, LayerGrid,
+                    MlswState, PhysicalParams, RunState, SubcriticalInflow,
+                    SupercriticalInflow, advance, closures, compute_dt,
+                    hyperbolicity, riemann, scenarios, state, step, timeloop)
 from eswsim.analytic import gaussian_bump
 from eswsim.errors import DryCell, NonFiniteState, NonpositiveTimeStep
+from eswsim.mlsw import _ghosted
 from eswsim.riemann import evaluate_cells
+from eswsim.state import H_DRY
 from eswsim.timeloop import (N_GHOST, apply_boundaries, convection_step,
-                             extended_topo, friction_step, frozen_gradient)
+                             friction_step, frozen_gradient, with_ghosts)
 
 
 def params(db=1e-3, fr=1.0):
@@ -22,7 +25,7 @@ def params(db=1e-3, fr=1.0):
 
 
 def uniform_state(n, h0=2.0, u0=1.0, d1=0.0):
-    return ConservedState.from_primitive_fields(
+    return from_primitive_fields(
         np.full(n, h0), np.full(n, u0), np.full(n, d1))
 
 
@@ -62,7 +65,7 @@ class TestBoundaries:
                                       SubcriticalInflow(u_in=1.1)])
     def test_ghosts_match_concatenation(self, left):
         rng = np.random.default_rng(5)
-        W = ConservedState.from_primitive_fields(
+        W = from_primitive_fields(
             rng.uniform(1.5, 2.5, 9), rng.uniform(0.8, 1.2, 9),
             rng.uniform(0.0, 0.3, 9))
         ext = apply_boundaries(W, BoundarySpec(left=left), params())
@@ -74,6 +77,55 @@ class TestBoundaries:
                                    np.full(N_GHOST, interior[-1])])
             assert got.dtype == np.float64
             assert np.array_equal(got, want)
+
+        # the MLSW padding (one ghost, (N, n) velocities) matches its
+        # concatenate reference too
+        layers = LayerGrid(7)
+        state = MlswState(h=W.h, u=rng.uniform(0.8, 1.2, (7, 9)))
+        h, u = _ghosted(state, left, layers, params())
+        assert np.array_equal(h, np.concatenate([[h[0]], W.h, [W.h[-1]]]))
+        want = np.concatenate([np.full((7, 1), left.u_in), state.u,
+                               state.u[:, -1:]], axis=1)
+        assert u.dtype == np.float64 and u.flags.c_contiguous
+        assert np.array_equal(u, want)
+
+        # the bed, for both ghost widths
+        topo = rng.normal(size=9)
+        for g in (1, N_GHOST):
+            want = np.concatenate([np.full(g, topo[0]), topo,
+                                   np.full(g, topo[-1])])
+            assert np.array_equal(with_ghosts(topo, topo[0], g), want)
+
+    @pytest.mark.parametrize("u0", [0.7, 0.9, 1.1])
+    def test_models_share_subcritical_ghost_depth(self, u0):
+        W = uniform_state(6, h0=2.0, u0=u0)
+        left = SubcriticalInflow(u_in=1.0)
+        esw = apply_boundaries(W, BoundarySpec(left=left), params()).h[0]
+        layers = LayerGrid(100)
+        mlsw, _ = _ghosted(MlswState.uniform(layers, 6, 2.0, u0), left,
+                           layers, params())
+        # the layer fractions sum to 1 within 1e-14, so U1 = u0 as closely
+        assert mlsw[0] == pytest.approx(esw, rel=1e-14)
+        assert esw == pytest.approx((np.sqrt(2.0) + (1.0 - u0) / 2.0) ** 2,
+                                    rel=1e-14)
+
+    @pytest.mark.parametrize("u_in", [-2.0, -2.0 * np.sqrt(2.0) + 1.0 + 1e-7],
+                             ids=["nonpositive_root", "tiny_root"])
+    def test_ghost_depth_clamped_in_both_models(self, u_in, caplog):
+        # u_in - u1 <= -2*sqrt(h1): the invariant root is nonpositive or,
+        # for the second value, positive with a square below H_DRY
+        left = SubcriticalInflow(u_in=u_in)
+        W = uniform_state(6, h0=2.0, u0=1.0)
+        layers = LayerGrid(5)
+        with caplog.at_level("WARNING", logger="eswsim.timeloop"):
+            esw = apply_boundaries(W, BoundarySpec(left=left), params())
+            h, u = _ghosted(MlswState.uniform(layers, 6, 2.0, 1.0), left,
+                            layers, params())
+        assert np.all(esw.h[:N_GHOST] == H_DRY) and h[0] == H_DRY
+        assert np.all(esw.q[:N_GHOST] == H_DRY * u_in)
+        assert np.all(u[:, 0] == u_in)
+        clamps = [r for r in caplog.records if "clamping" in r.getMessage()]
+        assert len(clamps) == 2
 
 
 class TestComputeDt:
@@ -117,7 +169,7 @@ class TestConvectionStep:
         # flat topography: total mass change equals boundary flux difference
         rng = np.random.default_rng(41)
         n = 64
-        W_int = ConservedState.from_primitive_fields(
+        W_int = from_primitive_fields(
             rng.uniform(1.5, 2.5, n), rng.uniform(0.8, 1.2, n),
             rng.uniform(0.0, 0.4, n))
         spec = BoundarySpec(left=SubcriticalInflow(u_in=1.0))
@@ -135,11 +187,9 @@ class TestConvectionStep:
         grid = Grid1D.uniform(0.0, 2.0, n,
                               lambda x: gaussian_bump(x, 0.2, 0.1))
         h = 1.0 - grid.topo
-        W = ConservedState.from_primitive_fields(h, np.zeros(n), np.zeros(n))
-        W_ext = ConservedState(
-            h=np.concatenate([[h[0]] * N_GHOST, h, [h[-1]] * N_GHOST]),
-            q=np.zeros(n + 4), r=np.zeros(n + 4))
-        topo = extended_topo(grid)
+        W_ext = ConservedState(h=with_ghosts(h, h[0], N_GHOST),
+                               q=np.zeros(n + 4), r=np.zeros(n + 4))
+        topo = with_ghosts(grid.topo, grid.topo[0], N_GHOST)
         W2, _ = convection_step(evaluate_cells(W_ext, params()), topo,
                                 params(), grid.dx, 1e-3)
         assert np.max(np.abs(W2.h - h)) < 1e-13
@@ -151,11 +201,12 @@ class TestConvectionStep:
         m = n + 2 * N_GHOST
         h = np.full(m, 1e-10)
         u = np.linspace(0.0, 2.0, m)
-        W = ConservedState.from_primitive_fields(h, u, np.zeros(m))
+        W = from_primitive_fields(h, u, np.zeros(m))
         topo = np.zeros(m)
-        with pytest.raises(DryCell):
+        with pytest.raises(DryCell) as info:
             convection_step(evaluate_cells(W, params()), topo, params(),
                             1e-4, 1.0)
+        assert (info.value.field, info.value.cell) == ("h", 0)
 
 
 class TestFrictionStep:
@@ -248,7 +299,7 @@ class TestStepAndAdvance:
         grid = Grid1D.uniform(0.0, 2.0, n,
                               lambda x: gaussian_bump(x, 0.2, 0.1))
         h0 = 1.0 - grid.topo
-        W = ConservedState.from_primitive_fields(h0, np.zeros(n), np.zeros(n))
+        W = from_primitive_fields(h0, np.zeros(n), np.zeros(n))
         run = RunState(t=0.0, step_count=0, W=W)
         spec = BoundarySpec(left=SubcriticalInflow(u_in=0.0))
         for _ in range(100):
@@ -293,7 +344,8 @@ class TestStepDiagnostics:
         W_ext = apply_boundaries(run.W, spec, p)
         cells = evaluate_cells(W_ext, p, frozen_gradient(W_ext, grid.dx))
         dt, limiter = compute_dt(cells, grid.dx)
-        _, fan = convection_step(cells, extended_topo(grid), p, grid.dx, dt)
+        _, fan = convection_step(cells, with_ghosts(grid.topo, grid.topo[0],
+                                                    N_GHOST), p, grid.dx, dt)
         after = step(run, grid, p, spec)
         assert limiter == after.diagnostics["dt_limiter"] == "cfl"
         assert after.diagnostics["last_dt"] == dt
@@ -328,6 +380,21 @@ class TestStepDiagnostics:
             assert (info.value.step, info.value.t) == (step_count, t)
             assert "cell 7" in str(info.value)
             assert f"step {step_count}" in str(info.value)
+
+    def test_dry_cell_is_named(self):
+        # a film just above H_DRY under a diverging stream: cell 0 is fed
+        # by the still inflow, cell 1 drains first
+        n = 10
+        h0 = 1.03e-12
+        W = from_primitive_fields(np.full(n, h0), np.linspace(0.0, 2.0, n),
+                                  np.zeros(n))
+        spec = BoundarySpec(left=SupercriticalInflow(u_in=0.0, h_in=h0))
+        with pytest.raises(DryCell) as info:
+            step(RunState(0.25, 7, W), Grid1D.uniform(0.0, 1.0, n),
+                 params(), spec)
+        assert (info.value.field, info.value.cell) == ("h", 1)
+        assert (info.value.step, info.value.t) == (7, 0.25)
+        assert "cell 1" in str(info.value) and "step 7" in str(info.value)
 
     def test_nonpositive_dt_is_named(self):
         run = RunState(t=0.0, step_count=0, W=uniform_state(10))
