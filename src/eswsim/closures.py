@@ -71,14 +71,25 @@ def shape_factor_fs(lambda1):
     H = 2.59*exp(-0.37*Lambda1) below Lambda1 = 0.6 and the constant 2.074
     beyond (continuous at the junction to fit accuracy).
     """
-    lam = np.clip(np.asarray(lambda1, dtype=float), *LAMBDA1_CLAMP)
-    return np.where(lam < 0.6, 2.59 * np.exp(-0.37 * lam), 2.074)
+    lam = np.asarray(lambda1, dtype=float)
+    # an out= array from np.empty keeps a 0-d input writable
+    H = np.clip(lam, *LAMBDA1_CLAMP, out=np.empty(lam.shape))
+    saturated = ~(H < 0.6)
+    H *= -0.37
+    np.exp(H, out=H)
+    H *= 2.59
+    np.copyto(H, 2.074, where=saturated)
+    return H
 
 
 def friction_factor_fs(H):
     """Friction factor f2 = 1.05*(4/H^2 - 1/H); negative beyond H = 4."""
     H = np.asarray(H, dtype=float)
-    return 1.05 * (4.0 / H**2 - 1.0 / H)
+    f2 = np.square(H, out=np.empty(H.shape))
+    np.divide(4.0, f2, out=f2)
+    f2 -= 1.0 / H
+    f2 *= 1.05
+    return f2
 
 
 def pohlhausen4_profile(Lambda, xi):
@@ -141,9 +152,15 @@ def ue_gradient(u_e, dx, order=4):
         raise DomainError("order-4 stencil needs at least 5 cells")
     g = np.empty_like(u)
     if order == 2:
-        g[1:-1] = (u[2:] - u[:-2]) / (2.0 * dx)
+        inner = np.subtract(u[2:], u[:-2], out=g[1:-1])
+        inner /= 2.0 * dx
     else:
-        g[2:-2] = (u[:-4] - 8.0 * u[1:-3] + 8.0 * u[3:-1] - u[4:]) / (12.0 * dx)
+        # (u[:-4] - 8*u[1:-3] + 8*u[3:-1] - u[4:]) / (12*dx)
+        inner = np.multiply(8.0, u[1:-3], out=g[2:-2])
+        np.subtract(u[:-4], inner, out=inner)
+        inner += 8.0 * u[3:-1]
+        inner -= u[4:]
+        inner /= 12.0 * dx
         g[1] = (u[2] - u[0]) / (2.0 * dx)
         g[-2] = (u[-1] - u[-3]) / (2.0 * dx)
     # one-sided second order at the ends

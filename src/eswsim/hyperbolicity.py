@@ -42,20 +42,23 @@ def jacobian_coeffs(u_e, r, lambda1, H, law: ClosureLaw = FalknerSkanFit()):
     through H(Lambda1) contributes the 0.74*Lambda1 terms; constant-H laws
     (and the saturated branch Lambda1 >= 0.6) lose them.
     """
-    u_e = np.asarray(u_e, float)
-    r = np.asarray(r, float)
     lambda1 = np.asarray(lambda1, float)
-    H = np.asarray(H, float)
     if isinstance(law, FalknerSkanFit):
-        active = lambda1 < 0.6
-        a = r * (1.0 + np.where(active, 1.0 - 0.74 * lambda1, 1.0) / H)
-        b = u_e * (1.0 + np.where(active, 1.0 + 0.74 * lambda1, 1.0) / H)
+        # a and b carry 1 -+ 0.74*Lambda1 on the active branch, 1 beyond it
+        slope = np.where(lambda1 < 0.6, 0.74 * lambda1, 0.0)
     elif isinstance(law, (BlasiusConstant, FixedProfile, Pohlhausen4)):
         # Pohlhausen4 treated as frozen-H for wave-speed estimates
-        a = (1.0 + 1.0 / H) * r
-        b = (1.0 + 1.0 / H) * u_e
+        slope = 0.0
     else:
         raise TypeError(f"unknown closure law: {law!r}")
+    a = np.subtract(1.0, slope, out=np.empty(np.broadcast(r, slope, H).shape))
+    b = np.add(1.0, slope, out=np.empty(np.broadcast(u_e, slope, H).shape))
+    a /= H
+    b /= H
+    a += 1.0
+    a *= r
+    b += 1.0
+    b *= u_e
     return a, b
 
 
@@ -67,11 +70,19 @@ def decoupled_speeds(h, u_e, b, froude):
 
 def nickalls_bounds(u_e, b, h, froude):
     """Closed-form interval containing all real characteristic roots."""
-    u_e = np.asarray(u_e, float)
-    b = np.asarray(b, float)
-    radius = np.sqrt((2.0 * u_e - b) ** 2 + 3.0 * np.asarray(h, float) / froude**2)
-    lam_L = (u_e + b - 2.0 * radius) / 3.0
-    lam_R = (u_e + b + 2.0 * radius) / 3.0
+    shape = np.broadcast(u_e, b, h).shape
+    # radius = sqrt((2*u_e - b)^2 + 3*h/Fr^2), then (u_e + b -+ 2*radius)/3
+    radius = np.multiply(2.0, u_e, out=np.empty(shape))
+    radius -= b
+    np.square(radius, out=radius)
+    radius += 3.0 * np.asarray(h, float) / froude**2
+    np.sqrt(radius, out=radius)
+    radius *= 2.0
+    lam_R = np.add(u_e, b, out=np.empty(shape))
+    lam_L = lam_R - radius
+    lam_R += radius
+    lam_L /= 3.0
+    lam_R /= 3.0
     return lam_L, lam_R
 
 

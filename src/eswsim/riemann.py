@@ -18,7 +18,7 @@ import numpy as np
 
 from .closures import closure_factors
 from .hyperbolicity import jacobian_coeffs, nickalls_bounds
-from .state import ConservedState, PhysicalParams, recover_delta1
+from .state import ConservedState, PhysicalParams, _delta1_from_ue
 
 log = logging.getLogger(__name__)
 
@@ -51,7 +51,8 @@ class CellEval:
 
 @dataclass(frozen=True)
 class RiemannFan:
-    """Interface wave speeds, star states and the two numerical fluxes."""
+    """Interface wave speeds, star states and the two numerical fluxes
+    (on a flat bed h_L_star and h_R_star may be one and the same array)."""
 
     lam_L: np.ndarray
     lam_R: np.ndarray
@@ -64,33 +65,43 @@ class RiemannFan:
     fallback: np.ndarray  # bool mask of interfaces using the HLL fallback
 
 
-def physical_flux(h, q, r, H, params: PhysicalParams):
-    """F(W) = (h*u_e - delta_bar*r, h*u_e^2 + h^2/(2Fr^2), (1+1/H)*r*u_e)."""
-    u_e = q / h
+def physical_flux(h, q, r, H, params: PhysicalParams, u_e):
+    """(q - delta_bar*r, q*u_e + h^2/(2Fr^2), (1+1/H)*r*u_e) for u_e = q/h."""
     F0 = q - params.delta_bar * r
-    F1 = q * u_e + h**2 / (2.0 * params.froude**2)
-    F2 = (1.0 + 1.0 / H) * r * u_e
+    F1 = q * u_e
+    h2 = np.square(h)
+    h2 /= 2.0 * params.froude**2
+    F1 += h2
+    F2 = np.divide(1.0, H, out=np.empty(np.broadcast(H, r, u_e).shape))
+    F2 += 1.0
+    F2 *= r
+    F2 *= u_e
     return F0, F1, F2
 
 
 def source_averages(W_L, W_R, jump_fb, froude):
     """Vol'pert averages of the two non-conservative source terms."""
-    topo_src = (W_L.h + W_R.h) / (2.0 * froude**2) * np.asarray(jump_fb, float)
-    exchange_src = (W_L.q + W_R.q) / (W_L.h + W_R.h) * (W_R.r - W_L.r)
+    h_sum = W_L.h + W_R.h
+    topo_src = h_sum / (2.0 * froude**2)
+    topo_src *= jump_fb
+    exchange_src = W_L.q + W_R.q
+    exchange_src /= h_sum
+    exchange_src *= np.subtract(W_R.r, W_L.r, out=h_sum)
     return topo_src, exchange_src
 
 
 def evaluate_cells(W: ConservedState, params: PhysicalParams,
-                   dudx=0.0) -> CellEval:
-    """Evaluate every cell of W at its frozen velocity gradient dudx."""
-    u_e = W.q / W.h
-    delta1 = recover_delta1(W.q, W.r, W.h)
-    lambda1 = delta1**2 * dudx
+                   dudx=0.0, u_e=None) -> CellEval:
+    """Evaluate each cell of W at frozen gradient dudx; u_e = q/h if None."""
+    u_e = W.q / W.h if u_e is None else u_e
+    delta1 = _delta1_from_ue(u_e, W.r)
+    lambda1 = np.square(delta1)
+    lambda1 *= dudx
     H, f2 = closure_factors(params.closure, lambda1)
     _, b = jacobian_coeffs(u_e, W.r, lambda1, H, params.closure)
     lam_L, lam_R = nickalls_bounds(u_e, b, W.h, params.froude)
     return CellEval(W.h, W.q, W.r, delta1, H, f2, lam_L, lam_R,
-                    physical_flux(W.h, W.q, W.r, H, params))
+                    physical_flux(W.h, W.q, W.r, H, params, u_e))
 
 
 def _star_depths(h_L, h_R, q_star, C, jump_fb, lam_L, lam_R, froude):
@@ -105,12 +116,14 @@ def _star_depths(h_L, h_R, q_star, C, jump_fb, lam_L, lam_R, froude):
     h_hll = C / span
     fallback = np.zeros_like(h_L, dtype=bool)
 
-    active = (jump_fb != 0.0) & (lam_L < 0.0) & (lam_R > 0.0)
-    hR = h_hll.copy()
-    hL = h_hll.copy()
-
-    if active.any():
-        idx = np.nonzero(active)[0]
+    # a flat bed has no Newton-active or one-sided interface to mask or copy
+    has_jump = jump_fb.any()
+    hL = hR = h_hll
+    active = has_jump and (jump_fb != 0.0) & (lam_L < 0.0) & (lam_R > 0.0)
+    if np.any(active):
+        idx = np.flatnonzero(active)
+        hR = h_hll.copy()
+        hL = h_hll.copy()
         hr = hr0 = h_hll[idx]
         lamL = lam_L[idx]
         lamR = lam_R[idx]
@@ -177,6 +190,8 @@ def _star_depths(h_L, h_R, q_star, C, jump_fb, lam_L, lam_R, froude):
     right_degenerate = lam_R <= 0.0
     hL = np.where(left_degenerate, h_L, hL)
     hR = np.where(right_degenerate, h_R, hR)
+    if not has_jump:
+        return hL, hR, fallback
     # with one side degenerate the linear relation fixes the other depth
     one_sided_L = left_degenerate & ~right_degenerate & (jump_fb != 0.0)
     one_sided_R = right_degenerate & ~left_degenerate & (jump_fb != 0.0)
@@ -192,32 +207,48 @@ def solve_local_riemann(L: CellEval, R: CellEval, jump_fb,
 
     L and R evaluate the cells left and right of each interface.
     """
-    fr = params.froude
-    db = params.delta_bar
-
-    lam_L = np.minimum(np.minimum(L.lam_L, R.lam_L), 0.0)
-    lam_R = np.maximum(np.maximum(L.lam_R, R.lam_R), 0.0)
+    lam_L = np.minimum(L.lam_L, R.lam_L)
+    np.minimum(lam_L, 0.0, out=lam_L)
+    lam_R = np.maximum(L.lam_R, R.lam_R)
+    np.maximum(lam_R, 0.0, out=lam_R)
     span = lam_R - lam_L
+    topo_src, exchange_src = source_averages(L, R, jump_fb, params.froude)
 
-    F_L, F_R = L.F, R.F
-    topo_src, exchange_src = source_averages(L, R, jump_fb, fr)
-
-    r_star = (lam_R * R.r - lam_L * L.r - (F_R[2] - F_L[2])
-              + exchange_src) / span
-    q_star = (lam_R * R.q - lam_L * L.q - (F_R[1] - F_L[1])
-              - topo_src + db * exchange_src) / span
-    C = lam_R * R.h - lam_L * L.h - (F_R[0] - F_L[0])
+    # r* = (lam_R*r_R - lam_L*r_L - (F_R - F_L) + exchange) / span
+    # q* = (lam_R*q_R - lam_L*q_L - (F_R - F_L) - topo + db*exchange) / span
+    # C  =  lam_R*h_R - lam_L*h_L - (F_R - F_L)
+    work = np.empty_like(span)
+    sums = []
+    for k, W_L, W_R in ((2, L.r, R.r), (1, L.q, R.q), (0, L.h, R.h)):
+        total = lam_R * W_R
+        total -= np.multiply(lam_L, W_L, out=work)
+        total -= np.subtract(R.F[k], L.F[k], out=work)
+        sums.append(total)
+    r_star, q_star, C = sums
+    r_star += exchange_src
+    r_star /= span
+    q_star -= topo_src
+    exchange_src *= params.delta_bar
+    q_star += exchange_src
+    q_star /= span
     h_L_star, h_R_star, fallback = _star_depths(
-        L.h, R.h, q_star, C, jump_fb, lam_L, lam_R, fr)
+        L.h, R.h, q_star, C, jump_fb, lam_L, lam_R, params.froude)
 
-    FL0 = F_L[0] + lam_L * (h_L_star - L.h)
-    FL1 = F_L[1] + lam_L * (q_star - L.q)
-    FL2 = F_L[2] + lam_L * (r_star - L.r)
-    FR0 = F_R[0] - lam_R * (R.h - h_R_star)
-    FR1 = F_R[1] - lam_R * (R.q - q_star)
-    FR2 = F_R[2] - lam_R * (R.r - r_star)
+    # F_L + lam_L*(star - W_L), F_R - lam_R*(W_R - star); C must stay as is
+    F_left, F_right = [], []
+    for k, W_L, W_R, star_L, star_R, buf_L, buf_R in (
+            (0, L.h, R.h, h_L_star, h_R_star, span, work),
+            (1, L.q, R.q, q_star, q_star, topo_src, exchange_src),
+            (2, L.r, R.r, r_star, r_star, None, None)):
+        flux = np.subtract(star_L, W_L, out=buf_L)
+        flux *= lam_L
+        flux += L.F[k]
+        F_left.append(flux)
+        flux = np.subtract(W_R, star_R, out=buf_R)
+        flux *= lam_R
+        F_right.append(np.subtract(R.F[k], flux, out=flux))
 
     return RiemannFan(lam_L=lam_L, lam_R=lam_R, q_star=q_star, r_star=r_star,
                       h_L_star=h_L_star, h_R_star=h_R_star,
-                      F_left=(FL0, FL1, FL2), F_right=(FR0, FR1, FR2),
+                      F_left=tuple(F_left), F_right=tuple(F_right),
                       fallback=fallback)

@@ -8,6 +8,7 @@ momentum. All containers are immutable value objects.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -66,6 +67,14 @@ class Grid1D:
     def cell_centers(self) -> np.ndarray:
         return self.x_min + (np.arange(self.n_cells) + 0.5) * self.dx
 
+    @cached_property
+    def bed_jumps(self) -> np.ndarray:
+        """Bed jump at each of the n_cells + 1 interfaces, 0 at both ends
+        (ghost beds copy the end cells); built once per grid, read-only."""
+        jumps = np.diff(self.topo, prepend=self.topo[0], append=self.topo[-1])
+        jumps.flags.writeable = False
+        return jumps
+
 
 @dataclass(frozen=True)
 class ConservedState:
@@ -85,7 +94,11 @@ class ConservedState:
 
 def recover_delta1(q, r, h):
     """delta1 = r/u_e, defined as 0 at (near-)stagnation where u_e ~ 0."""
-    u_e = q / h
+    return _delta1_from_ue(q / h, r)
+
+
+def _delta1_from_ue(u_e, r):
+    """recover_delta1 for an edge velocity u_e = q/h already at hand."""
     # with no (near-)stagnant or NaN cell the unmasked quotient is bitwise
     # the masked one; scalars and empty arrays take the masked path
     if type(u_e) is np.ndarray and u_e.size and np.abs(u_e).min() > U_EPS:

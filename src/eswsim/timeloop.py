@@ -19,7 +19,7 @@ from .errors import (DryCell, NegativeDiscriminant, NonFiniteState,
                      NonpositiveTimeStep, StepFailure)
 from .riemann import CellEval, evaluate_cells, solve_local_riemann
 from .state import (ConservedState, Grid1D, H_DRY, PhysicalParams,
-                    layer_fill_fraction, recover_delta1)
+                    _delta1_from_ue, layer_fill_fraction)
 
 log = logging.getLogger(__name__)
 
@@ -107,9 +107,8 @@ def apply_boundaries(W: ConservedState, spec: BoundarySpec,
                           r=with_ghosts(W.r, 0.0, N_GHOST))
 
 
-def frozen_gradient(W_ext: ConservedState, dx, order=4) -> np.ndarray:
-    """Velocity gradient over the extended state, frozen for the step."""
-    u_e = W_ext.q / W_ext.h
+def frozen_gradient(u_e, dx, order=4) -> np.ndarray:
+    """Gradient of the extended state's edge velocity, frozen for the step."""
     return ue_gradient(u_e, dx, order=order)
 
 
@@ -120,14 +119,18 @@ def compute_dt(cells: CellEval, dx, cfl_number=0.9, dt_max=np.inf,
     limiter is "cfl", "reverse_flow", "dt_max" or "cap"."""
     if not 0.0 < cfl_number <= 1.0:
         raise ValueError("cfl_number must lie in (0, 1]")
-    lam_max = np.maximum(np.abs(cells.lam_L), np.abs(cells.lam_R)).max()
+    # max(|lam_L|, |lam_R|) is max(-lam_L, lam_R) because lam_L <= lam_R
+    lam_max = np.maximum(-cells.lam_L.min(), cells.lam_R.max())
     # a NaN in q or r alone can leave the bounds finite (the closure maps a
     # NaN Lambda1 to a finite H), but it always reaches delta1
     if not (np.isfinite(lam_max) and np.isfinite(cells.delta1.sum())):
-        for name in ("h", "q", "r", "delta1", "H", "lam_L", "lam_R"):
-            bad = np.flatnonzero(~np.isfinite(getattr(cells, name)))
-            if bad.size:
-                raise NonFiniteState(name, int(bad[0]) - N_GHOST)
+        # the interior first: an inflow ghost inherits a NaN of cell 0
+        n = cells.h.size - N_GHOST
+        for lo, hi in ((N_GHOST, n), (0, N_GHOST), (n, n + N_GHOST)):
+            for name in ("h", "q", "r", "delta1", "H", "lam_L", "lam_R"):
+                bad = np.flatnonzero(~np.isfinite(getattr(cells, name)[lo:hi]))
+                if bad.size:
+                    raise NonFiniteState(name, int(bad[0]) + lo - N_GHOST)
     if lam_max <= 0.0:
         dt, limiter = dt_max, "dt_max"
     else:
@@ -147,39 +150,48 @@ def compute_dt(cells: CellEval, dx, cfl_number=0.9, dt_max=np.inf,
     return float(dt), limiter
 
 
-def convection_step(cells: CellEval, topo_ext, params: PhysicalParams, dx,
+def convection_step(cells: CellEval, jump_fb, params: PhysicalParams, dx,
                     dt):
     """One Godunov update of the interior cells of an evaluated extended
-    state; returns (interior ConservedState, interface RiemannFan)."""
+    state, with jump_fb the bed jumps at its n + 1 interfaces (bed_jumps of
+    the Grid1D); returns (interior ConservedState, interface RiemannFan)."""
     n_ext = cells.h.size
     sl = slice(N_GHOST - 1, n_ext - N_GHOST)      # left cells of interfaces
     sr = slice(N_GHOST, n_ext - N_GHOST + 1)      # right cells
-    fan = solve_local_riemann(cells.at(sl), cells.at(sr),
-                              topo_ext[sr] - topo_ext[sl], params)
-    # interfaces 0..n surround the n interior cells
+    fan = solve_local_riemann(cells.at(sl), cells.at(sr), jump_fb, params)
+    # W - (dt/dx)*(F_left[1:] - F_right[:-1]) per component
     lam = dt / dx
-    h_new = cells.h[N_GHOST:-N_GHOST] - lam * (fan.F_left[0][1:] - fan.F_right[0][:-1])
-    q_new = cells.q[N_GHOST:-N_GHOST] - lam * (fan.F_left[1][1:] - fan.F_right[1][:-1])
-    r_new = cells.r[N_GHOST:-N_GHOST] - lam * (fan.F_left[2][1:] - fan.F_right[2][:-1])
-    if np.any(h_new <= H_DRY):
-        raise DryCell(int(np.flatnonzero(h_new <= H_DRY)[0]))
-    return ConservedState(h=h_new, q=q_new, r=r_new), fan
+    new = []
+    for W, F_L, F_R in zip((cells.h, cells.q, cells.r), fan.F_left,
+                           fan.F_right):
+        update = np.subtract(F_L[1:], F_R[:-1])
+        update *= lam
+        new.append(np.subtract(W[N_GHOST:-N_GHOST], update, out=update))
+    if np.any(new[0] <= H_DRY):
+        raise DryCell(int(np.flatnonzero(new[0] <= H_DRY)[0]))
+    return ConservedState(*new), fan
 
 
 def friction_step(W: ConservedState, dt, params: PhysicalParams,
                   f2H) -> ConservedState:
-    """Semi-implicit friction update of delta1; h and u_e are unchanged.
+    """Semi-implicit friction update of delta1; h and q stay W's arrays.
 
     f2H is the per-cell product (f2*H) evaluated at the pre-convection state.
     """
     u_e = W.q / W.h
-    delta1 = recover_delta1(W.q, W.r, W.h)
-    disc = delta1**2 + 4.0 * np.asarray(f2H, float) * dt
-    if np.any(disc < 0.0):
+    delta1 = _delta1_from_ue(u_e, W.r)
+    # disc = delta1^2 + 4*f2H*dt, then 0.5*(delta1 + sqrt(disc))*u_e
+    r = np.multiply(4.0, f2H)
+    r *= dt
+    r += np.square(delta1)
+    if np.any(r < 0.0):
         raise NegativeDiscriminant("friction discriminant negative; "
                                    "time-step selection is broken")
-    delta1_new = 0.5 * (delta1 + np.sqrt(disc))
-    return ConservedState(h=W.h.copy(), q=W.q.copy(), r=delta1_new * u_e)
+    np.sqrt(r, out=r)
+    r += delta1
+    r *= 0.5
+    r *= u_e
+    return ConservedState(h=W.h, q=W.q, r=r)
 
 
 def step(run: RunState, grid: Grid1D, params: PhysicalParams,
@@ -187,17 +199,17 @@ def step(run: RunState, grid: Grid1D, params: PhysicalParams,
          dt_max=np.inf, dt_cap: Optional[float] = None):
     """Advance one full split step; returns the new RunState."""
     W_ext = apply_boundaries(run.W, boundaries, params)
-    dudx = frozen_gradient(W_ext, grid.dx, order=gradient_order)
-    cells = evaluate_cells(W_ext, params, dudx)
+    u_e = W_ext.q / W_ext.h
+    dudx = frozen_gradient(u_e, grid.dx, order=gradient_order)
+    cells = evaluate_cells(W_ext, params, dudx, u_e)
     try:
         dt, limiter = compute_dt(cells, grid.dx, cfl_number=cfl_number,
                                  dt_max=dt_max, dt_cap=dt_cap)
-        W_half, fan = convection_step(
-            cells, with_ghosts(grid.topo, grid.topo[0], N_GHOST), params,
-            grid.dx, dt)
+        W_half, fan = convection_step(cells, grid.bed_jumps, params, grid.dx,
+                                      dt)
         interior = slice(N_GHOST, -N_GHOST)
         W_new = friction_step(W_half, dt, params,
-                              (cells.f2 * cells.H)[interior])
+                              cells.f2[interior] * cells.H[interior])
     except StepFailure as exc:
         exc.step, exc.t = run.step_count, run.t
         raise
@@ -207,8 +219,9 @@ def step(run: RunState, grid: Grid1D, params: PhysicalParams,
     diag["dt_limiter"] = limiter
     diag["n_fallback"] = int(np.count_nonzero(fan.fallback))
     diag["min_f2"] = float(cells.f2.min())
-    diag["max_abs_lambda"] = float(np.max(np.maximum(np.abs(fan.lam_L),
-                                                     np.abs(fan.lam_R))))
+    # lam_L <= 0 <= lam_R; abs() turns a -0.0 maximum into the 0.0 of |.|
+    diag["max_abs_lambda"] = abs(float(max(fan.lam_R.max(),
+                                           -fan.lam_L.min())))
     diag["n_thick_layer"] = int(np.count_nonzero(
         layer_fill_fraction(W_new, params) > 0.5))
     return RunState(t=run.t + dt, step_count=run.step_count + 1, W=W_new,

@@ -59,7 +59,8 @@ class TestConsistency:
     def test_equal_states_give_physical_flux(self):
         W = ConservedState(h=[2.0], q=[2.2], r=[0.3])
         fan = riemann(W, W, np.array([0.0]), params())
-        F = physical_flux(W.h, W.q, W.r, np.array([2.59]), params())
+        F = physical_flux(W.h, W.q, W.r, np.array([2.59]), params(),
+                          W.q / W.h)
         # H here comes from lambda1=0 since dudx defaults to 0
         for k in range(3):
             assert fan.F_left[k][0] == pytest.approx(F[k][0], rel=1e-12)
@@ -115,8 +116,8 @@ class TestWellBalanced:
         # star depths equal the cell depths, so each one-sided flux reduces
         # to the physical flux of its own cell and every cell update cancels
         # against the matching flux at its other interface
-        FL = physical_flux(W_L.h, W_L.q, W_L.r, np.array([2.59]), params())
-        FR = physical_flux(W_R.h, W_R.q, W_R.r, np.array([2.59]), params())
+        FL, FR = (physical_flux(W.h, W.q, W.r, np.array([2.59]), params(),
+                                W.q / W.h) for W in (W_L, W_R))
         for k in range(3):
             assert fan.F_left[k][0] == pytest.approx(FL[k][0], abs=1e-13)
             assert fan.F_right[k][0] == pytest.approx(FR[k][0], abs=1e-13)

@@ -159,8 +159,8 @@ class TestConvectionStep:
     def test_uniform_flat_is_steady(self):
         n = 16
         W = uniform_state(n + 2 * N_GHOST)
-        topo = np.zeros(n + 2 * N_GHOST)
-        W2, _ = convection_step(evaluate_cells(W, params()), topo, params(),
+        jumps = np.zeros(n + 1)
+        W2, _ = convection_step(evaluate_cells(W, params()), jumps, params(),
                                 0.01, 1e-3)
         assert np.allclose(W2.h, 2.0, atol=1e-15)
         assert np.allclose(W2.q, 2.0, atol=1e-15)
@@ -174,9 +174,9 @@ class TestConvectionStep:
             rng.uniform(0.0, 0.4, n))
         spec = BoundarySpec(left=SubcriticalInflow(u_in=1.0))
         W_ext = apply_boundaries(W_int, spec, params())
-        topo = np.zeros(n + 2 * N_GHOST)
+        jumps = np.zeros(n + 1)
         dt, dx = 1e-4, 0.01
-        W2, fan = convection_step(evaluate_cells(W_ext, params()), topo,
+        W2, fan = convection_step(evaluate_cells(W_ext, params()), jumps,
                                   params(), dx, dt)
         dM = np.sum(W2.h - W_int.h) * dx
         boundary = -dt * (fan.F_left[0][-1] - fan.F_right[0][0])
@@ -189,9 +189,8 @@ class TestConvectionStep:
         h = 1.0 - grid.topo
         W_ext = ConservedState(h=with_ghosts(h, h[0], N_GHOST),
                                q=np.zeros(n + 4), r=np.zeros(n + 4))
-        topo = with_ghosts(grid.topo, grid.topo[0], N_GHOST)
-        W2, _ = convection_step(evaluate_cells(W_ext, params()), topo,
-                                params(), grid.dx, 1e-3)
+        W2, _ = convection_step(evaluate_cells(W_ext, params()),
+                                grid.bed_jumps, params(), grid.dx, 1e-3)
         assert np.max(np.abs(W2.h - h)) < 1e-13
         assert np.max(np.abs(W2.q)) < 1e-13
 
@@ -202,10 +201,9 @@ class TestConvectionStep:
         h = np.full(m, 1e-10)
         u = np.linspace(0.0, 2.0, m)
         W = from_primitive_fields(h, u, np.zeros(m))
-        topo = np.zeros(m)
         with pytest.raises(DryCell) as info:
-            convection_step(evaluate_cells(W, params()), topo, params(),
-                            1e-4, 1.0)
+            convection_step(evaluate_cells(W, params()), np.zeros(n + 1),
+                            params(), 1e-4, 1.0)
         assert (info.value.field, info.value.cell) == ("h", 0)
 
 
@@ -342,10 +340,10 @@ class TestStepDiagnostics:
         run, grid, spec = self.bump_run()
         p = params()
         W_ext = apply_boundaries(run.W, spec, p)
-        cells = evaluate_cells(W_ext, p, frozen_gradient(W_ext, grid.dx))
+        cells = evaluate_cells(W_ext, p,
+                               frozen_gradient(W_ext.q / W_ext.h, grid.dx))
         dt, limiter = compute_dt(cells, grid.dx)
-        _, fan = convection_step(cells, with_ghosts(grid.topo, grid.topo[0],
-                                                    N_GHOST), p, grid.dx, dt)
+        _, fan = convection_step(cells, grid.bed_jumps, p, grid.dx, dt)
         after = step(run, grid, p, spec)
         assert limiter == after.diagnostics["dt_limiter"] == "cfl"
         assert after.diagnostics["last_dt"] == dt
@@ -367,18 +365,23 @@ class TestStepDiagnostics:
 
     def test_non_finite_cell_is_named(self):
         # a NaN in r alone leaves the wave-speed bounds finite; it must
-        # still be named in the step that meets it
+        # still be named in the step that meets it. A NaN in the first cell
+        # also reaches the subcritical inflow ghosts, which must not be
+        # named instead of it
         n = 20
         spec = BoundarySpec(left=SubcriticalInflow(u_in=1.0))
-        for field, step_count, t in (("h", 3, 0.125), ("r", 0, 0.0)):
+        for field, cell, step_count, t in (("h", 7, 3, 0.125),
+                                           ("r", 7, 0, 0.0),
+                                           ("h", 0, 1, 0.5),
+                                           ("q", 0, 2, 0.25)):
             W = uniform_state(n)
-            getattr(W, field)[7] = np.nan
+            getattr(W, field)[cell] = np.nan
             run = RunState(t=t, step_count=step_count, W=W)
             with pytest.raises(NonFiniteState) as info:
                 step(run, Grid1D.uniform(0.0, 1.0, n), params(), spec)
-            assert (info.value.field, info.value.cell) == (field, 7)
+            assert (info.value.field, info.value.cell) == (field, cell)
             assert (info.value.step, info.value.t) == (step_count, t)
-            assert "cell 7" in str(info.value)
+            assert f"cell {cell}" in str(info.value)
             assert f"step {step_count}" in str(info.value)
 
     def test_dry_cell_is_named(self):
