@@ -10,7 +10,7 @@ from .closures import (BlasiusConstant, ClosureEvaluation, FalknerSkanFit,
 from .errors import (ConfigError, CriticalFlow, DegenerateProfile, DomainError,
                      DryCell, EswError, MismatchedGrids, NegativeDiscriminant,
                      NonFiniteState, NonpositiveDepth, NonpositiveTimeStep,
-                     NonSteady, StepFailure, TridiagonalFailure)
+                     StepFailure, TridiagonalFailure)
 from .state import ConservedState, Grid1D, PhysicalParams, recover_delta1
 from .hyperbolicity import (WaveSpeeds, characteristic_roots, decoupled_speeds,
                             jacobian_coeffs, nickalls_bounds)
@@ -24,6 +24,6 @@ from .analytic import (ReferenceCurve, blasius_perturbed_steady,
 from .mlsw import (LayerGrid, MlswState, mlsw_compute_dt, mlsw_diagnostics,
                    mlsw_step)
 from .scenarios import (ScenarioConfig, convergence_study, emit_snapshot,
-                        parse_config, run_scenario, run_to_steady)
+                        parse_config, run_scenario)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -36,7 +36,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_converge(args) -> int:
     config = parse_config(args.config, args.set)
-    dx_list = [float(v) for v in args.dx]
+    try:
+        dx_list = [float(v) for v in args.dx]
+    except ValueError as exc:
+        raise ConfigError(f"--dx: {exc}") from exc
     results = convergence_study(config, dx_list, out_dir=args.out)
     print("dx,error,runtime_seconds")
     for dx, err, seconds in results:

@@ -17,10 +17,6 @@ class MismatchedGrids(EswError):
     """Two curves do not share the same abscissae."""
 
 
-class NonSteady(EswError):
-    """Steady state not reached within the step budget."""
-
-
 class DegenerateProfile(EswError):
     """Multilayer velocity profile has no usable momentum thickness."""
 

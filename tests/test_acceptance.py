@@ -16,11 +16,11 @@ from conftest import acceptance_verdicts
 
 from eswsim import (BlasiusConstant, BoundarySpec, ConservedState,
                     FixedProfile, Grid1D, LayerGrid, MlswState,
-                    PhysicalParams, RunState, SubcriticalInflow,
-                    SupercriticalInflow, advance, mlsw_compute_dt,
-                    mlsw_diagnostics, mlsw_step, recover_delta1, step)
-from eswsim.analytic import (ReferenceCurve, blasius_steady, gaussian_bump,
-                             l1_error, linearized_bump)
+                    PhysicalParams, RunState, ScenarioConfig,
+                    SubcriticalInflow, SupercriticalInflow, advance,
+                    convergence_study, mlsw_compute_dt, mlsw_diagnostics,
+                    mlsw_step, recover_delta1, step)
+from eswsim.analytic import gaussian_bump, linearized_bump
 from eswsim.closures import (FalknerSkanFit, closure_factors,
                              pohlhausen4_factors, pohlhausen4_profile,
                              ue_gradient)
@@ -71,25 +71,21 @@ def peak_and_amplitude(x, dtau, lo=0.5, hi=1.5):
 
 @pytest.fixture(scope="module")
 def blasius_table():
-    """L1(delta1 - 1.718*sqrt(x)) on [0, 0.1] per regime and resolution.
+    """(L1(delta1 - 1.718*sqrt(x)) on [0, 0.1], seconds) per regime and
+    resolution, from convergence_study's runs to a fixed end time.
 
-    Subcritical runs use a fixed end time t=1 instead of the steadiness
-    detector: the free-outflow/inflow pair leaves the depth level neutrally
-    stable, so u_e and delta1 settle while total mass keeps creeping at
-    ~1e-3/time and the 1e-8 steadiness rate is unreachable (see the
-    decisions ledger). The supercritical runs are machine-steady by t=0.5.
+    Subcritical runs end at t=1: the free-outflow/inflow pair leaves the
+    depth level neutrally stable, so u_e and delta1 settle while total mass
+    keeps creeping at ~1e-3/time and no steadiness rate is ever met (see
+    the decisions ledger). The supercritical runs are machine-steady by
+    t=0.5.
     """
     table = {}
     for tag, h0, t_end in (("sub", 2.0, 1.0), ("sup", 0.5, 0.5)):
-        for n in (10, 100, 1000):
-            t0 = time.perf_counter()
-            run, grid, _ = esw_run(h0, 0.1, n, t_end)
-            seconds = time.perf_counter() - t0
-            x = grid.cell_centers[1:]  # leading-edge cell is unresolvable
-            d1 = recover_delta1(run.W.q, run.W.r, run.W.h)[1:]
-            ref, _ = blasius_steady(x)
-            table[tag, n] = (l1_error(ReferenceCurve(x, d1),
-                                      ReferenceCurve(x, ref)), seconds)
+        rows = convergence_study(ScenarioConfig(h0=h0, t_end=t_end),
+                                 (0.01, 0.001, 0.0001))
+        for n, (_, err, seconds) in zip((10, 100, 1000), rows):
+            table[tag, n] = (err, seconds)
     return table
 
 
