@@ -4,19 +4,18 @@ validation solutions."""
 
 __version__ = "0.1.0"
 
-from .closures import (BlasiusConstant, ClosureEvaluation, FalknerSkanFit,
-                       FixedProfile, Pohlhausen4, closure_factors,
-                       evaluate_closure, ue_gradient)
+from .closures import (BlasiusConstant, FalknerSkanFit, FixedProfile,
+                       Pohlhausen4, closure_factors, ue_gradient)
 from .errors import (ConfigError, CriticalFlow, DegenerateProfile, DomainError,
                      DryCell, EswError, MismatchedGrids, NegativeDiscriminant,
                      NonFiniteState, NonpositiveDepth, NonpositiveTimeStep,
                      StepFailure, TridiagonalFailure)
 from .state import ConservedState, Grid1D, PhysicalParams, recover_delta1
-from .hyperbolicity import (WaveSpeeds, characteristic_roots, decoupled_speeds,
+from .hyperbolicity import (characteristic_roots, decoupled_speeds,
                             jacobian_coeffs, nickalls_bounds)
 from .riemann import (CellEval, RiemannFan, evaluate_cells, physical_flux,
                       solve_local_riemann)
-from .timeloop import (BoundarySpec, FreeOutflow, RunState, SubcriticalInflow,
+from .timeloop import (BoundarySpec, RunState, SubcriticalInflow,
                        SupercriticalInflow, advance, compute_dt, step)
 from .analytic import (ReferenceCurve, blasius_perturbed_steady,
                        blasius_steady, gaussian_bump, l1_error,

@@ -40,7 +40,9 @@ def _cmd_converge(args) -> int:
         dx_list = [float(v) for v in args.dx]
     except ValueError as exc:
         raise ConfigError(f"--dx: {exc}") from exc
-    results = convergence_study(config, dx_list, out_dir=args.out)
+    results = convergence_study(
+        config, dx_list,
+        out_dir=args.out if args.out is not None else config.out_dir)
     print("dx,error,runtime_seconds")
     for dx, err, seconds in results:
         print(f"{dx:.17g},{err:.17g},{seconds:.17g}")

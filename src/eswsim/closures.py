@@ -55,16 +55,6 @@ class Pohlhausen4:
 ClosureLaw = FalknerSkanFit | BlasiusConstant | FixedProfile | Pohlhausen4
 
 
-@dataclass(frozen=True)
-class ClosureEvaluation:
-    """Bundle (Lambda1, H, f2, tau_bar) at one cell or per cell array."""
-
-    lambda1: np.ndarray
-    H: np.ndarray
-    f2: np.ndarray
-    tau_bar: np.ndarray
-
-
 def shape_factor_fs(lambda1):
     """Shape factor of the Falkner-Skan fit.
 
@@ -121,20 +111,20 @@ def pohlhausen4_factors(Lambda):
 def _pohlhausen4_lambda_from_lambda1(lambda1):
     """Invert the monotone map Lambda -> Lambda1 on Lambda in [-24, 12].
 
-    Values of Lambda1 outside the attainable range [-6, 0.48] are clamped.
+    With Lambda = 24 + y the map is the depressed cubic
+    y^3 - 432*y + 3456 - 14400*Lambda1 = 0; with c = 25*Lambda1/6 - 1 its
+    root on the branch through Lambda = 0 is 24*cos((acos(c) + 2*pi)/3)
+    for c in [-1, 1] and -24*cosh(acosh(-c)/3) below. Values of Lambda1
+    outside the attainable range [-6, 0.48] are clamped.
     """
     lam1 = np.clip(np.asarray(lambda1, dtype=float), -6.0, 0.48)
-    # linear initial guess through the endpoints of each branch
-    Lam = np.where(lam1 >= 0, 12.0 * lam1 / 0.48, 24.0 * lam1 / 6.0)
-    Lam = np.clip(Lam, -24.0, 12.0)
-    for _ in range(60):
-        g = ((36.0 - Lam) / 120.0) ** 2 * Lam - lam1
-        dg = ((36.0 - Lam) ** 2 - 2.0 * Lam * (36.0 - Lam)) / 120.0**2
-        step = np.where(np.abs(dg) > 1e-14, g / np.where(dg == 0, 1.0, dg), 0.0)
-        Lam = np.clip(Lam - step, -24.0, 12.0)
-        if np.all(np.abs(step) < 1e-13):
-            break
-    return Lam
+    c = 25.0 * lam1 / 6.0 - 1.0
+    y = np.where(c >= -1.0,
+                 24.0 * np.cos((np.arccos(np.clip(c, -1.0, 1.0))
+                                + 2.0 * np.pi) / 3.0),
+                 -24.0 * np.cosh(np.arccosh(np.maximum(-c, 1.0)) / 3.0))
+    # at Lambda1 = 0.48 the rounded root can exceed 12 by a few ulp
+    return np.clip(24.0 + y, -24.0, 12.0)
 
 
 def ue_gradient(u_e, dx, order=4):
@@ -186,14 +176,3 @@ def closure_factors(law: ClosureLaw, lambda1):
     else:
         raise DomainError(f"unknown closure law: {law!r}")
     return H, f2
-
-
-def evaluate_closure(law: ClosureLaw, delta1, u_e, dudx) -> ClosureEvaluation:
-    """Evaluate a closure law at one state (scalars or per-cell arrays)."""
-    delta1 = np.asarray(delta1, dtype=float)
-    u_e = np.asarray(u_e, dtype=float)
-    dudx = np.asarray(dudx, dtype=float)
-    lambda1 = delta1**2 * dudx
-    H, f2 = closure_factors(law, lambda1)
-    tau_bar = f2 * H * u_e / np.maximum(delta1, DELTA1_FLOOR)
-    return ClosureEvaluation(lambda1=lambda1, H=H, f2=f2, tau_bar=tau_bar)

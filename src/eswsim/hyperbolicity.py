@@ -13,26 +13,11 @@ treated as a frozen external field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .closures import (BlasiusConstant, ClosureLaw, FalknerSkanFit,
                        FixedProfile, Pohlhausen4)
-
-
-@dataclass(frozen=True)
-class WaveSpeeds:
-    """Decoupled speeds, Nickalls bounds, cubic roots and hyperbolicity."""
-
-    lam1_0: float
-    lam2_0: float
-    lam3_0: float
-    lam_L: float
-    lam_R: float
-    roots: tuple
-    hyperbolic: bool
-    margin: float
 
 
 def jacobian_coeffs(u_e, r, lambda1, H, law: ClosureLaw = FalknerSkanFit()):
@@ -90,12 +75,14 @@ def _p_sw(lam, u_e, b, c2):
     return (b - u_e - lam) * ((u_e - lam) ** 2 - c2)
 
 
-def characteristic_roots(h, u_e, a, b, froude, delta_bar) -> WaveSpeeds:
+def characteristic_roots(h, u_e, a, b, froude, delta_bar):
     """Solve P_SW(lambda) = d for the full wave speeds of one state.
 
     Closed-form trigonometric solution polished by one Newton step per root.
-    Non-hyperbolic states are flagged, not fatal; ``margin`` is the signed
-    distance of d to the admissible interval (P_SW(lam-), P_SW(lam+)).
+    Returns (roots, margin): the real roots in ascending order and the
+    signed distance of d to the admissible interval (P_SW(lam-),
+    P_SW(lam+)). The state is hyperbolic, with three real roots, exactly
+    when margin > 0; a non-hyperbolic state is flagged, not fatal.
     """
     h = float(h)
     u_e = float(u_e)
@@ -103,9 +90,6 @@ def characteristic_roots(h, u_e, a, b, froude, delta_bar) -> WaveSpeeds:
     b = float(b)
     c2 = h / froude**2
     d = delta_bar * a / froude**2
-
-    lam1_0, lam2_0, lam3_0 = decoupled_speeds(h, u_e, b, froude)
-    lam_L, lam_R = nickalls_bounds(u_e, b, h, froude)
 
     # monic form: lambda^3 - p*lambda^2 + q*lambda - s + d = 0
     B = b - u_e
@@ -120,14 +104,13 @@ def characteristic_roots(h, u_e, a, b, froude, delta_bar) -> WaveSpeeds:
     p_min = _p_sw(lam_minus, u_e, b, c2)
     p_max = _p_sw(lam_plus, u_e, b, c2)
     margin = min(d - p_min, p_max - d)
-    hyperbolic = p_min < d < p_max
 
     # depressed cubic t^3 + pt*t + qt with lambda = t + p/3
     shift = p / 3.0
     pt = q - p**2 / 3.0
     qt = -s + d + p * q / 3.0 - 2.0 * p**3 / 27.0
     roots = []
-    if hyperbolic or margin >= 0.0:
+    if margin >= 0.0:
         # three real roots (trigonometric form); pt < 0 here
         m = 2.0 * math.sqrt(max(-pt, 0.0) / 3.0)
         arg = 3.0 * qt / (pt * m) if pt != 0.0 and m != 0.0 else 0.0
@@ -156,7 +139,4 @@ def characteristic_roots(h, u_e, a, b, froude, delta_bar) -> WaveSpeeds:
         polished.append(lam)
     polished.sort()
 
-    return WaveSpeeds(lam1_0=float(lam1_0), lam2_0=float(lam2_0),
-                      lam3_0=float(lam3_0), lam_L=float(lam_L),
-                      lam_R=float(lam_R), roots=tuple(polished),
-                      hyperbolic=bool(hyperbolic), margin=float(margin))
+    return tuple(polished), float(margin)

@@ -11,9 +11,9 @@ import numpy as np
 
 from . import __version__
 from .analytic import ReferenceCurve, blasius_steady, gaussian_bump, l1_error
-from .closures import (BlasiusConstant, ClosureLaw, FalknerSkanFit,
-                       FixedProfile, Pohlhausen4, evaluate_closure,
-                       ue_gradient)
+from .closures import (DELTA1_FLOOR, BlasiusConstant, ClosureLaw,
+                       FalknerSkanFit, FixedProfile, Pohlhausen4,
+                       closure_factors, ue_gradient)
 from .errors import ConfigError, DomainError, StepFailure
 from .mlsw import LayerGrid, MlswState, mlsw_compute_dt, mlsw_diagnostics, \
     mlsw_step
@@ -238,11 +238,12 @@ def emit_snapshot(W: ConservedState, grid: Grid1D, params: PhysicalParams,
     delta1 = recover_delta1(W.q, W.r, W.h)
     dudx = ue_gradient(u_e, grid.dx, order=gradient_order) if x.size >= 5 \
         else np.zeros_like(u_e)
-    ev = evaluate_closure(params.closure, delta1, u_e, dudx)
+    lambda1 = delta1**2 * dudx
+    H, f2 = closure_factors(params.closure, lambda1)
+    tau_b = f2 * H * u_e / np.maximum(delta1, DELTA1_FLOOR)
     U = (1.0 - params.delta_bar * delta1 / W.h) * u_e
     _write_rows(path, _SNAPSHOT_HEADER,
-                (x, grid.topo, W.h, u_e, delta1, ev.tau_bar, ev.H, ev.f2,
-                 ev.lambda1, U))
+                (x, grid.topo, W.h, u_e, delta1, tau_b, H, f2, lambda1, U))
 
 
 def _write_metadata(config: ScenarioConfig, out_dir: Path, wall_time: float,
@@ -321,12 +322,16 @@ def convergence_study(config: ScenarioConfig, dx_list,
     if config.scenario != "BlasiusSteady":
         raise ConfigError("convergence study requires the BlasiusSteady "
                           "scenario")
+    if config.snapshot_times:
+        raise ConfigError("convergence study takes no run.snapshot_times")
     if not all(0.0 < dx < np.inf for dx in dx_list):  # NaN fails too
         raise ConfigError("every dx must be finite and positive")
+    span = config.x_max - config.x_min
+    # every mesh is validated before the first one runs
+    configs = [replace(config, n_cells=int(round(span / dx)))
+               for dx in dx_list]
     results = []
-    for dx in dx_list:
-        n = int(round((config.x_max - config.x_min) / dx))
-        cfg = replace(config, n_cells=n)
+    for cfg in configs:
         grid = cfg.grid()
         t0 = time.perf_counter()
         run = advance(initial_state(cfg), cfg.t_end, grid,

@@ -37,11 +37,6 @@ class SupercriticalInflow:
     h_in: float
 
 
-@dataclass(frozen=True)
-class FreeOutflow:
-    pass
-
-
 # not typing.Union, for the reason given at closures.ClosureLaw
 InflowSpec = SubcriticalInflow | SupercriticalInflow
 
@@ -49,7 +44,6 @@ InflowSpec = SubcriticalInflow | SupercriticalInflow
 @dataclass(frozen=True)
 class BoundarySpec:
     left: InflowSpec
-    right: FreeOutflow = field(default_factory=FreeOutflow)
 
 
 @dataclass(frozen=True)

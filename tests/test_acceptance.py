@@ -14,18 +14,15 @@ from scipy.integrate import quad
 
 from conftest import acceptance_verdicts
 
-from eswsim import (BlasiusConstant, BoundarySpec, ConservedState,
-                    FixedProfile, Grid1D, LayerGrid, MlswState,
+from eswsim import (BlasiusConstant, BoundarySpec, ConservedState, Grid1D,
                     PhysicalParams, RunState, ScenarioConfig,
-                    SubcriticalInflow, SupercriticalInflow, advance,
-                    convergence_study, mlsw_compute_dt, mlsw_diagnostics,
-                    mlsw_step, recover_delta1, step)
+                    SubcriticalInflow, SupercriticalInflow, convergence_study,
+                    run_scenario, step)
 from eswsim.analytic import gaussian_bump, linearized_bump
 from eswsim.closures import (FalknerSkanFit, closure_factors,
-                             pohlhausen4_factors, pohlhausen4_profile,
-                             ue_gradient)
+                             pohlhausen4_factors, pohlhausen4_profile)
 from eswsim.hyperbolicity import (characteristic_roots, decoupled_speeds,
-                                  jacobian_coeffs)
+                                  jacobian_coeffs, nickalls_bounds)
 from eswsim.timeloop import friction_step
 
 DB, FR = 1e-3, 1.0
@@ -38,28 +35,17 @@ def report(num, ok, detail=""):
     assert ok, line
 
 
-def friction_field(run, grid, params, order=4):
-    """tau_b(x) recomputed from the final state, like the snapshot writer."""
-    u_e = run.W.q / run.W.h
-    d1 = recover_delta1(run.W.q, run.W.r, run.W.h)
-    dudx = ue_gradient(u_e, grid.dx, order=order)
-    H, f2 = closure_factors(params.closure, d1**2 * dudx)
-    tau = f2 * H * u_e / np.maximum(d1, 1e-12)
-    return tau, f2, H, dudx
+def read_csv(path):
+    """Columns of a snapshot CSV by name (%.17g round-trips every double)."""
+    return np.genfromtxt(path, delimiter=",", names=True)
 
 
-def esw_run(h0, x_max, n, t_end, alpha=0.0, sigma=0.1, closure=None, order=4):
-    topo = None if alpha == 0.0 else \
-        (lambda x: gaussian_bump(x, alpha, sigma, 1.0))
-    grid = Grid1D.uniform(0.0, x_max, n, topo)
-    kw = {} if closure is None else {"closure": closure}
-    params = PhysicalParams(froude=FR, delta_bar=DB, **kw)
-    left = SupercriticalInflow(u_in=1.0, h_in=h0) if 1.0 / np.sqrt(h0) > 1 \
-        else SubcriticalInflow(u_in=1.0)
-    W = ConservedState(h=np.full(n, h0), q=np.full(n, h0), r=np.zeros(n))
-    run = advance(RunState(0.0, 0, W), t_end, grid, params,
-                  BoundarySpec(left=left), gradient_order=order)
-    return run, grid, params
+def final_csv(out, **fields):
+    """final.csv of a run_scenario run into out with these ScenarioConfig
+    fields."""
+    run_scenario(ScenarioConfig(froude=FR, delta_bar=DB, **fields),
+                 out_dir=out)
+    return read_csv(out / "final.csv")
 
 
 def peak_and_amplitude(x, dtau, lo=0.5, hi=1.5):
@@ -90,71 +76,58 @@ def blasius_table():
 
 
 @pytest.fixture(scope="module")
-def impulsive_snaps():
-    n = 2000
-    grid = Grid1D.uniform(0.0, 10.0, n)
-    params = PhysicalParams(froude=FR, delta_bar=DB)
-    spec = BoundarySpec(left=SupercriticalInflow(u_in=1.0, h_in=0.5))
-    W = ConservedState(h=np.full(n, 0.5), q=np.full(n, 0.5), r=np.zeros(n))
+def impulsive_snaps(tmp_path_factory):
+    """(delta1, tau_b) at each snapshot time of an ImpulsiveStart run."""
+    out = tmp_path_factory.mktemp("impulsive")
+    times = (0.5, 1.0, 2.0)
+    run_scenario(ScenarioConfig(scenario="ImpulsiveStart", froude=FR,
+                                delta_bar=DB, x_max=10.0, n_cells=2000,
+                                h0=0.5, t_end=2.0, snapshot_times=times),
+                 out_dir=out)
     snaps = {}
-
-    def keep(s):
-        d1 = recover_delta1(s.W.q, s.W.r, s.W.h)
-        tau, _, _, _ = friction_field(s, grid, params)
-        snaps[round(s.t, 9)] = (d1, tau)
-
-    advance(RunState(0.0, 0, W), 2.0, grid, params, spec,
-            snapshot_times=(0.5, 1.0, 2.0), on_snapshot=keep)
-    return grid.cell_centers, snaps
+    for t in times:
+        snap = read_csv(out / f"snapshot_t{t:.6f}.csv")
+        snaps[t] = (snap["delta1"], snap["tau_b"])
+    return snap["x"], snaps
 
 
 @pytest.fixture(scope="module")
-def bump_runs():
+def bump_runs(tmp_path_factory):
     """Friction fields of the bump scenarios and their flat references."""
+    out = tmp_path_factory.mktemp("bump_runs")
     fields = {}
 
-    def add(name, h0, alpha, sigma=0.1, closure=None, order=4):
-        run, grid, params = esw_run(h0, 2.0, 400, 6.0, alpha=alpha,
-                                    sigma=sigma, closure=closure, order=order)
-        tau, f2, H, dudx = friction_field(run, grid, params, order=order)
-        fields[name] = (grid.cell_centers, tau, f2)
+    def add(name, h0, alpha, sigma=0.1, order=4, **closure):
+        final = final_csv(out / name, scenario="Bump", x_max=2.0,
+                          n_cells=400, h0=h0, bump_alpha=alpha,
+                          bump_sigma=sigma, bump_center=1.0, t_end=6.0,
+                          gradient_order=order, **closure)
+        fields[name] = (final["x"], final["tau_b"], final["f2"])
 
-    fixed = FixedProfile(H=2.59, f2=0.22)
+    fixed = {"closure": "fixed", "fixed_H": 2.59, "fixed_f2": 0.22}
     add("sub_flat", 2.0, 0.0)
     add("sub_bump", 2.0, 0.01)
     add("sup_flat", 0.5, 0.0)
     add("sup_bump", 0.5, 0.01)
     add("fs_s05", 2.0, 0.01, sigma=0.05)
-    add("fx_flat", 2.0, 0.0, closure=fixed)
-    add("fx_s05", 2.0, 0.01, sigma=0.05, closure=fixed)
+    add("fx_flat", 2.0, 0.0, **fixed)
+    add("fx_s05", 2.0, 0.01, sigma=0.05, **fixed)
     add("a03_o4", 2.0, 0.03, order=4)
     add("a03_o2", 2.0, 0.03, order=2)
     return fields
 
 
-def mlsw_bump_run(alpha, n=300, n_layers=100, t_end=6.0):
-    topo = None if alpha == 0.0 else \
-        (lambda x: gaussian_bump(x, alpha, 0.1, 1.0))
-    grid = Grid1D.uniform(0.0, 2.0, n, topo)
-    params = PhysicalParams(froude=FR, delta_bar=DB)
-    layers = LayerGrid(n_layers)
-    left = SubcriticalInflow(u_in=1.0)
-    state = MlswState.uniform(layers, n, 2.0, 1.0)
-    t = 0.0
-    while t < t_end - 1e-12:
-        dt = mlsw_compute_dt(state, params, grid.dx, dt_max=t_end - t)
-        state = mlsw_step(state, layers, dt, params, grid, left)
-        t += dt
-    d1, d2, H, f2, tau = mlsw_diagnostics(state, layers, params)
-    dudx = ue_gradient(state.u[-1], grid.dx, order=4)
-    return grid.cell_centers, tau, H, f2, dudx
-
-
 @pytest.fixture(scope="module")
-def mlsw_runs():
-    x, tau_flat, _, _, _ = mlsw_bump_run(0.0)
-    x, tau, H, f2, dudx = mlsw_bump_run(0.01)
-    return x, tau_flat, tau, H, f2, dudx
+def mlsw_runs(tmp_path_factory):
+    """Multilayer friction fields over a flat bed and over the bump."""
+    out = tmp_path_factory.mktemp("mlsw")
+    flat, bump = (final_csv(out / tag, scenario="MlswCompare", x_max=2.0,
+                            n_cells=300, n_layers=100, h0=2.0,
+                            bump_alpha=alpha, bump_sigma=0.1,
+                            bump_center=1.0, t_end=6.0)
+                  for tag, alpha in (("flat", 0.0), ("bump", 0.01)))
+    return (bump["x"], flat["tau_b"], bump["tau_b"], bump["H"], bump["f2"],
+            bump["Lambda1"])
 
 
 # ---------------------------------------------------------------- criteria
@@ -418,12 +391,13 @@ def test_criterion_09_hyperbolicity():
         H, _ = closure_factors(law, np.array([lam1]))
         a, b = jacobian_coeffs(u, d1 * u, lam1, H[0], law)
         a, b = float(a), float(b)
-        ws = characteristic_roots(h, u, a, b, FR, DB)
-        ok_real &= len(ws.roots) == 3
-        ok_bounds &= ws.lam_L - 1e-12 <= min(ws.roots) \
-            and max(ws.roots) <= ws.lam_R + 1e-12
+        roots, _ = characteristic_roots(h, u, a, b, FR, DB)
+        lam_L, lam_R = nickalls_bounds(u, b, h, FR)
+        ok_real &= len(roots) == 3
+        ok_bounds &= lam_L - 1e-12 <= min(roots) \
+            and max(roots) <= lam_R + 1e-12
         dec = sorted(decoupled_speeds(h, u, b, FR))
-        dev = max(abs(r - d) for r, d in zip(sorted(ws.roots), dec))
+        dev = max(abs(r - d) for r, d in zip(roots, dec))
         gap = min(dec[1] - dec[0], dec[2] - dec[1])
         if gap >= 0.6:
             # well-separated speeds: coupling shift is O(delta_bar)
@@ -443,9 +417,10 @@ def test_criterion_10_mlsw_cross_check(bump_runs, mlsw_runs):
     x_esw, tau_esw, _ = bump_runs["sub_bump"]
     _, amp_esw = peak_and_amplitude(x_esw,
                                     tau_esw - bump_runs["sub_flat"][1])
-    x, tau_flat, tau, H, f2, dudx = mlsw_runs
+    x, tau_flat, tau, H, f2, lambda1 = mlsw_runs
     x_max, amp = peak_and_amplitude(x, tau - tau_flat)
-    acc = (dudx > 0.0) & (H >= 2.2) & (H <= 3.2) & (x > 0.3) & (x < 1.9)
+    # Lambda1 = delta1^2 * dudx: accelerated cells have Lambda1 > 0
+    acc = (lambda1 > 0.0) & (H >= 2.2) & (H <= 3.2) & (x > 0.3) & (x < 1.9)
     fs_curve = 1.05 * (4.0 / H**2 - 1.0 / H)
     band = np.max(np.abs(f2[acc] - fs_curve[acc])) if np.any(acc) else np.inf
     ok = x_max < 1.0 and amp < amp_esw and np.count_nonzero(acc) > 50 \

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eswsim.closures import (BlasiusConstant, FalknerSkanFit, FixedProfile,
-                             Pohlhausen4, closure_factors, evaluate_closure,
-                             pohlhausen4_factors, pohlhausen4_profile,
-                             ue_gradient)
+                             Pohlhausen4, _pohlhausen4_lambda_from_lambda1,
+                             closure_factors, pohlhausen4_factors,
+                             pohlhausen4_profile, ue_gradient)
 from eswsim.errors import DomainError
 
 
@@ -20,6 +20,23 @@ def quad_factors(Lam, n=200_001):
     a2 = simpson(phi * (1.0 - phi), x=xi)
     dphi0 = (2.0 + Lam / 6.0)  # profile slope at the wall
     return a1, a2, dphi0 * a2
+
+
+def newton_lambda_from_lambda1(lambda1):
+    """Oracle for the closed-form inverse: the Newton iteration it replaced."""
+    lam1 = np.clip(np.asarray(lambda1, dtype=float), -6.0, 0.48)
+    # linear initial guess through the endpoints of each branch
+    Lam = np.where(lam1 >= 0, 12.0 * lam1 / 0.48, 24.0 * lam1 / 6.0)
+    Lam = np.clip(Lam, -24.0, 12.0)
+    for _ in range(60):
+        g = ((36.0 - Lam) / 120.0) ** 2 * Lam - lam1
+        dg = ((36.0 - Lam) ** 2 - 2.0 * Lam * (36.0 - Lam)) / 120.0**2
+        step = np.where(np.abs(dg) > 1e-14, g / np.where(dg == 0, 1.0, dg),
+                        0.0)
+        Lam = np.clip(Lam - step, -24.0, 12.0)
+        if np.all(np.abs(step) < 1e-13):
+            break
+    return Lam
 
 
 class TestFalknerSkanFit:
@@ -89,6 +106,31 @@ class TestPohlhausen4:
             assert H2[0] == pytest.approx(H, rel=1e-10)
             assert f22[0] == pytest.approx(f2, rel=1e-10, abs=1e-12)
 
+    def test_closed_form_inverse_matches_newton(self):
+        lam1 = np.concatenate([np.linspace(-7.0, 0.5, 100_001),
+                               [0.0, -0.0, 1e-300, -1e-300, 0.48]])
+        Lam = _pohlhausen4_lambda_from_lambda1(lam1)
+        ref = newton_lambda_from_lambda1(lam1)
+        assert np.all((-24.0 <= Lam) & (Lam <= 12.0))
+        _, H, f2 = pohlhausen4_factors(Lam)
+        _, H_ref, f2_ref = pohlhausen4_factors(ref)
+        assert np.max(np.abs(H - H_ref) / H_ref) <= 2e-15
+        assert np.max(np.abs(f2 - f2_ref)) <= 3e-16
+        # away from the fold at Lambda1 = 0.48, where Lambda is
+        # ill-conditioned in Lambda1
+        away = lam1 <= 0.475
+        assert np.max(np.abs(Lam - ref)[away]) <= 3e-14
+
+    def test_closed_form_inverse_near_the_fold(self):
+        lam1 = 0.48 - np.logspace(-17.0, -3.0, 2000)
+        Lam = _pohlhausen4_lambda_from_lambda1(lam1)
+        _, H, f2 = pohlhausen4_factors(Lam)
+        _, H_ref, f2_ref = pohlhausen4_factors(
+            newton_lambda_from_lambda1(lam1))
+        assert np.all(Lam <= 12.0)
+        assert np.max(np.abs(H - H_ref) / H_ref) <= 1e-13
+        assert np.max(np.abs(f2 - f2_ref)) <= 1e-13
+
     def test_profile_endpoints(self):
         for Lam in (-12.0, 0.0, 12.0):
             assert pohlhausen4_profile(Lam, np.array([0.0]))[0] == 0.0
@@ -138,13 +180,7 @@ class TestGradient:
         assert np.all(du == 0.0)
 
 
-class TestEvaluateClosure:
-    def test_blasius_evaluation(self):
-        ev = evaluate_closure(FalknerSkanFit(), np.array([1.0]),
-                              np.array([1.0]), np.array([0.0]))
-        assert ev.H[0] == 2.59
-        assert ev.tau_bar[0] == pytest.approx(0.2207033 * 2.59, abs=1e-6)
-
+class TestClosureFactors:
     def test_H_at_least_one(self):
         rng = np.random.default_rng(7)
         lam1 = rng.uniform(-20.0, 10.0, 500)

@@ -107,17 +107,18 @@ class TestNickallsBounds:
 
 class TestCharacteristicRoots:
     def test_inviscid_exact(self):
-        ws = characteristic_roots(2.0, 1.0, 1.0, 1.3861, 1.0, 0.0)
+        roots, margin = characteristic_roots(2.0, 1.0, 1.0, 1.3861, 1.0, 0.0)
         expected = sorted(decoupled_speeds(2.0, 1.0, 1.3861, 1.0))
-        assert ws.hyperbolic
-        for got, ref in zip(ws.roots, expected):
+        assert margin > 0.0
+        for got, ref in zip(roots, expected):
             assert got == pytest.approx(ref, abs=1e-12)
 
     def test_small_delta_bar_perturbation(self):
-        ws = characteristic_roots(2.0, 1.0, 1.0, 1.3861, 1.0, 1e-3)
+        roots, margin = characteristic_roots(2.0, 1.0, 1.0, 1.3861, 1.0,
+                                             1e-3)
         expected = sorted(decoupled_speeds(2.0, 1.0, 1.3861, 1.0))
-        assert ws.hyperbolic
-        for got, ref in zip(ws.roots, expected):
+        assert margin > 0.0
+        for got, ref in zip(roots, expected):
             assert abs(got - ref) < 5e-3
 
     def test_root_residual(self):
@@ -130,12 +131,12 @@ class TestCharacteristicRoots:
             H, _ = closure_factors(FalknerSkanFit(), np.array([lam1]))
             a, b = jacobian_coeffs(np.array([u]), np.array([d1 * u]),
                                    np.array([lam1]), H)
-            ws = characteristic_roots(h, u, float(a[0]), float(b[0]),
-                                      1.0, 1e-3)
+            roots, _ = characteristic_roots(h, u, float(a[0]), float(b[0]),
+                                            1.0, 1e-3)
             c2 = h
             d = 1e-3 * float(a[0])
             scale = max(1.0, abs(u) ** 3, c2 ** 1.5)
-            for lam in ws.roots:
+            for lam in roots:
                 assert abs(_p_sw(lam, u, float(b[0]), c2) - d) <= 1e-10 * scale
 
     def test_bounds_contain_roots(self):
@@ -148,39 +149,40 @@ class TestCharacteristicRoots:
             H, _ = closure_factors(FalknerSkanFit(), np.array([lam1]))
             a, b = jacobian_coeffs(np.array([u]), np.array([d1 * u]),
                                    np.array([lam1]), H)
-            ws = characteristic_roots(h, u, float(a[0]), float(b[0]),
-                                      1.0, 1e-3)
-            if ws.hyperbolic:
-                assert ws.lam_L - 1e-10 <= min(ws.roots)
-                assert max(ws.roots) <= ws.lam_R + 1e-10
+            roots, margin = characteristic_roots(h, u, float(a[0]),
+                                                 float(b[0]), 1.0, 1e-3)
+            if margin > 0.0:
+                lam_L, lam_R = nickalls_bounds(u, float(b[0]), h, 1.0)
+                assert lam_L - 1e-10 <= min(roots)
+                assert max(roots) <= lam_R + 1e-10
 
     def test_nonhyperbolic_by_inflating_a(self):
         # push d past P_SW(lam_+) by making the exchange coefficient huge
-        ws = characteristic_roots(2.0, 1.0, 1e4, 1.3861, 1.0, 1e-3)
-        assert not ws.hyperbolic
-        assert ws.margin < 0.0
-        assert len(ws.roots) == 1
+        roots, margin = characteristic_roots(2.0, 1.0, 1e4, 1.3861, 1.0, 1e-3)
+        assert margin < 0.0
+        assert len(roots) == 1
 
     def test_margin_sign_change_at_collision(self):
         # sweep a along a 1-parameter family crossing the threshold; the
         # margin changes sign exactly where two real roots collide
         h, u, b, fr, db = 2.0, 1.0, 1.3861, 1.0, 1e-3
         a_vals = np.linspace(1.0, 2e4, 400)
-        margins = [characteristic_roots(h, u, a, b, fr, db).margin
+        margins = [characteristic_roots(h, u, a, b, fr, db)[1]
                    for a in a_vals]
         signs = np.sign(margins)
         flips = np.nonzero(np.diff(signs))[0]
         assert flips.size == 1
         lo, hi = a_vals[flips[0]], a_vals[flips[0] + 1]
-        n_lo = len(characteristic_roots(h, u, lo, b, fr, db).roots)
-        n_hi = len(characteristic_roots(h, u, hi, b, fr, db).roots)
+        n_lo = len(characteristic_roots(h, u, lo, b, fr, db)[0])
+        n_hi = len(characteristic_roots(h, u, hi, b, fr, db)[0])
         assert n_lo == 3 and n_hi == 1
 
     @given(st.floats(0.1, 3.0), st.floats(0.1, 2.0), st.floats(0.0, 1.0))
     @settings(max_examples=150, deadline=None)
     def test_inviscid_matches_decoupled(self, h, u, d1):
         b = (1 + 1 / 2.59) * u
-        ws = characteristic_roots(h, u, (1 + 1 / 2.59) * d1 * u, b, 1.0, 0.0)
+        roots, _ = characteristic_roots(h, u, (1 + 1 / 2.59) * d1 * u, b,
+                                        1.0, 0.0)
         expected = sorted(decoupled_speeds(h, u, b, 1.0))
-        for got, ref in zip(ws.roots, expected):
+        for got, ref in zip(roots, expected):
             assert got == pytest.approx(ref, abs=1e-10)

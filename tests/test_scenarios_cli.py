@@ -157,6 +157,17 @@ class TestSnapshotCsv:
         b = self.snapshot_bytes(tmp_path, "b.csv")
         assert a == b
 
+    def test_blasius_point_tau_b(self, tmp_path):
+        # delta1 = 1, u_e = 1 and a zero gradient: tau_b = f2(0)*H(0)
+        n = 12
+        W = from_primitive_fields(np.full(n, 2.0), np.ones(n), np.ones(n))
+        path = tmp_path / "s.csv"
+        emit_snapshot(W, Grid1D.uniform(0.0, 1.0, n),
+                      PhysicalParams(froude=1.0, delta_bar=1e-3), path)
+        snap = np.genfromtxt(path, delimiter=",", names=True)
+        assert np.all(snap["Lambda1"] == 0.0) and np.all(snap["H"] == 2.59)
+        assert snap["tau_b"] == pytest.approx(0.2207033 * 2.59, abs=1e-6)
+
     def test_full_precision_roundtrip(self, tmp_path):
         # %.17g is enough to reproduce the binary doubles exactly
         raw = self.snapshot_bytes(tmp_path, "s.csv").decode()
@@ -431,6 +442,33 @@ class TestCli:
         assert out.startswith("dx,error,runtime_seconds")
         rows = (tmp_path / "o" / "convergence.csv").read_text().strip()
         assert len(rows.split("\n")) == 3
+
+    def test_converge_honours_output_dir(self, tmp_path, monkeypatch,
+                                         capsys):
+        # like run, converge writes into output.dir when --out is absent
+        out = tmp_path / "d"
+        assert cli.main(["converge", "--dx", "0.01",
+                         "--set", f"output.dir={out}",
+                         "--set", "run.t_end=0.05"]) == 0
+        assert (out / "convergence.csv").is_file()
+        # the library call without out_dir writes nothing
+        monkeypatch.chdir(out)
+        scenarios.convergence_study(ScenarioConfig(t_end=0.05), (0.01,))
+        assert [p.name for p in out.iterdir()] == ["convergence.csv"]
+
+    def test_converge_rejects_before_any_run(self, tmp_path, monkeypatch,
+                                             capsys):
+        runs = []
+        monkeypatch.setattr(scenarios, "advance",
+                            lambda *args, **kw: runs.append(args))
+        # a valid mesh before one with too few cells, and snapshot times
+        for settings in (["--dx", "0.001", "0.05"],
+                         ["--dx", "0.01", "--set", "run.snapshot_times=0.5"]):
+            assert cli.main(["converge", "--out", str(tmp_path / "o"),
+                             *settings]) == 2, settings
+            assert "configuration error" in capsys.readouterr().err
+        assert runs == []
+        assert not (tmp_path / "o").exists()
 
     def test_converge_matches_run(self, tmp_path, capsys):
         # the default config ends at run.t_end; its error is the L1 gap of

@@ -1,9 +1,11 @@
-"""The benchmark's traced functions still exist.
+"""The benchmark's traced functions and the API it calls still exist.
 
 perfbench/run.py names, in its TARGETS table, the (module, function) pairs
-that its tracer wraps. The benchmark is not part of this suite, so a
-renamed or deleted function would break only the traced run; this test
-reads the table without importing the benchmark.
+that its tracer wraps, and perfbench/workloads.py reaches the solver
+through attribute chains on the imported package. The benchmark is not
+part of this suite, so a renamed or deleted name would break only the
+benchmark run; these tests read both files without importing the
+benchmark.
 """
 
 import ast
@@ -11,7 +13,9 @@ import importlib
 import inspect
 from pathlib import Path
 
-RUN_PY = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+RUN_PY = PERFBENCH / "run.py"
+WORKLOADS_PY = PERFBENCH / "workloads.py"
 
 
 def trace_targets():
@@ -39,3 +43,42 @@ def test_emit_snapshot_takes_path_fourth():
     # the tracer's byte counter reads the path from args[3]
     from eswsim.scenarios import emit_snapshot
     assert list(inspect.signature(emit_snapshot).parameters)[3] == "path"
+
+
+def package_chains():
+    """Dotted names that workloads.py reads from the package through `es`
+    or `self.es`, e.g. "analytic.l1_error" for es.analytic.l1_error."""
+    tree = ast.parse(WORKLOADS_PY.read_text(encoding="utf-8"))
+    chains = set()
+    for node in ast.walk(tree):
+        names = []
+        while isinstance(node, ast.Attribute):
+            names.append(node.attr)
+            node = node.value
+        if isinstance(node, ast.Name) and names:
+            dotted = [node.id, *reversed(names)]
+            if dotted[:2] == ["self", "es"]:
+                dotted = dotted[1:]
+            if dotted[0] == "es" and len(dotted) > 1:
+                chains.add(".".join(dotted[1:]))
+    return chains
+
+
+def test_every_package_name_the_workloads_use_exists():
+    import eswsim
+    import eswsim.cli  # noqa: F401  (the workloads import it too)
+    chains = package_chains()
+    assert {"BoundarySpec", "analytic.l1_error",
+            "scenarios.initial_state"} <= chains
+    for chain in chains:
+        obj = eswsim
+        for attr in chain.split("."):
+            assert hasattr(obj, attr), chain
+            obj = getattr(obj, attr)
+
+
+def test_star_depths_bed_jump_and_speeds_are_args_4_to_6():
+    # the tracer's Newton counter reads (jump_fb, lam_L, lam_R) = args[4:7]
+    from eswsim.riemann import _star_depths
+    params = list(inspect.signature(_star_depths).parameters)
+    assert params[4:7] == ["jump_fb", "lam_L", "lam_R"]
