@@ -55,7 +55,10 @@ def _cmd_mlsw(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    data = np.genfromtxt(args.csv, delimiter=",", names=True)
+    try:
+        data = np.genfromtxt(args.csv, delimiter=",", names=True)
+    except ValueError as exc:    # ragged rows
+        raise ConfigError(f"{args.csv}: not a snapshot CSV: {exc}") from exc
     if data.dtype.names is None or "x" not in data.dtype.names:
         raise ConfigError(f"{args.csv}: not a snapshot CSV")
     print(f"file: {args.csv}")

@@ -18,7 +18,7 @@ from .errors import (DegenerateProfile, DomainError, NonFiniteState,
                      NonpositiveDepth, NonpositiveTimeStep,
                      TridiagonalFailure)
 from .state import Grid1D, PhysicalParams, U_EPS
-from .timeloop import InflowSpec, inflow_ghost, with_ghosts
+from .timeloop import CFL_NUMBER, InflowSpec, inflow_ghost, with_ghosts
 
 
 @dataclass(frozen=True)
@@ -65,14 +65,15 @@ def _ghosted(state: MlswState, left: InflowSpec, layers: LayerGrid,
 
 
 def mlsw_compute_dt(state: MlswState, params: PhysicalParams, dx,
-                    cfl_number=0.9, dt_max=np.inf) -> float:
-    """CFL step from the fastest layer speed |u| + sqrt(h)/Fr."""
+                    dt_cap=np.inf) -> float:
+    """CFL step from the fastest layer speed |u| + sqrt(h)/Fr, reduced by
+    dt_cap."""
     lam = np.max(np.abs(state.u), axis=0) + np.sqrt(state.h) / params.froude
     lam_max = float(np.max(lam))
     if not np.isfinite(lam_max):
         cell = int(np.flatnonzero(~np.isfinite(lam))[0])
         raise NonFiniteState("u" if np.isfinite(state.h[cell]) else "h", cell)
-    dt = min(cfl_number * dx / (2.0 * lam_max), dt_max)
+    dt = min(CFL_NUMBER * dx / (2.0 * lam_max), dt_cap)
     if not dt > 0.0:
         raise NonpositiveTimeStep(f"nonpositive time step {dt!r}")
     return dt

@@ -105,11 +105,3 @@ def _delta1_from_ue(u_e, r):
         return r / u_e
     return np.where(np.abs(u_e) > U_EPS, r / np.where(u_e == 0, 1.0, u_e), 0.0)
 
-
-def layer_fill_fraction(W: ConservedState, params: PhysicalParams):
-    """delta_bar*delta1/h; the model loses validity where this nears 1.
-
-    Cells above 0.5 are flagged by the time loop diagnostics.
-    """
-    delta1 = recover_delta1(W.q, W.r, W.h)
-    return params.delta_bar * delta1 / W.h

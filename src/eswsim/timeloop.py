@@ -4,6 +4,9 @@ Each step applies, in order: ghost-cell boundary conditions, velocity
 gradient freeze, one evaluation of every cell (closure, wave-speed bounds,
 flux) that the later phases share, CFL time-step selection, the Godunov
 convection step and the semi-implicit friction step.
+
+The time-step rule of both models lives here: the CFL number, the cap at
+the next stop (output or end time) and the test for having reached a stop.
 """
 
 from __future__ import annotations
@@ -19,11 +22,18 @@ from .errors import (DryCell, NegativeDiscriminant, NonFiniteState,
                      NonpositiveTimeStep, StepFailure)
 from .riemann import CellEval, evaluate_cells, solve_local_riemann
 from .state import (ConservedState, Grid1D, H_DRY, PhysicalParams,
-                    _delta1_from_ue, layer_fill_fraction)
+                    _delta1_from_ue)
 
 log = logging.getLogger(__name__)
 
 N_GHOST = 2  # the order-4 gradient stencil needs two ghost cells per side
+CFL_NUMBER = 0.9
+
+
+def reached(t, t_stop) -> bool:
+    """Whether time t has reached t_stop, up to a rounding tolerance that
+    scales with t_stop once it exceeds 1."""
+    return t >= t_stop - 1e-14 * max(1.0, t_stop)
 
 
 @dataclass(frozen=True)
@@ -106,13 +116,10 @@ def frozen_gradient(u_e, dx, order=4) -> np.ndarray:
     return ue_gradient(u_e, dx, order=order)
 
 
-def compute_dt(cells: CellEval, dx, cfl_number=0.9, dt_max=np.inf,
-               dt_cap: Optional[float] = None):
+def compute_dt(cells: CellEval, dx, dt_cap: Optional[float] = None):
     """(dt, limiter) for an evaluated extended state: the CFL step from the
-    Nickalls bounds, reduced by the reverse-flow cap, dt_max and dt_cap;
-    limiter is "cfl", "reverse_flow", "dt_max" or "cap"."""
-    if not 0.0 < cfl_number <= 1.0:
-        raise ValueError("cfl_number must lie in (0, 1]")
+    Nickalls bounds, reduced by the reverse-flow cap and by dt_cap (None or
+    inf for none); limiter is "cfl", "reverse_flow" or "cap"."""
     # max(|lam_L|, |lam_R|) is max(-lam_L, lam_R) because lam_L <= lam_R
     lam_max = np.maximum(-cells.lam_L.min(), cells.lam_R.max())
     # a NaN in q or r alone can leave the bounds finite (the closure maps a
@@ -125,19 +132,17 @@ def compute_dt(cells: CellEval, dx, cfl_number=0.9, dt_max=np.inf,
                 bad = np.flatnonzero(~np.isfinite(getattr(cells, name)[lo:hi]))
                 if bad.size:
                     raise NonFiniteState(name, int(bad[0]) + lo - N_GHOST)
-    if lam_max <= 0.0:
-        dt, limiter = dt_max, "dt_max"
-    else:
-        dt, limiter = cfl_number * dx / (2.0 * lam_max), "cfl"
+    # with no wave speed the CFL bound is unlimited
+    dt = CFL_NUMBER * dx / (2.0 * lam_max) if lam_max > 0.0 else np.inf
+    limiter = "cfl"
     reverse = cells.f2 < 0.0
     if reverse.any():
         cap = (-cells.delta1[reverse] ** 2
                / (4.0 * (cells.f2 * cells.H)[reverse])).min()
         if cap < dt:
             dt, limiter = cap, "reverse_flow"
-    for limit, name in ((dt_max, "dt_max"), (dt_cap, "cap")):
-        if limit is not None and limit < dt:
-            dt, limiter = limit, name
+    if dt_cap is not None and dt_cap < dt:
+        dt, limiter = dt_cap, "cap"
     if not dt > 0.0:
         raise NonpositiveTimeStep(f"nonpositive time step {float(dt)!r} "
                                   f"set by {limiter}")
@@ -167,12 +172,14 @@ def convection_step(cells: CellEval, jump_fb, params: PhysicalParams, dx,
 
 
 def friction_step(W: ConservedState, dt, params: PhysicalParams,
-                  f2H) -> ConservedState:
+                  f2H, u_e=None) -> ConservedState:
     """Semi-implicit friction update of delta1; h and q stay W's arrays.
 
-    f2H is the per-cell product (f2*H) evaluated at the pre-convection state.
+    f2H is the per-cell product (f2*H) evaluated at the pre-convection state;
+    u_e is W's edge velocity q/h, computed here when not given.
     """
-    u_e = W.q / W.h
+    if u_e is None:
+        u_e = W.q / W.h
     delta1 = _delta1_from_ue(u_e, W.r)
     # disc = delta1^2 + 4*f2H*dt, then 0.5*(delta1 + sqrt(disc))*u_e
     r = np.multiply(4.0, f2H)
@@ -189,21 +196,21 @@ def friction_step(W: ConservedState, dt, params: PhysicalParams,
 
 
 def step(run: RunState, grid: Grid1D, params: PhysicalParams,
-         boundaries: BoundarySpec, cfl_number=0.9, gradient_order=4,
-         dt_max=np.inf, dt_cap: Optional[float] = None):
+         boundaries: BoundarySpec, gradient_order=4,
+         dt_cap: Optional[float] = None):
     """Advance one full split step; returns the new RunState."""
     W_ext = apply_boundaries(run.W, boundaries, params)
     u_e = W_ext.q / W_ext.h
     dudx = frozen_gradient(u_e, grid.dx, order=gradient_order)
     cells = evaluate_cells(W_ext, params, dudx, u_e)
     try:
-        dt, limiter = compute_dt(cells, grid.dx, cfl_number=cfl_number,
-                                 dt_max=dt_max, dt_cap=dt_cap)
+        dt, limiter = compute_dt(cells, grid.dx, dt_cap=dt_cap)
         W_half, fan = convection_step(cells, grid.bed_jumps, params, grid.dx,
                                       dt)
         interior = slice(N_GHOST, -N_GHOST)
+        u_half = W_half.q / W_half.h   # friction keeps h and q as they are
         W_new = friction_step(W_half, dt, params,
-                              cells.f2[interior] * cells.H[interior])
+                              cells.f2[interior] * cells.H[interior], u_half)
     except StepFailure as exc:
         exc.step, exc.t = run.step_count, run.t
         raise
@@ -216,15 +223,15 @@ def step(run: RunState, grid: Grid1D, params: PhysicalParams,
     # lam_L <= 0 <= lam_R; abs() turns a -0.0 maximum into the 0.0 of |.|
     diag["max_abs_lambda"] = abs(float(max(fan.lam_R.max(),
                                            -fan.lam_L.min())))
+    # the layer fills more than half the depth: delta_bar*delta1/h > 0.5
     diag["n_thick_layer"] = int(np.count_nonzero(
-        layer_fill_fraction(W_new, params) > 0.5))
+        params.delta_bar * _delta1_from_ue(u_half, W_new.r) / W_new.h > 0.5))
     return RunState(t=run.t + dt, step_count=run.step_count + 1, W=W_new,
                     diagnostics=diag)
 
 
 def advance(run: RunState, t_end, grid: Grid1D, params: PhysicalParams,
-            boundaries: BoundarySpec, cfl_number=0.9, gradient_order=4,
-            dt_max=np.inf, snapshot_times=(),
+            boundaries: BoundarySpec, gradient_order=4, snapshot_times=(),
             on_snapshot: Optional[Callable] = None) -> RunState:
     """Run the loop until t_end, clipping the last step to land exactly.
 
@@ -236,12 +243,12 @@ def advance(run: RunState, t_end, grid: Grid1D, params: PhysicalParams,
         if on_snapshot is not None:
             on_snapshot(run)
         pending.pop(0)
-    while run.t < t_end - 1e-14 * max(1.0, t_end):
+    while not reached(run.t, t_end):
         next_stop = pending[0] if pending else t_end
         cap = min(next_stop, t_end) - run.t
-        run = step(run, grid, params, boundaries, cfl_number=cfl_number,
-                   gradient_order=gradient_order, dt_max=dt_max, dt_cap=cap)
-        while pending and run.t >= pending[0] - 1e-14 * max(1.0, pending[0]):
+        run = step(run, grid, params, boundaries,
+                   gradient_order=gradient_order, dt_cap=cap)
+        while pending and reached(run.t, pending[0]):
             if on_snapshot is not None:
                 on_snapshot(run)
             pending.pop(0)

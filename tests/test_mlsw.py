@@ -94,7 +94,7 @@ class TestComputeDt:
     def test_nonpositive_time_step(self):
         state = MlswState.uniform(LayerGrid(5), 10, 2.0, 1.0)
         with pytest.raises(NonpositiveTimeStep):
-            mlsw_compute_dt(state, params(), 0.1, dt_max=0.0)
+            mlsw_compute_dt(state, params(), 0.1, dt_cap=0.0)
 
 
 def reference_step(state, layers, dt, params, grid, left):
@@ -354,7 +354,7 @@ class TestStokesDiffusion:
         t = 0.0
         while t < 0.25:
             dt = mlsw_compute_dt(state, p, grid.dx,
-                                 dt_max=min(2e-3, 0.25 - t))
+                                 dt_cap=min(2e-3, 0.25 - t))
             state = mlsw_step(state, layers, dt, p, grid, left)
             t += dt
         d1, d2, H, f2, tau = mlsw_diagnostics(state, layers, p)

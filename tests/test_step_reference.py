@@ -24,7 +24,7 @@ from eswsim.errors import NegativeDiscriminant
 from eswsim.hyperbolicity import jacobian_coeffs, nickalls_bounds
 from eswsim.riemann import (evaluate_cells, physical_flux, solve_local_riemann,
                             source_averages)
-from eswsim.state import U_EPS, layer_fill_fraction, recover_delta1
+from eswsim.state import U_EPS, recover_delta1
 from eswsim.timeloop import (N_GHOST, apply_boundaries, friction_step,
                              with_ghosts)
 
@@ -416,14 +416,6 @@ class TestHelpersMatchExpressions:
         got = check(lambda *a: friction_step(ConservedState(*a[:3]), dt, p,
                                              a[3]).r, ref, *args)
         assert got is not r
-
-    @HELPERS
-    @given(fields(3, forms=("array",)), st.sampled_from((0.0, 1e-3, 0.3)))
-    def test_layer_fill_fraction(self, args, delta_bar):
-        p = PhysicalParams(1.0, delta_bar)
-        check(lambda *a: layer_fill_fraction(ConservedState(*a), p),
-              lambda h, q, r: delta_bar * ref_recover_delta1(q, r, h) / h,
-              *args)
 
 
 def test_helpers_broadcast_mixed_ranks():

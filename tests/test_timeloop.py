@@ -131,8 +131,7 @@ class TestBoundaries:
 class TestComputeDt:
     def test_cfl_bound(self):
         W = uniform_state(10)
-        dt, _ = compute_dt(evaluate_cells(W, params()), dx=0.01,
-                           cfl_number=0.9)
+        dt, _ = compute_dt(evaluate_cells(W, params()), dx=0.01)
         # fastest Nickalls bound ~2.48 for (h=2, u=1, Fr=1)
         assert dt == pytest.approx(0.9 * 0.01 / (2 * 2.4789), rel=1e-3)
 
@@ -141,18 +140,11 @@ class TestComputeDt:
         n = 10
         W = uniform_state(n, d1=0.5)
         dudx = np.full(n, -20.0)  # Lambda1 = -5 -> H ~ 16.5, f2 < 0
-        dt, _ = compute_dt(evaluate_cells(W, params(), dudx), dx=1.0,
-                           cfl_number=0.9)
+        dt, _ = compute_dt(evaluate_cells(W, params(), dudx), dx=1.0)
         from eswsim.closures import closure_factors
         H, f2 = closure_factors(params().closure, np.full(n, 0.25 * -20.0))
         cap = -0.25 / (4.0 * f2[0] * H[0])
         assert dt <= cap + 1e-15
-
-    def test_dt_max_respected(self):
-        W = uniform_state(10)
-        dt, _ = compute_dt(evaluate_cells(W, params()), dx=0.01,
-                           cfl_number=0.9, dt_max=1e-5)
-        assert dt == 1e-5
 
 
 class TestConvectionStep:
@@ -350,8 +342,10 @@ class TestStepDiagnostics:
         assert after.diagnostics["n_fallback"] == \
             np.count_nonzero(fan.fallback) > 0
 
-        capped = step(run, grid, p, spec, dt_max=0.5 * dt)
-        assert capped.diagnostics["dt_limiter"] == "dt_max"
+        capped = step(run, grid, p, spec, dt_cap=0.5 * dt)
+        assert capped.diagnostics["dt_limiter"] == "cap"
+        assert capped.diagnostics["last_dt"] == 0.5 * dt
+        assert compute_dt(cells, grid.dx, dt_cap=np.inf) == (dt, "cfl")
 
         seen = []
         advance(run, dt, grid, p, spec, snapshot_times=(0.5 * dt,),
