@@ -57,10 +57,10 @@ def _cmd_mlsw(args) -> int:
 def _cmd_analyze(args) -> int:
     try:
         data = np.genfromtxt(args.csv, delimiter=",", names=True)
-    except ValueError as exc:    # ragged rows
+    except (ValueError, IndexError) as exc:    # ragged rows, an empty file
         raise ConfigError(f"{args.csv}: not a snapshot CSV: {exc}") from exc
-    if data.dtype.names is None or "x" not in data.dtype.names:
-        raise ConfigError(f"{args.csv}: not a snapshot CSV")
+    if not data.size or "x" not in (data.dtype.names or ()):
+        raise ConfigError(f"{args.csv}: not a snapshot CSV with rows")
     print(f"file: {args.csv}")
     print(f"cells: {data['x'].size}")
     for name in data.dtype.names:

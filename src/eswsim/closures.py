@@ -62,8 +62,9 @@ def shape_factor_fs(lambda1):
     beyond (continuous at the junction to fit accuracy).
     """
     lam = np.asarray(lambda1, dtype=float)
-    # an out= array from np.empty keeps a 0-d input writable
-    H = np.clip(lam, *LAMBDA1_CLAMP, out=np.empty(lam.shape))
+    # np.clip in two ufunc calls; out= from np.empty keeps 0-d input writable
+    H = np.maximum(lam, LAMBDA1_CLAMP[0], out=np.empty(lam.shape))
+    np.minimum(H, LAMBDA1_CLAMP[1], out=H)
     saturated = ~(H < 0.6)
     H *= -0.37
     np.exp(H, out=H)

@@ -12,7 +12,7 @@ All functions are vectorized over interfaces.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -26,33 +26,26 @@ _NEWTON_TOL = 1e-15
 _NEWTON_MAX_ITER = 50
 
 
-@dataclass(frozen=True)
-class CellEval:
-    """Per-cell closure, Nickalls bounds and physical flux of one state,
-    evaluated once per step and read by every phase of it."""
+class CellEval(NamedTuple):
+    """Per-cell state and flux ((3, n) arrays, rows h, q, r), Nickalls bounds
+    and closure of one state, evaluated once per step; the cells on one side
+    of the interfaces, all that solve_local_riemann reads, have no closure."""
 
-    h: np.ndarray
-    q: np.ndarray
-    r: np.ndarray
-    delta1: np.ndarray
-    H: np.ndarray
-    f2: np.ndarray
+    hqr: np.ndarray
+    F: np.ndarray
     lam_L: np.ndarray
     lam_R: np.ndarray
-    F: tuple    # (h, q, r) components of the physical flux
+    delta1: Optional[np.ndarray] = None
+    H: Optional[np.ndarray] = None
+    f2: Optional[np.ndarray] = None
 
-    def at(self, idx) -> "CellEval":
-        """The evaluation of the cells selected by idx."""
-        return CellEval(self.h[idx], self.q[idx], self.r[idx],
-                        self.delta1[idx], self.H[idx], self.f2[idx],
-                        self.lam_L[idx], self.lam_R[idx],
-                        tuple(f[idx] for f in self.F))
+    h, q, r = (property(lambda self, k=k: self.hqr[k]) for k in range(3))
 
 
-@dataclass(frozen=True)
-class RiemannFan:
+class RiemannFan(NamedTuple):
     """Interface wave speeds, star states and the two numerical fluxes
-    (on a flat bed h_L_star and h_R_star may be one and the same array)."""
+    (on a flat bed h_L_star and h_R_star may be one and the same array);
+    F_left and F_right are (3, n + 1) arrays with rows h, q, r."""
 
     lam_L: np.ndarray
     lam_R: np.ndarray
@@ -60,19 +53,22 @@ class RiemannFan:
     r_star: np.ndarray
     h_L_star: np.ndarray
     h_R_star: np.ndarray
-    F_left: tuple    # (h, q, r) components
-    F_right: tuple
+    F_left: np.ndarray
+    F_right: np.ndarray
     fallback: np.ndarray  # bool mask of interfaces using the HLL fallback
 
 
-def physical_flux(h, q, r, H, params: PhysicalParams, u_e):
-    """(q - delta_bar*r, q*u_e + h^2/(2Fr^2), (1+1/H)*r*u_e) for u_e = q/h."""
-    F0 = q - params.delta_bar * r
-    F1 = q * u_e
+def physical_flux(h, q, r, H, params: PhysicalParams, u_e, out=None):
+    """(q - delta_bar*r, q*u_e + h^2/(2Fr^2), (1+1/H)*r*u_e) for u_e = q/h,
+    written into the rows of out, a (3, n) array, if given."""
+    F0, F1, F2 = (None, None, np.empty(np.broadcast(H, r, u_e).shape)) \
+        if out is None else (out[0], out[1], out[2])
+    F0 = np.subtract(q, params.delta_bar * r, out=F0)
+    F1 = np.multiply(q, u_e, out=F1)
     h2 = np.square(h)
     h2 /= 2.0 * params.froude**2
     F1 += h2
-    F2 = np.divide(1.0, H, out=np.empty(np.broadcast(H, r, u_e).shape))
+    np.divide(1.0, H, out=F2)
     F2 += 1.0
     F2 *= r
     F2 *= u_e
@@ -81,46 +77,48 @@ def physical_flux(h, q, r, H, params: PhysicalParams, u_e):
 
 def source_averages(W_L, W_R, jump_fb, froude):
     """Vol'pert averages of the two non-conservative source terms."""
-    h_sum = W_L.h + W_R.h
+    L, R = W_L.hqr, W_R.hqr    # row indexing: cheaper than unpacking
+    h_sum = L[0] + R[0]
     topo_src = h_sum / (2.0 * froude**2)
     topo_src *= jump_fb
-    exchange_src = W_L.q + W_R.q
+    exchange_src = L[1] + R[1]
     exchange_src /= h_sum
-    exchange_src *= np.subtract(W_R.r, W_L.r, out=h_sum)
+    exchange_src *= np.subtract(R[2], L[2], out=h_sum)
     return topo_src, exchange_src
 
 
 def evaluate_cells(W: ConservedState, params: PhysicalParams,
                    dudx=0.0, u_e=None) -> CellEval:
     """Evaluate each cell of W at frozen gradient dudx; u_e = q/h if None."""
-    u_e = W.q / W.h if u_e is None else u_e
-    delta1 = _delta1_from_ue(u_e, W.r)
+    h, q, r = W.hqr[0], W.hqr[1], W.hqr[2]
+    u_e = q / h if u_e is None else u_e
+    delta1 = _delta1_from_ue(u_e, r)
     lambda1 = np.square(delta1)
     lambda1 *= dudx
     H, f2 = closure_factors(params.closure, lambda1)
-    _, b = jacobian_coeffs(u_e, W.r, lambda1, H, params.closure)
-    lam_L, lam_R = nickalls_bounds(u_e, b, W.h, params.froude)
-    return CellEval(W.h, W.q, W.r, delta1, H, f2, lam_L, lam_R,
-                    physical_flux(W.h, W.q, W.r, H, params, u_e))
+    _, b = jacobian_coeffs(u_e, r, lambda1, H, params.closure)
+    lam_L, lam_R = nickalls_bounds(u_e, b, h, params.froude)
+    F = np.empty_like(W.hqr)
+    physical_flux(h, q, r, H, params, u_e, out=F)
+    return CellEval(W.hqr, F, lam_L, lam_R, delta1, H, f2)
 
 
-def _star_depths(h_L, h_R, q_star, C, jump_fb, lam_L, lam_R, froude):
-    """Solve the 2x2 star-depth system by Newton on h_R*.
+def _star_depths(h_L, h_R, q_star, C, jump_fb, lam_L, lam_R, froude, span):
+    """Solve the 2x2 star-depth system by Newton on h_R*, span = lam_R - lam_L.
 
     The linear consistency relation eliminates h_L*; the fallback mask marks
     interfaces where the Newton branch degenerates (non-convergence or a
     nonpositive depth), which then use equal HLL star depths.
     """
     fr2 = froude**2
-    span = lam_R - lam_L
     h_hll = C / span
-    fallback = np.zeros_like(h_L, dtype=bool)
+    fallback = np.zeros(h_L.shape, dtype=bool)
 
     # a flat bed has no Newton-active or one-sided interface to mask or copy
     has_jump = jump_fb.any()
     hL = hR = h_hll
     active = has_jump and (jump_fb != 0.0) & (lam_L < 0.0) & (lam_R > 0.0)
-    if np.any(active):
+    if has_jump and active.any():
         idx = np.flatnonzero(active)
         hR = h_hll.copy()
         hL = h_hll.copy()
@@ -214,17 +212,13 @@ def solve_local_riemann(L: CellEval, R: CellEval, jump_fb,
     span = lam_R - lam_L
     topo_src, exchange_src = source_averages(L, R, jump_fb, params.froude)
 
-    # r* = (lam_R*r_R - lam_L*r_L - (F_R - F_L) + exchange) / span
-    # q* = (lam_R*q_R - lam_L*q_L - (F_R - F_L) - topo + db*exchange) / span
-    # C  =  lam_R*h_R - lam_L*h_L - (F_R - F_L)
-    work = np.empty_like(span)
-    sums = []
-    for k, W_L, W_R in ((2, L.r, R.r), (1, L.q, R.q), (0, L.h, R.h)):
-        total = lam_R * W_R
-        total -= np.multiply(lam_L, W_L, out=work)
-        total -= np.subtract(R.F[k], L.F[k], out=work)
-        sums.append(total)
-    r_star, q_star, C = sums
+    # rows C, q*, r* of lam_R*W_R - lam_L*W_L - (F_R - F_L), then
+    # r* = (... + exchange) / span and q* = (... - topo + db*exchange) / span
+    star = np.multiply(lam_R, R.hqr)
+    work = np.multiply(lam_L, L.hqr)
+    star -= work
+    star -= np.subtract(R.F, L.F, out=work)
+    C, q_star, r_star = star[0], star[1], star[2]
     r_star += exchange_src
     r_star /= span
     q_star -= topo_src
@@ -232,23 +226,19 @@ def solve_local_riemann(L: CellEval, R: CellEval, jump_fb,
     q_star += exchange_src
     q_star /= span
     h_L_star, h_R_star, fallback = _star_depths(
-        L.h, R.h, q_star, C, jump_fb, lam_L, lam_R, params.froude)
+        L.h, R.h, q_star, C, jump_fb, lam_L, lam_R, params.froude, span)
 
-    # F_L + lam_L*(star - W_L), F_R - lam_R*(W_R - star); C must stay as is
-    F_left, F_right = [], []
-    for k, W_L, W_R, star_L, star_R, buf_L, buf_R in (
-            (0, L.h, R.h, h_L_star, h_R_star, span, work),
-            (1, L.q, R.q, q_star, q_star, topo_src, exchange_src),
-            (2, L.r, R.r, r_star, r_star, None, None)):
-        flux = np.subtract(star_L, W_L, out=buf_L)
-        flux *= lam_L
-        flux += L.F[k]
-        F_left.append(flux)
-        flux = np.subtract(W_R, star_R, out=buf_R)
-        flux *= lam_R
-        F_right.append(np.subtract(R.F[k], flux, out=flux))
+    # F_L + lam_L*(star_L - W_L) and F_R - lam_R*(W_R - star_R): the star
+    # rows are (h_L*, q*, r*) and (h_R*, q*, r*), so row C is overwritten
+    star[0] = h_L_star
+    F_left = np.subtract(star, L.hqr, out=work)
+    F_left *= lam_L
+    F_left += L.F
+    star[0] = h_R_star
+    F_right = np.subtract(R.hqr, star)
+    F_right *= lam_R
+    np.subtract(R.F, F_right, out=F_right)
 
     return RiemannFan(lam_L=lam_L, lam_R=lam_R, q_star=q_star, r_star=r_star,
                       h_L_star=h_L_star, h_R_star=h_R_star,
-                      F_left=tuple(F_left), F_right=tuple(F_right),
-                      fallback=fallback)
+                      F_left=F_left, F_right=F_right, fallback=fallback)

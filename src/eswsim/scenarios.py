@@ -100,12 +100,14 @@ class ScenarioConfig:
 
     def grid(self) -> Grid1D:
         if self.scenario in ("Bump", "MlswCompare"):
-            topo_fn = lambda x: gaussian_bump(x, self.bump_alpha,
-                                              self.bump_sigma,
-                                              self.bump_center)
+            topo = lambda x: gaussian_bump(x, self.bump_alpha,
+                                           self.bump_sigma, self.bump_center)
         else:
-            topo_fn = None
-        return Grid1D.uniform(self.x_min, self.x_max, self.n_cells, topo_fn)
+            topo = None
+        try:
+            return Grid1D.uniform(self.x_min, self.x_max, self.n_cells, topo)
+        except (MemoryError, OverflowError, ValueError) as exc:
+            raise ConfigError(f"grid.n_cells too large: {exc}") from exc
 
     def boundary_spec(self) -> BoundarySpec:
         # a named numerical failure (exit code 3) before a sqrt of h0 or of
@@ -262,11 +264,11 @@ def run_scenario(config: ScenarioConfig, out_dir=None) -> RunState:
     """Run one scenario: write final.csv, metadata.txt and the snapshot CSVs
     (ESW) or final_profiles.csv (MlswCompare, whose RunState.W is the final
     MlswState); returns the final RunState."""
-    out = Path(out_dir if out_dir is not None else config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     grid = config.grid()
     params = config.physical_params()
     boundaries = config.boundary_spec()
+    out = Path(out_dir if out_dir is not None else config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     if config.scenario == "MlswCompare":
         layers = LayerGrid(config.n_layers)
@@ -319,12 +321,12 @@ def convergence_study(config: ScenarioConfig, dx_list,
     if not all(0.0 < dx < np.inf and span / dx < np.inf for dx in dx_list):
         raise ConfigError("every dx must be finite and positive, with a "
                           "finite cell count")
-    # every mesh is validated before the first one runs
+    # every mesh is validated and allocated before the first one runs
     configs = [replace(config, n_cells=int(round(span / dx)))
                for dx in dx_list]
+    grids = [cfg.grid() for cfg in configs]
     results = []
-    for cfg in configs:
-        grid = cfg.grid()
+    for cfg, grid in zip(configs, grids):
         t0 = time.perf_counter()
         run = advance(initial_state(cfg), cfg.t_end, grid,
                       cfg.physical_params(), cfg.boundary_spec(),

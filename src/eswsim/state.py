@@ -76,20 +76,27 @@ class Grid1D:
         return jumps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ConservedState:
-    """Per-cell conserved vector (h, h*u_e, delta1*u_e)."""
+    """Per-cell conserved vector (h, h*u_e, delta1*u_e): h, q and r are the
+    rows of one C-contiguous (3, n) float64 array hqr."""
 
-    h: np.ndarray
-    q: np.ndarray
-    r: np.ndarray
+    hqr: np.ndarray
 
-    def __post_init__(self):
-        for name in ("h", "q", "r"):
-            v = getattr(self, name)
-            # the time loop passes float64 arrays, which asarray keeps as is
-            if not (type(v) is np.ndarray and v.dtype == np.float64 and v.ndim):
-                object.__setattr__(self, name, np.atleast_1d(np.asarray(v, float)))
+    def __init__(self, h, q, r):
+        rows = [np.atleast_1d(np.asarray(v, float)) for v in (h, q, r)]
+        if rows[0].ndim != 1 or {v.shape for v in rows} != {rows[0].shape}:
+            raise DomainError("h, q and r must be 1-D and of one length")
+        object.__setattr__(self, "hqr", np.stack(rows))
+
+    @classmethod
+    def wrap(cls, hqr: np.ndarray) -> "ConservedState":
+        """The state of a C-contiguous (3, n) float64 array, not copied."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "hqr", hqr)
+        return state
+
+    h, q, r = (property(lambda self, k=k: self.hqr[k]) for k in range(3))
 
 
 def recover_delta1(q, r, h):
@@ -100,8 +107,9 @@ def recover_delta1(q, r, h):
 def _delta1_from_ue(u_e, r):
     """recover_delta1 for an edge velocity u_e = q/h already at hand."""
     # with no (near-)stagnant or NaN cell the unmasked quotient is bitwise
-    # the masked one; scalars and empty arrays take the masked path
-    if type(u_e) is np.ndarray and u_e.size and np.abs(u_e).min() > U_EPS:
+    # the masked one; scalars, empty arrays and mixed signs take the mask
+    if type(u_e) is np.ndarray and u_e.size and (
+            u_e.min() > U_EPS or u_e.max() < -U_EPS):
         return r / u_e
     return np.where(np.abs(u_e) > U_EPS, r / np.where(u_e == 0, 1.0, u_e), 0.0)
 

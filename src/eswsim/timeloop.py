@@ -58,7 +58,7 @@ class BoundarySpec:
 
 @dataclass(frozen=True)
 class RunState:
-    """Time, step counter, interior states and accumulated diagnostics."""
+    """Time, step counter, interior states and the last step's diagnostics."""
 
     t: float
     step_count: int
@@ -105,10 +105,10 @@ def apply_boundaries(W: ConservedState, spec: BoundarySpec,
     Inflow imposes inflow_ghost's depth and velocity with a flat profile
     (delta1 = 0). Outflow copies the last interior cell.
     """
-    h_g, u_g = inflow_ghost(spec.left, W.h[0], W.q[0] / W.h[0], params.froude)
-    return ConservedState(h=with_ghosts(W.h, h_g, N_GHOST),
-                          q=with_ghosts(W.q, h_g * u_g, N_GHOST),
-                          r=with_ghosts(W.r, 0.0, N_GHOST))
+    h1, q1 = W.hqr[0, 0], W.hqr[1, 0]
+    h_g, u_g = inflow_ghost(spec.left, h1, q1 / h1, params.froude)
+    left = np.array([[h_g], [h_g * u_g], [0.0]])
+    return ConservedState.wrap(with_ghosts(W.hqr, left, N_GHOST))
 
 
 def frozen_gradient(u_e, dx, order=4) -> np.ndarray:
@@ -157,23 +157,22 @@ def convection_step(cells: CellEval, jump_fb, params: PhysicalParams, dx,
     n_ext = cells.h.size
     sl = slice(N_GHOST - 1, n_ext - N_GHOST)      # left cells of interfaces
     sr = slice(N_GHOST, n_ext - N_GHOST + 1)      # right cells
-    fan = solve_local_riemann(cells.at(sl), cells.at(sr), jump_fb, params)
-    # W - (dt/dx)*(F_left[1:] - F_right[:-1]) per component
-    lam = dt / dx
-    new = []
-    for W, F_L, F_R in zip((cells.h, cells.q, cells.r), fan.F_left,
-                           fan.F_right):
-        update = np.subtract(F_L[1:], F_R[:-1])
-        update *= lam
-        new.append(np.subtract(W[N_GHOST:-N_GHOST], update, out=update))
-    if np.any(new[0] <= H_DRY):
+    L, R = [CellEval(cells.hqr[:, s], cells.F[:, s], cells.lam_L[s],
+                     cells.lam_R[s]) for s in (sl, sr)]
+    fan = solve_local_riemann(L, R, jump_fb, params)
+    # W - (dt/dx)*(F_left[1:] - F_right[:-1]), into a fresh (3, n) array
+    new = np.subtract(fan.F_left[:, 1:], fan.F_right[:, :-1])
+    new *= dt / dx
+    np.subtract(cells.hqr[:, N_GHOST:-N_GHOST], new, out=new)
+    if (new[0] <= H_DRY).any():
         raise DryCell(int(np.flatnonzero(new[0] <= H_DRY)[0]))
-    return ConservedState(*new), fan
+    return ConservedState.wrap(new), fan
 
 
 def friction_step(W: ConservedState, dt, params: PhysicalParams,
                   f2H, u_e=None) -> ConservedState:
-    """Semi-implicit friction update of delta1; h and q stay W's arrays.
+    """Semi-implicit friction update of delta1, written into W's r row;
+    h and q do not change. Returns W.
 
     f2H is the per-cell product (f2*H) evaluated at the pre-convection state;
     u_e is W's edge velocity q/h, computed here when not given.
@@ -182,17 +181,17 @@ def friction_step(W: ConservedState, dt, params: PhysicalParams,
         u_e = W.q / W.h
     delta1 = _delta1_from_ue(u_e, W.r)
     # disc = delta1^2 + 4*f2H*dt, then 0.5*(delta1 + sqrt(disc))*u_e
-    r = np.multiply(4.0, f2H)
+    r = np.multiply(4.0, f2H, out=W.r)
     r *= dt
     r += np.square(delta1)
-    if np.any(r < 0.0):
+    if (r < 0.0).any():
         raise NegativeDiscriminant("friction discriminant negative; "
                                    "time-step selection is broken")
     np.sqrt(r, out=r)
     r += delta1
     r *= 0.5
     r *= u_e
-    return ConservedState(h=W.h, q=W.q, r=r)
+    return W
 
 
 def step(run: RunState, grid: Grid1D, params: PhysicalParams,
@@ -205,28 +204,26 @@ def step(run: RunState, grid: Grid1D, params: PhysicalParams,
     cells = evaluate_cells(W_ext, params, dudx, u_e)
     try:
         dt, limiter = compute_dt(cells, grid.dx, dt_cap=dt_cap)
-        W_half, fan = convection_step(cells, grid.bed_jumps, params, grid.dx,
-                                      dt)
-        interior = slice(N_GHOST, -N_GHOST)
-        u_half = W_half.q / W_half.h   # friction keeps h and q as they are
-        W_new = friction_step(W_half, dt, params,
-                              cells.f2[interior] * cells.H[interior], u_half)
+        # f2H first: the fewer arrays allocated after the update's new
+        # state, the less heap malloc trims and faults in again each step
+        f2H = cells.f2[N_GHOST:-N_GHOST] * cells.H[N_GHOST:-N_GHOST]
+        W, fan = convection_step(cells, grid.bed_jumps, params, grid.dx, dt)
+        u_e = W.q / W.h   # friction keeps h and q as they are
+        friction_step(W, dt, params, f2H, u_e)
     except StepFailure as exc:
         exc.step, exc.t = run.step_count, run.t
         raise
 
-    diag = dict(run.diagnostics)
-    diag["last_dt"] = dt
-    diag["dt_limiter"] = limiter
-    diag["n_fallback"] = int(np.count_nonzero(fan.fallback))
-    diag["min_f2"] = float(cells.f2.min())
-    # lam_L <= 0 <= lam_R; abs() turns a -0.0 maximum into the 0.0 of |.|
-    diag["max_abs_lambda"] = abs(float(max(fan.lam_R.max(),
-                                           -fan.lam_L.min())))
-    # the layer fills more than half the depth: delta_bar*delta1/h > 0.5
-    diag["n_thick_layer"] = int(np.count_nonzero(
-        params.delta_bar * _delta1_from_ue(u_half, W_new.r) / W_new.h > 0.5))
-    return RunState(t=run.t + dt, step_count=run.step_count + 1, W=W_new,
+    diag = {"last_dt": dt, "dt_limiter": limiter,
+            "n_fallback": int(np.count_nonzero(fan.fallback)),
+            "min_f2": float(cells.f2.min()),
+            # lam_L <= 0 <= lam_R; abs() turns a -0.0 maximum into 0.0
+            "max_abs_lambda": abs(float(max(fan.lam_R.max(),
+                                            -fan.lam_L.min()))),
+            # the layer fills more than half the depth: db*delta1/h > 0.5
+            "n_thick_layer": int(np.count_nonzero(
+                params.delta_bar * _delta1_from_ue(u_e, W.r) / W.h > 0.5))}
+    return RunState(t=run.t + dt, step_count=run.step_count + 1, W=W,
                     diagnostics=diag)
 
 

@@ -430,13 +430,35 @@ class TestCli:
         assert "delta1:" in out
 
     def test_analyze_non_snapshot_exit_2(self, tmp_path, capsys):
-        # no x column, and ragged rows (which used to exit 3)
-        for text in ("a,b\n1,2\n", "x,h\n1,2\n3\n"):
+        # no x column, ragged rows and a header without rows (which used to
+        # exit 3), and an empty file (which used to exit 1)
+        for text in ("a,b\n1,2\n", "x,h\n1,2\n3\n", "x,h\n", ""):
             f = tmp_path / "junk.csv"
             f.write_text(text)
             assert cli.main(["analyze", str(f)]) == 2, text
             err = capsys.readouterr().err
             assert "configuration error" in err and str(f) in err
+
+    def test_unallocatable_grid_exit_2(self, tmp_path, monkeypatch, capsys):
+        # a cell count NumPy refuses before allocating: no mesh runs, and
+        # converge builds every grid first
+        runs = []
+        monkeypatch.setattr(scenarios, "advance",
+                            lambda *args, **kw: runs.append(args))
+        assert cli.main(["converge", "--out", str(tmp_path / "c"),
+                         "--dx", "0.01", "1e-300"]) == 2
+        assert "grid.n_cells" in capsys.readouterr().err
+        assert runs == []
+
+        # an allocation that fails (the real one would ask for 745 GiB)
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. GiB")
+        monkeypatch.setattr(scenarios.Grid1D, "uniform", no_memory)
+        assert cli.main(["run", "--out", str(tmp_path / "r"),
+                         "--set", "grid.n_cells=100000000000"]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "grid.n_cells" in err
+        assert not (tmp_path / "r").exists()
 
     def test_converge(self, tmp_path, capsys):
         # supercritical inflow: the run is steady by t = 0.5

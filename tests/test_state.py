@@ -50,10 +50,21 @@ class TestContainers:
 
 
 class TestConservedState:
-    def test_float64_arrays_are_kept(self):
+    def test_rows_view_one_float64_array(self):
         h, q, r = np.ones(3), np.full(3, 2.0), np.zeros(3)
         W = ConservedState(h=h, q=q, r=r)
-        assert W.h is h and W.q is q and W.r is r
+        assert W.hqr.shape == (3, 3) and W.hqr.flags.c_contiguous
+        for row, given in zip((W.h, W.q, W.r), (h, q, r)):
+            assert np.shares_memory(row, W.hqr)
+            assert not np.shares_memory(row, given)
+            assert np.array_equal(row, given)
+        assert ConservedState.wrap(W.hqr).hqr is W.hqr
+
+    @pytest.mark.parametrize("shapes", [(3, 3, 2), (3, 4, 3), (3, 3, 0),
+                                        ((2, 3), (2, 3), (2, 3))])
+    def test_unequal_or_2d_rows_are_named(self, shapes):
+        with pytest.raises(DomainError, match="1-D and of one length"):
+            ConservedState(*(np.ones(s) for s in shapes))
 
     @pytest.mark.parametrize("value", [
         [1, 2, 3], np.arange(3), np.arange(3, dtype=np.float32),

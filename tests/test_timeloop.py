@@ -96,6 +96,18 @@ class TestBoundaries:
                                    np.full(g, topo[-1])])
             assert np.array_equal(with_ghosts(topo, topo[0], g), want)
 
+    def test_stacked_ghosts_match_rows(self):
+        # one call on the (3, n) state with a (3, 1) inflow column gives the
+        # three 1-D calls, row by row
+        rng = np.random.default_rng(8)
+        W = rng.normal(size=(3, 9))
+        left = np.array([[0.5], [0.6], [0.0]])
+        for g in (1, N_GHOST):
+            got = with_ghosts(W, left, g)
+            assert got.shape == (3, 9 + 2 * g) and got.flags.c_contiguous
+            for k in range(3):
+                assert np.array_equal(got[k], with_ghosts(W[k], left[k, 0], g))
+
     @pytest.mark.parametrize("u0", [0.7, 0.9, 1.1])
     def test_models_share_subcritical_ghost_depth(self, u0):
         W = uniform_state(6, h0=2.0, u0=u0)
@@ -269,6 +281,17 @@ class TestStepAndAdvance:
             runB = step(runB, grid, p, spec, dt_cap=runA.diagnostics["last_dt"])
         assert np.allclose(runA.W.h, runB.W.h, rtol=0, atol=1e-12)
         assert np.allclose(runA.W.q, runB.W.q, rtol=0, atol=1e-12)
+
+    def test_state_rows_share_one_array(self):
+        n = 12
+        grid = Grid1D.uniform(0.0, 0.1, n)
+        spec = BoundarySpec(left=SubcriticalInflow(u_in=1.0))
+        run = step(RunState(0.0, 0, uniform_state(n, d1=0.01)), grid,
+                   params(), spec)
+        W = run.W
+        assert W.hqr.shape == (3, n) and W.hqr.flags.c_contiguous
+        for row in (W.h, W.q, W.r):
+            assert np.shares_memory(row, W.hqr)
 
     def test_advance_hits_t_end_and_snapshots(self):
         n = 20

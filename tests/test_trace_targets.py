@@ -82,3 +82,23 @@ def test_star_depths_bed_jump_and_speeds_are_args_4_to_6():
     from eswsim.riemann import _star_depths
     params = list(inspect.signature(_star_depths).parameters)
     assert params[4:7] == ["jump_fb", "lam_L", "lam_R"]
+
+
+
+def test_riemann_fan_fallback_is_a_bool_mask_per_interface():
+    # the tracer's fallback counter reads solve_local_riemann's result:
+    # .fallback must be a bool array with one entry per interface, n + 1
+    import numpy as np
+    from eswsim import (BoundarySpec, ConservedState, Grid1D, PhysicalParams,
+                        SubcriticalInflow, evaluate_cells)
+    from eswsim.timeloop import apply_boundaries, convection_step
+    n = 6
+    grid = Grid1D.uniform(0.0, 1.0, n)
+    params = PhysicalParams(1.0, 1e-3)
+    W = ConservedState(h=np.full(n, 2.0), q=np.full(n, 2.0),
+                       r=np.full(n, 0.1))
+    W_ext = apply_boundaries(W, BoundarySpec(SubcriticalInflow(1.0)), params)
+    _, fan = convection_step(evaluate_cells(W_ext, params), grid.bed_jumps,
+                             params, grid.dx, 1e-3)
+    assert type(fan.fallback) is np.ndarray
+    assert fan.fallback.dtype == bool and fan.fallback.shape == (n + 1,)
