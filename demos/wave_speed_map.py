@@ -21,31 +21,29 @@ def main(n_grid=7):
     h, froude, delta_bar = 2.0, 1.0, 1e-3
 
     print("roots vs decoupled speeds at h=2, delta1=0.5, Lambda1=0:")
-    for u_e in (0.25, 0.5, 1.0, 2.0):
-        H, _ = closure_factors(law, np.array([0.0]))
-        a, b = jacobian_coeffs(u_e, 0.5 * u_e, 0.0, H[0], law)
-        roots, _ = characteristic_roots(h, u_e, float(a), float(b), froude,
-                                        delta_bar)
-        dec = sorted(decoupled_speeds(h, u_e, float(b), froude))
-        shifts = [r - d for r, d in zip(roots, dec)]
-        print(f"  u_e={u_e:4.2f}: roots={[f'{r:+.4f}' for r in roots]} "
-              f"shifts={[f'{s:+.1e}' for s in shifts]}")
+    u_e = np.array([0.25, 0.5, 1.0, 2.0])
+    H, _ = closure_factors(law, np.zeros(u_e.shape))
+    a, b = jacobian_coeffs(u_e, 0.5 * u_e, 0.0, H, law)
+    roots, _ = characteristic_roots(h, u_e, a, b, froude, delta_bar)
+    shifts = roots - np.sort(decoupled_speeds(h, u_e, b, froude), axis=0)
+    for u, r, s in zip(u_e, roots.T, shifts.T):
+        print(f"  u_e={u:4.2f}: roots={[f'{x:+.4f}' for x in r]} "
+              f"shifts={[f'{x:+.1e}' for x in s]}")
 
     print("\nhyperbolicity margin over (u_e, delta1), "
           "Lambda1 = -1 (decelerated):")
     u_grid = np.linspace(0.2, 2.0, n_grid)
     d_grid = np.linspace(0.0, 3.0, n_grid)
+    # rows delta1, columns u_e
+    u_e, d1 = np.meshgrid(u_grid, d_grid)
+    H, _ = closure_factors(law, np.full(u_e.shape, -1.0))
+    a, b = jacobian_coeffs(u_e, d1 * u_e, -1.0, H, law)
+    _, margin = characteristic_roots(h, u_e, a, b, froude, delta_bar)
     header = "delta1\\u " + " ".join(f"{u:7.2f}" for u in u_grid)
     print(header)
-    for d1 in d_grid:
-        row = []
-        for u_e in u_grid:
-            H, _ = closure_factors(law, np.array([-1.0]))
-            a, b = jacobian_coeffs(u_e, d1 * u_e, -1.0, H[0], law)
-            _, margin = characteristic_roots(h, u_e, float(a), float(b),
-                                             froude, delta_bar)
-            row.append(f"{margin:7.3f}" if margin > 0.0 else "   LOST")
-        print(f"{d1:8.2f} " + " ".join(row))
+    for d, row in zip(d_grid, margin):
+        print(f"{d:8.2f} " + " ".join(f"{m:7.3f}" if m > 0.0 else "   LOST"
+                                      for m in row))
     print("\nA positive margin means three real wave speeds; in the operating")
     print("regime the coupling d ~ delta_bar keeps the system comfortably")
     print("hyperbolic.")

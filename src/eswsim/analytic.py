@@ -7,10 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .closures import BLASIUS_F2, BLASIUS_H
 from .errors import CriticalFlow, DomainError, MismatchedGrids
-
-BLASIUS_H = 2.59
-BLASIUS_F2 = 0.22
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+import warnings
 
 import numpy as np
 
@@ -56,8 +57,11 @@ def _cmd_mlsw(args) -> int:
 
 def _cmd_analyze(args) -> int:
     try:
-        data = np.genfromtxt(args.csv, delimiter=",", names=True)
-    except (ValueError, IndexError) as exc:    # ragged rows, an empty file
+        # genfromtxt warns of a file without lines, then fails obscurely
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            data = np.genfromtxt(args.csv, delimiter=",", names=True)
+    except (ValueError, IndexError, UserWarning) as exc:  # ragged, blank
         raise ConfigError(f"{args.csv}: not a snapshot CSV: {exc}") from exc
     if not data.size or "x" not in (data.dtype.names or ()):
         raise ConfigError(f"{args.csv}: not a snapshot CSV with rows")

@@ -18,6 +18,9 @@ from .errors import DomainError
 # clamp only guards the exponential against transient spikes.
 LAMBDA1_CLAMP = (-20.0, 10.0)
 DELTA1_FLOOR = 1e-12
+# shape and friction factors of the Blasius flat-plate profile
+BLASIUS_H = 2.59
+BLASIUS_F2 = 0.22
 
 
 @dataclass(frozen=True)
@@ -29,8 +32,8 @@ class FalknerSkanFit:
 class BlasiusConstant:
     """Constant Blasius values, independent of the pressure gradient."""
 
-    H: float = 2.59
-    f2: float = 0.22
+    H: float = BLASIUS_H
+    f2: float = BLASIUS_F2
 
 
 @dataclass(frozen=True)

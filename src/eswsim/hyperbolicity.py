@@ -12,8 +12,6 @@ treated as a frozen external field.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .closures import (BlasiusConstant, ClosureLaw, FalknerSkanFit,
@@ -76,18 +74,17 @@ def _p_sw(lam, u_e, b, c2):
 
 
 def characteristic_roots(h, u_e, a, b, froude, delta_bar):
-    """Solve P_SW(lambda) = d for the full wave speeds of one state.
+    """Solve P_SW(lambda) = d for the full wave speeds of broadcast states.
 
-    Closed-form trigonometric solution polished by one Newton step per root.
-    Returns (roots, margin): the real roots in ascending order and the
+    Closed-form roots (trigonometric for margin >= 0, Cardano otherwise),
+    polished by up to three Newton steps. Returns (roots, margin): roots
+    has shape (3,) + the broadcast shape, ascending along axis 0, with NaN
+    in the two upper slots where only one root is real; margin is the
     signed distance of d to the admissible interval (P_SW(lam-),
-    P_SW(lam+)). The state is hyperbolic, with three real roots, exactly
-    when margin > 0; a non-hyperbolic state is flagged, not fatal.
+    P_SW(lam+)). A state is hyperbolic, with three real roots, exactly when
+    margin > 0; a non-hyperbolic state is flagged, not fatal.
     """
-    h = float(h)
-    u_e = float(u_e)
-    a = float(a)
-    b = float(b)
+    h, u_e, a, b = (np.asarray(v, float) for v in (h, u_e, a, b))
     c2 = h / froude**2
     d = delta_bar * a / froude**2
 
@@ -98,45 +95,35 @@ def characteristic_roots(h, u_e, a, b, froude, delta_bar):
     s = B * (u_e**2 - c2)
 
     # critical points of P_SW; the radicand (B - u_e)^2 + 3*c2 is positive
-    disc = math.sqrt((B - u_e) ** 2 + 3.0 * c2)
-    lam_minus = (p - disc) / 3.0
-    lam_plus = (p + disc) / 3.0
-    p_min = _p_sw(lam_minus, u_e, b, c2)
-    p_max = _p_sw(lam_plus, u_e, b, c2)
-    margin = min(d - p_min, p_max - d)
+    disc = np.sqrt((B - u_e) ** 2 + 3.0 * c2)
+    margin = np.minimum(d - _p_sw((p - disc) / 3.0, u_e, b, c2),
+                        _p_sw((p + disc) / 3.0, u_e, b, c2) - d)
 
-    # depressed cubic t^3 + pt*t + qt with lambda = t + p/3
+    # depressed cubic t^3 + pt*t + qt with lambda = t + p/3; each branch is
+    # evaluated everywhere and kept only where it applies
     shift = p / 3.0
     pt = q - p**2 / 3.0
     qt = -s + d + p * q / 3.0 - 2.0 * p**3 / 27.0
-    roots = []
-    if margin >= 0.0:
-        # three real roots (trigonometric form); pt < 0 here
-        m = 2.0 * math.sqrt(max(-pt, 0.0) / 3.0)
-        arg = 3.0 * qt / (pt * m) if pt != 0.0 and m != 0.0 else 0.0
-        arg = min(1.0, max(-1.0, arg))
-        theta = math.acos(arg) / 3.0
-        for k in range(3):
-            roots.append(m * math.cos(theta - 2.0 * math.pi * k / 3.0) + shift)
-    else:
-        # single real root (Cardano)
-        half_q = qt / 2.0
-        delta = half_q**2 + (pt / 3.0) ** 3
-        sq = math.sqrt(delta)
-        u_c = math.copysign(abs(-half_q + sq) ** (1.0 / 3.0), -half_q + sq)
-        v_c = math.copysign(abs(-half_q - sq) ** (1.0 / 3.0), -half_q - sq)
-        roots.append(u_c + v_c + shift)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # three real roots (trigonometric form); pt < 0 there
+        m = 2.0 * np.sqrt(np.maximum(-pt, 0.0) / 3.0)
+        arg = np.where((pt != 0.0) & (m != 0.0), 3.0 * qt / (pt * m), 0.0)
+        theta = np.arccos(np.clip(arg, -1.0, 1.0)) / 3.0
+        k = np.arange(3.0).reshape((3,) + (1,) * theta.ndim)
+        trig = m * np.cos(theta - 2.0 * np.pi * k / 3.0) + shift
+        # single real root (Cardano); its radicand is negative elsewhere
+        sq = np.sqrt((qt / 2.0) ** 2 + (pt / 3.0) ** 3)
+        single = np.full(trig.shape, np.nan)
+        single[0] = np.cbrt(-qt / 2.0 + sq) + np.cbrt(-qt / 2.0 - sq) + shift
+    roots = np.where(margin >= 0.0, trig, single)
 
-    # Newton polish on g = P_SW - d
-    polished = []
-    for lam in roots:
-        for _ in range(3):
-            g = _p_sw(lam, u_e, b, c2) - d
-            dg = -((u_e - lam) ** 2 - c2) - 2.0 * (b - u_e - lam) * (u_e - lam)
-            if dg == 0.0:
-                break
-            lam -= g / dg
-        polished.append(lam)
-    polished.sort()
-
-    return tuple(polished), float(margin)
+    # Newton polish on g = P_SW - d; a root whose derivative vanishes is held
+    live = np.ones(roots.shape, bool)
+    for _ in range(3):
+        g = _p_sw(roots, u_e, b, c2) - d
+        dg = (-((u_e - roots) ** 2 - c2)
+              - 2.0 * (b - u_e - roots) * (u_e - roots))
+        live &= dg != 0.0
+        roots -= np.divide(g, dg, out=np.zeros(roots.shape), where=live)
+    roots.sort(axis=0)
+    return roots, margin

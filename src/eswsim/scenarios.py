@@ -11,9 +11,10 @@ import numpy as np
 
 from . import __version__
 from .analytic import ReferenceCurve, blasius_steady, gaussian_bump, l1_error
-from .closures import (DELTA1_FLOOR, BlasiusConstant, ClosureLaw,
-                       FalknerSkanFit, FixedProfile, Pohlhausen4,
-                       closure_factors, ue_gradient)
+from .closures import (BLASIUS_F2, BLASIUS_H, DELTA1_FLOOR,
+                       BlasiusConstant, ClosureLaw, FalknerSkanFit,
+                       FixedProfile, Pohlhausen4, closure_factors,
+                       ue_gradient)
 from .errors import ConfigError, DomainError, StepFailure
 from .mlsw import LayerGrid, MlswState, mlsw_compute_dt, mlsw_diagnostics, \
     mlsw_step
@@ -42,8 +43,8 @@ class ScenarioConfig:
     t_end: float = 1.0
     snapshot_times: tuple = ()
     closure: str = "falkner-skan"
-    fixed_H: float = 2.59
-    fixed_f2: float = 0.22
+    fixed_H: float = BLASIUS_H
+    fixed_f2: float = BLASIUS_F2
     gradient_order: int = 4
     n_layers: int = 100
     out_dir: str = "out"

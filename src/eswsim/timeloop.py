@@ -116,10 +116,10 @@ def frozen_gradient(u_e, dx, order=4) -> np.ndarray:
     return ue_gradient(u_e, dx, order=order)
 
 
-def compute_dt(cells: CellEval, dx, dt_cap: Optional[float] = None):
+def compute_dt(cells: CellEval, dx, dt_cap=np.inf):
     """(dt, limiter) for an evaluated extended state: the CFL step from the
-    Nickalls bounds, reduced by the reverse-flow cap and by dt_cap (None or
-    inf for none); limiter is "cfl", "reverse_flow" or "cap"."""
+    Nickalls bounds, reduced by the reverse-flow cap and by dt_cap;
+    limiter is "cfl", "reverse_flow" or "cap"."""
     # max(|lam_L|, |lam_R|) is max(-lam_L, lam_R) because lam_L <= lam_R
     lam_max = np.maximum(-cells.lam_L.min(), cells.lam_R.max())
     # a NaN in q or r alone can leave the bounds finite (the closure maps a
@@ -141,7 +141,7 @@ def compute_dt(cells: CellEval, dx, dt_cap: Optional[float] = None):
                / (4.0 * (cells.f2 * cells.H)[reverse])).min()
         if cap < dt:
             dt, limiter = cap, "reverse_flow"
-    if dt_cap is not None and dt_cap < dt:
+    if dt_cap < dt:
         dt, limiter = dt_cap, "cap"
     if not dt > 0.0:
         raise NonpositiveTimeStep(f"nonpositive time step {float(dt)!r} "
@@ -195,8 +195,7 @@ def friction_step(W: ConservedState, dt, params: PhysicalParams,
 
 
 def step(run: RunState, grid: Grid1D, params: PhysicalParams,
-         boundaries: BoundarySpec, gradient_order=4,
-         dt_cap: Optional[float] = None):
+         boundaries: BoundarySpec, gradient_order=4, dt_cap=np.inf):
     """Advance one full split step; returns the new RunState."""
     W_ext = apply_boundaries(run.W, boundaries, params)
     u_e = W_ext.q / W_ext.h

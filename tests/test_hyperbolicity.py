@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import cubic_roots_oracle
 from hypothesis import given, settings, strategies as st
 
 from eswsim.closures import (BlasiusConstant, FalknerSkanFit, closure_factors)
@@ -105,6 +106,17 @@ class TestNickallsBounds:
                 assert lam_L - 1e-12 <= lam <= lam_R + 1e-12
 
 
+def fs_states(seed, n):
+    """n Falkner-Skan states (h, u, a, b): h, u, delta1 and Lambda1 drawn in
+    that order per state."""
+    rng = np.random.default_rng(seed)
+    h, u, d1, lam1 = rng.uniform([0.1, 0.1, 0.0, -2.0], [3.0, 2.0, 1.0, 0.5],
+                                 size=(n, 4)).T
+    H, _ = closure_factors(FalknerSkanFit(), lam1)
+    a, b = jacobian_coeffs(u, d1 * u, lam1, H)
+    return h, u, a, b
+
+
 class TestCharacteristicRoots:
     def test_inviscid_exact(self):
         roots, margin = characteristic_roots(2.0, 1.0, 1.0, 1.3861, 1.0, 0.0)
@@ -122,60 +134,71 @@ class TestCharacteristicRoots:
             assert abs(got - ref) < 5e-3
 
     def test_root_residual(self):
-        rng = np.random.default_rng(23)
-        for _ in range(300):
-            h = rng.uniform(0.1, 3.0)
-            u = rng.uniform(0.1, 2.0)
-            d1 = rng.uniform(0.0, 1.0)
-            lam1 = rng.uniform(-2.0, 0.5)
-            H, _ = closure_factors(FalknerSkanFit(), np.array([lam1]))
-            a, b = jacobian_coeffs(np.array([u]), np.array([d1 * u]),
-                                   np.array([lam1]), H)
-            roots, _ = characteristic_roots(h, u, float(a[0]), float(b[0]),
-                                            1.0, 1e-3)
-            c2 = h
-            d = 1e-3 * float(a[0])
-            scale = max(1.0, abs(u) ** 3, c2 ** 1.5)
-            for lam in roots:
-                assert abs(_p_sw(lam, u, float(b[0]), c2) - d) <= 1e-10 * scale
+        h, u, a, b = fs_states(23, 300)
+        roots, _ = characteristic_roots(h, u, a, b, 1.0, 1e-3)
+        assert np.isfinite(roots[0]).all()
+        c2 = h
+        d = 1e-3 * a
+        scale = np.maximum(1.0, np.maximum(np.abs(u) ** 3, c2 ** 1.5))
+        res = np.abs(_p_sw(roots, u, b, c2) - d)
+        assert np.all((res <= 1e-10 * scale) | np.isnan(roots))
 
     def test_bounds_contain_roots(self):
-        rng = np.random.default_rng(31)
-        for _ in range(300):
-            h = rng.uniform(0.1, 3.0)
-            u = rng.uniform(0.1, 2.0)
-            d1 = rng.uniform(0.0, 1.0)
-            lam1 = rng.uniform(-2.0, 0.5)
-            H, _ = closure_factors(FalknerSkanFit(), np.array([lam1]))
-            a, b = jacobian_coeffs(np.array([u]), np.array([d1 * u]),
-                                   np.array([lam1]), H)
-            roots, margin = characteristic_roots(h, u, float(a[0]),
-                                                 float(b[0]), 1.0, 1e-3)
-            if margin > 0.0:
-                lam_L, lam_R = nickalls_bounds(u, float(b[0]), h, 1.0)
-                assert lam_L - 1e-10 <= min(roots)
-                assert max(roots) <= lam_R + 1e-10
+        h, u, a, b = fs_states(31, 300)
+        roots, margin = characteristic_roots(h, u, a, b, 1.0, 1e-3)
+        lam_L, lam_R = nickalls_bounds(u, b, h, 1.0)
+        hyp = margin > 0.0
+        assert np.all(lam_L[hyp] - 1e-10 <= roots[0, hyp])
+        assert np.all(roots[2, hyp] <= lam_R[hyp] + 1e-10)
+
+    def test_matches_brute_force_cubic(self):
+        # Falkner-Skan states and arbitrary ones with a up to 2e4, so that
+        # both branches are taken
+        rng = np.random.default_rng(41)
+        h, u, b, a = rng.uniform([0.1, -2.0, -2.0, 0.0], [3.0, 2.0, 3.0, 2e4],
+                                 size=(2000, 4)).T
+        states = [np.concatenate(v) for v in zip(fs_states(23, 300),
+                                                  (h, u, a, b))]
+        roots, margin = characteristic_roots(*states, 1.0, 1e-3)
+        ref = cubic_roots_oracle(*states, 1.0, 1e-3)
+        assert 0 < np.count_nonzero(margin > 0.0) < margin.size
+        assert np.array_equal(np.isnan(roots), np.isnan(ref))
+        assert np.array_equal(np.isfinite(roots[2]), margin > 0.0)
+        scale = np.maximum(1.0, np.abs(ref))
+        assert np.nanmax(np.abs(roots - ref) / scale) <= 1e-12
+
+    def test_broadcast_shapes(self):
+        h = np.array([[1.0], [2.0]])
+        u = np.array([0.5, 1.0, 1.5])
+        roots, margin = characteristic_roots(h, u, 1.0, 1.3861, 1.0, 1e-3)
+        assert roots.shape == (3, 2, 3) and margin.shape == (2, 3)
+        assert np.all(np.diff(roots, axis=0) > 0.0)
+        # the same six states as 1-D inputs
+        flat, flat_margin = characteristic_roots(
+            np.repeat(h.ravel(), 3), np.tile(u, 2), 1.0, 1.3861, 1.0, 1e-3)
+        np.testing.assert_allclose(roots.reshape(3, 6), flat, rtol=1e-15,
+                                   atol=1e-15)
+        np.testing.assert_allclose(margin.ravel(), flat_margin, rtol=1e-15,
+                                   atol=1e-15)
 
     def test_nonhyperbolic_by_inflating_a(self):
         # push d past P_SW(lam_+) by making the exchange coefficient huge
         roots, margin = characteristic_roots(2.0, 1.0, 1e4, 1.3861, 1.0, 1e-3)
         assert margin < 0.0
-        assert len(roots) == 1
+        assert roots.shape == (3,)
+        assert np.isfinite(roots[0]) and np.isnan(roots[1:]).all()
 
     def test_margin_sign_change_at_collision(self):
         # sweep a along a 1-parameter family crossing the threshold; the
         # margin changes sign exactly where two real roots collide
         h, u, b, fr, db = 2.0, 1.0, 1.3861, 1.0, 1e-3
         a_vals = np.linspace(1.0, 2e4, 400)
-        margins = [characteristic_roots(h, u, a, b, fr, db)[1]
-                   for a in a_vals]
+        roots, margins = characteristic_roots(h, u, a_vals, b, fr, db)
         signs = np.sign(margins)
         flips = np.nonzero(np.diff(signs))[0]
         assert flips.size == 1
-        lo, hi = a_vals[flips[0]], a_vals[flips[0] + 1]
-        n_lo = len(characteristic_roots(h, u, lo, b, fr, db)[0])
-        n_hi = len(characteristic_roots(h, u, hi, b, fr, db)[0])
-        assert n_lo == 3 and n_hi == 1
+        n_real = np.count_nonzero(np.isfinite(roots), axis=0)
+        assert n_real[flips[0]] == 3 and n_real[flips[0] + 1] == 1
 
     @given(st.floats(0.1, 3.0), st.floats(0.1, 2.0), st.floats(0.0, 1.0))
     @settings(max_examples=150, deadline=None)

@@ -1,6 +1,7 @@
 """Config parsing, CSV emission and command-line behaviour."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -431,13 +432,20 @@ class TestCli:
 
     def test_analyze_non_snapshot_exit_2(self, tmp_path, capsys):
         # no x column, ragged rows and a header without rows (which used to
-        # exit 3), and an empty file (which used to exit 1)
-        for text in ("a,b\n1,2\n", "x,h\n1,2\n3\n", "x,h\n", ""):
+        # exit 3), and an empty or blank file (which used to exit 1, and
+        # then to print NumPy's empty-input warning before the error)
+        for text in ("a,b\n1,2\n", "x,h\n1,2\n3\n", "x,h\n", "", " \n\n"):
             f = tmp_path / "junk.csv"
             f.write_text(text)
-            assert cli.main(["analyze", str(f)]) == 2, text
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")    # a warning fails the test
+                assert cli.main(["analyze", str(f)]) == 2, text
             err = capsys.readouterr().err
             assert "configuration error" in err and str(f) in err
+            if not text.strip():
+                # one line, no warning before it
+                assert err.count("\n") == 1 and "empty" in err.lower()
+                assert err.startswith(f"configuration error: {f}: ")
 
     def test_unallocatable_grid_exit_2(self, tmp_path, monkeypatch, capsys):
         # a cell count NumPy refuses before allocating: no mesh runs, and
