@@ -4,12 +4,12 @@ validation solutions."""
 
 __version__ = "0.1.0"
 
-from .closures import (BlasiusConstant, FalknerSkanFit, FixedProfile,
-                       Pohlhausen4, closure_factors, ue_gradient)
+from .closures import (FalknerSkanFit, FixedProfile, Pohlhausen4,
+                       closure_factors, ue_gradient)
 from .errors import (ConfigError, CriticalFlow, DegenerateProfile, DomainError,
                      DryCell, EswError, MismatchedGrids, NegativeDiscriminant,
-                     NonFiniteState, NonpositiveDepth, NonpositiveTimeStep,
-                     StepFailure, TridiagonalFailure)
+                     NonFiniteState, NonpositiveTimeStep, StepFailure,
+                     TridiagonalFailure)
 from .state import ConservedState, Grid1D, PhysicalParams, recover_delta1
 from .hyperbolicity import (characteristic_roots, decoupled_speeds,
                             jacobian_coeffs, nickalls_bounds)

@@ -29,19 +29,12 @@ class FalknerSkanFit:
 
 
 @dataclass(frozen=True)
-class BlasiusConstant:
-    """Constant Blasius values, independent of the pressure gradient."""
+class FixedProfile:
+    """Constant shape and friction factors, independent of the pressure
+    gradient; the Blasius values by default."""
 
     H: float = BLASIUS_H
     f2: float = BLASIUS_F2
-
-
-@dataclass(frozen=True)
-class FixedProfile:
-    """User-chosen constant shape and friction factors."""
-
-    H: float
-    f2: float
 
     def __post_init__(self):
         if not (self.H >= 1.0 and np.isfinite(self.f2)):
@@ -55,7 +48,7 @@ class Pohlhausen4:
 
 # an X | Y union, not typing.Union: typing's cache would keep every
 # re-imported copy of the package alive
-ClosureLaw = FalknerSkanFit | BlasiusConstant | FixedProfile | Pohlhausen4
+ClosureLaw = FalknerSkanFit | FixedProfile | Pohlhausen4
 
 
 def shape_factor_fs(lambda1):
@@ -169,7 +162,7 @@ def closure_factors(law: ClosureLaw, lambda1):
     if isinstance(law, FalknerSkanFit):
         H = shape_factor_fs(lam1)
         f2 = friction_factor_fs(H)
-    elif isinstance(law, (BlasiusConstant, FixedProfile)):
+    elif isinstance(law, FixedProfile):
         H = np.full_like(lam1, law.H, dtype=float)
         f2 = np.full_like(lam1, law.f2, dtype=float)
     elif isinstance(law, Pohlhausen4):

@@ -52,26 +52,15 @@ class NonpositiveTimeStep(StepFailure):
     """The selected time step is zero or negative."""
 
 
-class NonpositiveDepth(StepFailure):
-    """Total depth h at or below zero after the multilayer transport; cell
-    counts the interior cells from 0."""
-
-    field = "h"
-
-    def __init__(self, cell):
-        super().__init__(f"nonpositive h in cell {cell} after transport")
-        self.cell = cell
-
-
 class DryCell(StepFailure):
-    """Water depth at or below the dry threshold after the convection step;
-    cell counts the interior cells from 0."""
+    """Water depth at or below the dry threshold H_DRY after the ESW
+    convection or the MLSW transport; cell counts the interior cells
+    from 0."""
 
     field = "h"
 
     def __init__(self, cell):
-        super().__init__(f"h at or below the dry threshold in cell {cell} "
-                         "after convection")
+        super().__init__(f"h at or below the dry threshold in cell {cell}")
         self.cell = cell
 
 

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .closures import (BlasiusConstant, ClosureLaw, FalknerSkanFit,
-                       FixedProfile, Pohlhausen4)
+from .closures import ClosureLaw, FalknerSkanFit, FixedProfile, Pohlhausen4
 
 
 def jacobian_coeffs(u_e, r, lambda1, H, law: ClosureLaw = FalknerSkanFit()):
@@ -29,7 +28,7 @@ def jacobian_coeffs(u_e, r, lambda1, H, law: ClosureLaw = FalknerSkanFit()):
     if isinstance(law, FalknerSkanFit):
         # a and b carry 1 -+ 0.74*Lambda1 on the active branch, 1 beyond it
         slope = np.where(lambda1 < 0.6, 0.74 * lambda1, 0.0)
-    elif isinstance(law, (BlasiusConstant, FixedProfile, Pohlhausen4)):
+    elif isinstance(law, (FixedProfile, Pohlhausen4)):
         # Pohlhausen4 treated as frozen-H for wave-speed estimates
         slope = 0.0
     else:
@@ -77,7 +76,7 @@ def characteristic_roots(h, u_e, a, b, froude, delta_bar):
     """Solve P_SW(lambda) = d for the full wave speeds of broadcast states.
 
     Closed-form roots (trigonometric for margin >= 0, Cardano otherwise),
-    polished by up to three Newton steps. Returns (roots, margin): roots
+    polished by one Newton step. Returns (roots, margin): roots
     has shape (3,) + the broadcast shape, ascending along axis 0, with NaN
     in the two upper slots where only one root is real; margin is the
     signed distance of d to the admissible interval (P_SW(lam-),
@@ -117,13 +116,9 @@ def characteristic_roots(h, u_e, a, b, froude, delta_bar):
         single[0] = np.cbrt(-qt / 2.0 + sq) + np.cbrt(-qt / 2.0 - sq) + shift
     roots = np.where(margin >= 0.0, trig, single)
 
-    # Newton polish on g = P_SW - d; a root whose derivative vanishes is held
-    live = np.ones(roots.shape, bool)
-    for _ in range(3):
-        g = _p_sw(roots, u_e, b, c2) - d
-        dg = (-((u_e - roots) ** 2 - c2)
-              - 2.0 * (b - u_e - roots) * (u_e - roots))
-        live &= dg != 0.0
-        roots -= np.divide(g, dg, out=np.zeros(roots.shape), where=live)
+    # one Newton step on g = P_SW - d, none where g' vanishes
+    g = _p_sw(roots, u_e, b, c2) - d
+    dg = -((u_e - roots) ** 2 - c2) - 2.0 * (b - u_e - roots) * (u_e - roots)
+    roots -= np.divide(g, dg, out=np.zeros(roots.shape), where=dg != 0.0)
     roots.sort(axis=0)
     return roots, margin

@@ -14,10 +14,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (DegenerateProfile, DomainError, NonFiniteState,
-                     NonpositiveDepth, NonpositiveTimeStep,
-                     TridiagonalFailure)
-from .state import Grid1D, PhysicalParams, U_EPS
+from .errors import (DegenerateProfile, DomainError, DryCell, NonFiniteState,
+                     NonpositiveTimeStep, TridiagonalFailure)
+from .state import Grid1D, H_DRY, PhysicalParams, U_EPS
 from .timeloop import CFL_NUMBER, InflowSpec, inflow_ghost, with_ghosts
 
 
@@ -162,8 +161,8 @@ def mlsw_step(state: MlswState, layers: LayerGrid, dt,
     div_mom /= dx
 
     h_new = state.h - dt * div_total
-    if np.any(h_new <= 0.0):
-        raise NonpositiveDepth(int(np.flatnonzero(h_new <= 0.0)[0]))
+    if (h_new <= H_DRY).any():
+        raise DryCell(int(np.flatnonzero(h_new <= H_DRY)[0]))
 
     # cumulative mass exchange G = cumsum(div_mass - ell*div_total) through
     # the N - 1 inner layer interfaces (through the top one it vanishes)

@@ -11,16 +11,15 @@ import numpy as np
 
 from . import __version__
 from .analytic import ReferenceCurve, blasius_steady, gaussian_bump, l1_error
-from .closures import (BLASIUS_F2, BLASIUS_H, DELTA1_FLOOR,
-                       BlasiusConstant, ClosureLaw, FalknerSkanFit,
-                       FixedProfile, Pohlhausen4, closure_factors,
-                       ue_gradient)
-from .errors import ConfigError, DomainError, StepFailure
+from .closures import (BLASIUS_F2, BLASIUS_H, DELTA1_FLOOR, ClosureLaw,
+                       FalknerSkanFit, FixedProfile, Pohlhausen4,
+                       closure_factors, ue_gradient)
+from .errors import ConfigError, DomainError
 from .mlsw import LayerGrid, MlswState, mlsw_compute_dt, mlsw_diagnostics, \
     mlsw_step
 from .state import ConservedState, Grid1D, PhysicalParams, recover_delta1
 from .timeloop import (BoundarySpec, RunState, SubcriticalInflow,
-                       SupercriticalInflow, advance, reached)
+                       SupercriticalInflow, advance, march)
 
 SCENARIOS = ("BlasiusSteady", "ImpulsiveStart", "Bump", "MlswCompare")
 _SNAPSHOT_HEADER = "x,fb,h,u_e,delta1,tau_b,H,f2,Lambda1,U"
@@ -56,7 +55,7 @@ class ScenarioConfig:
             raise ConfigError("n_cells must be at least 10")
         if not (np.isfinite(self.t_end) and self.t_end > 0.0):
             raise ConfigError("t_end must be finite and positive")
-        if any(t < 0 or t > self.t_end for t in self.snapshot_times):
+        if any(not 0.0 <= t <= self.t_end for t in self.snapshot_times):
             raise ConfigError("snapshot times must lie in [0, t_end]")
         if self.scenario == "MlswCompare" and self.snapshot_times:
             raise ConfigError("MlswCompare takes no run.snapshot_times")
@@ -88,7 +87,7 @@ class ScenarioConfig:
         if name == "falkner-skan":
             return FalknerSkanFit()
         if name == "blasius":
-            return BlasiusConstant()
+            return FixedProfile()
         if name == "fixed":
             return FixedProfile(H=self.fixed_H, f2=self.fixed_f2)
         if name == "pohlhausen4":
@@ -254,10 +253,20 @@ def _write_metadata(config: ScenarioConfig, out_dir: Path, wall_time: float,
 
 
 def initial_state(config: ScenarioConfig) -> RunState:
+    """The t = 0 state of either model: depth h0 and velocity u0 in every
+    cell, with no viscous layer (ESW) or the same velocity in every layer
+    (MlswCompare, whose W is an MlswState)."""
     n = config.n_cells
-    W = ConservedState(h=np.full(n, config.h0),
-                       q=np.full(n, config.h0 * config.u0),
-                       r=np.zeros(n))
+    if config.scenario == "MlswCompare":
+        try:
+            W = MlswState.uniform(LayerGrid(config.n_layers), n, config.h0,
+                                  config.u0)
+        except (MemoryError, OverflowError, ValueError) as exc:
+            raise ConfigError(f"mlsw.n_layers too large: {exc}") from exc
+    else:
+        W = ConservedState(h=np.full(n, config.h0),
+                           q=np.full(n, config.h0 * config.u0),
+                           r=np.zeros(n))
     return RunState(t=0.0, step_count=0, W=W)
 
 
@@ -268,27 +277,20 @@ def run_scenario(config: ScenarioConfig, out_dir=None) -> RunState:
     grid = config.grid()
     params = config.physical_params()
     boundaries = config.boundary_spec()
+    run = initial_state(config)
     out = Path(out_dir if out_dir is not None else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     if config.scenario == "MlswCompare":
         layers = LayerGrid(config.n_layers)
-        state = MlswState.uniform(layers, config.n_cells, config.h0,
-                                  config.u0)
-        t, steps = 0.0, 0
-        while not reached(t, config.t_end):
-            try:
-                dt = mlsw_compute_dt(state, params, grid.dx,
-                                     dt_cap=config.t_end - t)
-                state = mlsw_step(state, layers, dt, params, grid,
-                                  boundaries.left)
-            except StepFailure as exc:
-                exc.step, exc.t = steps, t
-                raise
-            t += dt
-            steps += 1
-        run = RunState(t=t, step_count=steps, W=state)
-        emit_mlsw_snapshot(state, layers, grid, params, out / "final.csv",
+
+        def mlsw_take_step(run: RunState, dt_cap) -> RunState:
+            dt = mlsw_compute_dt(run.W, params, grid.dx, dt_cap=dt_cap)
+            W = mlsw_step(run.W, layers, dt, params, grid, boundaries.left)
+            return RunState(t=run.t + dt, step_count=run.step_count + 1, W=W)
+
+        run = march(run, config.t_end, mlsw_take_step)
+        emit_mlsw_snapshot(run.W, layers, grid, params, out / "final.csv",
                            out / "final_profiles.csv")
     else:
         def snap(state: RunState):
@@ -296,8 +298,8 @@ def run_scenario(config: ScenarioConfig, out_dir=None) -> RunState:
                           out / f"snapshot_t{state.t:.6f}.csv",
                           gradient_order=config.gradient_order)
 
-        run = advance(initial_state(config), config.t_end, grid, params,
-                      boundaries, gradient_order=config.gradient_order,
+        run = advance(run, config.t_end, grid, params, boundaries,
+                      gradient_order=config.gradient_order,
                       snapshot_times=config.snapshot_times, on_snapshot=snap)
         emit_snapshot(run.W, grid, params, out / "final.csv",
                       gradient_order=config.gradient_order)

@@ -5,8 +5,9 @@ gradient freeze, one evaluation of every cell (closure, wave-speed bounds,
 flux) that the later phases share, CFL time-step selection, the Godunov
 convection step and the semi-implicit friction step.
 
-The time-step rule of both models lives here: the CFL number, the cap at
-the next stop (output or end time) and the test for having reached a stop.
+The time loop and time-step rule of both models live here: the CFL number,
+the cap at the next stop (output or end time), the test for having reached
+a stop, and the stamping of a failed step with its step count and time.
 """
 
 from __future__ import annotations
@@ -201,17 +202,13 @@ def step(run: RunState, grid: Grid1D, params: PhysicalParams,
     u_e = W_ext.q / W_ext.h
     dudx = frozen_gradient(u_e, grid.dx, order=gradient_order)
     cells = evaluate_cells(W_ext, params, dudx, u_e)
-    try:
-        dt, limiter = compute_dt(cells, grid.dx, dt_cap=dt_cap)
-        # f2H first: the fewer arrays allocated after the update's new
-        # state, the less heap malloc trims and faults in again each step
-        f2H = cells.f2[N_GHOST:-N_GHOST] * cells.H[N_GHOST:-N_GHOST]
-        W, fan = convection_step(cells, grid.bed_jumps, params, grid.dx, dt)
-        u_e = W.q / W.h   # friction keeps h and q as they are
-        friction_step(W, dt, params, f2H, u_e)
-    except StepFailure as exc:
-        exc.step, exc.t = run.step_count, run.t
-        raise
+    dt, limiter = compute_dt(cells, grid.dx, dt_cap=dt_cap)
+    # f2H first: the fewer arrays allocated after the update's new state,
+    # the less heap malloc trims and faults in again each step
+    f2H = cells.f2[N_GHOST:-N_GHOST] * cells.H[N_GHOST:-N_GHOST]
+    W, fan = convection_step(cells, grid.bed_jumps, params, grid.dx, dt)
+    u_e = W.q / W.h   # friction keeps h and q as they are
+    friction_step(W, dt, params, f2H, u_e)
 
     diag = {"last_dt": dt, "dt_limiter": limiter,
             "n_fallback": int(np.count_nonzero(fan.fallback)),
@@ -226,13 +223,14 @@ def step(run: RunState, grid: Grid1D, params: PhysicalParams,
                     diagnostics=diag)
 
 
-def advance(run: RunState, t_end, grid: Grid1D, params: PhysicalParams,
-            boundaries: BoundarySpec, gradient_order=4, snapshot_times=(),
-            on_snapshot: Optional[Callable] = None) -> RunState:
-    """Run the loop until t_end, clipping the last step to land exactly.
+def march(run: RunState, t_end, take_step: Callable, snapshot_times=(),
+          on_snapshot: Optional[Callable] = None) -> RunState:
+    """The time loop of both models: take_step(run, dt_cap) -> RunState
+    until t_end, each step capped to land exactly on the next stop.
 
     Snapshot callbacks fire at end-of-step states, once per requested time,
-    as soon as the run time reaches it.
+    as soon as the run time reaches it. A StepFailure leaves with the step
+    count and time of the state that the failed step started from.
     """
     pending = sorted(t for t in snapshot_times if t >= run.t)
     if run.t == 0.0 and pending and pending[0] == 0.0:
@@ -241,11 +239,23 @@ def advance(run: RunState, t_end, grid: Grid1D, params: PhysicalParams,
         pending.pop(0)
     while not reached(run.t, t_end):
         next_stop = pending[0] if pending else t_end
-        cap = min(next_stop, t_end) - run.t
-        run = step(run, grid, params, boundaries,
-                   gradient_order=gradient_order, dt_cap=cap)
+        try:
+            run = take_step(run, min(next_stop, t_end) - run.t)
+        except StepFailure as exc:
+            exc.step, exc.t = run.step_count, run.t
+            raise
         while pending and reached(run.t, pending[0]):
             if on_snapshot is not None:
                 on_snapshot(run)
             pending.pop(0)
     return run
+
+
+def advance(run: RunState, t_end, grid: Grid1D, params: PhysicalParams,
+            boundaries: BoundarySpec, gradient_order=4, snapshot_times=(),
+            on_snapshot: Optional[Callable] = None) -> RunState:
+    """march with the ESW split step."""
+    return march(run, t_end,
+                 lambda run, dt_cap: step(run, grid, params, boundaries,
+                                          gradient_order, dt_cap),
+                 snapshot_times, on_snapshot)

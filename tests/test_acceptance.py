@@ -14,7 +14,7 @@ from scipy.integrate import quad
 
 from conftest import acceptance_verdicts, cubic_roots_oracle
 
-from eswsim import (BlasiusConstant, BoundarySpec, ConservedState, Grid1D,
+from eswsim import (BoundarySpec, ConservedState, FixedProfile, Grid1D,
                     PhysicalParams, RunState, ScenarioConfig,
                     SubcriticalInflow, SupercriticalInflow, convergence_study,
                     run_scenario, step)
@@ -337,7 +337,7 @@ def test_criterion_08b_plain_hll_oracle():
         grid = Grid1D.uniform(0.0, 1.0, n, topo_fn)
         # constant-H closure: the (h, q) block is exactly classical SW
         params = PhysicalParams(froude=FR, delta_bar=0.0,
-                                closure=BlasiusConstant())
+                                closure=FixedProfile())
         spec = BoundarySpec(left=SupercriticalInflow(u_in=u_in, h_in=h_in))
         run = RunState(0.0, 0, ConservedState(h=h_init.copy(),
                                               q=q_init.copy(),

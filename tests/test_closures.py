@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eswsim.closures import (BlasiusConstant, FalknerSkanFit, FixedProfile,
-                             Pohlhausen4, _pohlhausen4_lambda_from_lambda1,
+from eswsim.closures import (FalknerSkanFit, FixedProfile, Pohlhausen4,
+                             _pohlhausen4_lambda_from_lambda1,
                              closure_factors, pohlhausen4_factors,
                              pohlhausen4_profile, ue_gradient)
 from eswsim.errors import DomainError
@@ -150,7 +150,7 @@ class TestFixedProfile:
         assert np.all(H == 3.0) and np.all(f2 == 0.1)
 
     def test_blasius_constant(self):
-        H, f2 = closure_factors(BlasiusConstant(), np.array([1.0]))
+        H, f2 = closure_factors(FixedProfile(), np.array([1.0]))
         assert H[0] == 2.59 and f2[0] == 0.22
 
 
@@ -184,7 +184,7 @@ class TestClosureFactors:
     def test_H_at_least_one(self):
         rng = np.random.default_rng(7)
         lam1 = rng.uniform(-20.0, 10.0, 500)
-        for law in (FalknerSkanFit(), Pohlhausen4(), BlasiusConstant()):
+        for law in (FalknerSkanFit(), Pohlhausen4(), FixedProfile()):
             H, _ = closure_factors(law, lam1)
             assert np.all(H >= 1.0)
 

@@ -5,7 +5,7 @@ import pytest
 from conftest import cubic_roots_oracle
 from hypothesis import given, settings, strategies as st
 
-from eswsim.closures import (BlasiusConstant, FalknerSkanFit, closure_factors)
+from eswsim.closures import FalknerSkanFit, FixedProfile, closure_factors
 from eswsim.hyperbolicity import (characteristic_roots, decoupled_speeds,
                                   jacobian_coeffs, nickalls_bounds, _p_sw)
 
@@ -55,7 +55,7 @@ class TestJacobianCoeffs:
     def test_constant_H_law(self):
         a, b = jacobian_coeffs(np.array([2.0]), np.array([0.6]),
                                np.array([-3.0]), np.array([2.59]),
-                               BlasiusConstant())
+                               FixedProfile())
         assert a[0] == pytest.approx((1 + 1 / 2.59) * 0.6)
         assert b[0] == pytest.approx((1 + 1 / 2.59) * 2.0)
 
@@ -166,6 +166,25 @@ class TestCharacteristicRoots:
         assert np.array_equal(np.isfinite(roots[2]), margin > 0.0)
         scale = np.maximum(1.0, np.abs(ref))
         assert np.nanmax(np.abs(roots - ref) / scale) <= 1e-12
+
+    def test_one_newton_step_reaches_double_precision(self):
+        # criterion 9's 1000 states against the brute-force roots refined
+        # by two Newton steps in extended precision: the closed form alone
+        # is off by up to 1.2e-14, after its Newton step by 2.3e-16
+        rng = np.random.default_rng(0)
+        h, u, lam1, d1 = rng.uniform([0.1, 0.1, -2.0, 0.0],
+                                     [3.0, 2.0, 0.5, 2.0], size=(1000, 4)).T
+        H, _ = closure_factors(FalknerSkanFit(), lam1)
+        a, b = jacobian_coeffs(u, d1 * u, lam1, H)
+        roots, _ = characteristic_roots(h, u, a, b, 1.0, 1e-3)
+        ref = cubic_roots_oracle(h, u, a, b, 1.0, 1e-3).astype(np.longdouble)
+        h, u, a, b = (v.astype(np.longdouble) for v in (h, u, a, b))
+        d = np.longdouble(1e-3) * a     # Fr = 1: c2 = h, d = delta_bar*a
+        for _ in range(2):
+            ref -= ((_p_sw(ref, u, b, h) - d)
+                    / (-((u - ref) ** 2 - h) - 2.0 * (b - u - ref) * (u - ref)))
+        assert np.nanmax(np.abs(roots - ref) / np.maximum(1.0, np.abs(ref))) \
+            <= 1e-15
 
     def test_broadcast_shapes(self):
         h = np.array([[1.0], [2.0]])

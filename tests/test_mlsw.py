@@ -10,10 +10,11 @@ from eswsim import (Grid1D, LayerGrid, MlswState, PhysicalParams,
                     SubcriticalInflow, SupercriticalInflow, mlsw_compute_dt,
                     mlsw_diagnostics, mlsw_step)
 from eswsim.analytic import gaussian_bump
-from eswsim.errors import (DegenerateProfile, DomainError, NonFiniteState,
-                           NonpositiveDepth, NonpositiveTimeStep,
+from eswsim.errors import (DegenerateProfile, DomainError, DryCell,
+                           NonFiniteState, NonpositiveTimeStep,
                            TridiagonalFailure)
 from eswsim.mlsw import _ghosted, _thomas
+from eswsim.state import H_DRY
 
 
 def params(db=1e-3, fr=1.0):
@@ -233,15 +234,15 @@ class TestTransportFailure:
         hU = h * np.sum(layers.fractions[:, None] * u, axis=0)
         F = 0.5 * (hU[:-1] + hU[1:]) - 0.5 * s * (eta[1:] - eta[:-1])
         h_new = state.h - dt / grid.dx * (F[1:] - F[:-1])
-        first = int(np.flatnonzero(h_new <= 0.0)[0])
+        first = int(np.flatnonzero(h_new <= H_DRY)[0])
         assert h_new.min() < -0.1    # far from the sign change
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NonpositiveDepth) as info:
+            with pytest.raises(DryCell) as info:
                 mlsw_step(state, layers, dt, p, grid, left)
         exc = info.value
         assert (exc.field, exc.cell, exc.step) == ("h", first, None)
-        assert str(exc) == f"nonpositive h in cell {first} after transport"
+        assert str(exc) == f"h at or below the dry threshold in cell {first}"
 
 
 class TestSingleLayerDegeneration:

@@ -64,8 +64,9 @@ class TestConfigParsing:
             ScenarioConfig(scenario="NoSuchThing")
         with pytest.raises(ConfigError):
             ScenarioConfig(n_cells=5)
-        with pytest.raises(ConfigError):
-            ScenarioConfig(snapshot_times=(2.0,), t_end=1.0)
+        for t in (2.0, -0.5, float("nan")):
+            with pytest.raises(ConfigError, match="snapshot"):
+                ScenarioConfig(snapshot_times=(t, 0.5), t_end=1.0)
         with pytest.raises(ConfigError):
             ScenarioConfig(gradient_order=3)
         with pytest.raises(ConfigError, match="n_layers"):
@@ -458,9 +459,25 @@ class TestCli:
         assert "grid.n_cells" in capsys.readouterr().err
         assert runs == []
 
-        # an allocation that fails (the real one would ask for 745 GiB)
         def no_memory(*args, **kwargs):
-            raise MemoryError("Unable to allocate 745. GiB")
+            raise MemoryError("Unable to allocate")
+
+        # the multilayer state is built before the output directory: a
+        # layer count NumPy refuses before allocating, then an allocation
+        # that fails (the real one would ask for 14.2 PiB)
+        for n_layers in (10**18, 10**13):
+            if n_layers == 10**13:
+                monkeypatch.setattr(scenarios.MlswState, "uniform",
+                                    no_memory)
+            out = tmp_path / f"m{n_layers}"
+            assert cli.main(["mlsw", "--out", str(out), "--set",
+                             f"mlsw.n_layers={n_layers}"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error: mlsw.n_layers")
+            assert err.count("\n") == 1
+            assert not out.exists()
+
+        # an allocation that fails (the real one would ask for 745 GiB)
         monkeypatch.setattr(scenarios.Grid1D, "uniform", no_memory)
         assert cli.main(["run", "--out", str(tmp_path / "r"),
                          "--set", "grid.n_cells=100000000000"]) == 2
@@ -562,9 +579,10 @@ class TestCli:
         monkeypatch.setattr(scenarios, "mlsw_step", too_long)
         rc = cli.main(self.mlsw_args("mlsw", tmp_path / "o", "bump.alpha=0.5"))
         assert rc == 3
-        where = re.escape(f"after transport (step 1, t={dts[0]!r})")
-        assert re.fullmatch(rf"numerical failure: nonpositive h in cell \d+ "
-                            rf"{where}\n", capsys.readouterr().err)
+        where = re.escape(f"(step 1, t={dts[0]!r})")
+        assert re.fullmatch(rf"numerical failure: h at or below the dry "
+                            rf"threshold in cell \d+ {where}\n",
+                            capsys.readouterr().err)
 
     def test_mlsw_verb_is_run_with_mlsw_scenario(self, tmp_path):
         # the verb overrides a scenario set earlier

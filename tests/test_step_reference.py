@@ -13,10 +13,10 @@ from conftest import from_primitive_fields
 from hypothesis import given, settings, strategies as st
 from test_riemann import masked_star_depths
 
-from eswsim import (BlasiusConstant, BoundarySpec, ConservedState,
-                    FalknerSkanFit, FixedProfile, Grid1D, PhysicalParams,
-                    Pohlhausen4, RunState, SubcriticalInflow,
-                    SupercriticalInflow, closure_factors, step)
+from eswsim import (BoundarySpec, ConservedState, FalknerSkanFit,
+                    FixedProfile, Grid1D, PhysicalParams, Pohlhausen4,
+                    RunState, SubcriticalInflow, SupercriticalInflow,
+                    closure_factors, step)
 from eswsim.analytic import gaussian_bump
 from eswsim.closures import (LAMBDA1_CLAMP, friction_factor_fs,
                              shape_factor_fs, ue_gradient)
@@ -204,7 +204,7 @@ def case(name):
     setups = {
         "falkner_skan_flat_sub": (uniform, flat, p, sub, 4),
         "blasius_order2": (uniform, flat, PhysicalParams(
-            1.0, 1e-3, BlasiusConstant()), sub, 2),
+            1.0, 1e-3, FixedProfile()), sub, 2),
         "fixed_profile": (uniform, flat, PhysicalParams(
             1.0, 1e-3, FixedProfile(2.3, 0.3)), sub, 4),
         "pohlhausen4_bump": (uniform, bump_grid(n, 0.05), PhysicalParams(
@@ -357,7 +357,7 @@ class TestHelpersMatchExpressions:
         check(friction_factor_fs, ref_friction_factor_fs, *args)
 
     @HELPERS
-    @given(fields(4), st.sampled_from((FalknerSkanFit(), BlasiusConstant(),
+    @given(fields(4), st.sampled_from((FalknerSkanFit(), FixedProfile(),
                                        Pohlhausen4())))
     def test_jacobian_coeffs(self, args, law):
         check(lambda *a: jacobian_coeffs(*a, law),
@@ -422,7 +422,7 @@ def test_helpers_broadcast_mixed_ranks():
     # a 0-d Lambda1 or H against array u_e and r (the wave_speed_map demo's
     # call), and a scalar u_e against an array b
     u_e = np.linspace(-1.0, 2.0, 7)
-    for law in (FalknerSkanFit(), BlasiusConstant()):
+    for law in (FalknerSkanFit(), FixedProfile()):
         check(lambda *a: jacobian_coeffs(*a, law),
               lambda *a: ref_jacobian_coeffs(*a, law),
               u_e, 0.5 * u_e, 0.0, np.array(2.59))

@@ -267,12 +267,12 @@ class TestStepAndAdvance:
         # delta_bar = 0 with a constant-H closure decouples (h, q) from r:
         # the depth/discharge fields must be bit-comparable with a run that
         # carries no layer at all
-        from eswsim import BlasiusConstant
+        from eswsim import FixedProfile
         n = 40
         grid = Grid1D.uniform(0.0, 1.0, n,
                               lambda x: gaussian_bump(x, 0.05, 0.1, 0.5))
         p = PhysicalParams(froude=1.0, delta_bar=0.0,
-                           closure=BlasiusConstant())
+                           closure=FixedProfile())
         spec = BoundarySpec(left=SubcriticalInflow(u_in=1.0))
         runA = RunState(t=0.0, step_count=0, W=uniform_state(n, d1=0.3))
         runB = RunState(t=0.0, step_count=0, W=uniform_state(n, d1=0.0))
@@ -384,8 +384,10 @@ class TestStepDiagnostics:
         # a NaN in r alone leaves the wave-speed bounds finite; it must
         # still be named in the step that meets it. A NaN in the first cell
         # also reaches the subcritical inflow ghosts, which must not be
-        # named instead of it
+        # named instead of it. The time loop stamps the step and time; a
+        # step taken on its own leaves them unset
         n = 20
+        grid = Grid1D.uniform(0.0, 1.0, n)
         spec = BoundarySpec(left=SubcriticalInflow(u_in=1.0))
         for field, cell, step_count, t in (("h", 7, 3, 0.125),
                                            ("r", 7, 0, 0.0),
@@ -395,11 +397,15 @@ class TestStepDiagnostics:
             getattr(W, field)[cell] = np.nan
             run = RunState(t=t, step_count=step_count, W=W)
             with pytest.raises(NonFiniteState) as info:
-                step(run, Grid1D.uniform(0.0, 1.0, n), params(), spec)
+                advance(run, run.t + 1.0, grid, params(), spec)
             assert (info.value.field, info.value.cell) == (field, cell)
             assert (info.value.step, info.value.t) == (step_count, t)
             assert f"cell {cell}" in str(info.value)
             assert f"step {step_count}" in str(info.value)
+            with pytest.raises(NonFiniteState) as info:
+                step(run, grid, params(), spec)
+            assert (info.value.field, info.value.cell) == (field, cell)
+            assert (info.value.step, info.value.t) == (None, None)
 
     def test_dry_cell_is_named(self):
         # a film just above H_DRY under a diverging stream: cell 0 is fed
@@ -409,12 +415,16 @@ class TestStepDiagnostics:
         W = from_primitive_fields(np.full(n, h0), np.linspace(0.0, 2.0, n),
                                   np.zeros(n))
         spec = BoundarySpec(left=SupercriticalInflow(u_in=0.0, h_in=h0))
+        grid = Grid1D.uniform(0.0, 1.0, n)
         with pytest.raises(DryCell) as info:
-            step(RunState(0.25, 7, W), Grid1D.uniform(0.0, 1.0, n),
-                 params(), spec)
+            advance(RunState(0.25, 7, W), 1.25, grid, params(), spec)
         assert (info.value.field, info.value.cell) == ("h", 1)
         assert (info.value.step, info.value.t) == (7, 0.25)
-        assert "cell 1" in str(info.value) and "step 7" in str(info.value)
+        assert str(info.value) == ("h at or below the dry threshold in cell 1"
+                                   " (step 7, t=0.25)")
+        with pytest.raises(DryCell) as info:
+            step(RunState(0.25, 7, W), grid, params(), spec)
+        assert (info.value.cell, info.value.step) == (1, None)
 
     def test_nonpositive_dt_is_named(self):
         run = RunState(t=0.0, step_count=0, W=uniform_state(10))
