@@ -171,6 +171,10 @@ def _star_depths(h_L, h_R, q_star, C, jump_fb, lam_L, lam_R, froude, span):
                     <= _NEWTON_TOL * np.maximum(1.0, hr[ok])).all()
             if converged:
                 break
+        else:
+            # not converged by the cap: HLL depths, counted as a fallback
+            ok &= np.abs(step) <= _NEWTON_TOL * np.maximum(1.0, hr)
+            all_ok = bool(ok.all())
         hl = (lamR * hr - Ci) / lamL
         if all_ok and hr.min() > 0.0 and hl.min() > 0.0:
             hR[idx] = hr

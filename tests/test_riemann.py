@@ -205,6 +205,8 @@ def masked_star_depths(h_L, h_R, q_star, C, jump_fb, lam_L, lam_R, froude):
             if not ok.any() or (np.abs(step[ok])
                                 <= _NEWTON_TOL * np.maximum(1.0, hr[ok])).all():
                 break
+        else:
+            ok &= np.abs(step) <= _NEWTON_TOL * np.maximum(1.0, hr)
         hl = (lamR * hr - Ci) / lamL
         ok &= (hr > 0.0) & (hl > 0.0)
         hR[idx] = np.where(ok, hr, h_hll[idx])
@@ -309,6 +311,21 @@ class TestStarDepthsMatchMasked:
         assert np.flatnonzero(fallback).tolist() == [20]
         h_hll = args[3][20] / (args[6][20] - args[5][20])
         assert hL[20] == hR[20] == h_hll
+
+    def test_unconverged_at_cap_falls_back(self, bump_interfaces,
+                                           monkeypatch):
+        # one iteration converges only where the bed jump is tiny: every
+        # other Newton-active interface has not converged by the cap, so it
+        # takes the HLL depths and is counted as a fallback
+        args = bump_interfaces
+        hL, hR, _ = _star_depths(*args, args[6] - args[5])
+        monkeypatch.setattr(rm, "_NEWTON_MAX_ITER", 1)
+        hL1, hR1, fallback = _star_depths(*args, args[6] - args[5])
+        h_hll = args[3] / (args[6] - args[5])
+        assert 0 < np.count_nonzero(fallback) < np.count_nonzero(args[4])
+        assert np.array_equal(hL1[fallback], h_hll[fallback])
+        assert np.array_equal(hR1[fallback], h_hll[fallback])
+        assert np.allclose(hR1[~fallback], hR[~fallback], rtol=1e-14, atol=0)
 
     def test_zero_newton_derivative(self):
         # lam = -1, 1, h_hll = 1 and q* = 1 at Fr = 1: dg is exactly 0 at
