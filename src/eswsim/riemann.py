@@ -59,13 +59,12 @@ class RiemannFan(NamedTuple):
     fallback: np.ndarray  # bool mask of interfaces using the HLL fallback
 
 
-def physical_flux(h, q, r, H, params: PhysicalParams, u_e, out=None):
+def physical_flux(h, q, r, H, params: PhysicalParams, u_e, out):
     """(q - delta_bar*r, q*u_e + h^2/(2Fr^2), (1+1/H)*r*u_e) for u_e = q/h,
-    written into the rows of out, a (3, n) array, if given."""
-    F0, F1, F2 = (None, None, np.empty(np.broadcast(H, r, u_e).shape)) \
-        if out is None else (out[0], out[1], out[2])
-    F0 = np.subtract(q, params.delta_bar * r, out=F0)
-    F1 = np.multiply(q, u_e, out=F1)
+    written into the rows of out, a (3, n) array; returns the rows."""
+    F0, F1, F2 = out
+    np.subtract(q, params.delta_bar * r, out=F0)
+    np.multiply(q, u_e, out=F1)
     h2 = np.square(h)
     h2 /= 2.0 * params.froude**2
     F1 += h2
@@ -100,7 +99,7 @@ def evaluate_cells(W: ConservedState, params: PhysicalParams,
     _, b = jacobian_coeffs(u_e, r, lambda1, H, params.closure)
     lam_L, lam_R = nickalls_bounds(u_e, b, h, params.froude)
     F = np.empty_like(W.hqr)
-    physical_flux(h, q, r, H, params, u_e, out=F)
+    physical_flux(h, q, r, H, params, u_e, F)
     return CellEval(W.hqr, F, lam_L, lam_R, delta1, H, f2)
 
 

@@ -171,15 +171,13 @@ def convection_step(cells: CellEval, jump_fb, params: PhysicalParams, dx,
 
 
 def friction_step(W: ConservedState, dt, params: PhysicalParams,
-                  f2H, u_e=None) -> ConservedState:
+                  f2H, u_e) -> ConservedState:
     """Semi-implicit friction update of delta1, written into W's r row;
     h and q do not change. Returns W.
 
     f2H is the per-cell product (f2*H) evaluated at the pre-convection state;
-    u_e is W's edge velocity q/h, computed here when not given.
+    u_e is W's edge velocity q/h.
     """
-    if u_e is None:
-        u_e = W.q / W.h
     delta1 = _delta1_from_ue(u_e, W.r)
     # disc = delta1^2 + 4*f2H*dt, then 0.5*(delta1 + sqrt(disc))*u_e
     r = np.multiply(4.0, f2H, out=W.r)

@@ -373,7 +373,7 @@ def test_criterion_08c_friction_positivity():
     h, u, d1, f2H = h[keep], u[keep], d1[keep], f2H[keep]
     params = PhysicalParams(froude=FR, delta_bar=DB)
     W = ConservedState(h=h, q=h * u, r=d1 * u)
-    W2 = friction_step(W, dt, params, f2H)
+    W2 = friction_step(W, dt, params, f2H, W.q / W.h)
     n_used = h.size
     ok = n_used >= 100_000 and bool(np.all(W2.r >= 0.0))
     report(8, ok, f"(c) delta1 >= 0 on {n_used} admissible random inputs")

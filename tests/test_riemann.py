@@ -61,7 +61,7 @@ class TestConsistency:
         W = ConservedState(h=[2.0], q=[2.2], r=[0.3])
         fan = riemann(W, W, np.array([0.0]), params())
         F = physical_flux(W.h, W.q, W.r, np.array([2.59]), params(),
-                          W.q / W.h)
+                          W.q / W.h, np.empty((3, 1)))
         # H here comes from lambda1=0 since dudx defaults to 0
         for k in range(3):
             assert fan.F_left[k][0] == pytest.approx(F[k][0], rel=1e-12)
@@ -118,7 +118,8 @@ class TestWellBalanced:
         # to the physical flux of its own cell and every cell update cancels
         # against the matching flux at its other interface
         FL, FR = (physical_flux(W.h, W.q, W.r, np.array([2.59]), params(),
-                                W.q / W.h) for W in (W_L, W_R))
+                                W.q / W.h, np.empty((3, 1)))
+                  for W in (W_L, W_R))
         for k in range(3):
             assert fan.F_left[k][0] == pytest.approx(FL[k][0], abs=1e-13)
             assert fan.F_right[k][0] == pytest.approx(FR[k][0], abs=1e-13)

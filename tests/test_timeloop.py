@@ -214,18 +214,18 @@ class TestConvectionStep:
 class TestFrictionStep:
     def test_growth_closed_form(self):
         W = ConservedState(h=[2.0], q=[2.0], r=[1.0])
-        W2 = friction_step(W, 0.01, params(), np.array([0.5716]))
+        W2 = friction_step(W, 0.01, params(), np.array([0.5716]), W.q / W.h)
         assert W2.r[0] == pytest.approx(0.5 * (1 + np.sqrt(1.022864)),
                                         abs=1e-6)
 
     def test_separation_neutral(self):
         W = ConservedState(h=[2.0], q=[2.0], r=[0.3])
-        W2 = friction_step(W, 0.01, params(), np.array([0.0]))
+        W2 = friction_step(W, 0.01, params(), np.array([0.0]), W.q / W.h)
         assert W2.r[0] == pytest.approx(0.3, abs=1e-15)
 
     def test_h_q_untouched(self):
         W = ConservedState(h=[1.7], q=[2.1], r=[0.2])
-        W2 = friction_step(W, 0.05, params(), np.array([0.5]))
+        W2 = friction_step(W, 0.05, params(), np.array([0.5]), W.q / W.h)
         assert W2.h[0] == 1.7 and W2.q[0] == 2.1
 
     @given(st.floats(0.0, 2.0), st.floats(-0.3, 0.8), st.floats(1e-6, 0.1))
@@ -237,7 +237,7 @@ class TestFrictionStep:
             if dt <= 0.0:
                 return
         W = ConservedState(h=[2.0], q=[2.0], r=[d1 * 1.0])
-        W2 = friction_step(W, dt, params(), np.array([f2H]))
+        W2 = friction_step(W, dt, params(), np.array([f2H]), W.q / W.h)
         assert W2.r[0] >= 0.0
 
     def test_growth_matches_von_karman_ode(self):
@@ -246,7 +246,7 @@ class TestFrictionStep:
         W = ConservedState(h=[2.0], q=[2.0], r=[0.0])
         t, dt = 0.0, 1e-5
         for _ in range(2000):
-            W = friction_step(W, dt, params(), np.array([f2H]))
+            W = friction_step(W, dt, params(), np.array([f2H]), W.q / W.h)
             t += dt
         assert W.r[0] == pytest.approx(np.sqrt(2 * f2H * t), rel=1e-3)
 
