@@ -62,7 +62,7 @@ class RiemannFan(NamedTuple):
 def physical_flux(h, q, r, H, params: PhysicalParams, u_e, out):
     """(q - delta_bar*r, q*u_e + h^2/(2Fr^2), (1+1/H)*r*u_e) for u_e = q/h,
     written into the rows of out, a (3, n) array; returns the rows."""
-    F0, F1, F2 = out
+    F0, F1, F2 = out[0], out[1], out[2]   # indexing: cheaper than unpacking
     np.subtract(q, params.delta_bar * r, out=F0)
     np.multiply(q, u_e, out=F1)
     h2 = np.square(h)
@@ -104,38 +104,34 @@ def evaluate_cells(W: ConservedState, params: PhysicalParams,
 
 
 def _star_depths(h_L, h_R, q_star, C, jump_fb, lam_L, lam_R, froude, span):
-    """Solve the 2x2 star-depth system for h_R*, span = lam_R - lam_L.
+    """Solve the 2x2 star-depth system for h = h_R*; span = lam_R - lam_L.
 
-    The linear consistency relation eliminates h_L* = (lam_R*h - C)/lam_L
-    for h = h_R*, and the Bernoulli relation across the contact leaves
+    The linear relation gives h_L* = (lam_R*h - C)/lam_L, and the Bernoulli
+    relation across the contact leaves, on the bracket h in (0, C/lam_R)
+    where both depths are positive,
+        g(h) = q*^2/2 (1/h^2 - 1/h_L*^2) + (h - h_L* + [f_b]) / Fr^2 = 0.
+    One Newton step from the HLL depth C/span comes first, then Halley
+    steps h - d / (1 - d g''/(2g')), with d = g/g' and
+    g'' = q*^2/2 (6/h^4 - 6 (lam_R/lam_L)^2/h_L*^4). The loop stops once
+    every |d| / max(1, h) is at most _NEWTON_TOL after the Newton step, or
+    _HALLEY_TOL after a Halley step.
 
-        g(h) = q*^2/2 (1/h^2 - 1/h_L*^2) + (h - h_L* + [f_b]) / Fr^2 = 0
-
-    on the bracket h in (0, C/lam_R), where both depths are positive. The
-    first iteration is a Newton step from the HLL depth C/span. Every later
-    one is a Halley step h - d / (1 - d g''/(2g')), with the Newton step
-    d = g/g' and g'' = q*^2/2 (6/h^4 - 6 (lam_R/lam_L)^2/h_L*^4). The loop
-    stops once every interface's |d| / max(1, h) is at most tol: tol is
-    _NEWTON_TOL after the Newton step and _HALLEY_TOL after a Halley step.
-
-    Why _HALLEY_TOL = 4e-7 is enough: inside the bracket g', g'' and
+    The Halley stop: in the bracket g', g'' and
     g''' = -12 q*^2 (1/h^5 + |lam_R/lam_L|^3/h_L*^5) are finite, so near a
-    simple root a Halley step from an error e leaves the error K e^3, with
-    K = |c2^2 - c3| <= c2^2 + |c3|, c2 = g''/(2g') and c3 = g'''/(6g'),
-    bounded by the extremes of g', g'' and g''' between the iterate and
-    the root. Since e is d to first order, the accepted depth is off by at
-    most K max(1, h)^2 tol^3 relative to max(1, h). On the benchmark's bump
-    ensemble (seeds 1-4) (c2^2 + |c3|) max(1, h)^2 stays below 1.3e4, so
-    this bound is 8e-16 at tol = 4e-7, under the Newton stop's 1e-15
-    (5e-7 would allow 1.6e-15). There d after the Newton step is at most
-    2.3e-7, so every solve ends after one Halley step. K grows as g' nears
-    zero, where two roots of g merge (critical star flow), and the bound
-    grows with it.
+    simple root a Halley step from the error e (d to first order) leaves
+    K e^3, with K = |c2^2 - c3| <= c2^2 + |c3|, c2 = g''/(2g') and
+    c3 = g'''/(6g') taken between the iterate and the root: relative to
+    max(1, h), the accepted depth is off by at most K max(1, h)^2 tol^3.
+    On the benchmark's bump ensemble (seeds 1-4), (c2^2 + |c3|) max(1, h)^2
+    stays below 1.3e4, so tol = 4e-7 bounds the error by 8e-16, under the
+    Newton stop's 1e-15 (5e-7 would allow 1.6e-15); d after the Newton step
+    is at most 2.3e-7 there, so every solve takes two iterations. K grows
+    as g' nears zero, where two roots of g merge (critical star flow).
 
-    The fallback mask marks the interfaces whose iteration fails: a
-    non-finite q*, a nonpositive or non-finite iterate (a zero g' gives
-    one), or no convergence by _NEWTON_MAX_ITER. They use equal HLL star
-    depths.
+    The fallback mask marks the interfaces whose iteration fails (a
+    non-finite q*, a nonpositive or non-finite iterate, which a zero g'
+    gives, or no convergence by _NEWTON_MAX_ITER); they take equal HLL
+    star depths.
     """
     fr2 = froude**2
     h_hll = C / span
