@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -22,84 +23,111 @@ from .timeloop import (BoundarySpec, RunState, SubcriticalInflow,
                        SupercriticalInflow, advance, march)
 
 SCENARIOS = ("BlasiusSteady", "ImpulsiveStart", "Bump", "MlswCompare")
+_BED = ("Bump", "MlswCompare")          # the scenarios with a Gaussian bed
 _SNAPSHOT_HEADER = "x,fb,h,u_e,delta1,tau_b,H,f2,Lambda1,U"
 _CHUNK_ROWS = 4096  # rows formatted per write; bounds the string held
+_CLOSURES = {
+    "falkner-skan": lambda config: FalknerSkanFit(),
+    "blasius": lambda config: FixedProfile(),
+    "fixed": lambda config: FixedProfile(H=config.fixed_H,
+                                         f2=config.fixed_f2),
+    "pohlhausen4": lambda config: Pohlhausen4(),
+}
+
+
+def _snapshot_name(t: float) -> str:
+    return f"snapshot_t{t + 0.0:.6f}.csv"   # -0.0 names the t = 0 file too
+
+
+def _one_of(values):
+    return "one of " + ", ".join(map(str, values)), values.__contains__
+
+
+def _at_least(n):
+    return f">= {n}", lambda v: v >= n
+
+
+_FINITE = "finite", math.isfinite
+_POSITIVE = "finite and > 0", lambda v: math.isfinite(v) and v > 0
+
+
+def _key(key: str, default, domain=None, on=None, mlsw=None):
+    """A ScenarioConfig field that is the one row of its configuration key:
+    the dotted key, the default and the domain, a (text, test) pair, that
+    the value must lie in within the scenarios on (None: every one). mlsw
+    is a narrower domain for MlswCompare, which writes no snapshots and
+    whose diagnostics need a viscous layer (delta_bar > 0) and two layers."""
+    domains = [(*d, where) for d, where in ((domain, on),
+                                            (mlsw, ("MlswCompare",))) if d]
+    return field(default=default, metadata={"key": key, "domains": domains})
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    scenario: str = "BlasiusSteady"
-    froude: float = 1.0
-    delta_bar: float = 1e-3
-    x_min: float = 0.0
-    x_max: float = 0.1
-    n_cells: int = 200
-    h0: float = 2.0
-    u0: float = 1.0
-    bump_alpha: float = 0.01
-    bump_sigma: float = 0.1
-    bump_center: float = 1.0
-    t_end: float = 1.0
-    snapshot_times: tuple = ()
-    closure: str = "falkner-skan"
-    fixed_H: float = BLASIUS_H
-    fixed_f2: float = BLASIUS_F2
-    gradient_order: int = 4
-    n_layers: int = 100
-    out_dir: str = "out"
+    """One field per configuration key, in metadata.txt order; the field's
+    type (an annotation string) picks the key's converter in _PARSERS."""
+    scenario: str = _key("scenario", "BlasiusSteady", _one_of(SCENARIOS))
+    froude: float = _key(  # froude**2 is taken in the wave-speed bounds
+        "physics.froude", 1.0, ("finite, > 0, with a finite nonzero square",
+                                lambda v: v > 0 and 0 < v * v < math.inf))
+    delta_bar: float = _key(
+        "physics.delta_bar", 1e-3,
+        ("finite and >= 0", lambda v: math.isfinite(v) and v >= 0),
+        mlsw=("> 0", lambda v: v > 0))
+    closure: str = _key("physics.closure", "falkner-skan", _one_of(_CLOSURES))
+    fixed_H: float = _key("physics.fixed_H", BLASIUS_H)
+    fixed_f2: float = _key("physics.fixed_f2", BLASIUS_F2)
+    x_min: float = _key("grid.x_min", 0.0)
+    x_max: float = _key("grid.x_max", 0.1)
+    n_cells: int = _key("grid.n_cells", 200, _at_least(10))
+    h0: float = _key("init.h0", 2.0)
+    u0: float = _key("init.u0", 1.0)
+    bump_alpha: float = _key("bump.alpha", 0.01, _FINITE, on=_BED)
+    bump_sigma: float = _key("bump.sigma", 0.1, _POSITIVE, on=_BED)
+    bump_center: float = _key("bump.center", 1.0, _FINITE, on=_BED)
+    t_end: float = _key("run.t_end", 1.0, _POSITIVE)
+    snapshot_times: tuple = _key(
+        "run.snapshot_times", (),
+        ("times with distinct snapshot file names",
+         lambda ts: len({_snapshot_name(t) for t in ts}) == len(ts)),
+        mlsw=("empty", lambda ts: not ts))
+    gradient_order: int = _key("run.gradient_order", 4, _one_of((2, 4)))
+    n_layers: int = _key("mlsw.n_layers", 100, _at_least(1),
+                         mlsw=_at_least(2))
+    out_dir: str = _key("output.dir", "out")
 
     def __post_init__(self):
-        if self.scenario not in SCENARIOS:
-            raise ConfigError(f"unknown scenario {self.scenario!r}")
-        if self.n_cells < 10:
-            raise ConfigError("n_cells must be at least 10")
-        if not (np.isfinite(self.t_end) and self.t_end > 0.0):
-            raise ConfigError("t_end must be finite and positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            for text, test, on in f.metadata["domains"]:
+                if (on is None or self.scenario in on) and not test(value):
+                    where = "" if on is None else f" for {self.scenario}"
+                    raise ConfigError(f"{f.metadata['key']} = {value!r} "
+                                      f"must be {text}{where}")
         if any(not 0.0 <= t <= self.t_end for t in self.snapshot_times):
-            raise ConfigError("snapshot times must lie in [0, t_end]")
-        if self.scenario == "MlswCompare" and self.snapshot_times:
-            raise ConfigError("MlswCompare takes no run.snapshot_times")
-        if self.gradient_order not in (2, 4):
-            raise ConfigError("gradient_order must be 2 or 4")
-        if self.n_layers < 1:
-            raise ConfigError("n_layers must be at least 1")
-        if not (np.isfinite(self.froude) and self.froude > 0.0):
-            raise ConfigError("froude must be finite and positive")
-        if not (np.isfinite(self.delta_bar) and self.delta_bar >= 0.0):
-            raise ConfigError("delta_bar must be finite and nonnegative")
+            raise ConfigError("run.snapshot_times must lie in "
+                              "[0, run.t_end]")
         # inf - inf is NaN, and an overflowing span gives dx = inf
         if not (self.x_max > self.x_min
-                and np.isfinite(self.x_max - self.x_min)):
-            raise ConfigError("x_max must exceed x_min by a finite length")
-        if self.scenario in ("Bump", "MlswCompare"):
-            if not (np.isfinite(self.bump_sigma) and self.bump_sigma > 0.0):
-                raise ConfigError("bump sigma must be finite and positive")
-            if not np.isfinite([self.bump_alpha, self.bump_center]).all():
-                raise ConfigError("bump alpha and center must be finite")
+                and math.isfinite(self.x_max - self.x_min)):
+            raise ConfigError("grid.x_max must exceed grid.x_min by a "
+                              "finite length")
         if self.closure == "fixed" and not (
-                np.isfinite(self.fixed_H) and self.fixed_H >= 1.0
-                and np.isfinite(self.fixed_f2)):
-            raise ConfigError("the fixed closure needs a finite fixed_H >= 1 "
-                              "and a finite fixed_f2")
+                math.isfinite(self.fixed_H) and self.fixed_H >= 1.0
+                and math.isfinite(self.fixed_f2)):
+            raise ConfigError("the fixed closure needs a finite "
+                              "physics.fixed_H >= 1 and a finite "
+                              "physics.fixed_f2")
 
     def closure_law(self) -> ClosureLaw:
-        name = self.closure
-        if name == "falkner-skan":
-            return FalknerSkanFit()
-        if name == "blasius":
-            return FixedProfile()
-        if name == "fixed":
-            return FixedProfile(H=self.fixed_H, f2=self.fixed_f2)
-        if name == "pohlhausen4":
-            return Pohlhausen4()
-        raise ConfigError(f"unknown closure {name!r}")
+        return _CLOSURES[self.closure](self)
 
     def physical_params(self) -> PhysicalParams:
         return PhysicalParams(froude=self.froude, delta_bar=self.delta_bar,
                               closure=self.closure_law())
 
     def grid(self) -> Grid1D:
-        if self.scenario in ("Bump", "MlswCompare"):
+        if self.scenario in _BED:
             topo = lambda x: gaussian_bump(x, self.bump_alpha,
                                            self.bump_sigma, self.bump_center)
         else:
@@ -123,67 +151,37 @@ class ScenarioConfig:
         return BoundarySpec(left=left)
 
 
-_CONFIG_KEYS = {
-    "scenario": ("scenario", str),
-    "physics.froude": ("froude", float),
-    "physics.delta_bar": ("delta_bar", float),
-    "physics.closure": ("closure", str),
-    "physics.fixed_H": ("fixed_H", float),
-    "physics.fixed_f2": ("fixed_f2", float),
-    "grid.x_min": ("x_min", float),
-    "grid.x_max": ("x_max", float),
-    "grid.n_cells": ("n_cells", int),
-    "init.h0": ("h0", float),
-    "init.u0": ("u0", float),
-    "bump.alpha": ("bump_alpha", float),
-    "bump.sigma": ("bump_sigma", float),
-    "bump.center": ("bump_center", float),
-    "run.t_end": ("t_end", float),
-    "run.snapshot_times": ("snapshot_times",
-                           lambda s: tuple(float(v) for v in s.split()) if s
-                           else ()),
-    "run.gradient_order": ("gradient_order", int),
-    "mlsw.n_layers": ("n_layers", int),
-    "output.dir": ("out_dir", str),
-}
+_PARSERS = {"str": str, "int": int, "float": float,
+            "tuple": lambda s: tuple(float(v) for v in s.split())}
 
 
 def parse_config(path=None, overrides: Sequence[str] = ()) -> ScenarioConfig:
     """Read a key=value config file, if any; overrides apply afterwards."""
-    values = {}
+    rows = {f.metadata["key"]: f for f in fields(ScenarioConfig)}
     lines = Path(path).read_text().splitlines() if path is not None else []
-    pairs = []
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value")
-        key, _, val = line.partition("=")
-        pairs.append((f"{path}:{lineno}", key.strip(), val.strip()))
-    pairs += [("--set", *ov.partition("=")[::2]) for ov in overrides]
-    for src, key, val in pairs:
-        key = key.strip()
-        if key not in _CONFIG_KEYS:
+    pairs = [(f"{path}:{lineno}", line) for lineno, line in enumerate(lines, 1)
+             if line.strip() and not line.lstrip().startswith("#")]
+    values = {}
+    for src, line in pairs + [("--set", ov) for ov in overrides]:
+        key, eq, val = (part.strip() for part in line.partition("="))
+        if not eq:
+            raise ConfigError(f"{src}: expected key=value")
+        if key not in rows:
             raise ConfigError(f"{src}: unknown key {key!r}")
-        fieldname, conv = _CONFIG_KEYS[key]
         try:
-            values[fieldname] = conv(val.strip())
-        except (ValueError, TypeError) as exc:
+            values[rows[key].name] = _PARSERS[rows[key].type](val)
+        except ValueError as exc:
             raise ConfigError(f"{src}: bad value for {key}: {exc}") from exc
-    try:
-        return ScenarioConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ScenarioConfig(**values)
 
 
 def config_to_text(config: ScenarioConfig) -> str:
     out = []
-    for key, (fieldname, _) in _CONFIG_KEYS.items():
-        val = getattr(config, fieldname)
-        if fieldname == "snapshot_times":
+    for row in fields(config):
+        val = getattr(config, row.name)
+        if isinstance(val, tuple):
             val = " ".join(f"{t:.17g}" for t in val)
-        out.append(f"{key}={val}")
+        out.append(f"{row.metadata['key']}={val}")
     return "\n".join(out) + "\n"
 
 
@@ -295,7 +293,7 @@ def run_scenario(config: ScenarioConfig, out_dir=None) -> RunState:
     else:
         def snap(state: RunState):
             emit_snapshot(state.W, grid, params,
-                          out / f"snapshot_t{state.t:.6f}.csv",
+                          out / _snapshot_name(state.t),
                           gradient_order=config.gradient_order)
 
         run = advance(run, config.t_end, grid, params, boundaries,

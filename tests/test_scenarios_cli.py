@@ -98,7 +98,8 @@ class TestConfigParsing:
         for scenario in ("Bump", "MlswCompare"):
             for key in ("bump_alpha", "bump_center"):
                 for value in (nan, inf, -inf):
-                    with pytest.raises(ConfigError, match="alpha and center"):
+                    with pytest.raises(ConfigError,
+                                       match=key.replace("_", r"\.")):
                         ScenarioConfig(scenario=scenario, **{key: value})
         ScenarioConfig(bump_alpha=nan)  # no bump is built
         ScenarioConfig(scenario="Bump", bump_alpha=-0.01)   # a dip is valid
@@ -108,6 +109,65 @@ class TestConfigParsing:
                 ScenarioConfig(closure="fixed", fixed_H=H, fixed_f2=f2)
         ScenarioConfig(closure="fixed", fixed_H=1.0, fixed_f2=-0.1)
         ScenarioConfig(fixed_H=0.5)     # read by the fixed closure only
+        # times whose snapshot files would overwrite each other
+        for times in ((0.005, 0.005), (0.005, 0.0050000001), (0.0, -0.0)):
+            with pytest.raises(ConfigError, match="snapshot file names"):
+                ScenarioConfig(n_cells=20, t_end=0.01, snapshot_times=times)
+        # the multilayer diagnostics need a viscous layer and two layers
+        for fields in (dict(delta_bar=0.0), dict(n_layers=1)):
+            with pytest.raises(ConfigError, match="for MlswCompare"):
+                ScenarioConfig(scenario="MlswCompare", **fields)
+            ScenarioConfig(scenario="Bump", **fields)
+
+    DEFAULT_TEXT = """scenario=BlasiusSteady
+physics.froude=1.0
+physics.delta_bar=0.001
+physics.closure=falkner-skan
+physics.fixed_H=2.59
+physics.fixed_f2=0.22
+grid.x_min=0.0
+grid.x_max=0.1
+grid.n_cells=200
+init.h0=2.0
+init.u0=1.0
+bump.alpha=0.01
+bump.sigma=0.1
+bump.center=1.0
+run.t_end=1.0
+run.snapshot_times=
+run.gradient_order=4
+mlsw.n_layers=100
+output.dir=out
+"""
+
+    def test_default_text(self):
+        # the key order and the defaults of every metadata.txt
+        assert config_to_text(ScenarioConfig()) == self.DEFAULT_TEXT
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.sampled_from(scenarios.SCENARIOS),
+           st.sampled_from(("falkner-skan", "fixed")),
+           st.one_of(st.floats().map(repr), st.integers().map(str),
+                     st.sampled_from(("1e308", "1e400", "-1e400", "5e-324",
+                                      "1e-300", "0", "-0", "-1", "nan",
+                                      "-nan", "inf", "-inf", "", "abc",
+                                      "0x10", "1e", "0.005 0.005", "fixed",
+                                      "Bump", "MlswCompare")),
+                     st.text(st.characters(codec="ascii",
+                                           exclude_categories=("Cc",)),
+                             max_size=8)))
+    def test_every_key_parses_or_is_rejected(self, scenario, closure, text):
+        for line in self.DEFAULT_TEXT.splitlines():
+            key = line.partition("=")[0]
+            try:
+                config = parse_config(overrides=[
+                    f"scenario={scenario}", f"physics.closure={closure}",
+                    f"{key}={text}"])
+            except ConfigError:
+                continue
+            written = config_to_text(config)
+            assert config_to_text(
+                parse_config(overrides=written.splitlines())) == written
 
     def test_nonpositive_h0_is_named_before_sqrt(self):
         inf, nan = float("inf"), float("nan")
@@ -345,9 +405,17 @@ class TestCli:
         assert cli.main(["mlsw", "--set", "scenario=MlswCompare",
                          "--set", "mlsw.n_layers=0"]) == 2
         assert cli.main(["mlsw", "--set", "run.snapshot_times=0.01"]) == 2
+        # froude**2 overflowed to a traceback (exit 1) or underflowed to 0
         for setting in ("physics.froude=0", "physics.froude=nan",
+                        "physics.froude=1e300", "physics.froude=1e-300",
                         "physics.delta_bar=-1", "grid.x_max=-1"):
-            assert cli.main(["run", "--set", setting]) == 2, setting
+            assert cli.main(["run", "--out", str(tmp_path / "o"),
+                             "--set", setting]) == 2, setting
+        # these ran every step, then exited 3 from the diagnostics
+        for setting in ("physics.delta_bar=0", "mlsw.n_layers=1"):
+            assert cli.main(["mlsw", "--out", str(tmp_path / "o"),
+                             "--set", setting]) == 2, setting
+            assert "for MlswCompare" in capsys.readouterr().err
         # an infinite span used to run with dx = inf and write x = inf
         for settings in (["grid.x_max=inf"],
                          ["grid.x_min=-1e308", "grid.x_max=1e308"]):
