@@ -73,7 +73,8 @@ class ScenarioConfig:
     delta_bar: float = _key(
         "physics.delta_bar", 1e-3,
         ("finite and >= 0", lambda v: math.isfinite(v) and v >= 0),
-        mlsw=("> 0", lambda v: v > 0))
+        mlsw=("> 0 with a finite square",  # nu = delta_bar**2 in mlsw_step
+              lambda v: v > 0 and v * v < math.inf))
     closure: str = _key("physics.closure", "falkner-skan", _one_of(_CLOSURES))
     fixed_H: float = _key("physics.fixed_H", BLASIUS_H)
     fixed_f2: float = _key("physics.fixed_f2", BLASIUS_F2)
@@ -285,7 +286,8 @@ def run_scenario(config: ScenarioConfig, out_dir=None) -> RunState:
         def mlsw_take_step(run: RunState, dt_cap) -> RunState:
             dt = mlsw_compute_dt(run.W, params, grid.dx, dt_cap=dt_cap)
             W = mlsw_step(run.W, layers, dt, params, grid, boundaries.left)
-            return RunState(t=run.t + dt, step_count=run.step_count + 1, W=W)
+            return RunState(t=run.t + dt, step_count=run.step_count + 1, W=W,
+                            dt=dt)
 
         run = march(run, config.t_end, mlsw_take_step)
         emit_mlsw_snapshot(run.W, layers, grid, params, out / "final.csv",

@@ -13,7 +13,7 @@ a stop, and the stamping of a failed step with its step count and time.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -59,12 +59,12 @@ class BoundarySpec:
 
 @dataclass(frozen=True)
 class RunState:
-    """Time, step counter, interior states and the last step's diagnostics."""
+    """Time, step counter, interior states and the last step's time step."""
 
     t: float
     step_count: int
     W: ConservedState
-    diagnostics: dict = field(default_factory=dict)
+    dt: float = 0.0
 
 
 def inflow_ghost(left: InflowSpec, h1, u1, froude):
@@ -200,25 +200,14 @@ def step(run: RunState, grid: Grid1D, params: PhysicalParams,
     u_e = W_ext.q / W_ext.h
     dudx = frozen_gradient(u_e, grid.dx, order=gradient_order)
     cells = evaluate_cells(W_ext, params, dudx, u_e)
-    dt, limiter = compute_dt(cells, grid.dx, dt_cap=dt_cap)
+    dt, _ = compute_dt(cells, grid.dx, dt_cap=dt_cap)
     # f2H first: the fewer arrays allocated after the update's new state,
     # the less heap malloc trims and faults in again each step
     f2H = cells.f2[N_GHOST:-N_GHOST] * cells.H[N_GHOST:-N_GHOST]
-    W, fan = convection_step(cells, grid.bed_jumps, params, grid.dx, dt)
+    W, _ = convection_step(cells, grid.bed_jumps, params, grid.dx, dt)
     u_e = W.q / W.h   # friction keeps h and q as they are
     friction_step(W, dt, params, f2H, u_e)
-
-    diag = {"last_dt": dt, "dt_limiter": limiter,
-            "n_fallback": int(np.count_nonzero(fan.fallback)),
-            "min_f2": float(cells.f2.min()),
-            # lam_L <= 0 <= lam_R; abs() turns a -0.0 maximum into 0.0
-            "max_abs_lambda": abs(float(max(fan.lam_R.max(),
-                                            -fan.lam_L.min()))),
-            # the layer fills more than half the depth: db*delta1/h > 0.5
-            "n_thick_layer": int(np.count_nonzero(
-                params.delta_bar * _delta1_from_ue(u_e, W.r) / W.h > 0.5))}
-    return RunState(t=run.t + dt, step_count=run.step_count + 1, W=W,
-                    diagnostics=diag)
+    return RunState(t=run.t + dt, step_count=run.step_count + 1, W=W, dt=dt)
 
 
 def march(run: RunState, t_end, take_step: Callable, snapshot_times=(),

@@ -31,8 +31,10 @@ ALPHAS = (0.3, 0.4, 0.5)
 STEPS = 30
 
 
-def run(alpha, star_depths):
-    """Fallbacks per step and the star-depth arguments of every step."""
+def run(alpha, star_depths, steps=STEPS):
+    """Fallbacks per step, counted on the star-depth results (a step
+    solves its star depths in one call), and the star-depth arguments of
+    every step."""
     n = 40
     grid = Grid1D.uniform(0.0, 2.0, n,
                           lambda x: gaussian_bump(x, alpha, 0.1, 1.0))
@@ -40,22 +42,22 @@ def run(alpha, star_depths):
     params = PhysicalParams(1.0, 1e-3)
     state = RunState(0.0, 0, from_primitive_fields(
         np.full(n, 0.5), np.full(n, 1.0), np.zeros(n)))
-    calls = []
+    calls, fallbacks = [], []
 
     def recording(*args):
         calls.append([np.array(a, dtype=float) for a in args[:7]] + [args[7]])
-        return star_depths(*args)
+        result = star_depths(*args)
+        fallbacks.append(int(np.count_nonzero(result[2])))
+        return result
 
     original = riemann._star_depths
     riemann._star_depths = recording
     try:
-        counts = []
-        for _ in range(STEPS):
+        for _ in range(steps):
             state = step(state, grid, params, spec)
-            counts.append(state.diagnostics["n_fallback"])
     finally:
         riemann._star_depths = original
-    return counts, calls
+    return fallbacks, calls
 
 
 def main():

@@ -346,7 +346,7 @@ def test_criterion_08b_plain_hll_oracle():
         for _ in range(nsteps):
             run = step(run, grid, params, spec)
             ho, qo = _oracle_step(ho, qo, grid.topo, h_in, u_in, grid.dx,
-                                  run.diagnostics["last_dt"], FR)
+                                  run.dt, FR)
         return max(np.max(np.abs(run.W.h - ho)), np.max(np.abs(run.W.q - qo)))
 
     n = 100

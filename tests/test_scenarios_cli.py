@@ -15,6 +15,7 @@ from eswsim.scenarios import (_CHUNK_ROWS, ScenarioConfig, _run_columns,
                               _write_rows, config_to_text, emit_snapshot,
                               parse_config, run_scenario)
 from eswsim.state import Grid1D, PhysicalParams
+from eswsim.timeloop import reached
 
 
 class TestConfigParsing:
@@ -113,11 +114,14 @@ class TestConfigParsing:
         for times in ((0.005, 0.005), (0.005, 0.0050000001), (0.0, -0.0)):
             with pytest.raises(ConfigError, match="snapshot file names"):
                 ScenarioConfig(n_cells=20, t_end=0.01, snapshot_times=times)
-        # the multilayer diagnostics need a viscous layer and two layers
-        for fields in (dict(delta_bar=0.0), dict(n_layers=1)):
+        # the multilayer diagnostics need a viscous layer and two layers,
+        # and its friction a finite delta_bar**2
+        for fields in (dict(delta_bar=0.0), dict(n_layers=1),
+                       dict(delta_bar=1e200)):
             with pytest.raises(ConfigError, match="for MlswCompare"):
                 ScenarioConfig(scenario="MlswCompare", **fields)
             ScenarioConfig(scenario="Bump", **fields)
+        ScenarioConfig(scenario="MlswCompare", delta_bar=1e150)
 
     DEFAULT_TEXT = """scenario=BlasiusSteady
 physics.froude=1.0
@@ -363,6 +367,15 @@ class TestRunScenario:
         assert t_final and float(t_final.group(1)) == run.t
         assert f"\nsteps={run.step_count}\n" in meta
 
+    def test_final_state_holds_the_last_dt(self, tmp_path):
+        for scenario in ("MlswCompare", "Bump"):
+            cfg = ScenarioConfig(scenario=scenario, x_max=2.0, n_cells=20,
+                                 n_layers=5, t_end=0.01,
+                                 out_dir=str(tmp_path / scenario))
+            run = run_scenario(cfg)
+            assert 0.0 < run.dt, scenario
+            assert reached(run.t, cfg.t_end), scenario
+
     def test_mlsw_failure_names_step_and_time(self, tmp_path, monkeypatch):
         real_step, steps = scenarios.mlsw_step, []
 
@@ -411,8 +424,10 @@ class TestCli:
                         "physics.delta_bar=-1", "grid.x_max=-1"):
             assert cli.main(["run", "--out", str(tmp_path / "o"),
                              "--set", setting]) == 2, setting
-        # these ran every step, then exited 3 from the diagnostics
-        for setting in ("physics.delta_bar=0", "mlsw.n_layers=1"):
+        # these ran every step, then exited 3 from the diagnostics; a
+        # delta_bar whose square overflows exited 1 with a traceback
+        for setting in ("physics.delta_bar=0", "mlsw.n_layers=1",
+                        "physics.delta_bar=1e300", "physics.delta_bar=1e200"):
             assert cli.main(["mlsw", "--out", str(tmp_path / "o"),
                              "--set", setting]) == 2, setting
             assert "for MlswCompare" in capsys.readouterr().err

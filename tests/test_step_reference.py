@@ -25,8 +25,8 @@ from eswsim.hyperbolicity import jacobian_coeffs, nickalls_bounds
 from eswsim.riemann import (evaluate_cells, physical_flux, solve_local_riemann,
                             source_averages)
 from eswsim.state import U_EPS, recover_delta1
-from eswsim.timeloop import (N_GHOST, apply_boundaries, friction_step,
-                             with_ghosts)
+from eswsim.timeloop import (CFL_NUMBER, N_GHOST, apply_boundaries,
+                             friction_step, with_ghosts)
 
 
 # -- the replaced expressions ------------------------------------------------
@@ -128,14 +128,14 @@ def ref_fan(h, q, r, lam_L, lam_R, F0, F1, F2, jump, params):
             "fallback": fallback}
 
 
-def reference_esw_step(run, grid, params, spec, gradient_order=4,
-                       cfl_number=0.9, dt_max=np.inf, dt_cap=None):
-    """(h, q, r, diagnostics) of one split step, every phase written with
-    the expressions above; the ghost cells and the star-depth Newton are
-    the live (unchanged) apply_boundaries and the masked Newton."""
+def reference_esw_step(run, grid, params, spec, gradient_order=4):
+    """(h, q, r, dt, fallback count, min f2) of one split step, every phase
+    written with the expressions above; the ghost cells and the star-depth
+    Newton are the live (unchanged) apply_boundaries and the masked
+    Newton."""
     W = apply_boundaries(run.W, spec, params)
     h, q, r = W.h, W.q, W.r
-    fr, db = params.froude, params.delta_bar
+    fr = params.froude
     # one cell evaluation
     u_e = q / h
     dudx = ref_ue_gradient(u_e, grid.dx, gradient_order)
@@ -147,18 +147,11 @@ def reference_esw_step(run, grid, params, spec, gradient_order=4,
     F = ref_physical_flux(h, q, r, H, params)
     # time step
     lam_max = np.maximum(np.abs(lam_L), np.abs(lam_R)).max()
-    if lam_max <= 0.0:
-        dt, limiter = dt_max, "dt_max"
-    else:
-        dt, limiter = cfl_number * grid.dx / (2.0 * lam_max), "cfl"
+    dt = CFL_NUMBER * grid.dx / (2.0 * lam_max) if lam_max > 0.0 else np.inf
     reverse = f2 < 0.0
     if reverse.any():
-        cap = (-delta1[reverse] ** 2 / (4.0 * (f2 * H)[reverse])).min()
-        if cap < dt:
-            dt, limiter = cap, "reverse_flow"
-    for limit, name in ((dt_max, "dt_max"), (dt_cap, "cap")):
-        if limit is not None and limit < dt:
-            dt, limiter = limit, name
+        dt = min(dt, (-delta1[reverse] ** 2
+                      / (4.0 * (f2 * H)[reverse])).min())
     dt = float(dt)
     # interface fan
     n_ext = h.size
@@ -176,14 +169,8 @@ def reference_esw_step(run, grid, params, spec, gradient_order=4,
     d1 = ref_recover_delta1(q_new, r_half, h_new)
     disc = d1**2 + 4.0 * np.asarray((f2 * H)[inner], float) * dt
     r_new = 0.5 * (d1 + np.sqrt(disc)) * (q_new / h_new)
-    fill = db * ref_recover_delta1(q_new, r_new, h_new) / h_new
-    diag = {"last_dt": dt, "dt_limiter": limiter,
-            "n_fallback": int(np.count_nonzero(fan["fallback"])),
-            "min_f2": float(f2.min()),
-            "max_abs_lambda": float(np.max(np.maximum(
-                np.abs(fan["lam_L"]), np.abs(fan["lam_R"])))),
-            "n_thick_layer": int(np.count_nonzero(fill > 0.5))}
-    return h_new, q_new, r_new, diag
+    return (h_new, q_new, r_new, dt, int(np.count_nonzero(fan["fallback"])),
+            float(f2.min()))
 
 
 # -- the step, bit for bit ---------------------------------------------------
@@ -255,18 +242,18 @@ def test_step_matches_reference_bits(name):
         u_e = run.W.q / run.W.h
         seen["stagnant"] |= bool((np.abs(u_e) <= U_EPS).any())
         before = [v.copy() for v in (run.W.h, run.W.q, run.W.r)]
-        *want, diag = reference_esw_step(run, grid, params, spec, order)
+        *want, dt, n_fallback, min_f2 = reference_esw_step(run, grid, params,
+                                                           spec, order)
         got = step(run, grid, params, spec, gradient_order=order)
-        for a, b in zip((got.W.h, got.W.q, got.W.r), want):
+        for a, b in zip((got.W.h, got.W.q, got.W.r, got.dt), (*want, dt)):
+            a, b = np.asarray(a), np.asarray(b)
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
-        for key, value in diag.items():
-            assert type(got.diagnostics[key]) is type(value)
-            assert np.array_equal(got.diagnostics[key], value), key
+        assert type(got.dt) is float
         # the step never writes into its input state
         for a, b in zip((run.W.h, run.W.q, run.W.r), before):
             assert np.array_equal(a, b)
-        seen["fallback"] += diag["n_fallback"]
-        seen["min_f2"] = min(seen["min_f2"], diag["min_f2"])
+        seen["fallback"] += n_fallback
+        seen["min_f2"] = min(seen["min_f2"], min_f2)
         run = got
     # each special set-up reaches the branch it is there for
     if name == "hll_fallback":

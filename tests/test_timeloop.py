@@ -2,10 +2,12 @@
 
 from collections import Counter
 
+import fallback_counts
 import numpy as np
 import pytest
 from conftest import from_primitive_fields
 from hypothesis import given, settings, strategies as st
+from test_riemann import newton_star_depths
 
 from eswsim import (BoundarySpec, ConservedState, Grid1D, LayerGrid,
                     MlswState, PhysicalParams, RunState, SubcriticalInflow,
@@ -278,7 +280,7 @@ class TestStepAndAdvance:
         runB = RunState(t=0.0, step_count=0, W=uniform_state(n, d1=0.0))
         for _ in range(50):
             runA = step(runA, grid, p, spec)
-            runB = step(runB, grid, p, spec, dt_cap=runA.diagnostics["last_dt"])
+            runB = step(runB, grid, p, spec, dt_cap=runA.dt)
         assert np.allclose(runA.W.h, runB.W.h, rtol=0, atol=1e-12)
         assert np.allclose(runA.W.q, runB.W.q, rtol=0, atol=1e-12)
 
@@ -340,7 +342,7 @@ class TestStepDiagnostics:
             return wrapper
 
         names = ("closure_factors", "jacobian_coeffs", "nickalls_bounds",
-                 "physical_flux")
+                 "physical_flux", "_delta1_from_ue")
         for mod in (closures, hyperbolicity, riemann, scenarios, state,
                     timeloop):
             for name in names:
@@ -349,7 +351,9 @@ class TestStepDiagnostics:
                                         counting(name, getattr(mod, name)))
         run, grid, spec = self.bump_run()
         step(run, grid, params(), spec)
-        assert calls == {name: 1 for name in names}
+        # delta1 once for the cell evaluation and once for friction: the
+        # step computes nothing that no later phase reads
+        assert calls == {**{name: 1 for name in names}, "_delta1_from_ue": 2}
 
     def test_dt_limiter_and_fallback_count(self):
         run, grid, spec = self.bump_run()
@@ -359,26 +363,32 @@ class TestStepDiagnostics:
                                frozen_gradient(W_ext.q / W_ext.h, grid.dx))
         dt, limiter = compute_dt(cells, grid.dx)
         _, fan = convection_step(cells, grid.bed_jumps, p, grid.dx, dt)
-        after = step(run, grid, p, spec)
-        assert limiter == after.diagnostics["dt_limiter"] == "cfl"
-        assert after.diagnostics["last_dt"] == dt
-        assert after.diagnostics["n_fallback"] == \
-            np.count_nonzero(fan.fallback) > 0
+        assert limiter == "cfl"
+        assert np.count_nonzero(fan.fallback) > 0
+        assert step(run, grid, p, spec).dt == dt
 
-        capped = step(run, grid, p, spec, dt_cap=0.5 * dt)
-        assert capped.diagnostics["dt_limiter"] == "cap"
-        assert capped.diagnostics["last_dt"] == 0.5 * dt
+        assert step(run, grid, p, spec, dt_cap=0.5 * dt).dt == 0.5 * dt
+        assert compute_dt(cells, grid.dx, dt_cap=0.5 * dt) == (0.5 * dt, "cap")
         assert compute_dt(cells, grid.dx, dt_cap=np.inf) == (dt, "cfl")
 
         seen = []
         advance(run, dt, grid, p, spec, snapshot_times=(0.5 * dt,),
-                on_snapshot=lambda s: seen.append(s.diagnostics["dt_limiter"]))
-        assert seen == ["cap"]
+                on_snapshot=lambda s: seen.append(s.dt))
+        assert seen == [0.5 * dt]
 
         n = 10
         W = uniform_state(n, d1=0.5)
         reverse = evaluate_cells(W, p, np.full(n, -20.0))
         assert compute_dt(reverse, dx=1.0)[1] == "reverse_flow"
+
+    def test_fallback_counts_script(self):
+        # tests/fallback_counts.py, shortened: its geometry at alpha = 0.3
+        # is bump_run's, whose first step falls back under both solvers
+        new, calls = fallback_counts.run(0.3, riemann._star_depths, steps=3)
+        old, _ = fallback_counts.run(
+            0.3, lambda *args: newton_star_depths(*args[:8]), steps=3)
+        assert len(new) == len(old) == len(calls) == 3
+        assert new[0] == old[0] > 0
 
     def test_non_finite_cell_is_named(self):
         # a NaN in r alone leaves the wave-speed bounds finite; it must
