@@ -14,20 +14,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from .closures import ClosureLaw, FalknerSkanFit, FixedProfile, Pohlhausen4
+from .closures import (LAMBDA1_CLAMP, ClosureLaw, FalknerSkanFit,
+                       FixedProfile, Pohlhausen4)
 
 
 def jacobian_coeffs(u_e, r, lambda1, H, law: ClosureLaw = FalknerSkanFit()):
     """Partial derivatives (a, b) of the flux (1 + 1/H)*r*u_e.
 
     With the Falkner-Skan fit on its exponential branch the chain rule
-    through H(Lambda1) contributes the 0.74*Lambda1 terms; constant-H laws
-    (and the saturated branch Lambda1 >= 0.6) lose them.
+    through H(Lambda1) contributes the 0.74*Lambda1 terms; constant-H laws,
+    the saturated branch Lambda1 >= 0.6 and the clamped H below
+    LAMBDA1_CLAMP[0] lose them.
     """
     lambda1 = np.asarray(lambda1, float)
     if isinstance(law, FalknerSkanFit):
-        # a and b carry 1 -+ 0.74*Lambda1 on the active branch, 1 beyond it
-        slope = np.where(lambda1 < 0.6, 0.74 * lambda1, 0.0)
+        # a and b carry 1 -+ 0.74*Lambda1 on the active branch, 1 off it
+        active = (lambda1 >= LAMBDA1_CLAMP[0]) & (lambda1 < 0.6)
+        slope = np.where(active, 0.74 * lambda1, 0.0)
     elif isinstance(law, (FixedProfile, Pohlhausen4)):
         # Pohlhausen4 treated as frozen-H for wave-speed estimates
         slope = 0.0

@@ -45,7 +45,7 @@ class CellEval(NamedTuple):
 
 class RiemannFan(NamedTuple):
     """Interface wave speeds, star states and the two numerical fluxes
-    (on a flat bed h_L_star and h_R_star may be one and the same array);
+    (with no Newton-active interface h_L_star and h_R_star are one array);
     F_left and F_right are (3, n + 1) arrays with rows h, q, r."""
 
     lam_L: np.ndarray
@@ -132,12 +132,18 @@ def _star_depths(h_L, h_R, q_star, C, jump_fb, lam_L, lam_R, froude, span):
     non-finite q*, a nonpositive or non-finite iterate, which a zero g'
     gives, or no convergence by _NEWTON_MAX_ITER); they take equal HLL
     star depths.
+
+    Only interfaces with a bed jump and lam_L < 0 < lam_R iterate; the
+    others keep the HLL depth. A side with a zero outer speed has a star
+    region of zero width: no flux reads its depth, which solve_local_riemann
+    multiplies by that zero speed. h_R is unused and h_L only shapes the
+    fallback mask; both keep in place the args[4:7] that perfbench reads.
     """
     fr2 = froude**2
     h_hll = C / span
     fallback = np.zeros(h_L.shape, dtype=bool)
 
-    # a flat bed has no Newton-active or one-sided interface to mask or copy
+    # a flat bed has no Newton-active interface
     has_jump = jump_fb.any()
     hL = hR = h_hll
     active = has_jump and (jump_fb != 0.0) & (lam_L < 0.0) & (lam_R > 0.0)
@@ -197,21 +203,6 @@ def _star_depths(h_L, h_R, q_star, C, jump_fb, lam_L, lam_R, froude, span):
         hL[idx] = hl
         fallback[idx] = False
 
-    # degenerate outer speeds: zero-width star region on that side
-    if lam_L.max() < 0.0 and lam_R.min() > 0.0:
-        return hL, hR, fallback
-    left_degenerate = lam_L >= 0.0
-    right_degenerate = lam_R <= 0.0
-    hL = np.where(left_degenerate, h_L, hL)
-    hR = np.where(right_degenerate, h_R, hR)
-    if not has_jump:
-        return hL, hR, fallback
-    # with one side degenerate the linear relation fixes the other depth
-    one_sided_L = left_degenerate & ~right_degenerate & (jump_fb != 0.0)
-    one_sided_R = right_degenerate & ~left_degenerate & (jump_fb != 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        hR = np.where(one_sided_L, (C + lam_L * h_L) / np.where(lam_R == 0, 1.0, lam_R), hR)
-        hL = np.where(one_sided_R, (lam_R * h_R - C) / np.where(lam_L == 0, -1.0, lam_L), hL)
     return hL, hR, fallback
 
 

@@ -355,9 +355,7 @@ def emit_mlsw_snapshot(state: MlswState, layers: LayerGrid, grid: Grid1D,
     x = grid.cell_centers
     u_e = state.u[-1]
     U = np.sum(layers.fractions[:, None] * state.u, axis=0)
-    dudx = ue_gradient(u_e, grid.dx, order=4) if x.size >= 5 \
-        else np.zeros_like(u_e)
-    lambda1 = delta1**2 * dudx
+    lambda1 = delta1**2 * ue_gradient(u_e, grid.dx, order=4)
     _write_rows(path, _SNAPSHOT_HEADER,
                 (x, grid.topo, state.h, u_e, delta1, tau_bar, H, f2, lambda1,
                  U))

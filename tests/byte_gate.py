@@ -14,9 +14,11 @@ out. Two source trees write the same bytes when their printouts are equal:
 The set: BlasiusSteady sub (two snapshots) and sup, the fixed closure with
 gradient order 2 and the Blasius closure on flat beds, ImpulsiveStart at
 n = 2 000 (two snapshots), Bump sub (one snapshot) and sup at alpha = 0.03,
-a Pohlhausen4 bump, MlswCompare flat and bump, and a two-mesh convergence
-study. The whole set takes about half a minute on one core. With --tiny,
-every run shrinks to at most 20 cells and a fiftieth of its end time.
+a strongly supercritical bump (h0 = 0.1, u0 = 3, whose every interface has
+a zero left outer speed), a Pohlhausen4 bump, MlswCompare flat and bump,
+and a two-mesh convergence study. The whole set takes about half a minute
+on one core. With --tiny, every run shrinks to at most 20 cells and a
+fiftieth of its end time.
 """
 
 import argparse
@@ -44,6 +46,7 @@ RUNS = {
                       h0=0.5, t_end=0.5, snapshot_times=(0.25, 0.5)),
     "bump_sub": dict(BUMP, snapshot_times=(0.25,)),
     "bump_sup": dict(BUMP, h0=0.5),
+    "bump_fast": dict(BUMP, h0=0.1, u0=3.0),
     "pohlhausen4_bump": dict(BUMP, closure="pohlhausen4"),
     "mlsw_flat": dict(MLSW, bump_alpha=0.0),
     "mlsw_bump": dict(MLSW, bump_alpha=0.03),

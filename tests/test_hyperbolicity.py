@@ -33,24 +33,26 @@ class TestJacobianCoeffs:
         assert b == pytest.approx(1.0 + 0.26 / H, abs=1e-10)
 
     def test_chain_rule_against_finite_difference(self):
-        # flux G(u_e, r) = (1 + 1/H(r^2/u_e^2 * du))*r*u_e with du frozen
-        du = 0.4
-        u0, r0 = 1.3, 0.35
+        # flux G(u_e, r) = (1 + 1/H(r^2/u_e^2 * du))*r*u_e with du frozen:
+        # a = dG/du_e and b = dG/dr, against central differences
+        for du, u0, r0 in ((0.4, 1.3, 0.35),     # exponential, Lambda1 = 0.029
+                           (-4.0, 1.0, 0.5),     # exponential, Lambda1 = -1
+                           (10.0, 1.0, 0.5),     # plateau, Lambda1 = 2.5
+                           (-100.0, 1.0, 0.6)):  # below clamp, Lambda1 = -36
+            def G(u_e, r):
+                lam1 = (r / u_e) ** 2 * du
+                H, _ = closure_factors(FalknerSkanFit(), np.array([lam1]))
+                return float((1.0 + 1.0 / H[0]) * r * u_e)
 
-        def G(u_e, r):
-            lam1 = (r / u_e) ** 2 * du
+            eps = 1e-6
+            dGdu = (G(u0 + eps, r0) - G(u0 - eps, r0)) / (2 * eps)
+            dGdr = (G(u0, r0 + eps) - G(u0, r0 - eps)) / (2 * eps)
+            lam1 = (r0 / u0) ** 2 * du
             H, _ = closure_factors(FalknerSkanFit(), np.array([lam1]))
-            return float((1.0 + 1.0 / H[0]) * r * u_e)
-
-        eps = 1e-6
-        dGdu = (G(u0 + eps, r0) - G(u0 - eps, r0)) / (2 * eps)
-        dGdr = (G(u0, r0 + eps) - G(u0, r0 - eps)) / (2 * eps)
-        lam1 = (r0 / u0) ** 2 * du
-        H, _ = closure_factors(FalknerSkanFit(), np.array([lam1]))
-        a, b = jacobian_coeffs(np.array([u0]), np.array([r0]),
-                               np.array([lam1]), H)
-        # a = dG/du_e at fixed r... mapping: dG/dr -> b, dG/du_e relates to a
-        assert b[0] == pytest.approx(dGdr, rel=1e-6)
+            a, b = jacobian_coeffs(np.array([u0]), np.array([r0]),
+                                   np.array([lam1]), H)
+            assert a[0] == pytest.approx(dGdu, rel=1e-9), lam1
+            assert b[0] == pytest.approx(dGdr, rel=1e-9), lam1
 
     def test_constant_H_law(self):
         a, b = jacobian_coeffs(np.array([2.0]), np.array([0.6]),

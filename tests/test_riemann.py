@@ -102,6 +102,24 @@ class TestConsistency:
         assert np.all(fan.lam_L <= 0.0)
         assert np.all(fan.lam_R >= 0.0)
 
+    def test_zero_outer_speed_takes_the_physical_flux(self):
+        # strongly supercritical flow (h = 0.1, |u| = 3) over bed jumps: the
+        # upstream outer speed clamps to 0, the star region on that side
+        # has zero width and its flux is the cell's own, whatever the star
+        # depth there (== so that signed zeros compare equal)
+        rng = np.random.default_rng(23)
+        n = 100
+        p = params()
+        for u, zero_side in ((3.0, "lam_L"), (-3.0, "lam_R")):
+            L, R = (evaluate_cells(from_primitive_fields(
+                rng.uniform(0.09, 0.11, n), np.full(n, u),
+                rng.uniform(0.0, 0.05, n)), p) for _ in range(2))
+            fan = solve_local_riemann(L, R, rng.normal(0, 0.01, n), p)
+            assert np.all(getattr(fan, zero_side) == 0.0)
+            left, right = fan.lam_L == 0.0, fan.lam_R == 0.0
+            assert np.all(fan.F_left[:, left] == L.F[:, left])
+            assert np.all(fan.F_right[:, right] == R.F[:, right])
+
 
 class TestWellBalanced:
     def test_lake_at_rest_star_states(self):
@@ -170,24 +188,6 @@ class TestStarDepthTopography:
         assert abs(res) < 1e-10
 
 
-def degenerate_sides(hL, hR, h_L, h_R, C, jump_fb, lam_L, lam_R):
-    """Both references' star depths where an outer speed is degenerate:
-    zero width on that side, and with a jump the linear relation fixes the
-    other depth."""
-    left_degenerate = lam_L >= 0.0
-    right_degenerate = lam_R <= 0.0
-    hL = np.where(left_degenerate, h_L, hL)
-    hR = np.where(right_degenerate, h_R, hR)
-    one_sided_L = left_degenerate & ~right_degenerate & (jump_fb != 0.0)
-    one_sided_R = right_degenerate & ~left_degenerate & (jump_fb != 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        hR = np.where(one_sided_L, (C + lam_L * h_L)
-                      / np.where(lam_R == 0, 1.0, lam_R), hR)
-        hL = np.where(one_sided_R, (lam_R * h_R - C)
-                      / np.where(lam_L == 0, -1.0, lam_L), hL)
-    return hL, hR
-
-
 def masked_star_depths(h_L, h_R, q_star, C, jump_fb, lam_L, lam_R, froude):
     """Reference: _star_depths' Newton-then-Halley iteration run on every
     interface, each guard a mask, no interface ever dropped."""
@@ -226,8 +226,7 @@ def masked_star_depths(h_L, h_R, q_star, C, jump_fb, lam_L, lam_R, froude):
     hR[done] = hr[done]
     hL[done] = hl[done]
     fallback &= ~done
-    return (*degenerate_sides(hL, hR, h_L, h_R, C, jump_fb, lam_L, lam_R),
-            fallback)
+    return hL, hR, fallback
 
 
 def newton_star_depths(h_L, h_R, q_star, C, jump_fb, lam_L, lam_R, froude):
@@ -275,8 +274,7 @@ def newton_star_depths(h_L, h_R, q_star, C, jump_fb, lam_L, lam_R, froude):
         hR[idx] = np.where(ok, hr, h_hll[idx])
         hL[idx] = np.where(ok, hl, h_hll[idx])
         fallback[idx] = ~ok
-    return (*degenerate_sides(hL, hR, h_L, h_R, C, jump_fb, lam_L, lam_R),
-            fallback)
+    return hL, hR, fallback
 
 
 @pytest.fixture(scope="module")
@@ -414,10 +412,10 @@ class TestStarDepthsMatchMasked:
                 {"lam_R": {0: 0.0, 6: np.nan}}):
             self.check(self.with_values(bump_interfaces, **changes),
                        quiet=True)
-        # one-sided with a jump: the linear relation sets the other depth
+        # one-sided with a jump: the HLL depth C/span is the one the linear
+        # relation gives, (C + 0*h_L)/lam_R
         args = self.with_values(bump_interfaces, lam_L={5: 0.0})
         hL, hR, _ = self.check(args, quiet=True)
-        assert hL[5] == args[0][5]
         assert hR[5] == (args[3][5] + 0.0 * args[0][5]) / args[6][5]
 
     def test_no_active_interface(self, bump_interfaces):

@@ -57,7 +57,7 @@ def ref_closure_factors(law, lambda1):
 def ref_jacobian_coeffs(u_e, r, lambda1, H, law):
     u_e, r, lambda1, H = (np.asarray(v, float) for v in (u_e, r, lambda1, H))
     if isinstance(law, FalknerSkanFit):
-        active = lambda1 < 0.6
+        active = (lambda1 >= LAMBDA1_CLAMP[0]) & (lambda1 < 0.6)
         a = r * (1.0 + np.where(active, 1.0 - 0.74 * lambda1, 1.0) / H)
         b = u_e * (1.0 + np.where(active, 1.0 + 0.74 * lambda1, 1.0) / H)
     else:
