@@ -193,36 +193,35 @@ def _run_columns(bits: np.ndarray):
     return breaks, 2 * (1 + breaks.sum(axis=0)) <= len(bits)
 
 
-def _write_rows(path, header: str, columns) -> None:
-    """Write a CSV of equal-length columns, every value as "%.17g"
-    (the bytes of f"{v:.17g}"), one template substitution per chunk of
-    _CHUNK_ROWS rows so that no whole-file string is held.
+def _segments(bits: np.ndarray):
+    """The first rows of an (m, k) chunk's segments, the stretches where no
+    run column breaks, and the run columns; none if segments outnumber m/4."""
+    breaks, runs = _run_columns(bits)
+    starts = np.flatnonzero(np.r_[True, breaks[:, runs].any(axis=1)])
+    return (starts, runs) if 4 * starts.size <= len(bits) else \
+        (starts[:1], np.zeros_like(runs))       # scattered runs: plain rows
 
-    Within a chunk, a column that is mostly runs of equal bits formats each
-    run's first value once and repeats the string. Bits, not values, define
-    a run: -0.0 and 0.0 print differently, and NaNs merge only when equal."""
+
+def _write_rows(path, header: str, columns) -> None:
+    """Write a CSV of equal-length columns, every value as "%.17g" (the
+    bytes of f"{v:.17g}"), one template substitution per chunk of
+    _CHUNK_ROWS rows so that no whole-file string is held. The template
+    repeats each segment's row, with its run values formatted in once, over
+    the segment; the other columns fill it. Bits, not values, define a run:
+    -0.0 and 0.0 print differently, and NaNs merge only when equal."""
     table = np.column_stack(columns)
     bits = table.view(f"u{table.itemsize}")
-    plain = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as f:
         f.write(header + "\n")
         for start in range(0, len(table), _CHUNK_ROWS):
             chunk = table[start:start + _CHUNK_ROWS]
-            m = len(chunk)
-            breaks, runs = _run_columns(bits[start:start + _CHUNK_ROWS])
-            if not runs.any():
-                f.write(plain * m % tuple(chunk.ravel().tolist()))
-                continue
-            cells = np.empty(chunk.shape, dtype=object)  # this chunk only
-            cells[:, ~runs] = chunk[:, ~runs]
-            for j in np.flatnonzero(runs):
-                first = np.flatnonzero(np.concatenate(([True],
-                                                       breaks[:, j])))
-                text = ["%.17g" % v for v in chunk[first, j].tolist()]
-                cells[:, j] = np.repeat(np.array(text, dtype=object),
-                                        np.diff(first, append=m))
-            row = ",".join("%s" if r else "%.17g" for r in runs) + "\n"
-            f.write(row * m % tuple(cells.ravel().tolist()))
+            starts, runs = _segments(bits[start:start + _CHUNK_ROWS])
+            row = ",".join("%.17g" if r else "%%.17g" for r in runs) + "\n"
+            plain = chunk[:, ~runs] if runs.any() else chunk
+            f.write("".join(row % tuple(heads) * k for heads, k in zip(
+                chunk[starts][:, runs].tolist(),
+                np.diff(starts, append=len(chunk)).tolist()))
+                % tuple(plain.ravel().tolist()))
 
 
 def emit_snapshot(W: ConservedState, grid: Grid1D, params: PhysicalParams,

@@ -13,12 +13,13 @@ out. Two source trees write the same bytes when their printouts are equal:
 
 The set: BlasiusSteady sub (two snapshots) and sup, the fixed closure with
 gradient order 2 and the Blasius closure on flat beds, ImpulsiveStart at
-n = 2 000 (two snapshots), Bump sub (one snapshot) and sup at alpha = 0.03,
-a strongly supercritical bump (h0 = 0.1, u0 = 3, whose every interface has
-a zero left outer speed), a Pohlhausen4 bump, MlswCompare flat and bump,
-and a two-mesh convergence study. The whole set takes about half a minute
-on one core. With --tiny, every run shrinks to at most 20 cells and a
-fiftieth of its end time.
+n = 2 000 (two snapshots) and at n = 20 000 (three snapshots; each file is
+five row chunks, the first cut into many segments by the moving front),
+Bump sub (one snapshot) and sup at alpha = 0.03, a strongly supercritical
+bump (h0 = 0.1, u0 = 3, whose every interface has a zero left outer speed),
+a Pohlhausen4 bump, MlswCompare flat and bump, and a two-mesh convergence
+study. The whole set takes about ten seconds on one core. With --tiny,
+every run shrinks to at most 20 cells and a fiftieth of its end time.
 """
 
 import argparse
@@ -44,6 +45,9 @@ RUNS = {
     "blasius_closure": dict(FLAT_SUB, closure="blasius"),
     "impulsive": dict(scenario="ImpulsiveStart", x_max=10.0, n_cells=2000,
                       h0=0.5, t_end=0.5, snapshot_times=(0.25, 0.5)),
+    "impulsive_fine": dict(scenario="ImpulsiveStart", x_max=10.0,
+                           n_cells=20000, h0=0.5, t_end=0.03,
+                           snapshot_times=(0.0075, 0.015, 0.0225)),
     "bump_sub": dict(BUMP, snapshot_times=(0.25,)),
     "bump_sup": dict(BUMP, h0=0.5),
     "bump_fast": dict(BUMP, h0=0.1, u0=3.0),

@@ -11,6 +11,17 @@ them falls back, and the largest relative gap of the depths where both
 converge.
 
     PYTHONPATH=src python tests/fallback_counts.py
+
+The oracle is imported from the tests/ directory beside this script, and
+the solver from whatever src is on PYTHONPATH. To compare two source trees,
+run each tree's own copy of the script with its own src, as the byte gate
+is run once per tree and its printouts diffed:
+
+    cd /path/to/other/tree && PYTHONPATH=src python tests/fallback_counts.py
+
+This script with another tree's src pits that tree's solver against this
+tree's oracle, and the depth gaps it prints then measure the two trees'
+difference, not the solver's.
 """
 
 import sys

@@ -6,14 +6,14 @@ import warnings
 import numpy as np
 import pytest
 from conftest import from_primitive_fields
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eswsim import cli, scenarios
 from eswsim.analytic import ReferenceCurve, blasius_steady, l1_error
 from eswsim.errors import ConfigError, DomainError, NonFiniteState
 from eswsim.scenarios import (_CHUNK_ROWS, ScenarioConfig, _run_columns,
-                              _write_rows, config_to_text, emit_snapshot,
-                              parse_config, run_scenario)
+                              _segments, _write_rows, config_to_text,
+                              emit_snapshot, parse_config, run_scenario)
 from eswsim.state import Grid1D, PhysicalParams
 from eswsim.timeloop import reached
 
@@ -316,6 +316,44 @@ class TestWriteRows:
         assert _run_columns(np.zeros((1, 2), np.uint64))[1].tolist() == \
             [False, False]
 
+    def test_segment_threshold(self):
+        # the run columns stay while their breaks cut the chunk into at most
+        # m/4 segments; one more segment and every row is written plain
+        m = 16
+        quarters = np.repeat([1.0, 2.0, 3.0, 4.0], 4)     # breaks at 4, 8, 12
+        halves = np.repeat([5.0, 6.0], 8)                 # breaks at 8
+        table = np.column_stack((quarters, halves, np.arange(m, dtype=float)))
+        starts, runs = _segments(table.view(np.uint64))
+        assert starts.tolist() == [0, 4, 8, 12]
+        assert runs.tolist() == [True, True, False]
+        table[:, 1] = np.repeat([5.0, 6.0], [7, 9])      # breaks at 7
+        starts, runs = _segments(table.view(np.uint64))
+        assert starts.tolist() == [0]
+        assert runs.tolist() == [False, False, False]
+        starts, runs = _segments(np.zeros((1, 2), np.uint64))
+        assert starts.tolist() == [0] and runs.tolist() == [False, False]
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(st.integers(1, 8), st.integers(9, 1500)),
+                    min_size=1, max_size=6),
+           st.lists(st.tuples(st.lists(st.sampled_from(SPECIAL), min_size=6,
+                                       max_size=6), st.integers(0, 3)),
+                    min_size=2, max_size=5),
+           st.booleans())
+    # chunk 0 in 2 048 segments, written plain; in 1 024 = m/4, templated
+    @example([3, 5], [(SPECIAL[:6], 0), (SPECIAL[6:], 1)], True)
+    @example([7, 1], [(SPECIAL[6:], 0), (SPECIAL[:6], 0)], False)
+    def test_segments_across_the_chunk_boundary(self, tmp_path_factory,
+                                                lengths, columns, distinct):
+        # every column tiles the same run lengths, so unshifted columns break
+        # on the same rows and a shifted one breaks apart from them
+        n = _CHUNK_ROWS + 700
+        cols = [np.roll(np.resize(np.repeat(values[:len(lengths)], lengths),
+                                  n), shift) for values, shift in columns]
+        if distinct:
+            cols.append(np.arange(n) * 0.1)
+        self.check(tmp_path_factory.mktemp("segments") / "s.csv", *cols)
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.lists(st.lists(st.tuples(st.sampled_from(SPECIAL),
                                        st.integers(1, _CHUNK_ROWS // 2)),
@@ -349,6 +387,9 @@ class TestWriteRows:
             assert per_value_bytes(header, table.T) == raw
             # the run path is taken on these files
             assert _run_columns(table.view(np.uint64))[1].sum() >= 5
+            # and chunk 0 is written from a few segment templates
+            starts, runs = _segments(table[:_CHUNK_ROWS].view(np.uint64))
+            assert runs.sum() >= 5 and 1 < starts.size <= 50
 
 
 class TestRunScenario:
