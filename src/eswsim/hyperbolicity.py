@@ -26,9 +26,19 @@ def jacobian_coeffs(u_e, r, lambda1, H, law: ClosureLaw = FalknerSkanFit()):
     the saturated branch Lambda1 >= 0.6 and the clamped H below
     LAMBDA1_CLAMP[0] lose them.
     """
+    b, slope = jacobian_b(u_e, lambda1, H, law)
+    a = np.subtract(1.0, slope, out=np.empty(np.broadcast(r, slope, H).shape))
+    a /= H
+    a += 1.0
+    a *= r
+    return a, b
+
+
+def jacobian_b(u_e, lambda1, H, law: ClosureLaw = FalknerSkanFit()):
+    """(b, slope): the b of jacobian_coeffs alone, all that the step reads,
+    and the slope 0.74*Lambda1 (or 0) that b and a carry as 1 +- slope."""
     lambda1 = np.asarray(lambda1, float)
     if isinstance(law, FalknerSkanFit):
-        # a and b carry 1 -+ 0.74*Lambda1 on the active branch, 1 off it
         active = (lambda1 >= LAMBDA1_CLAMP[0]) & (lambda1 < 0.6)
         slope = np.where(active, 0.74 * lambda1, 0.0)
     elif isinstance(law, (FixedProfile, Pohlhausen4)):
@@ -36,15 +46,11 @@ def jacobian_coeffs(u_e, r, lambda1, H, law: ClosureLaw = FalknerSkanFit()):
         slope = 0.0
     else:
         raise TypeError(f"unknown closure law: {law!r}")
-    a = np.subtract(1.0, slope, out=np.empty(np.broadcast(r, slope, H).shape))
     b = np.add(1.0, slope, out=np.empty(np.broadcast(u_e, slope, H).shape))
-    a /= H
     b /= H
-    a += 1.0
-    a *= r
     b += 1.0
     b *= u_e
-    return a, b
+    return b, slope
 
 
 def decoupled_speeds(h, u_e, b, froude):

@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .closures import closure_factors
-from .hyperbolicity import jacobian_coeffs, nickalls_bounds
+from .hyperbolicity import jacobian_b, nickalls_bounds
 from .state import ConservedState, PhysicalParams, _delta1_from_ue
 
 log = logging.getLogger(__name__)
@@ -76,11 +76,14 @@ def physical_flux(h, q, r, H, params: PhysicalParams, u_e, out):
 
 
 def source_averages(W_L, W_R, jump_fb, froude):
-    """Vol'pert averages of the two non-conservative source terms."""
+    """Vol'pert averages of the two non-conservative source terms; the
+    topography one is None for a flat bed, jump_fb None."""
     L, R = W_L.hqr, W_R.hqr    # row indexing: cheaper than unpacking
     h_sum = L[0] + R[0]
-    topo_src = h_sum / (2.0 * froude**2)
-    topo_src *= jump_fb
+    topo_src = None
+    if jump_fb is not None:
+        topo_src = h_sum / (2.0 * froude**2)
+        topo_src *= jump_fb
     exchange_src = L[1] + R[1]
     exchange_src /= h_sum
     exchange_src *= np.subtract(R[2], L[2], out=h_sum)
@@ -96,14 +99,15 @@ def evaluate_cells(W: ConservedState, params: PhysicalParams,
     lambda1 = np.square(delta1)
     lambda1 *= dudx
     H, f2 = closure_factors(params.closure, lambda1)
-    _, b = jacobian_coeffs(u_e, r, lambda1, H, params.closure)
+    b, _ = jacobian_b(u_e, lambda1, H, params.closure)
     lam_L, lam_R = nickalls_bounds(u_e, b, h, params.froude)
     F = np.empty_like(W.hqr)
     physical_flux(h, q, r, H, params, u_e, F)
     return CellEval(W.hqr, F, lam_L, lam_R, delta1, H, f2)
 
 
-def _star_depths(h_L, h_R, q_star, C, jump_fb, lam_L, lam_R, froude, span):
+def _star_depths(h_L, h_R, q_star, C, jump_fb, lam_L, lam_R, froude, span,
+                 flat=False):
     """Solve the 2x2 star-depth system for h = h_R*; span = lam_R - lam_L.
 
     The linear relation gives h_L* = (lam_R*h - C)/lam_L, and the Bernoulli
@@ -136,18 +140,17 @@ def _star_depths(h_L, h_R, q_star, C, jump_fb, lam_L, lam_R, froude, span):
     Only interfaces with a bed jump and lam_L < 0 < lam_R iterate; the
     others keep the HLL depth. A side with a zero outer speed has a star
     region of zero width: no flux reads its depth, which solve_local_riemann
-    multiplies by that zero speed. h_R is unused and h_L only shapes the
-    fallback mask; both keep in place the args[4:7] that perfbench reads.
+    multiplies by that zero speed. On a flat bed none iterates. h_R is
+    unused and h_L only shapes the fallback mask; both keep in place the
+    args[4:7] that perfbench reads.
     """
     fr2 = froude**2
     h_hll = C / span
     fallback = np.zeros(h_L.shape, dtype=bool)
 
-    # a flat bed has no Newton-active interface
-    has_jump = jump_fb.any()
     hL = hR = h_hll
-    active = has_jump and (jump_fb != 0.0) & (lam_L < 0.0) & (lam_R > 0.0)
-    if has_jump and active.any():
+    active = not flat and (jump_fb != 0.0) & (lam_L < 0.0) & (lam_R > 0.0)
+    if not flat and active.any():
         # every active interface falls back unless its iteration converges
         fallback = active
         hR = h_hll.copy()
@@ -162,16 +165,17 @@ def _star_depths(h_L, h_R, q_star, C, jump_fb, lam_L, lam_R, froude, span):
             dhl = lamR / lamL
             two_dhl = 2.0 * dhl
             dg_lin = (1.0 - dhl) / fr2
+            three_dhl2 = 3.0 * dhl**2
             for it in range(_NEWTON_MAX_ITER):
                 hl = (lamR * hr - Ci) / lamL
                 # a NaN iterate makes min NaN; with none left it is inf
                 if not (hr.min(initial=np.inf) > 0.0
                         and hl.min(initial=np.inf) > 0.0):
                     keep = (hr > 0.0) & (hl > 0.0)
-                    idx, hr, hl, lamL, lamR, Ci, jfb, q2h, dhl, two_dhl, \
-                        dg_lin = (a[keep] for a in (
-                            idx, hr, hl, lamL, lamR, Ci, jfb, q2h, dhl,
-                            two_dhl, dg_lin))
+                    idx, hr, hl, lamL, lamR, Ci, jfb, q2h, two_dhl, \
+                        dg_lin, three_dhl2 = (a[keep] for a in (
+                            idx, hr, hl, lamL, lamR, Ci, jfb, q2h, two_dhl,
+                            dg_lin, three_dhl2))
                 inv_hr2 = 1.0 / hr**2
                 inv_hl2 = 1.0 / hl**2
                 g = q2h * (inv_hr2 - inv_hl2) + (hr - hl + jfb) / fr2
@@ -187,7 +191,7 @@ def _star_depths(h_L, h_R, q_star, C, jump_fb, lam_L, lam_R, froude, span):
                     tol = _NEWTON_TOL
                 else:
                     half_d2g = q2h * (3.0 * inv_hr2 * inv_hr2
-                                      - 3.0 * dhl**2 * inv_hl2 * inv_hl2)
+                                      - three_dhl2 * inv_hl2 * inv_hl2)
                     hr = hr - newton / (1.0 - newton * half_d2g / dg)
                     tol = _HALLEY_TOL
                 rel_step = np.abs(newton) / np.maximum(1.0, hr)
@@ -207,17 +211,19 @@ def _star_depths(h_L, h_R, q_star, C, jump_fb, lam_L, lam_R, froude, span):
 
 
 def solve_local_riemann(L: CellEval, R: CellEval, jump_fb,
-                        params: PhysicalParams) -> RiemannFan:
+                        params: PhysicalParams, flat=False) -> RiemannFan:
     """Star states and left/right numerical fluxes at each interface.
 
-    L and R evaluate the cells left and right of each interface.
+    L and R evaluate the cells left and right of each interface; on a flat
+    bed (Grid1D.flat_bed) the zero topography source is skipped.
     """
     lam_L = np.minimum(L.lam_L, R.lam_L)
     np.minimum(lam_L, 0.0, out=lam_L)
     lam_R = np.maximum(L.lam_R, R.lam_R)
     np.maximum(lam_R, 0.0, out=lam_R)
     span = lam_R - lam_L
-    topo_src, exchange_src = source_averages(L, R, jump_fb, params.froude)
+    topo_src, exchange_src = source_averages(
+        L, R, None if flat else jump_fb, params.froude)
 
     # rows C, q*, r* of lam_R*W_R - lam_L*W_L - (F_R - F_L), then
     # r* = (... + exchange) / span and q* = (... - topo + db*exchange) / span
@@ -228,12 +234,13 @@ def solve_local_riemann(L: CellEval, R: CellEval, jump_fb,
     C, q_star, r_star = star[0], star[1], star[2]
     r_star += exchange_src
     r_star /= span
-    q_star -= topo_src
+    if topo_src is not None:
+        q_star -= topo_src
     exchange_src *= params.delta_bar
     q_star += exchange_src
     q_star /= span
     h_L_star, h_R_star, fallback = _star_depths(
-        L.h, R.h, q_star, C, jump_fb, lam_L, lam_R, params.froude, span)
+        L.h, R.h, q_star, C, jump_fb, lam_L, lam_R, params.froude, span, flat)
 
     # F_L + lam_L*(star_L - W_L) and F_R - lam_R*(W_R - star_R): the star
     # rows are (h_L*, q*, r*) and (h_R*, q*, r*), so row C is overwritten

@@ -202,13 +202,15 @@ def _segments(bits: np.ndarray):
         (starts[:1], np.zeros_like(runs))       # scattered runs: plain rows
 
 
-def _write_rows(path, header: str, columns) -> None:
+def _write_rows(path, header: str, columns, x_text=None) -> None:
     """Write a CSV of equal-length columns, every value as "%.17g" (the
     bytes of f"{v:.17g}"), one template substitution per chunk of
     _CHUNK_ROWS rows so that no whole-file string is held. The template
     repeats each segment's row, with its run values formatted in once, over
     the segment; the other columns fill it. Bits, not values, define a run:
-    -0.0 and 0.0 print differently, and NaNs merge only when equal."""
+    -0.0 and 0.0 print differently, and NaNs merge only when equal. x_text
+    (Grid1D.x_text), one str per row, fills the first column wherever it is
+    not a run, which a grid's distinct x never is."""
     table = np.column_stack(columns)
     bits = table.view(f"u{table.itemsize}")
     with open(path, "w", encoding="utf-8") as f:
@@ -216,12 +218,26 @@ def _write_rows(path, header: str, columns) -> None:
         for start in range(0, len(table), _CHUNK_ROWS):
             chunk = table[start:start + _CHUNK_ROWS]
             starts, runs = _segments(bits[start:start + _CHUNK_ROWS])
-            row = ",".join("%.17g" if r else "%%.17g" for r in runs) + "\n"
+            slots = ["%.17g" if r else "%%.17g" for r in runs]
+            lead = None
+            if x_text is not None and not runs[0]:
+                slots[0] = "%%s"
+                lead = x_text[start:start + len(chunk)]
             plain = chunk[:, ~runs] if runs.any() else chunk
+            row = ",".join(slots) + "\n"
             f.write("".join(row % tuple(heads) * k for heads, k in zip(
                 chunk[starts][:, runs].tolist(),
                 np.diff(starts, append=len(chunk)).tolist()))
-                % tuple(plain.ravel().tolist()))
+                % _row_values(plain, lead))
+
+
+def _row_values(plain, lead):
+    """The values of plain row by row, lead's text in its first column; the
+    list is freed on return, before the write, as a temporary would be."""
+    values = plain.ravel().tolist()
+    if lead is not None:
+        values[::plain.shape[1]] = lead
+    return tuple(values)
 
 
 def emit_snapshot(W: ConservedState, grid: Grid1D, params: PhysicalParams,
@@ -237,7 +253,8 @@ def emit_snapshot(W: ConservedState, grid: Grid1D, params: PhysicalParams,
     tau_b = f2 * H * u_e / np.maximum(delta1, DELTA1_FLOOR)
     U = (1.0 - params.delta_bar * delta1 / W.h) * u_e
     _write_rows(path, _SNAPSHOT_HEADER,
-                (x, grid.topo, W.h, u_e, delta1, tau_b, H, f2, lambda1, U))
+                (x, grid.topo, W.h, u_e, delta1, tau_b, H, f2, lambda1, U),
+                x_text=grid.x_text)
 
 
 def _write_metadata(config: ScenarioConfig, out_dir: Path, wall_time: float,

@@ -75,6 +75,18 @@ class Grid1D:
         jumps.flags.writeable = False
         return jumps
 
+    @cached_property
+    def flat_bed(self) -> bool:
+        """Whether every bed jump is zero, decided once per grid."""
+        return not self.bed_jumps.any()
+
+    @cached_property
+    def x_text(self) -> tuple:
+        """The cell centers as "%.17g" text, one str per cell; built at the
+        grid's first snapshot write (one substitution, then a split)."""
+        return tuple(("%.17g " * self.n_cells
+                      % tuple(self.cell_centers.tolist())).split())
+
 
 @dataclass(frozen=True, init=False)
 class ConservedState:

@@ -151,16 +151,17 @@ def compute_dt(cells: CellEval, dx, dt_cap=np.inf):
 
 
 def convection_step(cells: CellEval, jump_fb, params: PhysicalParams, dx,
-                    dt):
+                    dt, flat=False):
     """One Godunov update of the interior cells of an evaluated extended
     state, with jump_fb the bed jumps at its n + 1 interfaces (bed_jumps of
-    the Grid1D); returns (interior ConservedState, interface RiemannFan)."""
+    the Grid1D) and flat whether all are zero (its flat_bed); returns
+    (interior ConservedState, interface RiemannFan)."""
     n_ext = cells.h.size
     sl = slice(N_GHOST - 1, n_ext - N_GHOST)      # left cells of interfaces
     sr = slice(N_GHOST, n_ext - N_GHOST + 1)      # right cells
     L, R = [CellEval(cells.hqr[:, s], cells.F[:, s], cells.lam_L[s],
                      cells.lam_R[s]) for s in (sl, sr)]
-    fan = solve_local_riemann(L, R, jump_fb, params)
+    fan = solve_local_riemann(L, R, jump_fb, params, flat)
     # W - (dt/dx)*(F_left[1:] - F_right[:-1]), into a fresh (3, n) array
     new = np.subtract(fan.F_left[:, 1:], fan.F_right[:, :-1])
     new *= dt / dx
@@ -204,7 +205,8 @@ def step(run: RunState, grid: Grid1D, params: PhysicalParams,
     # f2H first: the fewer arrays allocated after the update's new state,
     # the less heap malloc trims and faults in again each step
     f2H = cells.f2[N_GHOST:-N_GHOST] * cells.H[N_GHOST:-N_GHOST]
-    W, _ = convection_step(cells, grid.bed_jumps, params, grid.dx, dt)
+    W, _ = convection_step(cells, grid.bed_jumps, params, grid.dx, dt,
+                           grid.flat_bed)
     u_e = W.q / W.h   # friction keeps h and q as they are
     friction_step(W, dt, params, f2H, u_e)
     return RunState(t=run.t + dt, step_count=run.step_count + 1, W=W, dt=dt)

@@ -121,6 +121,25 @@ class TestConsistency:
             assert np.all(fan.F_right[:, right] == R.F[:, right])
 
 
+class TestFlatBed:
+    def test_flat_fan_is_the_zero_jump_fan(self):
+        # skipping the flat bed's topography source changes no bit of the
+        # fan against the path that multiplies it by zero jumps
+        rng = np.random.default_rng(29)
+        n = 300
+        p = params()
+        L, R = (evaluate_cells(from_primitive_fields(
+            rng.uniform(0.1, 3.0, n), rng.uniform(-3.0, 3.0, n),
+            rng.uniform(0.0, 0.5, n)), p, rng.normal(0.0, 5.0, n))
+            for _ in range(2))
+        zeros = np.zeros(n)
+        want = solve_local_riemann(L, R, zeros, p)
+        got = solve_local_riemann(L, R, zeros, p, flat=True)
+        for name, a, b in zip(want._fields, want, got):
+            assert a.tobytes() == b.tobytes(), name
+        assert source_averages(L, R, None, p.froude)[0] is None
+
+
 class TestWellBalanced:
     def test_lake_at_rest_star_states(self):
         h_L, h_R = 1.5, 1.2

@@ -228,6 +228,25 @@ class TestSnapshotCsv:
         assert np.all(snap["Lambda1"] == 0.0) and np.all(snap["H"] == 2.59)
         assert snap["tau_b"] == pytest.approx(0.2207033 * 2.59, abs=1e-6)
 
+    def test_x_is_formatted_once_per_grid(self, tmp_path):
+        # the config's grid leaves x unformatted; its first snapshot builds
+        # the text, later ones reuse it, and every file keeps its bytes
+        n = 12
+        grid = ScenarioConfig(scenario="ImpulsiveStart", x_max=1.0,
+                              n_cells=n).grid()
+        assert "x_text" not in vars(grid)
+        first = self.snapshot_bytes(tmp_path, "fresh.csv")
+        W = from_primitive_fields(
+            np.linspace(1.9, 2.1, n), np.linspace(0.9, 1.1, n),
+            np.linspace(0.0, 0.3, n))
+        p = PhysicalParams(froude=1.0, delta_bar=1e-3)
+        emit_snapshot(W, grid, p, tmp_path / "a.csv")
+        text = vars(grid)["x_text"]
+        emit_snapshot(W, grid, p, tmp_path / "b.csv")
+        assert vars(grid)["x_text"] is text
+        for name in ("a.csv", "b.csv"):
+            assert (tmp_path / name).read_bytes() == first
+
     def test_full_precision_roundtrip(self, tmp_path):
         # %.17g is enough to reproduce the binary doubles exactly
         raw = self.snapshot_bytes(tmp_path, "s.csv").decode()
@@ -298,6 +317,32 @@ class TestWriteRows:
         u = np.sin(np.arange(n) * 0.37)
         z = np.where(np.arange(n) < 2000, 0.5, -0.0)
         self.check(tmp_path / "m.csv", x, u, z, u * 1e-300)
+
+    def test_x_text_gives_the_same_bytes(self, tmp_path):
+        # over several chunks: an all-distinct table, an impulsive-like one
+        # whose columns are runs beyond a front, and an x that is a run
+        # column in its first chunk (its text is then not used there)
+        n = 2 * _CHUNK_ROWS + 300
+        grid = Grid1D.uniform(0.0, 10.0, n)
+        x = grid.cell_centers
+        front = x < 3.0
+        repeated = np.r_[np.repeat(x[:_CHUNK_ROWS // 8], 8),
+                         x[_CHUNK_ROWS:]]
+        tables = {
+            "distinct": [x] + [np.sin(k * x) for k in range(1, 10)],
+            "impulsive": [x, grid.topo, np.where(front, np.cos(x), 0.5),
+                          np.where(front, x * 1e-3, -0.0),
+                          np.where(front, np.exp(-x), 2.59), np.sqrt(x)],
+            "repeated": [repeated, np.where(front, x, NAN), np.sin(x)],
+        }
+        for name, cols in tables.items():
+            header = ",".join(f"c{j}" for j in range(len(cols)))
+            text = tuple(f"{v:.17g}" for v in cols[0])
+            _write_rows(tmp_path / f"{name}_text.csv", header, cols,
+                        x_text=text)
+            self.check(tmp_path / f"{name}.csv", *cols)
+            assert (tmp_path / f"{name}_text.csv").read_bytes() == \
+                (tmp_path / f"{name}.csv").read_bytes(), name
 
     def test_one_row(self, tmp_path):
         self.check(tmp_path / "one.csv", np.array([-0.0]), np.array([NAN]),

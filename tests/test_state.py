@@ -1,5 +1,7 @@
 """State containers, primitive variables, diagnostics."""
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from conftest import from_primitive_fields
@@ -43,6 +45,19 @@ class TestContainers:
             Grid1D.uniform(1.0, 0.0, 10)
         with pytest.raises(DomainError):
             Grid1D.uniform(0.0, 1.0, 10, lambda x: x * np.nan)
+
+    def test_x_text_is_built_once_at_first_use(self):
+        g = Grid1D.uniform(-1.0, 3.0, 37)
+        assert "x_text" not in vars(g)      # not built with the grid
+        text = g.x_text
+        assert text == tuple(f"{v:.17g}" for v in g.cell_centers)
+        assert isinstance(text, tuple) and g.x_text is text
+        with pytest.raises(FrozenInstanceError):
+            g.x_text = ()
+
+    def test_flat_bed(self):
+        assert Grid1D.uniform(0.0, 1.0, 10).flat_bed
+        assert not Grid1D.uniform(0.0, 2.0, 4, lambda x: 0.5 * x).flat_bed
 
     def test_grid_topo_fn(self):
         g = Grid1D.uniform(0.0, 2.0, 4, lambda x: 0.5 * x)

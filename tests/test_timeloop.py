@@ -341,7 +341,7 @@ class TestStepDiagnostics:
                 return fn(*args, **kwargs)
             return wrapper
 
-        names = ("closure_factors", "jacobian_coeffs", "nickalls_bounds",
+        names = ("closure_factors", "jacobian_b", "nickalls_bounds",
                  "physical_flux", "_delta1_from_ue")
         for mod in (closures, hyperbolicity, riemann, scenarios, state,
                     timeloop):
@@ -416,6 +416,20 @@ class TestStepDiagnostics:
                 step(run, grid, params(), spec)
             assert (info.value.field, info.value.cell) == (field, cell)
             assert (info.value.step, info.value.t) == (None, None)
+
+    @pytest.mark.parametrize("field", ["h", "q", "r"])
+    def test_non_finite_cell_on_a_flat_bed(self, field):
+        # a flat bed skips the topography source, a multiply by zero that
+        # would carry a NaN on; the cell scan before the convection names it
+        n = 20
+        grid = Grid1D.uniform(0.0, 1.0, n)
+        assert grid.flat_bed
+        W = uniform_state(n, h0=0.5, u0=3.0, d1=0.01)
+        getattr(W, field)[12] = np.nan
+        spec = BoundarySpec(left=SupercriticalInflow(u_in=3.0, h_in=0.5))
+        with pytest.raises(NonFiniteState) as info:
+            step(RunState(0.0, 0, W), grid, params(), spec)
+        assert (info.value.field, info.value.cell) == (field, 12)
 
     def test_dry_cell_is_named(self):
         # a film just above H_DRY under a diverging stream: cell 0 is fed
