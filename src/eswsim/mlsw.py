@@ -81,37 +81,63 @@ def mlsw_compute_dt(state: MlswState, params: PhysicalParams, dx,
 def _thomas(off, diag, rhs):
     """Batched symmetric Thomas solve, systems along axis 0, batches along
     axis 1; off[i] couples unknowns i and i + 1. Rows go into preallocated
-    buffers; a zero pivot raises TridiagonalFailure, with no warning first."""
-    n = diag.shape[0]
-    pivot, c, d = np.empty_like(diag), np.empty_like(off), np.empty_like(rhs)
-    # row views listed once: a list index is cheaper than an array index
-    O, A, R, P, C, D = map(list, (off, diag, rhs, pivot, c, d))
+    buffers; a zero pivot raises TridiagonalFailure, with no warning first.
+
+    A row costs eight ufunc calls on short rows, so their overhead is most
+    of the solve: the loops walk zipped lists of row views and call the
+    ufuncs bound to locals, with out by position."""
+    mul, sub, div = np.multiply, np.subtract, np.divide
+    pivot, c, d = np.empty_like(diag), np.empty_like(diag), np.empty_like(rhs)
+    # a zero row after the last off row gives c a spare last row (0/pivot),
+    # so that every row below the first runs the one loop
+    O = list(off) + [np.zeros_like(diag[0])]
+    A, R, P, C, D = map(list, (diag, rhs, pivot, c, d))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         pivot[0] = diag[0]
-        np.divide(off[:1], pivot[:1], out=c[:1])   # no row when n == 1
-        np.divide(R[0], P[0], out=D[0])
-        for i in range(1, n):
-            p, di, o = P[i], D[i], O[i - 1]
-            np.multiply(o, C[i - 1], out=p)
-            np.subtract(A[i], p, out=p)
-            if i < n - 1:
-                np.divide(O[i], p, out=C[i])
-            np.multiply(o, D[i - 1], out=di)
-            np.subtract(R[i], di, out=di)
-            np.divide(di, p, out=di)
+        div(O[0], P[0], C[0])
+        div(R[0], P[0], D[0])
+        for o, o_next, a, r, p, c_up, ci, d_up, di in zip(
+                O, O[1:], A[1:], R[1:], P[1:], C, C[1:], D, D[1:]):
+            mul(o, c_up, p)
+            sub(a, p, p)
+            div(o_next, p, ci)
+            mul(o, d_up, di)
+            sub(r, di, di)
+            div(di, p, di)
         if (pivot == 0.0).any():
             raise TridiagonalFailure("zero pivot in vertical friction solve")
-        # back substitution in place, with the spent pivot rows as scratch
-        for i in range(n - 2, -1, -1):
-            np.multiply(C[i], D[i + 1], out=P[i])
-            np.subtract(D[i], P[i], out=D[i])
+        # back substitution in place, with a spent pivot row as scratch
+        tmp = P[0]
+        for ci, di, d_down in zip(C[-2::-1], D[-2::-1], D[::-1]):
+            mul(ci, d_down, tmp)
+            sub(di, tmp, di)
     return d
 
 
-def _reuse(spent, rows, cols):
-    """A C-contiguous (rows, cols) view on the front of a spent C-contiguous
-    buffer, which is likely still in cache."""
-    return spent.reshape(-1, copy=False)[:rows * cols].reshape(rows, cols)
+def _outer(col, row, out=None):
+    """col[i] * row[j] at [i, j]: einsum makes the same products as the
+    ufunc's broadcast, in about half the time."""
+    return np.einsum("i,j->ij", col, row, out=out)
+
+
+def _faces(op, cells, out):
+    """op(right cell, left cell) in each interface's column of out, from
+    the flat views; the last column of the last layer, which has no right
+    cell, gets 0."""
+    x, y = cells.reshape(-1, copy=False), out.reshape(-1, copy=False)
+    op(x[1:], x[:-1], y[:-1])
+    y[-1] = 0.0
+    return out
+
+
+def _cell_diff(faces, out):
+    """right face - left face in each cell's column of out, from the flat
+    views; the first column of the first layer, which has no left face,
+    gets 0."""
+    x, y = faces.reshape(-1, copy=False), out.reshape(-1, copy=False)
+    np.subtract(x[1:], x[:-1], y[1:])
+    y[0] = 0.0
+    return out
 
 
 def mlsw_step(state: MlswState, layers: LayerGrid, dt,
@@ -119,97 +145,107 @@ def mlsw_step(state: MlswState, layers: LayerGrid, dt,
               left: InflowSpec) -> MlswState:
     """One transport + exchange + implicit vertical friction step.
 
+    Every (N, .) array has the ghosted state's n + 2 columns: cell j and
+    interface j + 1/2 both in column j. Neighbouring cells, interfaces and
+    layers are then a fixed offset apart in the flat buffer, so each pass is
+    one ufunc call on contiguous 1-D views; a column that holds no quantity
+    holds finite values that no result reads. The fluxes are kept doubled,
+    which the divergences' 1/(2 dx) halves exactly.
+
     Each quantity is computed once, mostly in place or into a buffer whose
     last use is above. The in-place updates keep the left-to-right order of
     the expression quoted above them, so every element gets its bits."""
     N, n = state.u.shape
-    dx = grid.dx
+    width = n + 2
+    dx2 = 2.0 * grid.dx
     fr2 = params.froude**2
-    ell = layers.fractions[:, None]
+    ell = layers.fractions
     h, u = _ghosted(state, left, layers, params)
     eta = h + with_ghosts(grid.topo, grid.topo[0], 1)
-    ellh = ell * h                        # (N, n+2) layer depths
+    ellh = _outer(ell, h)                 # layer depths
     hu = ellh * u
     abs_u = np.abs(u)
 
-    # interface wave speed (local Lax-Friedrichs)
+    # interface wave speed (local Lax-Friedrichs) and free-surface jump, 0
+    # in the last column
     cell_speed = np.max(abs_u, axis=0) + np.sqrt(h) / params.froude
-    half_s = 0.5 * np.maximum(cell_speed[:-1], cell_speed[1:])   # (n+1,)
+    s, jump = np.zeros(width), np.zeros(width)
+    np.maximum(cell_speed[:-1], cell_speed[1:], out=s[:-1])
+    np.subtract(eta[1:], eta[:-1], out=jump[:-1])
     huu = np.multiply(hu, u, out=abs_u)
 
-    # flux_mass = 0.5*(hu_l + hu_r) - 0.5*s*ell*(eta_r - eta_l)
-    flux_mass = np.add(hu[:, :-1], hu[:, 1:])
-    flux_mass *= 0.5
-    work = np.multiply(half_s, ell)       # (N, n+1)
-    work *= eta[1:] - eta[:-1]
+    # flux_mass = (hu_l + hu_r) - s*ell*(eta_r - eta_l)
+    flux_mass = _faces(np.add, hu, np.empty_like(hu))
+    work = _outer(ell, s)
+    work *= jump
     flux_mass -= work
-    # flux_mom = 0.5*(huu_l + huu_r) - 0.5*s*(hu_r - hu_l)
-    flux_mom = np.add(huu[:, :-1], huu[:, 1:])
-    flux_mom *= 0.5
-    np.subtract(hu[:, 1:], hu[:, :-1], out=work)
-    work *= half_s
+    # flux_mom = (huu_l + huu_r) - s*(hu_r - hu_l), in a buffer with a
+    # spare row that the exchange below takes over (allocated there, a
+    # buffer of that size made malloc trim and refault the heap each step)
+    exchange = np.empty((N + 1, width))
+    flux_mom = _faces(np.add, huu, exchange[:-1])
+    _faces(np.subtract, hu, work)
+    work *= s
     flux_mom -= work
     flux_total = np.sum(flux_mass, axis=0)
 
-    # from here on u, hu, huu and work are spent
-    div_mass = np.subtract(flux_mass[:, 1:], flux_mass[:, :-1],
-                           out=_reuse(u, N, n))
-    div_mass /= dx
-    div_total = (flux_total[1:] - flux_total[:-1]) / dx          # (n,)
-    div_mom = np.subtract(flux_mom[:, 1:], flux_mom[:, :-1],
-                          out=_reuse(hu, N, n))
-    div_mom /= dx
+    # from here on huu and work are spent
+    div_mass = _cell_diff(flux_mass, huu)
+    div_mass /= dx2
+    div_total = (flux_total[1:-1] - flux_total[:-2]) / dx2       # (n,)
+    div_mom = _cell_diff(flux_mom, flux_mass)
+    div_mom /= dx2
 
     h_new = state.h - dt * div_total
     if (h_new <= H_DRY).any():
         raise DryCell(int(np.flatnonzero(h_new <= H_DRY)[0]))
 
     # cumulative mass exchange G = cumsum(div_mass - ell*div_total) through
-    # the N - 1 inner layer interfaces (through the top one it vanishes)
-    G = np.multiply(ell[:-1], div_total, out=_reuse(huu, N - 1, n))
+    # the N - 1 inner layer interfaces (through the top one it vanishes),
+    # between rows of zeros for the bed and the surface; flux_mom is spent
+    exchange[0] = exchange[-1] = 0.0
+    G = _outer(ell[:-1], with_ghosts(div_total, 0.0, 1), out=exchange[1:-1])
     np.subtract(div_mass[:-1], G, out=G)
-    np.cumsum(G, axis=0, out=G)
+    rows = list(G)
+    for below, row in zip(rows, rows[1:]):
+        np.add(below, row, row)
     # m = u_up*G, the interface velocity upwinded by the sign of G (a
-    # downward flux carries the upper layer's velocity)
-    m = _reuse(work, N - 1, n)
-    np.copyto(m, state.u[:-1])
-    np.copyto(m, state.u[1:], where=G >= 0.0)
-    m *= G
+    # downward flux carries the upper layer's velocity), into G
+    G *= np.where(G >= 0.0, u[1:], u[:-1])
     # dm = m - (m one layer down), with m = 0 at the bed and the surface
-    dm = div_mass
-    dm[:-1] = m
-    dm[-1] = 0.0
-    dm[1:] -= m
+    dm = np.subtract(exchange[1:], exchange[:-1], out=div_mass)
 
     # hu_star = h_alpha*u - dt*div_mom - dt*h_alpha*deta_dx/fr2 + dt*dm,
     # with a central free-surface slope for the hydrostatic pressure term;
-    # flux_mass and flux_mom are spent
-    deta_dx = (eta[2:] - eta[:-2]) / (2.0 * dx)
-    h_alpha = ellh[:, 1:-1]               # the interior is state.h
-    hu_star = np.multiply(h_alpha, state.u, out=_reuse(flux_mass, N, n))
+    # the interior of ellh is h_alpha = ell*state.h, so hu holds h_alpha*u
+    deta_dx = with_ghosts((eta[2:] - eta[:-2]) / dx2, 0.0, 1)
+    hu_star = hu
     div_mom *= dt
     hu_star -= div_mom
-    pressure = np.multiply(dt, h_alpha, out=div_mom)
+    pressure = np.multiply(dt, ellh, out=div_mom)
     pressure *= deta_dx
     pressure /= fr2
     hu_star -= pressure
     dm *= dt
     hu_star += dm
 
-    # implicit vertical friction on the updated layer depths
-    h_alpha_new = np.multiply(ell, h_new, out=_reuse(flux_mom, N, n))
+    # implicit vertical friction on the updated layer depths (positive also
+    # in the two columns that hold no cell, so that rhs stays finite there)
+    h_alpha_new = _outer(ell, with_ghosts(h_new, 1.0, 1), out=ellh)
     rhs = np.divide(hu_star, h_alpha_new, out=hu_star)    # u_star
     rhs *= h_alpha_new
     nu = params.delta_bar**2
     # symmetric matrix: off[a] = -(interface coupling of layers a, a+1)
-    off = np.add(h_alpha_new[1:], h_alpha_new[:-1], out=G)
+    off = np.add(h_alpha_new[1:], h_alpha_new[:-1], out=work[:-1])
     np.divide(-2.0 * nu * dt, off, out=off)
     c_bot = 2.0 * nu * dt / h_alpha_new[0]
     diag = h_alpha_new                    # last use of h_alpha_new
     diag[0] += c_bot
     diag[:-1] -= off
     diag[1:] -= off
-    return MlswState(h=h_new, u=_thomas(off, diag, rhs))
+    cells = np.s_[:, 1:-1]
+    return MlswState(h=h_new,
+                     u=_thomas(off[cells], diag[cells], rhs[cells]))
 
 
 def mlsw_diagnostics(state: MlswState, layers: LayerGrid,

@@ -1,4 +1,5 @@
-"""Time the ESW step and the snapshot writer of the eswsim on PYTHONPATH.
+"""Time the ESW and MLSW steps and the snapshot writer of the eswsim on
+PYTHONPATH.
 
 Not a test: pytest does not collect this file. Run it from the root of a
 checkout, once per source tree, in one session, to compare two trees:
@@ -12,6 +13,10 @@ n = 400, each on a state a few steps into its run, and the CPU
 milliseconds per emit_snapshot of an n = 20 000 ImpulsiveStart state at
 t = 0.0075: on one grid written again and again (as the files of one run
 are), and on a fresh grid for every write (as the first file of a run is).
+Last, the best microseconds per mlsw_step (the Thomas solve included) and
+per mlsw._thomas at the size of the mlsw_bump benchmark (n = 300, N = 100),
+on a bump state 30 steps into its run: the steps march on from it with its
+time step, and the solve is the one its first step makes.
 """
 
 import argparse
@@ -19,6 +24,7 @@ import tempfile
 import time
 from pathlib import Path
 
+from eswsim import mlsw
 from eswsim.scenarios import ScenarioConfig, emit_snapshot, initial_state
 from eswsim.timeloop import advance, step
 
@@ -33,6 +39,9 @@ STEPS = (
 IMPULSIVE = dict(scenario="ImpulsiveStart", x_max=10.0, n_cells=20000,
                  h0=0.5, t_end=0.0075)
 WARM_STEPS = 5
+MLSW = dict(scenario="MlswCompare", x_max=2.0, n_cells=300, n_layers=100,
+            bump_alpha=0.01, t_end=0.3)
+MLSW_WARM_STEPS, MLSW_REPS = 30, 30
 
 
 def step_us(fields, reps, rounds):
@@ -69,6 +78,38 @@ def write_ms(rounds, out_dir):
     return [b * 1e3 for b in best]
 
 
+def mlsw_us(rounds):
+    """Best microseconds per mlsw_step and per _thomas call on one state."""
+    config = ScenarioConfig(**MLSW)
+    grid, params = config.grid(), config.physical_params()
+    left = config.boundary_spec().left
+    layers = mlsw.LayerGrid(config.n_layers)
+    state = initial_state(config).W
+    for _ in range(MLSW_WARM_STEPS):
+        dt = mlsw.mlsw_compute_dt(state, params, grid.dx)
+        state = mlsw.mlsw_step(state, layers, dt, params, grid, left)
+    dt = mlsw.mlsw_compute_dt(state, params, grid.dx)
+    solve, seen = mlsw._thomas, []
+    mlsw._thomas = lambda *args: seen.append(args) or solve(*args)
+    try:
+        mlsw.mlsw_step(state, layers, dt, params, grid, left)
+    finally:
+        mlsw._thomas = solve
+    best = [float("inf"), float("inf")]
+    for _ in range(rounds):
+        # each step starts from the last one's state, as in a run, so that
+        # the heap sees a run's pattern of allocations
+        t0, run = time.perf_counter(), state
+        for _ in range(MLSW_REPS):
+            run = mlsw.mlsw_step(run, layers, dt, params, grid, left)
+        best[0] = min(best[0], (time.perf_counter() - t0) / MLSW_REPS)
+        t0 = time.perf_counter()
+        for _ in range(MLSW_REPS):
+            solve(*seen[0])
+        best[1] = min(best[1], (time.perf_counter() - t0) / MLSW_REPS)
+    return [b * 1e6 for b in best]
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--rounds", type=int, default=7)
@@ -79,6 +120,9 @@ def main():
         same, fresh = write_ms(2 * args.rounds + 1, tmp)
     print(f"impulsive n=20000 write: {same:.2f} ms CPU on the run's grid, "
           f"{fresh:.2f} ms CPU on a fresh grid")
+    mlsw_step_us, thomas_us = mlsw_us(3 * args.rounds)
+    print(f"mlsw n=300 N=100: {mlsw_step_us:.1f} us per mlsw_step, "
+          f"{thomas_us:.1f} us per _thomas")
 
 
 if __name__ == "__main__":

@@ -67,6 +67,48 @@ class TestThomas:
                 ref = np.linalg.solve(A, rhs[:, j])
                 assert np.allclose(got[:, j], ref, rtol=1e-12, atol=0)
 
+    @staticmethod
+    def reference_thomas(off, diag, rhs):
+        """The solve as a plain loop over fresh arrays, in the expressions
+        of the first Thomas solve: c = off/p, d = (rhs - off*d_prev)/p,
+        then back substitution."""
+        n = diag.shape[0]
+        c, d, x = np.zeros_like(rhs), np.zeros_like(rhs), np.zeros_like(rhs)
+        for i in range(n):
+            p = diag[i] - off[i - 1] * c[i - 1] if i > 0 else diag[0]
+            if i < n - 1:
+                c[i] = off[i] / p
+            d[i] = (rhs[i] - off[i - 1] * d[i - 1]) / p if i > 0 \
+                else rhs[0] / p
+        x[-1] = d[-1]
+        for i in range(n - 2, -1, -1):
+            x[i] = d[i] - c[i] * x[i + 1]
+        return x
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 100])
+    @pytest.mark.parametrize("m", [1, 7])
+    def test_matches_reference_loop_bit_for_bit(self, N, m):
+        rng = np.random.default_rng(67 + N + m)
+        off = -rng.uniform(0.0, 1.0, (N - 1, m))
+        diag = rng.uniform(0.1, 1.0, (N, m))
+        diag[:-1] -= off
+        diag[1:] -= off
+        rhs = rng.normal(size=(N, m))
+        inputs = [a.copy() for a in (off, diag, rhs)]
+        want = self.reference_thomas(off, diag, rhs).view(np.uint64)
+        got = _thomas(off, diag, rhs)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got.view(np.uint64), want)
+        # the inputs are left alone
+        for a, b in zip((off, diag, rhs), inputs):
+            assert np.array_equal(a, b)
+        # column views of wider arrays, as mlsw_step passes them
+        wide = [np.pad(a, ((0, 0), (1, 2)), constant_values=np.nan)
+                for a in (off, diag, rhs)]
+        got = _thomas(*(a[:, 1:-2] for a in wide))
+        assert got.flags.c_contiguous
+        assert np.array_equal(got.view(np.uint64), want)
+
     def test_zero_pivot_raises_without_warning(self):
         rhs = np.ones((3, 2))
         first = np.array([[0.0, 1.0], [3.0, 3.0], [3.0, 3.0]])
@@ -182,7 +224,7 @@ class TestMlswStepMatchesReference:
              (1.3, 1e-3, 10, "sub", 1.0), (2.5, 1e-3, 10, "super", 1.0),
              (1.0, 0.0, 17, "sub", 1.0), (1.0, 0.05, 40, "super", 1.0),
              (1.0, 1e-3, 1, "super", 1.0), (1.0, 1e-3, 2, "sub", 1.0),
-             (0.9, 1e-3, 8, "sub", -0.5)]
+             (0.9, 1e-3, 8, "sub", -0.5), (1.0, 1e-3, 100, "sub", 1.0)]
 
     @staticmethod
     def bits(a):
