@@ -16,6 +16,7 @@ import argparse
 import logging
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 
@@ -41,12 +42,9 @@ def _cmd_converge(args) -> int:
         dx_list = [float(v) for v in args.dx]
     except ValueError as exc:
         raise ConfigError(f"--dx: {exc}") from exc
-    results = convergence_study(
-        config, dx_list,
-        out_dir=args.out if args.out is not None else config.out_dir)
-    print("dx,error,runtime_seconds")
-    for dx, err, seconds in results:
-        print(f"{dx:.17g},{err:.17g},{seconds:.17g}")
+    out = Path(args.out if args.out is not None else config.out_dir)
+    convergence_study(config, dx_list, out_dir=out)
+    sys.stdout.write((out / "convergence.csv").read_text(encoding="utf-8"))
     return EXIT_OK
 
 

@@ -168,8 +168,6 @@ def closure_factors(law: ClosureLaw, lambda1):
     elif isinstance(law, Pohlhausen4):
         Lam = _pohlhausen4_lambda_from_lambda1(lam1)
         _, H, f2 = pohlhausen4_factors(Lam)
-        H = np.broadcast_to(H, lam1.shape).astype(float)
-        f2 = np.broadcast_to(f2, lam1.shape).astype(float)
     else:
         raise DomainError(f"unknown closure law: {law!r}")
     return H, f2

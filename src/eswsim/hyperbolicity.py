@@ -16,6 +16,7 @@ import numpy as np
 
 from .closures import (LAMBDA1_CLAMP, ClosureLaw, FalknerSkanFit,
                        FixedProfile, Pohlhausen4)
+from .errors import DomainError
 
 
 def jacobian_coeffs(u_e, r, lambda1, H, law: ClosureLaw = FalknerSkanFit()):
@@ -45,7 +46,7 @@ def jacobian_b(u_e, lambda1, H, law: ClosureLaw = FalknerSkanFit()):
         # Pohlhausen4 treated as frozen-H for wave-speed estimates
         slope = 0.0
     else:
-        raise TypeError(f"unknown closure law: {law!r}")
+        raise DomainError(f"unknown closure law: {law!r}")
     b = np.add(1.0, slope, out=np.empty(np.broadcast(u_e, slope, H).shape))
     b /= H
     b += 1.0

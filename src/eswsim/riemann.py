@@ -11,7 +11,6 @@ All functions are vectorized over interfaces.
 
 from __future__ import annotations
 
-import logging
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -19,8 +18,6 @@ import numpy as np
 from .closures import closure_factors
 from .hyperbolicity import jacobian_b, nickalls_bounds
 from .state import ConservedState, PhysicalParams, _delta1_from_ue
-
-log = logging.getLogger(__name__)
 
 _NEWTON_TOL = 1e-15
 _HALLEY_TOL = 4e-7
@@ -180,11 +177,6 @@ def _star_depths(h_L, h_R, q_star, C, jump_fb, lam_L, lam_R, froude, span,
                 inv_hl2 = 1.0 / hl**2
                 g = q2h * (inv_hr2 - inv_hl2) + (hr - hl + jfb) / fr2
                 dg = q2h * (-2.0 / hr**3 + two_dhl / hl**3) + dg_lin
-                if log.isEnabledFor(logging.DEBUG):
-                    near = int(np.count_nonzero(np.abs(dg) < 1e-8))
-                    if near:
-                        log.debug("near-critical star-depth solve at %d "
-                                  "interfaces", near)
                 newton = g / dg
                 if it == 0:
                     hr = hr - newton

@@ -246,9 +246,7 @@ def emit_snapshot(W: ConservedState, grid: Grid1D, params: PhysicalParams,
     x = grid.cell_centers
     u_e = W.q / W.h
     delta1 = recover_delta1(W.q, W.r, W.h)
-    dudx = ue_gradient(u_e, grid.dx, order=gradient_order) if x.size >= 5 \
-        else np.zeros_like(u_e)
-    lambda1 = delta1**2 * dudx
+    lambda1 = delta1**2 * ue_gradient(u_e, grid.dx, order=gradient_order)
     H, f2 = closure_factors(params.closure, lambda1)
     tau_b = f2 * H * u_e / np.maximum(delta1, DELTA1_FLOOR)
     U = (1.0 - params.delta_bar * delta1 / W.h) * u_e

@@ -217,27 +217,25 @@ def march(run: RunState, t_end, take_step: Callable, snapshot_times=(),
     """The time loop of both models: take_step(run, dt_cap) -> RunState
     until t_end, each step capped to land exactly on the next stop.
 
-    Snapshot callbacks fire at end-of-step states, once per requested time,
-    as soon as the run time reaches it. A StepFailure leaves with the step
-    count and time of the state that the failed step started from.
+    Snapshot callbacks fire once per requested time, as soon as the run
+    time reaches it; those due at the start state, fresh or resumed, fire
+    before the first step. A StepFailure leaves with the step count and
+    time of the state that the failed step started from.
     """
     pending = sorted(t for t in snapshot_times if t >= run.t)
-    if run.t == 0.0 and pending and pending[0] == 0.0:
-        if on_snapshot is not None:
-            on_snapshot(run)
-        pending.pop(0)
-    while not reached(run.t, t_end):
+    while True:
+        while pending and reached(run.t, pending[0]):
+            if on_snapshot is not None:
+                on_snapshot(run)
+            pending.pop(0)
+        if reached(run.t, t_end):
+            return run
         next_stop = pending[0] if pending else t_end
         try:
             run = take_step(run, min(next_stop, t_end) - run.t)
         except StepFailure as exc:
             exc.step, exc.t = run.step_count, run.t
             raise
-        while pending and reached(run.t, pending[0]):
-            if on_snapshot is not None:
-                on_snapshot(run)
-            pending.pop(0)
-    return run
 
 
 def advance(run: RunState, t_end, grid: Grid1D, params: PhysicalParams,

@@ -15,10 +15,10 @@ The set: BlasiusSteady sub (two snapshots) and sup, the fixed closure with
 gradient order 2 and the Blasius closure on flat beds, ImpulsiveStart at
 n = 2 000 (two snapshots) and at n = 20 000 (three snapshots; each file is
 five row chunks, the first cut into many segments by the moving front),
-Bump sub (one snapshot) and sup at alpha = 0.03, a strongly supercritical
-bump (h0 = 0.1, u0 = 3, whose every interface has a zero left outer speed),
-a Pohlhausen4 bump, MlswCompare flat and bump, and a two-mesh convergence
-study. The whole set takes about ten seconds on one core. With --tiny,
+Bump sub (snapshots at t = 0, the state the time loop starts from, and at
+t = 0.25) and sup at alpha = 0.03, a strongly supercritical bump (h0 = 0.1,
+u0 = 3, whose every interface has a zero left outer speed), a Pohlhausen4
+bump, MlswCompare flat and bump, and a two-mesh convergence study. The whole set takes about ten seconds on one core. With --tiny,
 every run shrinks to at most 20 cells and a fiftieth of its end time.
 """
 
@@ -48,7 +48,7 @@ RUNS = {
     "impulsive_fine": dict(scenario="ImpulsiveStart", x_max=10.0,
                            n_cells=20000, h0=0.5, t_end=0.03,
                            snapshot_times=(0.0075, 0.015, 0.0225)),
-    "bump_sub": dict(BUMP, snapshot_times=(0.25,)),
+    "bump_sub": dict(BUMP, snapshot_times=(0.0, 0.25)),
     "bump_sup": dict(BUMP, h0=0.5),
     "bump_fast": dict(BUMP, h0=0.1, u0=3.0),
     "pohlhausen4_bump": dict(BUMP, closure="pohlhausen4"),

@@ -89,6 +89,10 @@ class TestStewartson:
                                                    x_star * (1 + 1e-9)]), t)
         assert d1[0] == pytest.approx(d1[1], rel=1e-6)
 
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            stewartson_fixed_profile(np.array([0.1]), t=0.0)
+
 
 class TestLinearizedBump:
     def test_in_phase_with_bed(self):

@@ -135,6 +135,12 @@ class TestPohlhausen4:
         for Lam in (-12.0, 0.0, 12.0):
             assert pohlhausen4_profile(Lam, np.array([0.0]))[0] == 0.0
             assert pohlhausen4_profile(Lam, np.array([1.0]))[0] == 1.0
+        with pytest.raises(DomainError):
+            pohlhausen4_profile(0.0, np.array([0.5, 1.5]))
+
+    def test_lambda_above_12_rejected(self):
+        with pytest.raises(DomainError):
+            pohlhausen4_factors(np.array([0.0, 12.5]))
 
 
 class TestFixedProfile:
@@ -179,6 +185,14 @@ class TestGradient:
         du = ue_gradient(np.full(10, 2.5), 0.1, order=4)
         assert np.all(du == 0.0)
 
+    def test_domain(self):
+        with pytest.raises(DomainError, match="order must be 2 or 4"):
+            ue_gradient(np.full(10, 2.5), 0.1, order=3)
+        # also what emit_snapshot raises for a grid of fewer than 5 cells
+        ue_gradient(np.full(5, 2.5), 0.1, order=4)
+        with pytest.raises(DomainError, match="at least 5 cells"):
+            ue_gradient(np.full(4, 2.5), 0.1, order=4)
+
 
 class TestClosureFactors:
     def test_H_at_least_one(self):
@@ -187,6 +201,10 @@ class TestClosureFactors:
         for law in (FalknerSkanFit(), Pohlhausen4(), FixedProfile()):
             H, _ = closure_factors(law, lam1)
             assert np.all(H >= 1.0)
+
+    def test_unknown_law_rejected(self):
+        with pytest.raises(DomainError, match="unknown closure law"):
+            closure_factors(object(), np.array([0.0]))
 
     @given(st.floats(-20.0, 0.599), st.floats(-20.0, 0.599))
     @settings(max_examples=200, deadline=None)

@@ -6,8 +6,10 @@ from conftest import cubic_roots_oracle
 from hypothesis import given, settings, strategies as st
 
 from eswsim.closures import FalknerSkanFit, FixedProfile, closure_factors
+from eswsim.errors import DomainError
 from eswsim.hyperbolicity import (characteristic_roots, decoupled_speeds,
-                                  jacobian_coeffs, nickalls_bounds, _p_sw)
+                                  jacobian_b, jacobian_coeffs,
+                                  nickalls_bounds, _p_sw)
 
 
 def fs_coeffs(u_e, delta1, lam1):
@@ -67,6 +69,12 @@ class TestJacobianCoeffs:
                                np.array([0.7]), H)
         assert a[0] == pytest.approx((1 + 1 / 2.074) * 0.5)
         assert b[0] == pytest.approx((1 + 1 / 2.074) * 1.0)
+
+    def test_unknown_law_rejected(self):
+        # the same error as closure_factors for the same input
+        with pytest.raises(DomainError, match="unknown closure law"):
+            jacobian_b(np.array([1.0]), np.array([0.0]), np.array([2.59]),
+                       object())
 
 
 class TestDecoupledSpeeds:

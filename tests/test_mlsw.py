@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from eswsim import (Grid1D, LayerGrid, MlswState, PhysicalParams,
+from eswsim import (Grid1D, LayerGrid, MlswState, PhysicalParams, RunState,
                     SubcriticalInflow, SupercriticalInflow, mlsw_compute_dt,
                     mlsw_diagnostics, mlsw_step)
 from eswsim.analytic import gaussian_bump
@@ -15,6 +15,7 @@ from eswsim.errors import (DegenerateProfile, DomainError, DryCell,
                            TridiagonalFailure)
 from eswsim.mlsw import _ghosted, _thomas
 from eswsim.state import H_DRY
+from eswsim.timeloop import march
 
 
 def params(db=1e-3, fr=1.0):
@@ -138,6 +139,28 @@ class TestComputeDt:
         state = MlswState.uniform(LayerGrid(5), 10, 2.0, 1.0)
         with pytest.raises(NonpositiveTimeStep):
             mlsw_compute_dt(state, params(), 0.1, dt_cap=0.0)
+
+
+class TestMarch:
+    def test_resumed_march_fires_a_snapshot_due_at_its_start(self):
+        # the snapshot due at the start fires on the start state, before
+        # the first step, so no step is capped to zero length
+        layers, grid, p = LayerGrid(5), Grid1D.uniform(0.0, 1.0, 10), params()
+        left = SubcriticalInflow(u_in=1.0)
+
+        def take_step(run, dt_cap):
+            dt = mlsw_compute_dt(run.W, p, grid.dx, dt_cap=dt_cap)
+            return RunState(run.t + dt, run.step_count + 1,
+                            mlsw_step(run.W, layers, dt, p, grid, left), dt)
+
+        start = RunState(0.01, 12, MlswState.uniform(layers, 10, 2.0, 1.0))
+        seen = []
+        run = march(start, 0.02, take_step, snapshot_times=(0.01, 0.015),
+                    on_snapshot=seen.append)
+        assert seen[0] is start and len(seen) == 2
+        assert seen[1].t == pytest.approx(0.015, abs=1e-12)
+        assert seen[1].step_count > 12
+        assert run.t == pytest.approx(0.02, abs=1e-12)
 
 
 def reference_step(state, layers, dt, params, grid, left):
@@ -421,6 +444,19 @@ class TestDiagnostics:
                           u=np.array([[0.0], [1.0]]))
         with pytest.raises(DegenerateProfile):
             mlsw_diagnostics(state, layers, params())
+
+    def test_stagnant_top_layer_degenerate(self):
+        layers = LayerGrid(2)
+        state = MlswState(h=np.array([2.0, 2.0]),
+                          u=np.array([[0.5, 0.5], [1.0, 0.0]]))
+        with pytest.raises(DegenerateProfile, match="top-layer velocity"):
+            mlsw_diagnostics(state, layers, params())
+
+    def test_inviscid_limit_rejected(self):
+        layers = LayerGrid(2)
+        state = MlswState(h=np.array([2.0]), u=np.array([[0.5], [1.0]]))
+        with pytest.raises(DomainError, match="delta_bar > 0"):
+            mlsw_diagnostics(state, layers, params(db=0.0))
 
     def test_linear_profile_factors(self):
         # u proportional to z across many layers: H -> 3, like the linear

@@ -13,7 +13,8 @@ from eswsim.analytic import ReferenceCurve, blasius_steady, l1_error
 from eswsim.errors import ConfigError, DomainError, NonFiniteState
 from eswsim.scenarios import (_CHUNK_ROWS, ScenarioConfig, _run_columns,
                               _segments, _write_rows, config_to_text,
-                              emit_snapshot, parse_config, run_scenario)
+                              emit_snapshot, initial_state, parse_config,
+                              run_scenario)
 from eswsim.state import Grid1D, PhysicalParams
 from eswsim.timeloop import reached
 
@@ -453,6 +454,16 @@ class TestRunScenario:
         assert t_final and float(t_final.group(1)) == run.t
         assert f"\nsteps={run.step_count}\n" in meta
 
+    def test_snapshot_at_t0_is_the_initial_state(self, tmp_path):
+        cfg = ScenarioConfig(n_cells=40, t_end=0.02,
+                             snapshot_times=(0.0, 0.01),
+                             out_dir=str(tmp_path / "run"))
+        run_scenario(cfg)
+        emit_snapshot(initial_state(cfg).W, cfg.grid(),
+                      cfg.physical_params(), tmp_path / "t0.csv")
+        assert ((tmp_path / "run" / "snapshot_t0.000000.csv").read_bytes()
+                == (tmp_path / "t0.csv").read_bytes())
+
     def test_final_state_holds_the_last_dt(self, tmp_path):
         for scenario in ("MlswCompare", "Bump"):
             cfg = ScenarioConfig(scenario=scenario, x_max=2.0, n_cells=20,
@@ -663,8 +674,9 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert out.startswith("dx,error,runtime_seconds")
-        rows = (tmp_path / "o" / "convergence.csv").read_text().strip()
-        assert len(rows.split("\n")) == 3
+        rows = (tmp_path / "o" / "convergence.csv").read_text()
+        assert len(rows.strip().split("\n")) == 3
+        assert out == rows
 
     def test_converge_honours_output_dir(self, tmp_path, monkeypatch,
                                          capsys):
@@ -691,6 +703,10 @@ class TestCli:
             assert cli.main(["converge", "--out", str(tmp_path / "o"),
                              *settings]) == 2, settings
             assert "configuration error" in capsys.readouterr().err
+        # only BlasiusSteady has the flat-plate reference
+        with pytest.raises(ConfigError, match="BlasiusSteady"):
+            scenarios.convergence_study(ScenarioConfig(scenario="Bump"),
+                                        (0.01,))
         assert runs == []
         assert not (tmp_path / "o").exists()
 

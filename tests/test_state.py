@@ -95,19 +95,19 @@ class TestConservedState:
 
 class TestPrimitive:
     def test_zero_thickness_layer(self, tmp_path):
-        W = ConservedState(h=[2.0], q=[2.0], r=[0.0])
+        W = ConservedState(h=[2.0] * 5, q=[2.0] * 5, r=[0.0] * 5)
         P = primitive(W, params(), tmp_path)
         assert P["u_e"][0] == 1.0 and P["delta1"][0] == 0.0
         assert P["U"][0] == 1.0
 
     def test_thick_layer(self, tmp_path):
-        W = ConservedState(h=[2.0], q=[2.0], r=[1.0])
+        W = ConservedState(h=[2.0] * 5, q=[2.0] * 5, r=[1.0] * 5)
         P = primitive(W, params(), tmp_path)
         assert P["delta1"][0] == 1.0
         assert P["U"][0] == pytest.approx(0.9995, abs=1e-15)
 
     def test_inviscid_limit(self, tmp_path):
-        W = ConservedState(h=[2.0], q=[2.0], r=[1.0])
+        W = ConservedState(h=[2.0] * 5, q=[2.0] * 5, r=[1.0] * 5)
         P = primitive(W, params(db=0.0), tmp_path)
         assert P["U"][0] == P["u_e"][0] == 1.0
 

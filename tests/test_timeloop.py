@@ -141,6 +141,10 @@ class TestBoundaries:
         clamps = [r for r in caplog.records if "clamping" in r.getMessage()]
         assert len(clamps) == 2
 
+    def test_unknown_inflow_rejected(self):
+        with pytest.raises(TypeError, match="unsupported left boundary"):
+            timeloop.inflow_ghost(object(), 2.0, 1.0, 1.0)
+
 
 class TestComputeDt:
     def test_cfl_bound(self):
@@ -308,6 +312,21 @@ class TestStepAndAdvance:
         assert len(seen) == 2
         assert seen[0] == pytest.approx(0.005, abs=1e-12)
         assert seen[1] == pytest.approx(0.01, abs=1e-12)
+
+    def test_resumed_advance_fires_a_snapshot_due_at_its_start(self):
+        # the snapshot due at the start fires on the start state, before
+        # the first step, so no step is capped to zero length
+        n = 20
+        grid = Grid1D.uniform(0.0, 0.1, n)
+        spec = BoundarySpec(left=SubcriticalInflow(u_in=1.0))
+        start = RunState(t=0.01, step_count=12, W=uniform_state(n))
+        seen = []
+        run = advance(start, 0.02, grid, params(), spec,
+                      snapshot_times=(0.01, 0.015), on_snapshot=seen.append)
+        assert seen[0] is start and len(seen) == 2
+        assert seen[1].t == pytest.approx(0.015, abs=1e-12)
+        assert seen[1].step_count > 12
+        assert run.t == pytest.approx(0.02, abs=1e-12)
 
     def test_lake_at_rest_full_steps(self):
         n = 40
