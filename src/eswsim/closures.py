@@ -21,6 +21,12 @@ DELTA1_FLOOR = 1e-12
 # shape and friction factors of the Blasius flat-plate profile
 BLASIUS_H = 2.59
 BLASIUS_F2 = 0.22
+# The step's float operands, then the Falkner-Skan fit's, as read-only 0-d
+# float64 arrays: a ufunc call would make one of a Python float each time.
+_ZERO, _HALF, _ONE, _TWO, _THREE, _FOUR, _EIGHT = (
+    np.broadcast_to(v, ()) for v in (0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 8.0))
+_CLAMP, _JUNCTION, _RATE, _SCALE, _F2_SCALE, _SLOPE = (np.broadcast_to(
+    v, ()) for v in (LAMBDA1_CLAMP[0], 0.6, -0.37, 2.59, 1.05, 0.74))
 
 
 @dataclass(frozen=True)
@@ -58,13 +64,13 @@ def shape_factor_fs(lambda1):
     beyond (continuous at the junction to fit accuracy).
     """
     lam = np.asarray(lambda1, dtype=float)
-    # np.clip in two ufunc calls; out= from np.empty keeps 0-d input writable
-    H = np.maximum(lam, LAMBDA1_CLAMP[0], out=np.empty(lam.shape))
-    np.minimum(H, LAMBDA1_CLAMP[1], out=H)
-    saturated = ~(H < 0.6)
-    H *= -0.37
+    # the lower clamp (out= from np.empty keeps 0-d input writable); the
+    # upper one would change no H, which saturates below it
+    H = np.maximum(lam, _CLAMP, out=np.empty(lam.shape))
+    saturated = ~(H < _JUNCTION)
+    H *= _RATE
     np.exp(H, out=H)
-    H *= 2.59
+    H *= _SCALE
     np.copyto(H, 2.074, where=saturated)
     return H
 
@@ -73,9 +79,9 @@ def friction_factor_fs(H):
     """Friction factor f2 = 1.05*(4/H^2 - 1/H); negative beyond H = 4."""
     H = np.asarray(H, dtype=float)
     f2 = np.square(H, out=np.empty(H.shape))
-    np.divide(4.0, f2, out=f2)
-    f2 -= 1.0 / H
-    f2 *= 1.05
+    np.divide(_FOUR, f2, out=f2)
+    f2 -= _ONE / H
+    f2 *= _F2_SCALE
     return f2
 
 
@@ -132,27 +138,29 @@ def ue_gradient(u_e, dx, order=4):
     differences.
     """
     u = np.asarray(u_e, dtype=float)
-    n = u.size
     if order not in (2, 4):
         raise DomainError("gradient order must be 2 or 4")
-    if order == 4 and n < 5:
-        raise DomainError("order-4 stencil needs at least 5 cells")
-    g = np.empty_like(u)
+    if u.size <= order:
+        raise DomainError(f"order-{order} stencil needs at least {order + 1} "
+                          "cells")
+    g = np.empty(u.shape)
+    # the end cells in Python floats, which round as float64 does
+    (u0, u1, u2), (v2, v1, v0) = u[:3].tolist(), u[-3:].tolist()
     if order == 2:
         inner = np.subtract(u[2:], u[:-2], out=g[1:-1])
         inner /= 2.0 * dx
     else:
         # (u[:-4] - 8*u[1:-3] + 8*u[3:-1] - u[4:]) / (12*dx)
-        inner = np.multiply(8.0, u[1:-3], out=g[2:-2])
+        inner = np.multiply(_EIGHT, u[1:-3], out=g[2:-2])
         np.subtract(u[:-4], inner, out=inner)
-        inner += 8.0 * u[3:-1]
+        inner += _EIGHT * u[3:-1]
         inner -= u[4:]
         inner /= 12.0 * dx
-        g[1] = (u[2] - u[0]) / (2.0 * dx)
-        g[-2] = (u[-1] - u[-3]) / (2.0 * dx)
+        g[1] = (u2 - u0) / (2.0 * dx)
+        g[-2] = (v0 - v2) / (2.0 * dx)
     # one-sided second order at the ends
-    g[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * dx)
-    g[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * dx)
+    g[0] = (-3.0 * u0 + 4.0 * u1 - u2) / (2.0 * dx)
+    g[-1] = (3.0 * v0 - 4.0 * v1 + v2) / (2.0 * dx)
     return g
 
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .closures import (LAMBDA1_CLAMP, ClosureLaw, FalknerSkanFit,
-                       FixedProfile, Pohlhausen4)
+from .closures import (_CLAMP, _JUNCTION, _ONE, _SLOPE, _THREE, _TWO,
+                       ClosureLaw, FalknerSkanFit, FixedProfile, Pohlhausen4)
 from .errors import DomainError
 
 
@@ -40,16 +40,19 @@ def jacobian_b(u_e, lambda1, H, law: ClosureLaw = FalknerSkanFit()):
     and the slope 0.74*Lambda1 (or 0) that b and a carry as 1 +- slope."""
     lambda1 = np.asarray(lambda1, float)
     if isinstance(law, FalknerSkanFit):
-        active = (lambda1 >= LAMBDA1_CLAMP[0]) & (lambda1 < 0.6)
-        slope = np.where(active, 0.74 * lambda1, 0.0)
+        active = (lambda1 >= _CLAMP) & (lambda1 < _JUNCTION)
+        slope = np.where(active, _SLOPE * lambda1, 0.0)
     elif isinstance(law, (FixedProfile, Pohlhausen4)):
         # Pohlhausen4 treated as frozen-H for wave-speed estimates
         slope = 0.0
     else:
         raise DomainError(f"unknown closure law: {law!r}")
-    b = np.add(1.0, slope, out=np.empty(np.broadcast(u_e, slope, H).shape))
+    # the step's arrays, of one shape, skip NumPy's broadcast probe
+    shape = H.shape if type(u_e) is type(H) is np.ndarray and u_e.shape == \
+        H.shape == lambda1.shape else np.broadcast(u_e, slope, H).shape
+    b = np.add(_ONE, slope, out=np.empty(shape))
     b /= H
-    b += 1.0
+    b += _ONE
     b *= u_e
     return b, slope
 
@@ -62,19 +65,22 @@ def decoupled_speeds(h, u_e, b, froude):
 
 def nickalls_bounds(u_e, b, h, froude):
     """Closed-form interval containing all real characteristic roots."""
-    shape = np.broadcast(u_e, b, h).shape
-    # radius = sqrt((2*u_e - b)^2 + 3*h/Fr^2), then (u_e + b -+ 2*radius)/3
-    radius = np.multiply(2.0, u_e, out=np.empty(shape))
+    shape = h.shape if type(u_e) is type(b) is type(h) is np.ndarray and \
+        u_e.shape == b.shape == h.shape else np.broadcast(u_e, b, h).shape
+    # radius = sqrt((2*u_e - b)^2 + 3*h/Fr^2), then (u_e + b -+ 2*radius)/3;
+    # a division by Fr^2 = 1 would change no bit
+    radius = np.multiply(_TWO, u_e, out=np.empty(shape))
     radius -= b
     np.square(radius, out=radius)
-    radius += 3.0 * np.asarray(h, float) / froude**2
+    c2 = np.multiply(_THREE, h)
+    radius += c2 if froude == 1.0 else c2 / froude**2
     np.sqrt(radius, out=radius)
-    radius *= 2.0
+    radius *= _TWO
     lam_R = np.add(u_e, b, out=np.empty(shape))
     lam_L = lam_R - radius
     lam_R += radius
-    lam_L /= 3.0
-    lam_R /= 3.0
+    lam_L /= _THREE
+    lam_R /= _THREE
     return lam_L, lam_R
 
 

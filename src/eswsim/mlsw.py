@@ -224,7 +224,8 @@ def mlsw_step(state: MlswState, layers: LayerGrid, dt,
     hu_star -= div_mom
     pressure = np.multiply(dt, ellh, out=div_mom)
     pressure *= deta_dx
-    pressure /= fr2
+    if fr2 != 1.0:        # a division by 1 would change no bit
+        pressure /= fr2
     hu_star -= pressure
     dm *= dt
     hu_star += dm

@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .closures import closure_factors
+from .closures import _ONE, _THREE, _TWO, _ZERO, closure_factors
 from .hyperbolicity import jacobian_b, nickalls_bounds
 from .state import ConservedState, PhysicalParams, _delta1_from_ue
 
@@ -65,8 +65,8 @@ def physical_flux(h, q, r, H, params: PhysicalParams, u_e, out):
     h2 = np.square(h)
     h2 /= 2.0 * params.froude**2
     F1 += h2
-    np.divide(1.0, H, out=F2)
-    F2 += 1.0
+    np.divide(_ONE, H, out=F2)
+    F2 += _ONE
     F2 *= r
     F2 *= u_e
     return F0, F1, F2
@@ -98,7 +98,7 @@ def evaluate_cells(W: ConservedState, params: PhysicalParams,
     H, f2 = closure_factors(params.closure, lambda1)
     b, _ = jacobian_b(u_e, lambda1, H, params.closure)
     lam_L, lam_R = nickalls_bounds(u_e, b, h, params.froude)
-    F = np.empty_like(W.hqr)
+    F = np.empty(W.hqr.shape)
     physical_flux(h, q, r, H, params, u_e, F)
     return CellEval(W.hqr, F, lam_L, lam_R, delta1, H, f2)
 
@@ -146,53 +146,56 @@ def _star_depths(h_L, h_R, q_star, C, jump_fb, lam_L, lam_R, froude, span,
     fallback = np.zeros(h_L.shape, dtype=bool)
 
     hL = hR = h_hll
-    active = not flat and (jump_fb != 0.0) & (lam_L < 0.0) & (lam_R > 0.0)
-    if not flat and active.any():
+    active = not flat and (jump_fb != _ZERO) & (lam_L < _ZERO) & (
+        lam_R > _ZERO)
+    idx = () if flat else active.nonzero()[0]
+    if len(idx):
         # every active interface falls back unless its iteration converges
         fallback = active
-        hR = h_hll.copy()
-        hL = h_hll.copy()
-        idx = np.flatnonzero(active)
+        hR, hL = h_hll.copy(), h_hll.copy()
         hr = h_hll[idx]
         lamL, lamR, Ci, jfb = lam_L[idx], lam_R[idx], C[idx], jump_fb[idx]
         # a zero g' or a non-finite q* makes an infinite or NaN iterate,
         # which the next positivity check (or the last one) drops
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            q2h = q_star[idx]**2 / 2.0
+            q2h = q_star[idx]**2 / _TWO
             dhl = lamR / lamL
-            two_dhl = 2.0 * dhl
-            dg_lin = (1.0 - dhl) / fr2
-            three_dhl2 = 3.0 * dhl**2
+            two_dhl = _TWO * dhl
+            # a division by Fr^2 = 1 would change no bit
+            dg_lin = _ONE - dhl if fr2 == 1.0 else (_ONE - dhl) / fr2
+            three_dhl2 = _THREE * dhl**2
             for it in range(_NEWTON_MAX_ITER):
                 hl = (lamR * hr - Ci) / lamL
                 # a NaN iterate makes min NaN; with none left it is inf
-                if not (hr.min(initial=np.inf) > 0.0
-                        and hl.min(initial=np.inf) > 0.0):
+                if not (np.minimum.reduce(hr, initial=np.inf) > 0.0
+                        and np.minimum.reduce(hl, initial=np.inf) > 0.0):
                     keep = (hr > 0.0) & (hl > 0.0)
                     idx, hr, hl, lamL, lamR, Ci, jfb, q2h, two_dhl, \
                         dg_lin, three_dhl2 = (a[keep] for a in (
                             idx, hr, hl, lamL, lamR, Ci, jfb, q2h, two_dhl,
                             dg_lin, three_dhl2))
-                inv_hr2 = 1.0 / hr**2
-                inv_hl2 = 1.0 / hl**2
-                g = q2h * (inv_hr2 - inv_hl2) + (hr - hl + jfb) / fr2
+                inv_hr2 = _ONE / hr**2
+                inv_hl2 = _ONE / hl**2
+                lin = hr - hl + jfb
+                g = q2h * (inv_hr2 - inv_hl2) + (
+                    lin if fr2 == 1.0 else lin / fr2)
                 dg = q2h * (-2.0 / hr**3 + two_dhl / hl**3) + dg_lin
                 newton = g / dg
                 if it == 0:
                     hr = hr - newton
                     tol = _NEWTON_TOL
                 else:
-                    half_d2g = q2h * (3.0 * inv_hr2 * inv_hr2
+                    half_d2g = q2h * (_THREE * inv_hr2 * inv_hr2
                                       - three_dhl2 * inv_hl2 * inv_hl2)
-                    hr = hr - newton / (1.0 - newton * half_d2g / dg)
+                    hr = hr - newton / (_ONE - newton * half_d2g / dg)
                     tol = _HALLEY_TOL
-                rel_step = np.abs(newton) / np.maximum(1.0, hr)
-                converged = rel_step.max(initial=0.0) <= tol
+                rel_step = np.abs(newton) / np.maximum(_ONE, hr)
+                converged = np.maximum.reduce(rel_step, initial=0.0) <= tol
                 if converged:
                     break
             hl = (lamR * hr - Ci) / lamL
-            if not (converged and hr.min(initial=np.inf) > 0.0
-                    and hl.min(initial=np.inf) > 0.0):
+            if not (converged and np.minimum.reduce(hr, initial=np.inf) > 0.0
+                    and np.minimum.reduce(hl, initial=np.inf) > 0.0):
                 done = (rel_step <= tol) & (hr > 0.0) & (hl > 0.0)
                 idx, hr, hl = idx[done], hr[done], hl[done]
         hR[idx] = hr
@@ -210,9 +213,9 @@ def solve_local_riemann(L: CellEval, R: CellEval, jump_fb,
     bed (Grid1D.flat_bed) the zero topography source is skipped.
     """
     lam_L = np.minimum(L.lam_L, R.lam_L)
-    np.minimum(lam_L, 0.0, out=lam_L)
+    np.minimum(lam_L, _ZERO, out=lam_L)
     lam_R = np.maximum(L.lam_R, R.lam_R)
-    np.maximum(lam_R, 0.0, out=lam_R)
+    np.maximum(lam_R, _ZERO, out=lam_R)
     span = lam_R - lam_L
     topo_src, exchange_src = source_averages(
         L, R, None if flat else jump_fb, params.froude)
@@ -225,12 +228,11 @@ def solve_local_riemann(L: CellEval, R: CellEval, jump_fb,
     star -= np.subtract(R.F, L.F, out=work)
     C, q_star, r_star = star[0], star[1], star[2]
     r_star += exchange_src
-    r_star /= span
     if topo_src is not None:
         q_star -= topo_src
     exchange_src *= params.delta_bar
     q_star += exchange_src
-    q_star /= span
+    star[1:] /= span
     h_L_star, h_R_star, fallback = _star_depths(
         L.h, R.h, q_star, C, jump_fb, lam_L, lam_R, params.froude, span, flat)
 
@@ -245,6 +247,5 @@ def solve_local_riemann(L: CellEval, R: CellEval, jump_fb,
     F_right *= lam_R
     np.subtract(R.F, F_right, out=F_right)
 
-    return RiemannFan(lam_L=lam_L, lam_R=lam_R, q_star=q_star, r_star=r_star,
-                      h_L_star=h_L_star, h_R_star=h_R_star,
-                      F_left=F_left, F_right=F_right, fallback=fallback)
+    return RiemannFan(lam_L, lam_R, q_star, r_star, h_L_star, h_R_star,
+                      F_left, F_right, fallback)

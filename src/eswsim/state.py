@@ -59,7 +59,7 @@ class Grid1D:
             raise DomainError("topography must be finite")
         return cls(x_min, x_max, n_cells, topo)
 
-    @property
+    @cached_property
     def dx(self) -> float:
         return (self.x_max - self.x_min) / self.n_cells
 
@@ -121,7 +121,7 @@ def _delta1_from_ue(u_e, r):
     # with no (near-)stagnant or NaN cell the unmasked quotient is bitwise
     # the masked one; scalars, empty arrays and mixed signs take the mask
     if type(u_e) is np.ndarray and u_e.size and (
-            u_e.min() > U_EPS or u_e.max() < -U_EPS):
+            np.minimum.reduce(u_e) > U_EPS or np.maximum.reduce(u_e) < -U_EPS):
         return r / u_e
     return np.where(np.abs(u_e) > U_EPS, r / np.where(u_e == 0, 1.0, u_e), 0.0)
 

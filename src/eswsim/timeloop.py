@@ -13,14 +13,15 @@ a stop, and the stamping of a failed step with its step count and time.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .closures import ue_gradient
-from .errors import (DryCell, NegativeDiscriminant, NonFiniteState,
-                     NonpositiveTimeStep, StepFailure)
+from .closures import _FOUR, _HALF, ue_gradient
+from .errors import (DomainError, DryCell, NegativeDiscriminant,
+                     NonFiniteState, NonpositiveTimeStep, StepFailure)
 from .riemann import CellEval, evaluate_cells, solve_local_riemann
 from .state import (ConservedState, Grid1D, H_DRY, PhysicalParams,
                     _delta1_from_ue)
@@ -28,6 +29,8 @@ from .state import (ConservedState, Grid1D, H_DRY, PhysicalParams,
 log = logging.getLogger(__name__)
 
 N_GHOST = 2  # the order-4 gradient stencil needs two ghost cells per side
+# the cells of an extended state left and right of its interior interfaces
+_SIDES = slice(N_GHOST - 1, -N_GHOST), slice(N_GHOST, 1 - N_GHOST)
 CFL_NUMBER = 0.9
 
 
@@ -78,10 +81,12 @@ def inflow_ghost(left: InflowSpec, h1, u1, froude):
     if isinstance(left, SupercriticalInflow):
         return left.h_in, left.u_in
     if not isinstance(left, SubcriticalInflow):
-        raise TypeError(f"unsupported left boundary: {left!r}")
+        raise DomainError(f"unsupported left boundary: {left!r}")
     # outgoing characteristic u - 2*sqrt(h)/Fr extrapolated from the first
-    # interior cell fixes the ghost depth once u_in is imposed
-    sqrt_hg = np.sqrt(h1) + froude * (left.u_in - u1) / 2.0
+    # interior cell fixes the ghost depth once u_in is imposed (a negative
+    # h1 keeps NumPy's NaN root and its warning)
+    root = math.sqrt(h1) if h1 >= 0.0 else np.sqrt(h1)
+    sqrt_hg = root + froude * (left.u_in - u1) / 2.0
     h_g = sqrt_hg**2
     if sqrt_hg <= 0.0 or h_g < H_DRY:
         log.warning("inflow invariant gave a depth below H_DRY; clamping")
@@ -106,38 +111,42 @@ def apply_boundaries(W: ConservedState, spec: BoundarySpec,
     Inflow imposes inflow_ghost's depth and velocity with a flat profile
     (delta1 = 0). Outflow copies the last interior cell.
     """
-    h1, q1 = W.hqr[0, 0], W.hqr[1, 0]
-    h_g, u_g = inflow_ghost(spec.left, h1, q1 / h1, params.froude)
-    left = np.array([[h_g], [h_g * u_g], [0.0]])
+    h1, q1 = W.hqr.item(0, 0), W.hqr.item(1, 0)
+    # Python floats, but a zero depth divides as a NumPy scalar: inf or NaN
+    u1 = q1 / h1 if h1 else np.float64(q1) / h1
+    h_g, u_g = inflow_ghost(spec.left, h1, u1, params.froude)
+    left = ((h_g,), (h_g * u_g,), (0.0,))
     return ConservedState.wrap(with_ghosts(W.hqr, left, N_GHOST))
 
 
 def frozen_gradient(u_e, dx, order=4) -> np.ndarray:
     """Gradient of the extended state's edge velocity, frozen for the step."""
-    return ue_gradient(u_e, dx, order=order)
+    return ue_gradient(u_e, dx, order)
 
 
 def compute_dt(cells: CellEval, dx, dt_cap=np.inf):
     """(dt, limiter) for an evaluated extended state: the CFL step from the
     Nickalls bounds, reduced by the reverse-flow cap and by dt_cap;
     limiter is "cfl", "reverse_flow" or "cap"."""
-    # max(|lam_L|, |lam_R|) is max(-lam_L, lam_R) because lam_L <= lam_R
-    lam_max = np.maximum(-cells.lam_L.min(), cells.lam_R.max())
+    lo, hi = np.minimum.reduce(cells.lam_L), np.maximum.reduce(cells.lam_R)
     # a NaN in q or r alone can leave the bounds finite (the closure maps a
     # NaN Lambda1 to a finite H), but it always reaches delta1
-    if not (np.isfinite(lam_max) and np.isfinite(cells.delta1.sum())):
+    if not all(map(math.isfinite, (lo, hi, np.add.reduce(cells.delta1)))):
         # the interior first: an inflow ghost inherits a NaN of cell 0
-        n = cells.h.size - N_GHOST
-        for lo, hi in ((N_GHOST, n), (0, N_GHOST), (n, n + N_GHOST)):
+        n = cells.hqr.shape[1] - N_GHOST
+        for i, j in ((N_GHOST, n), (0, N_GHOST), (n, n + N_GHOST)):
             for name in ("h", "q", "r", "delta1", "H", "lam_L", "lam_R"):
-                bad = np.flatnonzero(~np.isfinite(getattr(cells, name)[lo:hi]))
+                bad = np.flatnonzero(~np.isfinite(getattr(cells, name)[i:j]))
                 if bad.size:
-                    raise NonFiniteState(name, int(bad[0]) + lo - N_GHOST)
+                    raise NonFiniteState(name, int(bad[0]) + i - N_GHOST)
+    # max(|lam_L|, |lam_R|) is max(-lam_L, lam_R) because lam_L <= lam_R;
     # with no wave speed the CFL bound is unlimited
-    dt = CFL_NUMBER * dx / (2.0 * lam_max) if lam_max > 0.0 else np.inf
+    lam_max = max(-lo, hi)
+    dt = CFL_NUMBER * dx / (2.0 * lam_max) if lam_max > 0.0 else math.inf
     limiter = "cfl"
-    reverse = cells.f2 < 0.0
-    if reverse.any():
+    # fmin.reduce skips NaN, as the comparisons of these guards do
+    if np.fmin.reduce(cells.f2) < 0.0:
+        reverse = cells.f2 < 0.0
         cap = (-cells.delta1[reverse] ** 2
                / (4.0 * (cells.f2 * cells.H)[reverse])).min()
         if cap < dt:
@@ -156,17 +165,14 @@ def convection_step(cells: CellEval, jump_fb, params: PhysicalParams, dx,
     state, with jump_fb the bed jumps at its n + 1 interfaces (bed_jumps of
     the Grid1D) and flat whether all are zero (its flat_bed); returns
     (interior ConservedState, interface RiemannFan)."""
-    n_ext = cells.h.size
-    sl = slice(N_GHOST - 1, n_ext - N_GHOST)      # left cells of interfaces
-    sr = slice(N_GHOST, n_ext - N_GHOST + 1)      # right cells
     L, R = [CellEval(cells.hqr[:, s], cells.F[:, s], cells.lam_L[s],
-                     cells.lam_R[s]) for s in (sl, sr)]
+                     cells.lam_R[s]) for s in _SIDES]
     fan = solve_local_riemann(L, R, jump_fb, params, flat)
     # W - (dt/dx)*(F_left[1:] - F_right[:-1]), into a fresh (3, n) array
     new = np.subtract(fan.F_left[:, 1:], fan.F_right[:, :-1])
     new *= dt / dx
     np.subtract(cells.hqr[:, N_GHOST:-N_GHOST], new, out=new)
-    if (new[0] <= H_DRY).any():
+    if np.fmin.reduce(new[0]) <= H_DRY:
         raise DryCell(int(np.flatnonzero(new[0] <= H_DRY)[0]))
     return ConservedState.wrap(new), fan
 
@@ -179,17 +185,17 @@ def friction_step(W: ConservedState, dt, params: PhysicalParams,
     f2H is the per-cell product (f2*H) evaluated at the pre-convection state;
     u_e is W's edge velocity q/h.
     """
-    delta1 = _delta1_from_ue(u_e, W.r)
+    delta1 = _delta1_from_ue(u_e, W.hqr[2])
     # disc = delta1^2 + 4*f2H*dt, then 0.5*(delta1 + sqrt(disc))*u_e
-    r = np.multiply(4.0, f2H, out=W.r)
+    r = np.multiply(_FOUR, f2H, out=W.hqr[2])
     r *= dt
     r += np.square(delta1)
-    if (r < 0.0).any():
+    if np.fmin.reduce(r) < 0.0:
         raise NegativeDiscriminant("friction discriminant negative; "
                                    "time-step selection is broken")
     np.sqrt(r, out=r)
     r += delta1
-    r *= 0.5
+    r *= _HALF
     r *= u_e
     return W
 
@@ -198,18 +204,18 @@ def step(run: RunState, grid: Grid1D, params: PhysicalParams,
          boundaries: BoundarySpec, gradient_order=4, dt_cap=np.inf):
     """Advance one full split step; returns the new RunState."""
     W_ext = apply_boundaries(run.W, boundaries, params)
-    u_e = W_ext.q / W_ext.h
-    dudx = frozen_gradient(u_e, grid.dx, order=gradient_order)
+    u_e = np.divide(W_ext.hqr[1], W_ext.hqr[0])
+    dudx = frozen_gradient(u_e, grid.dx, gradient_order)
     cells = evaluate_cells(W_ext, params, dudx, u_e)
-    dt, _ = compute_dt(cells, grid.dx, dt_cap=dt_cap)
+    dt, _ = compute_dt(cells, grid.dx, dt_cap)
     # f2H first: the fewer arrays allocated after the update's new state,
     # the less heap malloc trims and faults in again each step
     f2H = cells.f2[N_GHOST:-N_GHOST] * cells.H[N_GHOST:-N_GHOST]
     W, _ = convection_step(cells, grid.bed_jumps, params, grid.dx, dt,
                            grid.flat_bed)
-    u_e = W.q / W.h   # friction keeps h and q as they are
+    u_e = np.divide(W.hqr[1], W.hqr[0])   # friction keeps h and q
     friction_step(W, dt, params, f2H, u_e)
-    return RunState(t=run.t + dt, step_count=run.step_count + 1, W=W, dt=dt)
+    return RunState(run.t + dt, run.step_count + 1, W, dt)
 
 
 def march(run: RunState, t_end, take_step: Callable, snapshot_times=(),

@@ -9,7 +9,10 @@ checkout, once per source tree, in one session, to compare two trees:
 
 It prints the best of --rounds rounds of microseconds per timeloop.step
 (wall time) for flat beds at n = 10, 1 000 and 20 000 and a bump at
-n = 400, each on a state a few steps into its run, and the CPU
+n = 400, each on a state a few steps into its run, with the minor page
+faults per step (at n = 20 000 whether malloc trims the heap under the
+step's temporaries, and faults it in again, depends on the heap's
+layout, which the cases run before set, not on the step), and the CPU
 milliseconds per emit_snapshot of an n = 20 000 ImpulsiveStart state at
 t = 0.0075: on one grid written again and again (as the files of one run
 are), and on a fresh grid for every write (as the first file of a run is).
@@ -17,15 +20,31 @@ Last, the best microseconds per mlsw_step (the Thomas solve included) and
 per mlsw._thomas at the size of the mlsw_bump benchmark (n = 300, N = 100),
 on a bump state 30 steps into its run: the steps march on from it with its
 time step, and the solve is the one its first step makes.
+
+With --ops it times nothing and prints, for the flat n = 10 and bump
+n = 400 steps, the NumPy calls that one timeloop.step makes on arrays:
+ufunc calls (reductions such as .min() or .any() among them, also counted
+apart) and array-function calls (np.where, np.copyto, ...), each
+counted once where the step's code makes it, not inside NumPy. The arrays
+are an ndarray subclass that counts the calls made on it; arithmetic on
+NumPy scalars is not counted. The subclass is not an exact np.ndarray, so
+state._delta1_from_ue takes its masked path and counts a few calls more
+than a run makes.
 """
 
 import argparse
+import resource
 import tempfile
 import time
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from eswsim import mlsw
 from eswsim.scenarios import ScenarioConfig, emit_snapshot, initial_state
+from eswsim.state import ConservedState
 from eswsim.timeloop import advance, step
 
 # (label, ScenarioConfig fields, steps per round)
@@ -45,7 +64,8 @@ MLSW_WARM_STEPS, MLSW_REPS = 30, 30
 
 
 def step_us(fields, reps, rounds):
-    """Best microseconds per step over rounds of reps steps from one state."""
+    """(best microseconds per step over rounds of reps steps from one
+    state, minor page faults per timed step)."""
     config = ScenarioConfig(**fields)
     grid, params = config.grid(), config.physical_params()
     spec = config.boundary_spec()
@@ -53,12 +73,89 @@ def step_us(fields, reps, rounds):
     for _ in range(WARM_STEPS):
         run = step(run, grid, params, spec)
     best = float("inf")
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(rounds):
         t0 = time.perf_counter()
         for _ in range(reps):
             step(run, grid, params, spec)
         best = min(best, (time.perf_counter() - t0) / reps)
-    return best * 1e6
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return best * 1e6, faults / (rounds * reps)
+
+
+class Counted(np.ndarray):
+    """An array that counts the NumPy calls made on it into OPS; a call
+    made inside another counted call is not counted again."""
+
+    OPS = Counter()
+    depth = 0
+
+    @staticmethod
+    def wrap(result):
+        if isinstance(result, tuple):
+            return tuple(Counted.wrap(x) for x in result)
+        if type(result) is np.ndarray:
+            return result.view(Counted)
+        return result
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if Counted.depth == 0:
+            Counted.OPS["ufunc"] += 1
+            Counted.OPS["reduction"] += method != "__call__"
+        plain = [x.view(np.ndarray) if isinstance(x, Counted) else x
+                 for x in inputs]
+        out = kwargs.get("out")
+        if out is not None:
+            kwargs["out"] = tuple(o.view(np.ndarray) for o in out)
+        if isinstance(kwargs.get("where"), Counted):
+            kwargs["where"] = kwargs["where"].view(np.ndarray)
+        result = getattr(ufunc, method)(*plain, **kwargs)
+        if out is not None:
+            return out[0] if len(out) == 1 else out
+        return Counted.wrap(result)
+
+    def __array_function__(self, func, types, args, kwargs):
+        Counted.OPS["function"] += Counted.depth == 0
+        Counted.depth += 1
+        try:
+            result = super().__array_function__(func, types, args, kwargs)
+        finally:
+            Counted.depth -= 1
+        return Counted.wrap(result)
+
+
+def _counted_creator(create):
+    return lambda *args, **kwargs: Counted.wrap(create(*args, **kwargs))
+
+
+def step_ops(fields):
+    """Counter of ufunc, reduction and array-function calls in one step
+    from the state that step_us times."""
+    config = ScenarioConfig(**fields)
+    grid, params = config.grid(), config.physical_params()
+    spec = config.boundary_spec()
+    run = initial_state(config)
+    for _ in range(WARM_STEPS):
+        run = step(run, grid, params, spec)
+    names = ("empty", "empty_like", "zeros", "full", "array", "where",
+             "flatnonzero")
+    saved = {name: getattr(np, name) for name in names + ("asarray",)}
+    asarray = saved["asarray"]
+    try:
+        for name in names:
+            setattr(np, name, _counted_creator(saved[name]))
+        np.asarray = lambda a, *args, **kwargs: (
+            a if isinstance(a, Counted) and a.dtype == np.float64
+            else asarray(a, *args, **kwargs))
+        grid = replace(grid, topo=grid.topo.view(Counted))
+        run = replace(run, W=ConservedState.wrap(run.W.hqr.view(Counted)))
+        grid.bed_jumps, grid.flat_bed    # built before counting
+        Counted.OPS.clear()
+        step(run, grid, params, spec)
+        return Counter(Counted.OPS)
+    finally:
+        for name, fn in saved.items():
+            setattr(np, name, fn)
 
 
 def write_ms(rounds, out_dir):
@@ -113,9 +210,20 @@ def mlsw_us(rounds):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--rounds", type=int, default=7)
+    parser.add_argument("--ops", action="store_true",
+                        help="count the NumPy calls per step instead")
     args = parser.parse_args()
+    if args.ops:
+        for label, fields, _ in STEPS:
+            if label in ("flat n=10", "bump n=400"):
+                ops = step_ops(fields)
+                print(f"step {label}: {ops['ufunc']} ufunc calls "
+                      f"({ops['reduction']} reductions), "
+                      f"{ops['function']} array-function calls")
+        return
     for label, fields, reps in STEPS:
-        print(f"step {label}: {step_us(fields, reps, args.rounds):.1f} us")
+        us, faults = step_us(fields, reps, args.rounds)
+        print(f"step {label}: {us:.1f} us, {faults:.1f} page faults")
     with tempfile.TemporaryDirectory() as tmp:
         same, fresh = write_ms(2 * args.rounds + 1, tmp)
     print(f"impulsive n=20000 write: {same:.2f} ms CPU on the run's grid, "

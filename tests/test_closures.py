@@ -192,6 +192,9 @@ class TestGradient:
         ue_gradient(np.full(5, 2.5), 0.1, order=4)
         with pytest.raises(DomainError, match="at least 5 cells"):
             ue_gradient(np.full(4, 2.5), 0.1, order=4)
+        ue_gradient(np.full(3, 2.5), 0.1, order=2)
+        with pytest.raises(DomainError, match="order-2 .* at least 3 cells"):
+            ue_gradient(np.full(2, 2.5), 0.1, order=2)
 
 
 class TestClosureFactors:

@@ -4,6 +4,7 @@ from collections import Counter
 
 import fallback_counts
 import numpy as np
+import step_timing
 import pytest
 from conftest import from_primitive_fields
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,8 @@ from eswsim import (BoundarySpec, ConservedState, Grid1D, LayerGrid,
                     SupercriticalInflow, advance, closures, compute_dt,
                     hyperbolicity, riemann, scenarios, state, step, timeloop)
 from eswsim.analytic import gaussian_bump
-from eswsim.errors import DryCell, NonFiniteState, NonpositiveTimeStep
+from eswsim.errors import (DomainError, DryCell, NegativeDiscriminant,
+                           NonFiniteState, NonpositiveTimeStep)
 from eswsim.mlsw import _ghosted
 from eswsim.riemann import evaluate_cells
 from eswsim.state import H_DRY
@@ -142,8 +144,31 @@ class TestBoundaries:
         assert len(clamps) == 2
 
     def test_unknown_inflow_rejected(self):
-        with pytest.raises(TypeError, match="unsupported left boundary"):
+        with pytest.raises(DomainError, match="unsupported left boundary"):
             timeloop.inflow_ghost(object(), 2.0, 1.0, 1.0)
+        layers = LayerGrid(3)
+        with pytest.raises(DomainError, match="unsupported left boundary"):
+            _ghosted(MlswState.uniform(layers, 6, 2.0, 1.0), object(),
+                     layers, params())
+
+    @pytest.mark.parametrize("h1, q1, ghost", [(0.0, 1.0, H_DRY),
+                                               (0.0, 0.0, np.nan),
+                                               (0.0, -1.0, np.inf),
+                                               (-0.5, 1.0, np.nan)])
+    def test_nonpositive_first_cell_at_subcritical_inflow(self, h1, q1,
+                                                          ghost, caplog):
+        # its velocity and root are NumPy's: inf or NaN, with a warning
+        # (silenced here); the step then names the wave speed of cell 0
+        W = uniform_state(10)
+        W.h[0], W.q[0] = h1, q1
+        spec = BoundarySpec(left=SubcriticalInflow(u_in=1.0))
+        with np.errstate(all="ignore"):
+            ext = apply_boundaries(W, spec, params())
+            np.testing.assert_array_equal(ext.h[:N_GHOST], ghost)
+            with pytest.raises(NonFiniteState) as info:
+                step(RunState(0.0, 0, W), Grid1D.uniform(0.0, 1.0, 10),
+                     params(), spec)
+        assert (info.value.field, info.value.cell) == ("lam_L", 0)
 
 
 class TestComputeDt:
@@ -152,6 +177,42 @@ class TestComputeDt:
         dt, _ = compute_dt(evaluate_cells(W, params()), dx=0.01)
         # fastest Nickalls bound ~2.48 for (h=2, u=1, Fr=1)
         assert dt == pytest.approx(0.9 * 0.01 / (2 * 2.4789), rel=1e-3)
+
+    @pytest.mark.parametrize("name, value", [("lam_L", np.nan),
+                                             ("lam_L", -np.inf),
+                                             ("lam_R", np.nan),
+                                             ("lam_R", np.inf)])
+    @pytest.mark.parametrize("index, cell", [(5, 3), (0, -2), (13, 11)])
+    def test_non_finite_bound_is_named(self, name, value, index, cell):
+        # an extended state of 14 cells: index 0 is the first inflow ghost,
+        # index 13 the last outflow ghost
+        cells = evaluate_cells(uniform_state(14), params())
+        bound = getattr(cells, name).copy()
+        bound[index] = value
+        with pytest.raises(NonFiniteState) as info:
+            compute_dt(cells._replace(**{name: bound}), dx=0.01)
+        assert (info.value.field, info.value.cell) == (name, cell)
+
+    def test_zero_wave_speeds_take_the_cap(self):
+        cells = evaluate_cells(uniform_state(10), params())
+        still = cells._replace(lam_L=np.zeros(10), lam_R=np.zeros(10))
+        assert compute_dt(still, dx=0.01, dt_cap=0.25) == (0.25, "cap")
+        assert compute_dt(still, dx=0.01) == (np.inf, "cfl")
+        with pytest.raises(NonpositiveTimeStep, match="set by cap"):
+            compute_dt(still, dx=0.01, dt_cap=0.0)
+
+    def test_dt_is_a_python_float_for_every_limiter(self):
+        n = 10
+        cells = evaluate_cells(uniform_state(n), params())
+        reverse = evaluate_cells(uniform_state(n, d1=0.5), params(),
+                                 np.full(n, -20.0))
+        cfl = compute_dt(cells, dx=0.01)
+        for (dt, limiter), want in ((cfl, "cfl"),
+                                    (compute_dt(reverse, dx=1.0),
+                                     "reverse_flow"),
+                                    (compute_dt(cells, 0.01, 0.5 * cfl[0]),
+                                     "cap")):
+            assert type(dt) is float and limiter == want
 
     def test_reverse_flow_cap(self):
         # strongly decelerated layer: f2 < 0 caps dt at -delta1^2/(4 f2 H)
@@ -216,6 +277,25 @@ class TestConvectionStep:
                             params(), 1e-4, 1.0)
         assert (info.value.field, info.value.cell) == ("h", 0)
 
+    def test_dry_cell_named_past_a_nan(self):
+        # the guard skips a NaN depth, as a comparison does: the dry cell is
+        # named, and a NaN alone is left to the next step's cell scan
+        n = 8
+        m = n + 2 * N_GHOST
+        for h0, want in ((1e-10, 0), (2.0, None)):
+            W = from_primitive_fields(np.full(m, h0), np.linspace(0.0, 2.0, m),
+                                      np.zeros(m))
+            cells = evaluate_cells(W, params())
+            cells.F[0, -3] = np.nan
+            if want is None:
+                new, _ = convection_step(cells, np.zeros(n + 1), params(),
+                                         1e-4, 1e-6)
+                assert np.isnan(new.h[-1]) and np.isnan(new.h[-2])
+                continue
+            with pytest.raises(DryCell) as info:
+                convection_step(cells, np.zeros(n + 1), params(), 1e-4, 1.0)
+            assert info.value.cell == want
+
 
 class TestFrictionStep:
     def test_growth_closed_form(self):
@@ -223,6 +303,14 @@ class TestFrictionStep:
         W2 = friction_step(W, 0.01, params(), np.array([0.5716]), W.q / W.h)
         assert W2.r[0] == pytest.approx(0.5 * (1 + np.sqrt(1.022864)),
                                         abs=1e-6)
+
+    def test_negative_discriminant_raises(self):
+        # delta1^2 + 4*f2H*dt < 0 in the second cell; the NaN in the first
+        # is skipped, as a comparison skips it
+        W = ConservedState(h=[2.0, 2.0], q=[2.0, 2.0], r=[0.1, 0.1])
+        with pytest.raises(NegativeDiscriminant):
+            friction_step(W, 1.0, params(), np.array([np.nan, -1.0]),
+                          W.q / W.h)
 
     def test_separation_neutral(self):
         W = ConservedState(h=[2.0], q=[2.0], r=[0.3])
@@ -408,6 +496,15 @@ class TestStepDiagnostics:
             0.3, lambda *args: newton_star_depths(*args[:8]), steps=3)
         assert len(new) == len(old) == len(calls) == 3
         assert new[0] == old[0] > 0
+
+    def test_step_timing_ops_script(self):
+        # tests/step_timing.py --ops: the counts repeat exactly, count the
+        # reductions among the ufunc calls, and leave NumPy as it was
+        where, asarray = np.where, np.asarray
+        ops = step_timing.step_ops(dict(n_cells=10))
+        assert ops == step_timing.step_ops(dict(n_cells=10))
+        assert 0 < ops["reduction"] < ops["ufunc"] and ops["function"] > 0
+        assert np.where is where and np.asarray is asarray
 
     def test_non_finite_cell_is_named(self):
         # a NaN in r alone leaves the wave-speed bounds finite; it must
