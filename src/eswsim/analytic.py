@@ -19,9 +19,8 @@ class ReferenceCurve:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "abscissae",
-                           np.asarray(self.abscissae, float))
-        object.__setattr__(self, "values", np.asarray(self.values, float))
+        for k in ("abscissae", "values"):
+            object.__setattr__(self, k, np.asarray(getattr(self, k), float))
         if np.any(np.diff(self.abscissae) <= 0):
             raise DomainError("abscissae must be strictly increasing")
 

@@ -73,10 +73,9 @@ def _cmd_analyze(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="eswsim",
-        description="Finite-volume solver for shallow-water flow coupled "
-                    "with a viscous boundary layer.")
+    parser = argparse.ArgumentParser(prog="eswsim", description=(
+        "Finite-volume solver for shallow-water flow coupled with a viscous "
+        "boundary layer."))
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="verb", required=True)
 

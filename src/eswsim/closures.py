@@ -13,20 +13,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .operands import EIGHT, FOUR, ONE
 
 # Physically meaningful pressure-gradient range is roughly [-6, 0.6]; the
 # clamp only guards the exponential against transient spikes.
 LAMBDA1_CLAMP = (-20.0, 10.0)
+FS_LO, FS_HI, FS_CUT, FS_EXP, FS_H, FS_SAT, FS_F2, FS_SLOPE = (np.broadcast_to(
+    v, ()) for v in (*LAMBDA1_CLAMP, 0.6, -0.37, 2.59, 2.074, 1.05, 0.74))
 DELTA1_FLOOR = 1e-12
 # shape and friction factors of the Blasius flat-plate profile
 BLASIUS_H = 2.59
 BLASIUS_F2 = 0.22
-# The step's float operands, then the Falkner-Skan fit's, as read-only 0-d
-# float64 arrays: a ufunc call would make one of a Python float each time.
-_ZERO, _HALF, _ONE, _TWO, _THREE, _FOUR, _EIGHT = (
-    np.broadcast_to(v, ()) for v in (0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 8.0))
-_CLAMP, _JUNCTION, _RATE, _SCALE, _F2_SCALE, _SLOPE = (np.broadcast_to(
-    v, ()) for v in (LAMBDA1_CLAMP[0], 0.6, -0.37, 2.59, 1.05, 0.74))
 
 
 @dataclass(frozen=True)
@@ -64,14 +61,14 @@ def shape_factor_fs(lambda1):
     beyond (continuous at the junction to fit accuracy).
     """
     lam = np.asarray(lambda1, dtype=float)
-    # the lower clamp (out= from np.empty keeps 0-d input writable); the
-    # upper one would change no H, which saturates below it
-    H = np.maximum(lam, _CLAMP, out=np.empty(lam.shape))
-    saturated = ~(H < _JUNCTION)
-    H *= _RATE
+    # np.clip in two ufunc calls; out= from np.empty keeps 0-d input writable
+    H = np.maximum(lam, FS_LO, out=np.empty(lam.shape))
+    np.minimum(H, FS_HI, out=H)
+    saturated = ~(H < FS_CUT)
+    H *= FS_EXP
     np.exp(H, out=H)
-    H *= _SCALE
-    np.copyto(H, 2.074, where=saturated)
+    H *= FS_H
+    np.copyto(H, FS_SAT, where=saturated)
     return H
 
 
@@ -79,9 +76,9 @@ def friction_factor_fs(H):
     """Friction factor f2 = 1.05*(4/H^2 - 1/H); negative beyond H = 4."""
     H = np.asarray(H, dtype=float)
     f2 = np.square(H, out=np.empty(H.shape))
-    np.divide(_FOUR, f2, out=f2)
-    f2 -= _ONE / H
-    f2 *= _F2_SCALE
+    np.divide(FOUR, f2, out=f2)
+    f2 -= ONE / H
+    f2 *= FS_F2
     return f2
 
 
@@ -141,8 +138,7 @@ def ue_gradient(u_e, dx, order=4):
     if order not in (2, 4):
         raise DomainError("gradient order must be 2 or 4")
     if u.size <= order:
-        raise DomainError(f"order-{order} stencil needs at least {order + 1} "
-                          "cells")
+        raise DomainError(f"order-{order} needs at least {order + 1} cells")
     g = np.empty(u.shape)
     # the end cells in Python floats, which round as float64 does
     (u0, u1, u2), (v2, v1, v0) = u[:3].tolist(), u[-3:].tolist()
@@ -151,9 +147,9 @@ def ue_gradient(u_e, dx, order=4):
         inner /= 2.0 * dx
     else:
         # (u[:-4] - 8*u[1:-3] + 8*u[3:-1] - u[4:]) / (12*dx)
-        inner = np.multiply(_EIGHT, u[1:-3], out=g[2:-2])
+        inner = np.multiply(EIGHT, u[1:-3], out=g[2:-2])
         np.subtract(u[:-4], inner, out=inner)
-        inner += _EIGHT * u[3:-1]
+        inner += EIGHT * u[3:-1]
         inner -= u[4:]
         inner /= 12.0 * dx
         g[1] = (u2 - u0) / (2.0 * dx)

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .closures import (_CLAMP, _JUNCTION, _ONE, _SLOPE, _THREE, _TWO,
-                       ClosureLaw, FalknerSkanFit, FixedProfile, Pohlhausen4)
+from .closures import (FS_CUT, FS_LO, FS_SLOPE, ClosureLaw, FalknerSkanFit,
+                       FixedProfile, Pohlhausen4)
 from .errors import DomainError
+from .operands import ONE, THREE, TWO, ZERO
 
 
 def jacobian_coeffs(u_e, r, lambda1, H, law: ClosureLaw = FalknerSkanFit()):
@@ -28,9 +29,9 @@ def jacobian_coeffs(u_e, r, lambda1, H, law: ClosureLaw = FalknerSkanFit()):
     LAMBDA1_CLAMP[0] lose them.
     """
     b, slope = jacobian_b(u_e, lambda1, H, law)
-    a = np.subtract(1.0, slope, out=np.empty(np.broadcast(r, slope, H).shape))
+    a = np.subtract(ONE, slope, out=np.empty(np.broadcast(r, slope, H).shape))
     a /= H
-    a += 1.0
+    a += ONE
     a *= r
     return a, b
 
@@ -40,19 +41,16 @@ def jacobian_b(u_e, lambda1, H, law: ClosureLaw = FalknerSkanFit()):
     and the slope 0.74*Lambda1 (or 0) that b and a carry as 1 +- slope."""
     lambda1 = np.asarray(lambda1, float)
     if isinstance(law, FalknerSkanFit):
-        active = (lambda1 >= _CLAMP) & (lambda1 < _JUNCTION)
-        slope = np.where(active, _SLOPE * lambda1, 0.0)
+        active = (lambda1 >= FS_LO) & (lambda1 < FS_CUT)
+        slope = np.where(active, FS_SLOPE * lambda1, ZERO)
     elif isinstance(law, (FixedProfile, Pohlhausen4)):
         # Pohlhausen4 treated as frozen-H for wave-speed estimates
         slope = 0.0
     else:
         raise DomainError(f"unknown closure law: {law!r}")
-    # the step's arrays, of one shape, skip NumPy's broadcast probe
-    shape = H.shape if type(u_e) is type(H) is np.ndarray and u_e.shape == \
-        H.shape == lambda1.shape else np.broadcast(u_e, slope, H).shape
-    b = np.add(_ONE, slope, out=np.empty(shape))
+    b = np.add(ONE, slope, out=np.empty(np.broadcast(u_e, slope, H).shape))
     b /= H
-    b += _ONE
+    b += ONE
     b *= u_e
     return b, slope
 
@@ -65,22 +63,20 @@ def decoupled_speeds(h, u_e, b, froude):
 
 def nickalls_bounds(u_e, b, h, froude):
     """Closed-form interval containing all real characteristic roots."""
-    shape = h.shape if type(u_e) is type(b) is type(h) is np.ndarray and \
-        u_e.shape == b.shape == h.shape else np.broadcast(u_e, b, h).shape
-    # radius = sqrt((2*u_e - b)^2 + 3*h/Fr^2), then (u_e + b -+ 2*radius)/3;
-    # a division by Fr^2 = 1 would change no bit
-    radius = np.multiply(_TWO, u_e, out=np.empty(shape))
-    radius -= b
-    np.square(radius, out=radius)
-    c2 = np.multiply(_THREE, h)
-    radius += c2 if froude == 1.0 else c2 / froude**2
+    shape = np.broadcast(u_e, b, h).shape
+    # radius = sqrt(3*h/Fr^2 + (2*u_e - b)^2), then (u_e + b -+ 2*radius)/3
+    radius = np.multiply(THREE, h, out=np.empty(shape))
+    radius /= froude**2
+    lam_R = np.multiply(TWO, u_e, out=np.empty(shape))
+    lam_R -= b
+    radius += np.square(lam_R, out=lam_R)
     np.sqrt(radius, out=radius)
-    radius *= _TWO
-    lam_R = np.add(u_e, b, out=np.empty(shape))
+    radius *= TWO
+    np.add(u_e, b, out=lam_R)
     lam_L = lam_R - radius
     lam_R += radius
-    lam_L /= _THREE
-    lam_R /= _THREE
+    lam_L /= THREE
+    lam_R /= THREE
     return lam_L, lam_R
 
 

@@ -245,8 +245,7 @@ def mlsw_step(state: MlswState, layers: LayerGrid, dt,
     diag[:-1] -= off
     diag[1:] -= off
     cells = np.s_[:, 1:-1]
-    return MlswState(h=h_new,
-                     u=_thomas(off[cells], diag[cells], rhs[cells]))
+    return MlswState(h_new, _thomas(off[cells], diag[cells], rhs[cells]))
 
 
 def mlsw_diagnostics(state: MlswState, layers: LayerGrid,

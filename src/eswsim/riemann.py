@@ -15,8 +15,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .closures import _ONE, _THREE, _TWO, _ZERO, closure_factors
+from .closures import closure_factors
 from .hyperbolicity import jacobian_b, nickalls_bounds
+from .operands import ONE, THREE, TWO, ZERO
 from .state import ConservedState, PhysicalParams, _delta1_from_ue
 
 _NEWTON_TOL = 1e-15
@@ -65,8 +66,8 @@ def physical_flux(h, q, r, H, params: PhysicalParams, u_e, out):
     h2 = np.square(h)
     h2 /= 2.0 * params.froude**2
     F1 += h2
-    np.divide(_ONE, H, out=F2)
-    F2 += _ONE
+    np.divide(ONE, H, out=F2)
+    F2 += ONE
     F2 *= r
     F2 *= u_e
     return F0, F1, F2
@@ -146,8 +147,7 @@ def _star_depths(h_L, h_R, q_star, C, jump_fb, lam_L, lam_R, froude, span,
     fallback = np.zeros(h_L.shape, dtype=bool)
 
     hL = hR = h_hll
-    active = not flat and (jump_fb != _ZERO) & (lam_L < _ZERO) & (
-        lam_R > _ZERO)
+    active = not flat and (jump_fb != ZERO) & (lam_L < ZERO) & (lam_R > ZERO)
     idx = () if flat else active.nonzero()[0]
     if len(idx):
         # every active interface falls back unless its iteration converges
@@ -158,45 +158,42 @@ def _star_depths(h_L, h_R, q_star, C, jump_fb, lam_L, lam_R, froude, span,
         # a zero g' or a non-finite q* makes an infinite or NaN iterate,
         # which the next positivity check (or the last one) drops
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            q2h = q_star[idx]**2 / _TWO
+            q2h = q_star[idx]**2 / TWO
             dhl = lamR / lamL
-            two_dhl = _TWO * dhl
-            # a division by Fr^2 = 1 would change no bit
-            dg_lin = _ONE - dhl if fr2 == 1.0 else (_ONE - dhl) / fr2
-            three_dhl2 = _THREE * dhl**2
+            two_dhl = TWO * dhl
+            dg_lin = (ONE - dhl) / fr2
+            three_dhl2 = THREE * dhl**2
             for it in range(_NEWTON_MAX_ITER):
                 hl = (lamR * hr - Ci) / lamL
                 # a NaN iterate makes min NaN; with none left it is inf
                 if not (np.minimum.reduce(hr, initial=np.inf) > 0.0
                         and np.minimum.reduce(hl, initial=np.inf) > 0.0):
-                    keep = (hr > 0.0) & (hl > 0.0)
+                    keep = (hr > ZERO) & (hl > ZERO)
                     idx, hr, hl, lamL, lamR, Ci, jfb, q2h, two_dhl, \
                         dg_lin, three_dhl2 = (a[keep] for a in (
                             idx, hr, hl, lamL, lamR, Ci, jfb, q2h, two_dhl,
                             dg_lin, three_dhl2))
-                inv_hr2 = _ONE / hr**2
-                inv_hl2 = _ONE / hl**2
-                lin = hr - hl + jfb
-                g = q2h * (inv_hr2 - inv_hl2) + (
-                    lin if fr2 == 1.0 else lin / fr2)
-                dg = q2h * (-2.0 / hr**3 + two_dhl / hl**3) + dg_lin
+                inv_hr2 = ONE / hr**2
+                inv_hl2 = ONE / hl**2
+                g = q2h * (inv_hr2 - inv_hl2) + (hr - hl + jfb) / fr2
+                dg = q2h * (two_dhl / hl**3 - TWO / hr**3) + dg_lin
                 newton = g / dg
                 if it == 0:
                     hr = hr - newton
                     tol = _NEWTON_TOL
                 else:
-                    half_d2g = q2h * (_THREE * inv_hr2 * inv_hr2
+                    half_d2g = q2h * (THREE * inv_hr2 * inv_hr2
                                       - three_dhl2 * inv_hl2 * inv_hl2)
-                    hr = hr - newton / (_ONE - newton * half_d2g / dg)
+                    hr = hr - newton / (ONE - newton * half_d2g / dg)
                     tol = _HALLEY_TOL
-                rel_step = np.abs(newton) / np.maximum(_ONE, hr)
+                rel_step = np.abs(newton) / np.maximum(ONE, hr)
                 converged = np.maximum.reduce(rel_step, initial=0.0) <= tol
                 if converged:
                     break
             hl = (lamR * hr - Ci) / lamL
             if not (converged and np.minimum.reduce(hr, initial=np.inf) > 0.0
                     and np.minimum.reduce(hl, initial=np.inf) > 0.0):
-                done = (rel_step <= tol) & (hr > 0.0) & (hl > 0.0)
+                done = (rel_step <= tol) & (hr > ZERO) & (hl > ZERO)
                 idx, hr, hl = idx[done], hr[done], hl[done]
         hR[idx] = hr
         hL[idx] = hl
@@ -213,9 +210,9 @@ def solve_local_riemann(L: CellEval, R: CellEval, jump_fb,
     bed (Grid1D.flat_bed) the zero topography source is skipped.
     """
     lam_L = np.minimum(L.lam_L, R.lam_L)
-    np.minimum(lam_L, _ZERO, out=lam_L)
+    np.minimum(lam_L, ZERO, out=lam_L)
     lam_R = np.maximum(L.lam_R, R.lam_R)
-    np.maximum(lam_R, _ZERO, out=lam_R)
+    np.maximum(lam_R, ZERO, out=lam_R)
     span = lam_R - lam_L
     topo_src, exchange_src = source_averages(
         L, R, None if flat else jump_fb, params.froude)

@@ -29,8 +29,7 @@ _CHUNK_ROWS = 4096  # rows formatted per write; bounds the string held
 _CLOSURES = {
     "falkner-skan": lambda config: FalknerSkanFit(),
     "blasius": lambda config: FixedProfile(),
-    "fixed": lambda config: FixedProfile(H=config.fixed_H,
-                                         f2=config.fixed_f2),
+    "fixed": lambda config: FixedProfile(H=config.fixed_H, f2=config.fixed_f2),
     "pohlhausen4": lambda config: Pohlhausen4(),
 }
 
@@ -93,8 +92,7 @@ class ScenarioConfig:
          lambda ts: len({_snapshot_name(t) for t in ts}) == len(ts)),
         mlsw=("empty", lambda ts: not ts))
     gradient_order: int = _key("run.gradient_order", 4, _one_of((2, 4)))
-    n_layers: int = _key("mlsw.n_layers", 100, _at_least(1),
-                         mlsw=_at_least(2))
+    n_layers: int = _key("mlsw.n_layers", 100, _at_least(1), mlsw=_at_least(2))
     out_dir: str = _key("output.dir", "out")
 
     def __post_init__(self):
@@ -106,8 +104,7 @@ class ScenarioConfig:
                     raise ConfigError(f"{f.metadata['key']} = {value!r} "
                                       f"must be {text}{where}")
         if any(not 0.0 <= t <= self.t_end for t in self.snapshot_times):
-            raise ConfigError("run.snapshot_times must lie in "
-                              "[0, run.t_end]")
+            raise ConfigError("run.snapshot_times must lie in [0, run.t_end]")
         # inf - inf is NaN, and an overflowing span gives dx = inf
         if not (self.x_max > self.x_min
                 and math.isfinite(self.x_max - self.x_min)):
@@ -128,11 +125,10 @@ class ScenarioConfig:
                               closure=self.closure_law())
 
     def grid(self) -> Grid1D:
+        topo = None
         if self.scenario in _BED:
             topo = lambda x: gaussian_bump(x, self.bump_alpha,
                                            self.bump_sigma, self.bump_center)
-        else:
-            topo = None
         try:
             return Grid1D.uniform(self.x_min, self.x_max, self.n_cells, topo)
         except (MemoryError, OverflowError, ValueError) as exc:
@@ -145,10 +141,9 @@ class ScenarioConfig:
             raise DomainError(f"init.h0 = {self.h0!r} is not finite and > 0")
         if not np.isfinite(self.u0):
             raise DomainError(f"init.u0 = {self.u0!r} is not finite")
+        left = SubcriticalInflow(u_in=self.u0)
         if self.froude * self.u0 / np.sqrt(self.h0) > 1.0:
             left = SupercriticalInflow(u_in=self.u0, h_in=self.h0)
-        else:
-            left = SubcriticalInflow(u_in=self.u0)
         return BoundarySpec(left=left)
 
 
@@ -278,8 +273,7 @@ def initial_state(config: ScenarioConfig) -> RunState:
             raise ConfigError(f"mlsw.n_layers too large: {exc}") from exc
     else:
         W = ConservedState(h=np.full(n, config.h0),
-                           q=np.full(n, config.h0 * config.u0),
-                           r=np.zeros(n))
+                           q=np.full(n, config.h0 * config.u0), r=np.zeros(n))
     return RunState(t=0.0, step_count=0, W=W)
 
 
@@ -300,16 +294,14 @@ def run_scenario(config: ScenarioConfig, out_dir=None) -> RunState:
         def mlsw_take_step(run: RunState, dt_cap) -> RunState:
             dt = mlsw_compute_dt(run.W, params, grid.dx, dt_cap=dt_cap)
             W = mlsw_step(run.W, layers, dt, params, grid, boundaries.left)
-            return RunState(t=run.t + dt, step_count=run.step_count + 1, W=W,
-                            dt=dt)
+            return RunState(run.t + dt, run.step_count + 1, W, dt)
 
         run = march(run, config.t_end, mlsw_take_step)
         emit_mlsw_snapshot(run.W, layers, grid, params, out / "final.csv",
                            out / "final_profiles.csv")
     else:
         def snap(state: RunState):
-            emit_snapshot(state.W, grid, params,
-                          out / _snapshot_name(state.t),
+            emit_snapshot(state.W, grid, params, out / _snapshot_name(state.t),
                           gradient_order=config.gradient_order)
 
         run = advance(run, config.t_end, grid, params, boundaries,
@@ -321,8 +313,7 @@ def run_scenario(config: ScenarioConfig, out_dir=None) -> RunState:
     return run
 
 
-def convergence_study(config: ScenarioConfig, dx_list,
-                      out_dir=None) -> list:
+def convergence_study(config: ScenarioConfig, dx_list, out_dir=None) -> list:
     """BlasiusSteady mesh refinement to t_end; returns [(dx, error, seconds)].
 
     The L1 gap against the flat-plate reference excludes the first interior
@@ -370,9 +361,8 @@ def emit_mlsw_snapshot(state: MlswState, layers: LayerGrid, grid: Grid1D,
     u_e = state.u[-1]
     U = np.sum(layers.fractions[:, None] * state.u, axis=0)
     lambda1 = delta1**2 * ue_gradient(u_e, grid.dx, order=4)
-    _write_rows(path, _SNAPSHOT_HEADER,
-                (x, grid.topo, state.h, u_e, delta1, tau_bar, H, f2, lambda1,
-                 U))
+    _write_rows(path, _SNAPSHOT_HEADER, (x, grid.topo, state.h, u_e, delta1,
+                                         tau_bar, H, f2, lambda1, U))
     if profiles_path is not None:
         z = layers.interfaces
         z_mid = 0.5 * (z[:-1] + z[1:])

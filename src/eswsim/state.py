@@ -51,10 +51,9 @@ class Grid1D:
     def uniform(cls, x_min, x_max, n_cells, topo_fn=None) -> "Grid1D":
         if n_cells < 1 or not x_max > x_min:
             raise DomainError("grid needs x_max > x_min and n_cells >= 1")
-        dx = (x_max - x_min) / n_cells
-        centers = x_min + (np.arange(n_cells) + 0.5) * dx
-        topo = np.zeros(n_cells) if topo_fn is None else np.asarray(
-            topo_fn(centers), dtype=float)
+        grid = cls(x_min, x_max, n_cells, np.zeros(n_cells))
+        topo = grid.topo if topo_fn is None else np.asarray(
+            topo_fn(grid.cell_centers), dtype=float)
         if not np.all(np.isfinite(topo)):
             raise DomainError("topography must be finite")
         return cls(x_min, x_max, n_cells, topo)

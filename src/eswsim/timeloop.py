@@ -15,13 +15,14 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .closures import _FOUR, _HALF, ue_gradient
+from .closures import ue_gradient
 from .errors import (DomainError, DryCell, NegativeDiscriminant,
                      NonFiniteState, NonpositiveTimeStep, StepFailure)
+from .operands import FOUR, HALF, ZERO
 from .riemann import CellEval, evaluate_cells, solve_local_riemann
 from .state import (ConservedState, Grid1D, H_DRY, PhysicalParams,
                     _delta1_from_ue)
@@ -60,8 +61,7 @@ class BoundarySpec:
     left: InflowSpec
 
 
-@dataclass(frozen=True)
-class RunState:
+class RunState(NamedTuple):
     """Time, step counter, interior states and the last step's time step."""
 
     t: float
@@ -83,10 +83,8 @@ def inflow_ghost(left: InflowSpec, h1, u1, froude):
     if not isinstance(left, SubcriticalInflow):
         raise DomainError(f"unsupported left boundary: {left!r}")
     # outgoing characteristic u - 2*sqrt(h)/Fr extrapolated from the first
-    # interior cell fixes the ghost depth once u_in is imposed (a negative
-    # h1 keeps NumPy's NaN root and its warning)
-    root = math.sqrt(h1) if h1 >= 0.0 else np.sqrt(h1)
-    sqrt_hg = root + froude * (left.u_in - u1) / 2.0
+    # interior cell fixes the ghost depth once u_in is imposed
+    sqrt_hg = np.sqrt(h1) + froude * (left.u_in - u1) / 2.0
     h_g = sqrt_hg**2
     if sqrt_hg <= 0.0 or h_g < H_DRY:
         log.warning("inflow invariant gave a depth below H_DRY; clamping")
@@ -111,10 +109,8 @@ def apply_boundaries(W: ConservedState, spec: BoundarySpec,
     Inflow imposes inflow_ghost's depth and velocity with a flat profile
     (delta1 = 0). Outflow copies the last interior cell.
     """
-    h1, q1 = W.hqr.item(0, 0), W.hqr.item(1, 0)
-    # Python floats, but a zero depth divides as a NumPy scalar: inf or NaN
-    u1 = q1 / h1 if h1 else np.float64(q1) / h1
-    h_g, u_g = inflow_ghost(spec.left, h1, u1, params.froude)
+    h1, q1 = W.hqr[0, 0], W.hqr[1, 0]
+    h_g, u_g = inflow_ghost(spec.left, h1, q1 / h1, params.froude)
     left = ((h_g,), (h_g * u_g,), (0.0,))
     return ConservedState.wrap(with_ghosts(W.hqr, left, N_GHOST))
 
@@ -146,9 +142,9 @@ def compute_dt(cells: CellEval, dx, dt_cap=np.inf):
     limiter = "cfl"
     # fmin.reduce skips NaN, as the comparisons of these guards do
     if np.fmin.reduce(cells.f2) < 0.0:
-        reverse = cells.f2 < 0.0
+        reverse = cells.f2 < ZERO
         cap = (-cells.delta1[reverse] ** 2
-               / (4.0 * (cells.f2 * cells.H)[reverse])).min()
+               / (FOUR * (cells.f2 * cells.H)[reverse])).min()
         if cap < dt:
             dt, limiter = cap, "reverse_flow"
     if dt_cap < dt:
@@ -187,7 +183,7 @@ def friction_step(W: ConservedState, dt, params: PhysicalParams,
     """
     delta1 = _delta1_from_ue(u_e, W.hqr[2])
     # disc = delta1^2 + 4*f2H*dt, then 0.5*(delta1 + sqrt(disc))*u_e
-    r = np.multiply(_FOUR, f2H, out=W.hqr[2])
+    r = np.multiply(FOUR, f2H, out=W.hqr[2])
     r *= dt
     r += np.square(delta1)
     if np.fmin.reduce(r) < 0.0:
@@ -195,7 +191,7 @@ def friction_step(W: ConservedState, dt, params: PhysicalParams,
                                    "time-step selection is broken")
     np.sqrt(r, out=r)
     r += delta1
-    r *= _HALF
+    r *= HALF
     r *= u_e
     return W
 

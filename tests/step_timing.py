@@ -148,7 +148,8 @@ def step_ops(fields):
             a if isinstance(a, Counted) and a.dtype == np.float64
             else asarray(a, *args, **kwargs))
         grid = replace(grid, topo=grid.topo.view(Counted))
-        run = replace(run, W=ConservedState.wrap(run.W.hqr.view(Counted)))
+        run = type(run)(run.t, run.step_count,
+                        ConservedState.wrap(run.W.hqr.view(Counted)), run.dt)
         grid.bed_jumps, grid.flat_bed    # built before counting
         Counted.OPS.clear()
         step(run, grid, params, spec)

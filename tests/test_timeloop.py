@@ -154,11 +154,13 @@ class TestBoundaries:
     @pytest.mark.parametrize("h1, q1, ghost", [(0.0, 1.0, H_DRY),
                                                (0.0, 0.0, np.nan),
                                                (0.0, -1.0, np.inf),
-                                               (-0.5, 1.0, np.nan)])
+                                               (-0.5, 1.0, np.nan),
+                                               (1e-200, 1.0, H_DRY)])
     def test_nonpositive_first_cell_at_subcritical_inflow(self, h1, q1,
                                                           ghost, caplog):
         # its velocity and root are NumPy's: inf or NaN, with a warning
-        # (silenced here); the step then names the wave speed of cell 0
+        # (silenced here), and so is the square of a root of -5e199, which
+        # overflows to inf; the step then names the wave speed of cell 0
         W = uniform_state(10)
         W.h[0], W.q[0] = h1, q1
         spec = BoundarySpec(left=SubcriticalInflow(u_in=1.0))
