@@ -17,7 +17,7 @@ import numpy as np
 
 from .closures import closure_factors
 from .hyperbolicity import jacobian_b, nickalls_bounds
-from .operands import ONE, THREE, TWO, ZERO
+from .operands import HALF, ONE, THREE, ZERO
 from .state import ConservedState, PhysicalParams, _delta1_from_ue
 
 _NEWTON_TOL = 1e-15
@@ -112,11 +112,17 @@ def _star_depths(h_L, h_R, q_star, C, jump_fb, lam_L, lam_R, froude, span,
     relation across the contact leaves, on the bracket h in (0, C/lam_R)
     where both depths are positive,
         g(h) = q*^2/2 (1/h^2 - 1/h_L*^2) + (h - h_L* + [f_b]) / Fr^2 = 0.
-    One Newton step from the HLL depth C/span comes first, then Halley
-    steps h - d / (1 - d g''/(2g')), with d = g/g' and
-    g'' = q*^2/2 (6/h^4 - 6 (lam_R/lam_L)^2/h_L*^4). The loop stops once
-    every |d| / max(1, h) is at most _NEWTON_TOL after the Newton step, or
-    _HALLEY_TOL after a Halley step.
+    One Newton step from the HLL depth C/span comes first. There h_L* = h
+    exactly, so g = [f_b]/Fr^2 and g' = (1 - lam_R/lam_L)(1/Fr^2 - q*^2/h^3),
+    and the step is [f_b] / ((1 - lam_R/lam_L)(1 - Fr^2 q*^2/h^3)): the
+    generic g/g' in exact arithmetic, so the iteration stays on the HLL
+    depth's branch. Halley steps h - d / (1 - d g''/(2g')) follow, with
+    d = g/g' and g'' = q*^2/2 (6/h^4 - 6 (lam_R/lam_L)^2/h_L*^4), each power
+    a product of 1/h and 1/h_L*. Each interface stops on its own, once its
+    |d| / max(1, h) is at most _NEWTON_TOL after the Newton step, or after
+    a Halley step at most both _HALLEY_TOL and _NEWTON_TOL / (c2 d)^2, with
+    c2 = g''/(2g'). The loop runs on every interface and a stopped one keeps
+    its depth, so no depth depends on the other interfaces of the call.
 
     The Halley stop: in the bracket g', g'' and
     g''' = -12 q*^2 (1/h^5 + |lam_R/lam_L|^3/h_L*^5) are finite, so near a
@@ -128,78 +134,90 @@ def _star_depths(h_L, h_R, q_star, C, jump_fb, lam_L, lam_R, froude, span,
     stays below 1.3e4, so tol = 4e-7 bounds the error by 8e-16, under the
     Newton stop's 1e-15 (5e-7 would allow 1.6e-15); d after the Newton step
     is at most 2.3e-7 there, so every solve takes two iterations. K grows
-    as g' nears zero, where two roots of g merge (critical star flow).
+    as g' nears zero, where two roots of g merge (critical star flow), and
+    then c2^2 dominates it: the second bound keeps c2^2 d^3 under
+    _NEWTON_TOL. On the steep bumps of tests/fallback_counts.py c2 reaches
+    thousands, and the first bound alone would leave up to 1.8e-15. The
+    ensemble's (c2 d)^2 |d| stays below 6e-19, so the second bound never
+    acts there. Near a double root, g's rounding alone spreads its computed
+    zero over more than 1e-15 of h, and no iteration on it can promise that.
 
     The fallback mask marks the interfaces whose iteration fails (a
-    non-finite q*, a nonpositive or non-finite iterate, which a zero g'
-    gives, or no convergence by _NEWTON_MAX_ITER); they take equal HLL
-    star depths.
+    nonpositive HLL depth, a non-finite q*, a nonpositive or non-finite
+    iterate, which a zero g' gives, or no stop by _NEWTON_MAX_ITER); they
+    take equal HLL star depths.
 
     Only interfaces with a bed jump and lam_L < 0 < lam_R iterate; the
     others keep the HLL depth. A side with a zero outer speed has a star
     region of zero width: no flux reads its depth, which solve_local_riemann
-    multiplies by that zero speed. On a flat bed none iterates. h_R is
-    unused and h_L only shapes the fallback mask; both keep in place the
-    args[4:7] that perfbench reads.
+    multiplies by that zero speed. On a flat bed none iterates. h_L and h_R
+    are unused; they keep in place the args[4:7] that perfbench reads.
     """
-    fr2 = froude**2
-    h_hll = C / span
-    fallback = np.zeros(h_L.shape, dtype=bool)
-
-    hL = hR = h_hll
+    h = C / span
     active = not flat and (jump_fb != ZERO) & (lam_L < ZERO) & (lam_R > ZERO)
-    idx = () if flat else active.nonzero()[0]
-    if len(idx):
-        # every active interface falls back unless its iteration converges
-        fallback = active
-        hR, hL = h_hll.copy(), h_hll.copy()
-        hr = h_hll[idx]
-        lamL, lamR, Ci, jfb = lam_L[idx], lam_R[idx], C[idx], jump_fb[idx]
-        # a zero g' or a non-finite q* makes an infinite or NaN iterate,
-        # which the next positivity check (or the last one) drops
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            q2h = q_star[idx]**2 / TWO
-            dhl = lamR / lamL
-            two_dhl = TWO * dhl
-            dg_lin = (ONE - dhl) / fr2
-            three_dhl2 = THREE * dhl**2
-            for it in range(_NEWTON_MAX_ITER):
-                hl = (lamR * hr - Ci) / lamL
-                # a NaN iterate makes min NaN; with none left it is inf
-                if not (np.minimum.reduce(hr, initial=np.inf) > 0.0
-                        and np.minimum.reduce(hl, initial=np.inf) > 0.0):
-                    keep = (hr > ZERO) & (hl > ZERO)
-                    idx, hr, hl, lamL, lamR, Ci, jfb, q2h, two_dhl, \
-                        dg_lin, three_dhl2 = (a[keep] for a in (
-                            idx, hr, hl, lamL, lamR, Ci, jfb, q2h, two_dhl,
-                            dg_lin, three_dhl2))
-                inv_hr2 = ONE / hr**2
-                inv_hl2 = ONE / hl**2
-                g = q2h * (inv_hr2 - inv_hl2) + (hr - hl + jfb) / fr2
-                dg = q2h * (two_dhl / hl**3 - TWO / hr**3) + dg_lin
-                newton = g / dg
-                if it == 0:
-                    hr = hr - newton
-                    tol = _NEWTON_TOL
-                else:
-                    half_d2g = q2h * (THREE * inv_hr2 * inv_hr2
-                                      - three_dhl2 * inv_hl2 * inv_hl2)
-                    hr = hr - newton / (ONE - newton * half_d2g / dg)
-                    tol = _HALLEY_TOL
-                rel_step = np.abs(newton) / np.maximum(ONE, hr)
-                converged = np.maximum.reduce(rel_step, initial=0.0) <= tol
-                if converged:
-                    break
-            hl = (lamR * hr - Ci) / lamL
-            if not (converged and np.minimum.reduce(hr, initial=np.inf) > 0.0
-                    and np.minimum.reduce(hl, initial=np.inf) > 0.0):
-                done = (rel_step <= tol) & (hr > ZERO) & (hl > ZERO)
-                idx, hr, hl = idx[done], hr[done], hl[done]
-        hR[idx] = hr
-        hL[idx] = hl
-        fallback[idx] = False
+    if flat or not np.count_nonzero(active):
+        return h, h, np.zeros(h.shape, dtype=bool)
 
-    return hL, hR, fallback
+    fr2 = froude**2
+    # every interface computes, and a guard only masks it: a zero g' or a
+    # non-finite q* makes an infinite or NaN iterate, and C <= 0 (a
+    # nonpositive HLL depth) leaves no h where both depths are positive, so
+    # each fails the positivity check after the Newton step
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        dhl = lam_R / lam_L                 # dh_L*/dh
+        one_dhl = ONE - dhl
+        q2 = np.square(q_star)
+        inv_h = ONE / h
+        # the Newton step [f_b] / ((1 - dhl)(1 - Fr^2 q*^2/h^3))
+        d = jump_fb / ((ONE - q2 * inv_h * inv_h * inv_h * fr2) * one_dhl)
+        hr = h - d
+        q2h, dhl2, dg_lin = HALF * q2, np.square(dhl), one_dhl / fr2
+        three_q2h = THREE * q2h
+        live, tol = active, _NEWTON_TOL
+        for it in range(_NEWTON_MAX_ITER):
+            if it:
+                # Halley from 1/h and 1/h_L* and their products
+                inv_hr, inv_hl = ONE / hr, ONE / hl
+                inv_hr2, inv_hl2 = np.square(inv_hr), np.square(inv_hl)
+                g = hr - hl
+                g += jump_fb
+                g /= fr2
+                g += q2h * (inv_hr2 - inv_hl2)
+                # g' = q*^2 (dhl/h_L*^3 - 1/h^3) + (1 - dhl)/Fr^2
+                dg = dhl * inv_hl2
+                dg *= inv_hl
+                dg -= np.multiply(inv_hr2, inv_hr, out=inv_hr)
+                dg *= q2
+                dg += dg_lin
+                # g''/2 = 3 q*^2/2 (1/h^4 - dhl^2/h_L*^4)
+                half_d2g = np.square(inv_hr2, out=inv_hr2)
+                half_d2g -= dhl2 * np.square(inv_hl2, out=inv_hl2)
+                half_d2g *= three_q2h
+                d = np.divide(g, dg, out=g)
+                c2d = d * half_d2g
+                c2d /= dg
+                # the step leaves about c2^2 d^3: a large c2 (critical star
+                # flow) tightens the stop to |d| (c2 d)^2 <= _NEWTON_TOL
+                tol = np.square(c2d)
+                np.divide(_NEWTON_TOL, tol, out=tol)
+                np.minimum(tol, _HALLEY_TOL, out=tol)
+                halley = np.subtract(ONE, c2d, out=c2d)
+                np.divide(d, halley, out=halley)
+                hr = np.where(live, hr - halley, hr)
+            hl = lam_R * hr
+            hl -= C
+            hl /= lam_L
+            ok = np.minimum(hr, hl) > ZERO
+            live = live & ok
+            rel_step = np.abs(d)
+            rel_step /= np.maximum(ONE, hr)
+            live &= rel_step > tol
+            if not np.count_nonzero(live):
+                break
+        # the interfaces still live, all of them ok, did not stop by the cap
+        done = ok & active
+        done ^= live
+    return np.where(done, hl, h), np.where(done, hr, h), active ^ done
 
 
 def solve_local_riemann(L: CellEval, R: CellEval, jump_fb,

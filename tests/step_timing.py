@@ -12,7 +12,9 @@ It prints the best of --rounds rounds of microseconds per timeloop.step
 n = 400, each on a state a few steps into its run, with the minor page
 faults per step (at n = 20 000 whether malloc trims the heap under the
 step's temporaries, and faults it in again, depends on the heap's
-layout, which the cases run before set, not on the step), and the CPU
+layout, which the cases run before set, not on the step), the best
+microseconds per riemann._star_depths call on the arguments that the
+bump n = 400 step hands it, and the CPU
 milliseconds per emit_snapshot of an n = 20 000 ImpulsiveStart state at
 t = 0.0075: on one grid written again and again (as the files of one run
 are), and on a fresh grid for every write (as the first file of a run is).
@@ -42,36 +44,43 @@ from pathlib import Path
 
 import numpy as np
 
-from eswsim import mlsw
+from eswsim import mlsw, riemann
 from eswsim.scenarios import ScenarioConfig, emit_snapshot, initial_state
 from eswsim.state import ConservedState
 from eswsim.timeloop import advance, step
 
+BUMP = dict(scenario="Bump", x_max=2.0, n_cells=400, bump_alpha=0.03)
 # (label, ScenarioConfig fields, steps per round)
 STEPS = (
     ("flat n=10", dict(n_cells=10), 2000),
     ("flat n=1000", dict(n_cells=1000), 400),
-    ("bump n=400", dict(scenario="Bump", x_max=2.0, n_cells=400,
-                        bump_alpha=0.03), 300),
+    ("bump n=400", BUMP, 300),
     ("flat n=20000", dict(n_cells=20000), 30),
 )
 IMPULSIVE = dict(scenario="ImpulsiveStart", x_max=10.0, n_cells=20000,
                  h0=0.5, t_end=0.0075)
 WARM_STEPS = 5
+STAR_REPS = 300
 MLSW = dict(scenario="MlswCompare", x_max=2.0, n_cells=300, n_layers=100,
             bump_alpha=0.01, t_end=0.3)
 MLSW_WARM_STEPS, MLSW_REPS = 30, 30
 
 
-def step_us(fields, reps, rounds):
-    """(best microseconds per step over rounds of reps steps from one
-    state, minor page faults per timed step)."""
+def warm_state(fields):
+    """(run state WARM_STEPS steps into its run, grid, params, spec)."""
     config = ScenarioConfig(**fields)
     grid, params = config.grid(), config.physical_params()
     spec = config.boundary_spec()
     run = initial_state(config)
     for _ in range(WARM_STEPS):
         run = step(run, grid, params, spec)
+    return run, grid, params, spec
+
+
+def step_us(fields, reps, rounds):
+    """(best microseconds per step over rounds of reps steps from one
+    state, minor page faults per timed step)."""
+    run, grid, params, spec = warm_state(fields)
     best = float("inf")
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(rounds):
@@ -131,12 +140,7 @@ def _counted_creator(create):
 def step_ops(fields):
     """Counter of ufunc, reduction and array-function calls in one step
     from the state that step_us times."""
-    config = ScenarioConfig(**fields)
-    grid, params = config.grid(), config.physical_params()
-    spec = config.boundary_spec()
-    run = initial_state(config)
-    for _ in range(WARM_STEPS):
-        run = step(run, grid, params, spec)
+    run, grid, params, spec = warm_state(fields)
     names = ("empty", "empty_like", "zeros", "full", "array", "where",
              "flatnonzero")
     saved = {name: getattr(np, name) for name in names + ("asarray",)}
@@ -157,6 +161,28 @@ def step_ops(fields):
     finally:
         for name, fn in saved.items():
             setattr(np, name, fn)
+
+
+def star_depths_us(rounds):
+    """Best microseconds per _star_depths call on the arguments of one bump
+    n = 400 step, taken from the state that step_us times."""
+    run, grid, params, spec = warm_state(BUMP)
+    solve, seen = riemann._star_depths, []
+    # copies: solve_local_riemann reuses C's row once the call returns
+    riemann._star_depths = lambda *args: seen.append(
+        [a.copy() if isinstance(a, np.ndarray) else a for a in args]) \
+        or solve(*args)
+    try:
+        step(run, grid, params, spec)
+    finally:
+        riemann._star_depths = solve
+    best = float("inf")
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        for _ in range(STAR_REPS):
+            solve(*seen[0])
+        best = min(best, (time.perf_counter() - t0) / STAR_REPS)
+    return best * 1e6
 
 
 def write_ms(rounds, out_dir):
@@ -225,6 +251,8 @@ def main():
     for label, fields, reps in STEPS:
         us, faults = step_us(fields, reps, args.rounds)
         print(f"step {label}: {us:.1f} us, {faults:.1f} page faults")
+    print(f"star depths bump n=400: {star_depths_us(args.rounds):.1f} us "
+          f"per _star_depths call")
     with tempfile.TemporaryDirectory() as tmp:
         same, fresh = write_ms(2 * args.rounds + 1, tmp)
     print(f"impulsive n=20000 write: {same:.2f} ms CPU on the run's grid, "

@@ -208,44 +208,48 @@ class TestStarDepthTopography:
 
 
 def masked_star_depths(h_L, h_R, q_star, C, jump_fb, lam_L, lam_R, froude):
-    """Reference: _star_depths' Newton-then-Halley iteration run on every
-    interface, each guard a mask, no interface ever dropped."""
+    """Reference: _star_depths' iteration written out on every interface,
+    each guard a mask: the closed-form Newton step from the HLL depth, then
+    Halley steps from 1/h and 1/h_L*, each interface stopping on its own."""
     fr2 = froude**2
     h_hll = C / (lam_R - lam_L)
     active = (jump_fb != 0.0) & (lam_L < 0.0) & (lam_R > 0.0)
-    hR = h_hll.copy()
-    hL = h_hll.copy()
-    fallback = active.copy()
-    ok = active.copy()
-    hr = h_hll.copy()
+    live = active.copy()
+    done = np.zeros_like(active)
     with np.errstate(all="ignore"):
-        q2h = q_star**2 / 2.0
+        q2 = q_star**2
         dhl = lam_R / lam_L
+        # at the HLL depth h_L* = h, so g = [f_b]/Fr^2 and
+        # g' = (1 - dhl)(1 - Fr^2 q*^2/h^3)/Fr^2
+        inv_h = 1.0 / h_hll
+        d = jump_fb / ((1.0 - q2 * inv_h * inv_h * inv_h * fr2) * (1.0 - dhl))
+        hr = h_hll - d
+        tol = _NEWTON_TOL
         for it in range(_NEWTON_MAX_ITER):
+            if it > 0:
+                inv_hr, inv_hl = 1.0 / hr, 1.0 / hl
+                inv_hr2, inv_hl2 = inv_hr * inv_hr, inv_hl * inv_hl
+                g = ((hr - hl + jump_fb) / fr2
+                     + 0.5 * q2 * (inv_hr2 - inv_hl2))
+                dg = ((dhl * inv_hl2 * inv_hl - inv_hr2 * inv_hr) * q2
+                      + (1.0 - dhl) / fr2)
+                half_d2g = ((inv_hr2 * inv_hr2 - dhl**2 * (inv_hl2 * inv_hl2))
+                            * (3.0 * (0.5 * q2)))
+                d = g / dg
+                c2d = d * half_d2g / dg
+                hr = np.where(live, hr - d / (1.0 - c2d), hr)
+                # about c2^2 d^3 is left: a large c2 tightens the stop
+                tol = np.minimum(_NEWTON_TOL / c2d**2, _HALLEY_TOL)
             hl = (lam_R * hr - C) / lam_L
-            ok &= (hr > 0.0) & (hl > 0.0)
-            g = (q2h * (1.0 / hr**2 - 1.0 / hl**2)
-                 + (hr - hl + jump_fb) / fr2)
-            dg = q2h * (-2.0 / hr**3 + 2.0 * dhl / hl**3) + (1.0 - dhl) / fr2
-            newton = g / dg
-            if it == 0:
-                hr = hr - newton
-                tol = _NEWTON_TOL
-            else:
-                half_d2g = q2h * (3.0 * (1.0 / hr**2) * (1.0 / hr**2)
-                                  - 3.0 * dhl**2 * (1.0 / hl**2)
-                                  * (1.0 / hl**2))
-                hr = hr - newton / (1.0 - newton * half_d2g / dg)
-                tol = _HALLEY_TOL
-            converged = np.abs(newton) / np.maximum(1.0, hr) <= tol
-            if (converged | ~ok).all():
+            ok = (hr > 0.0) & (hl > 0.0)
+            stop = np.abs(d) / np.maximum(1.0, hr) <= tol
+            done |= live & ok & stop
+            live &= ok & ~stop
+            if not live.any():
                 break
-        hl = (lam_R * hr - C) / lam_L
-    done = ok & converged & (hr > 0.0) & (hl > 0.0)
-    hR[done] = hr[done]
-    hL[done] = hl[done]
-    fallback &= ~done
-    return hL, hR, fallback
+    hR = np.where(done, hr, h_hll)
+    hL = np.where(done, hl, h_hll)
+    return hL, hR, active & ~done
 
 
 def newton_star_depths(h_L, h_R, q_star, C, jump_fb, lam_L, lam_R, froude):
@@ -321,9 +325,20 @@ def bump_interfaces():
     return calls[-1] + [1.0]
 
 
+@pytest.fixture(scope="module")
+def steep_bump_calls():
+    """{alpha: the _star_depths arguments of every step} of the steep bumps
+    of tests/fallback_counts.py (n = 40, supercritical inflow, alpha 0.3,
+    0.4 and 0.5, 30 steps each): near-critical interfaces, fallbacks and
+    calls where one interface needs many more iterations than the rest."""
+    from fallback_counts import ALPHAS, run     # it imports this module
+    return {alpha: run(alpha, rm._star_depths)[1] for alpha in ALPHAS}
+
+
 class TestStarDepthsMatchMasked:
-    """_star_depths, which drops failed interfaces from its arrays, gives
-    the bits of the masked reference, which keeps every interface."""
+    """_star_depths gives the bits of the written-out masked reference,
+    which keeps each guard a separate mask and collects the stopped
+    interfaces one iteration at a time."""
 
     def check(self, args, quiet=False):
         with np.errstate(all="ignore" if quiet else "raise"):
@@ -446,6 +461,11 @@ class TestStarDepthsMatchMasked:
         supercritical[5] = np.zeros_like(supercritical[5])
         self.check(supercritical, quiet=True)
 
+    def test_steep_bump_calls(self, steep_bump_calls):
+        for calls in steep_bump_calls.values():
+            for args in calls:
+                self.check(args, quiet=True)
+
 
 class TestStarDepthsMatchNewton:
     """Where the plain Newton oracle and _star_depths both converge, their
@@ -490,6 +510,142 @@ class TestStarDepthsMatchNewton:
             args[2] *= rng.uniform(0.5, 1.5, args[2].size)
             compared += self.compare(args, same_fallback=False)
         assert compared > 1000
+
+
+def longdouble_roots(h, q_star, C, jump_fb, lam_L, lam_R, froude):
+    """(roots of g, last Newton step): three Newton steps in np.longdouble
+    from the depths h, on the inputs converted exactly."""
+    q, C, jfb, lamL, lamR, h = (np.asarray(a, np.longdouble) for a in
+                                (q_star, C, jump_fb, lam_L, lam_R, h))
+    q2h = q * q / 2
+    fr2 = np.longdouble(froude)**2
+    dhl = lamR / lamL
+    for _ in range(3):
+        hl = (lamR * h - C) / lamL
+        g = q2h * (1 / h**2 - 1 / hl**2) + (h - hl + jfb) / fr2
+        dg = 2 * q2h * (dhl / hl**3 - 1 / h**3) + (1 - dhl) / fr2
+        step = g / dg
+        h = h - step
+    return h, step
+
+
+def bump_calls(h0, alpha, n=400, t_end=0.25):
+    """_star_depths arguments of every step of a bump run, set up as the
+    benchmark ensemble's members (on [0, 2], sigma = 0.1 at x = 1)."""
+    calls = []
+    original = rm._star_depths
+
+    def record(*args):
+        calls.append([np.array(a, dtype=float) for a in args[:7]] + [args[7]])
+        return original(*args)
+
+    grid = Grid1D.uniform(0.0, 2.0, n,
+                          lambda x: gaussian_bump(x, alpha, 0.1, 1.0))
+    W = ConservedState(h=np.full(n, h0), q=np.full(n, h0), r=np.zeros(n))
+    left = SubcriticalInflow(u_in=1.0) if h0 > 1.0 else \
+        SupercriticalInflow(u_in=1.0, h_in=h0)
+    rm._star_depths = record
+    try:
+        advance(RunState(0.0, 0, W), t_end, grid, PhysicalParams(1.0, 1e-3),
+                BoundarySpec(left=left))
+    finally:
+        rm._star_depths = original
+    return calls
+
+
+class TestStarDepthsAgainstExtendedPrecision:
+    """Every converged h_R* lies within 1e-15 max(1, h) of the root of g,
+    polished in np.longdouble from it."""
+
+    def test_oracle_is_finer_than_the_claim(self):
+        assert np.finfo(np.longdouble).eps < 1e-18
+
+    def check(self, calls):
+        checked = 0
+        for args in calls:
+            with np.errstate(all="ignore"):
+                _, hR, fallback = _star_depths(*args, args[6] - args[5])
+            converged = ((args[4] != 0.0) & (args[5] < 0.0) & (args[6] > 0.0)
+                         & ~fallback)
+            root, step = longdouble_roots(
+                hR[converged], *(a[converged] for a in args[2:7]), args[7])
+            scale = np.maximum(1.0, root)
+            assert np.all(np.abs(step) <= 1e-17 * scale)
+            assert np.all(np.abs(hR[converged] - root) <= 1e-15 * scale)
+            checked += np.count_nonzero(converged)
+        return checked
+
+    def test_bump_interfaces(self, bump_interfaces):
+        assert self.check([bump_interfaces]) == bump_interfaces[4].size - 2
+
+    @pytest.mark.parametrize("h0, alpha", [(2.0, 0.03), (0.5, 0.01)])
+    def test_resolved_bump(self, h0, alpha):
+        assert self.check(bump_calls(h0, alpha)) > 50_000
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5])
+    def test_near_critical_steep_bump(self, steep_bump_calls, alpha):
+        # c2 = g''/(2g') reaches about 2e3 here, so |d| <= _HALLEY_TOL alone
+        # would stop one Halley step early and leave up to 1.8e-15 (alpha
+        # = 0.3). At alpha = 0.4 one interface sits so near a double root
+        # that g's rounding makes its steps g/g' noise of 1e-15 to 1e-14,
+        # and where an iteration stops there is chance: this one lands up
+        # to 2.3e-15 away, the plain Newton once falls back; it is left out
+        assert self.check(steep_bump_calls[alpha]) > 1000
+
+
+class TestPerInterfaceStop:
+    """Each interface stops on its own: solved alone it gets the bits and
+    the fallback flag of the whole call, and so do the others of the call
+    once its slowest interface is removed."""
+
+    def solve(self, args, keep=slice(None)):
+        part = [a[keep] for a in args[:7]] + [args[7]]
+        with np.errstate(all="ignore"):
+            return _star_depths(*part, part[6] - part[5])
+
+    def iterations(self, args, monkeypatch):
+        """Per interface, the smallest iteration cap that gives its result."""
+        full = self.solve(args)
+        count = np.zeros(args[0].size, dtype=int)
+        for cap in range(_NEWTON_MAX_ITER, 0, -1):
+            monkeypatch.setattr(rm, "_NEWTON_MAX_ITER", cap)
+            same = np.logical_and.reduce([
+                np.equal(a, b) | (np.isnan(a) & np.isnan(b))
+                for a, b in zip(self.solve(args), full)])
+            count[same] = cap
+        monkeypatch.undo()
+        return count
+
+    def check(self, args, monkeypatch):
+        full = self.solve(args)
+        for i in range(args[0].size):
+            for a, b in zip(self.solve(args, slice(i, i + 1)), full):
+                assert np.array_equal(a, b[i:i + 1], equal_nan=True)
+        count = self.iterations(args, monkeypatch)
+        keep = np.arange(args[0].size) != np.argmax(count)
+        for a, b in zip(self.solve(args, keep), full):
+            assert np.array_equal(a, b[keep], equal_nan=True)
+        return count
+
+    def test_bump_interfaces(self, bump_interfaces, monkeypatch):
+        # the iterations per interface range from 1 (no or a tiny bed jump)
+        # to 3 on this coarse grid
+        count = self.check(bump_interfaces, monkeypatch)
+        assert count.min() == 1 and count.max() == 3
+
+    def test_seeded_jumps(self, bump_interfaces, monkeypatch):
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            args = [a.copy() for a in bump_interfaces[:7]] + [1.0]
+            args[4] = rng.normal(0.0, 0.02, args[4].size)
+            args[2] *= rng.uniform(0.5, 1.5, args[2].size)
+            self.check(args, monkeypatch)
+
+    def test_one_slow_interface(self, steep_bump_calls, monkeypatch):
+        # the first step at alpha = 0.4: one interface needs many more
+        # iterations than any other, which no longer take them too
+        count = self.check(steep_bump_calls[0.4][0], monkeypatch)
+        assert count.max() >= 10 and np.sort(count)[-2] <= 5
 
 
 @pytest.mark.parametrize("h0, alpha", [(2.0, 0.03), (0.5, 0.01)])
