@@ -76,7 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="eswsim", description=(
         "Finite-volume solver for shallow-water flow coupled with a viscous "
         "boundary layer."))
-    parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def common(p):
@@ -108,9 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s")
+    logging.basicConfig(level=logging.WARNING,
+                        format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -40,8 +40,9 @@ class FixedProfile:
     f2: float = BLASIUS_F2
 
     def __post_init__(self):
-        if not (self.H >= 1.0 and np.isfinite(self.f2)):
-            raise DomainError("FixedProfile requires H >= 1 and finite f2")
+        if not (1.0 <= self.H < np.inf and np.isfinite(self.f2)):
+            raise DomainError("FixedProfile requires a finite H >= 1 and a "
+                              "finite f2")
 
 
 @dataclass(frozen=True)

@@ -104,8 +104,7 @@ def evaluate_cells(W: ConservedState, params: PhysicalParams,
     return CellEval(W.hqr, F, lam_L, lam_R, delta1, H, f2)
 
 
-def _star_depths(h_L, h_R, q_star, C, jump_fb, lam_L, lam_R, froude, span,
-                 flat=False):
+def _star_depths(q_star, C, span, froude, jump_fb, lam_L, lam_R, flat=False):
     """Solve the 2x2 star-depth system for h = h_R*; span = lam_R - lam_L.
 
     The linear relation gives h_L* = (lam_R*h - C)/lam_L, and the Bernoulli
@@ -150,8 +149,9 @@ def _star_depths(h_L, h_R, q_star, C, jump_fb, lam_L, lam_R, froude, span,
     Only interfaces with a bed jump and lam_L < 0 < lam_R iterate; the
     others keep the HLL depth. A side with a zero outer speed has a star
     region of zero width: no flux reads its depth, which solve_local_riemann
-    multiplies by that zero speed. On a flat bed none iterates. h_L and h_R
-    are unused; they keep in place the args[4:7] that perfbench reads.
+    multiplies by that zero speed. On a flat bed none iterates. Callers
+    pass every argument by position: perfbench's tracer counts the active
+    interfaces from (jump_fb, lam_L, lam_R) = args[4:7].
     """
     h = C / span
     active = not flat and (jump_fb != ZERO) & (lam_L < ZERO) & (lam_R > ZERO)
@@ -249,7 +249,7 @@ def solve_local_riemann(L: CellEval, R: CellEval, jump_fb,
     q_star += exchange_src
     star[1:] /= span
     h_L_star, h_R_star, fallback = _star_depths(
-        L.h, R.h, q_star, C, jump_fb, lam_L, lam_R, params.froude, span, flat)
+        q_star, C, span, params.froude, jump_fb, lam_L, lam_R, flat)
 
     # F_L + lam_L*(star_L - W_L) and F_R - lam_R*(W_R - star_R): the star
     # rows are (h_L*, q*, r*) and (h_R*, q*, r*), so row C is overwritten

@@ -110,12 +110,11 @@ class ScenarioConfig:
                 and math.isfinite(self.x_max - self.x_min)):
             raise ConfigError("grid.x_max must exceed grid.x_min by a "
                               "finite length")
-        if self.closure == "fixed" and not (
-                math.isfinite(self.fixed_H) and self.fixed_H >= 1.0
-                and math.isfinite(self.fixed_f2)):
-            raise ConfigError("the fixed closure needs a finite "
-                              "physics.fixed_H >= 1 and a finite "
-                              "physics.fixed_f2")
+        try:
+            self.closure_law()
+        except DomainError as exc:
+            raise ConfigError(
+                f"physics.fixed_H, physics.fixed_f2: {exc}") from exc
 
     def closure_law(self) -> ClosureLaw:
         return _CLOSURES[self.closure](self)
@@ -354,7 +353,7 @@ def convergence_study(config: ScenarioConfig, dx_list, out_dir=None) -> list:
 
 
 def emit_mlsw_snapshot(state: MlswState, layers: LayerGrid, grid: Grid1D,
-                       params: PhysicalParams, path, profiles_path=None):
+                       params: PhysicalParams, path, profiles_path):
     """Snapshot CSV in the common column layout plus per-layer profiles."""
     delta1, _, H, f2, tau_bar = mlsw_diagnostics(state, layers, params)
     x = grid.cell_centers
@@ -363,11 +362,10 @@ def emit_mlsw_snapshot(state: MlswState, layers: LayerGrid, grid: Grid1D,
     lambda1 = delta1**2 * ue_gradient(u_e, grid.dx, order=4)
     _write_rows(path, _SNAPSHOT_HEADER, (x, grid.topo, state.h, u_e, delta1,
                                          tau_bar, H, f2, lambda1, U))
-    if profiles_path is not None:
-        z = layers.interfaces
-        z_mid = 0.5 * (z[:-1] + z[1:])
-        N = layers.n_layers      # one row per (cell, layer), layer fastest
-        _write_rows(profiles_path, "x,layer_index,z_mid,u",
-                    (np.repeat(x, N), np.tile(np.arange(1, N + 1), x.size),
-                     (z_mid[None, :] * state.h[:, None]).ravel(),
-                     state.u.T.ravel()))
+    z = layers.interfaces
+    z_mid = 0.5 * (z[:-1] + z[1:])
+    N = layers.n_layers      # one row per (cell, layer), layer fastest
+    _write_rows(profiles_path, "x,layer_index,z_mid,u",
+                (np.repeat(x, N), np.tile(np.arange(1, N + 1), x.size),
+                 (z_mid[None, :] * state.h[:, None]).ravel(),
+                 state.u.T.ravel()))

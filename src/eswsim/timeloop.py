@@ -173,8 +173,7 @@ def convection_step(cells: CellEval, jump_fb, params: PhysicalParams, dx,
     return ConservedState.wrap(new), fan
 
 
-def friction_step(W: ConservedState, dt, params: PhysicalParams,
-                  f2H, u_e) -> ConservedState:
+def friction_step(W: ConservedState, dt, f2H, u_e) -> ConservedState:
     """Semi-implicit friction update of delta1, written into W's r row;
     h and q do not change. Returns W.
 
@@ -210,7 +209,7 @@ def step(run: RunState, grid: Grid1D, params: PhysicalParams,
     W, _ = convection_step(cells, grid.bed_jumps, params, grid.dx, dt,
                            grid.flat_bed)
     u_e = np.divide(W.hqr[1], W.hqr[0])   # friction keeps h and q
-    friction_step(W, dt, params, f2H, u_e)
+    friction_step(W, dt, f2H, u_e)
     return RunState(run.t + dt, run.step_count + 1, W, dt)
 
 

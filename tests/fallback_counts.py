@@ -7,8 +7,9 @@ riemann._star_depths (Newton, then Halley) and once with the plain Newton
 oracle of test_riemann.newton_star_depths in its place. It prints each
 run's fallbacks per step, then compares the two solvers on the same inputs,
 the star-depth calls of the new run: every interface where only one of
-them falls back, and the largest relative gap of the depths where both
-converge.
+them falls back, and the largest relative gap of each star depth, h_L*
+and h_R*, where both converge: h_L* = (lam_R h_R* - C)/lam_L multiplies
+h_R*'s rounding by |lam_R/lam_L|, which is large where lam_L nears zero.
 
     PYTHONPATH=src python tests/fallback_counts.py
 
@@ -32,7 +33,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from conftest import from_primitive_fields  # noqa: E402
-from test_riemann import newton_star_depths  # noqa: E402
+from test_riemann import newton_star_depths, recorded  # noqa: E402
 
 from eswsim import (BoundarySpec, Grid1D, PhysicalParams,  # noqa: E402
                     RunState, SupercriticalInflow, riemann, step)
@@ -56,7 +57,7 @@ def run(alpha, star_depths, steps=STEPS):
     calls, fallbacks = [], []
 
     def recording(*args):
-        calls.append([np.array(a, dtype=float) for a in args[:7]] + [args[7]])
+        calls.append(recorded(args))
         result = star_depths(*args)
         fallbacks.append(int(np.count_nonzero(result[2])))
         return result
@@ -74,23 +75,24 @@ def run(alpha, star_depths, steps=STEPS):
 def main():
     for alpha in ALPHAS:
         new, calls = run(alpha, riemann._star_depths)
-        old, _ = run(alpha, lambda *args: newton_star_depths(*args[:8]))
+        old, _ = run(alpha, lambda *args: newton_star_depths(*args[:7]))
         print(f"alpha={alpha}: fallbacks new {sum(new)} {new}")
         print(f"alpha={alpha}: fallbacks old {sum(old)} {old}")
-        gap = 0.0
+        gaps = np.zeros(2)      # h_L*, h_R*
         for k, args in enumerate(calls):
             with np.errstate(all="ignore"):
-                got = riemann._star_depths(*args, args[6] - args[5])
+                got = riemann._star_depths(*args)
                 want = newton_star_depths(*args)
             for i in np.flatnonzero(got[2] != want[2]):
                 print(f"  step {k} interface {i}: old "
                       f"{'fallback' if want[2][i] else 'converged'}, new "
                       f"{'fallback' if got[2][i] else 'converged'}")
             both = ~got[2] & ~want[2]
-            for a, b in zip(got[:2], want[:2]):
-                gap = max(gap, float((np.abs(a - b) / b)[both].max(
-                    initial=0.0)))
-        print(f"  largest relative depth gap where both converge: {gap:.2e}")
+            gaps = np.maximum(gaps, [(np.abs(a - b) / b)[both].max(initial=0.0)
+                                     for a, b in zip(got[:2], want[:2])])
+        for name, gap in (("h_R*", gaps[1]), ("h_L*", gaps[0])):
+            print(f"  largest relative {name} gap where both converge: "
+                  f"{gap:.2e}")
 
 
 if __name__ == "__main__":

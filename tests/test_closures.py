@@ -149,6 +149,8 @@ class TestFixedProfile:
             FixedProfile(H=0.5, f2=0.2)
         with pytest.raises(DomainError):
             FixedProfile(H=2.0, f2=float("nan"))
+        with pytest.raises(DomainError):
+            FixedProfile(H=float("inf"))
 
     def test_constant(self):
         law = FixedProfile(H=3.0, f2=0.1)

@@ -207,12 +207,18 @@ class TestStarDepthTopography:
         assert abs(res) < 1e-10
 
 
-def masked_star_depths(h_L, h_R, q_star, C, jump_fb, lam_L, lam_R, froude):
+def recorded(args):
+    """The first seven arguments of a _star_depths call, its arrays copied:
+    solve_local_riemann reuses C's row once the call returns."""
+    return [a.copy() if isinstance(a, np.ndarray) else a for a in args[:7]]
+
+
+def masked_star_depths(q_star, C, span, froude, jump_fb, lam_L, lam_R):
     """Reference: _star_depths' iteration written out on every interface,
     each guard a mask: the closed-form Newton step from the HLL depth, then
     Halley steps from 1/h and 1/h_L*, each interface stopping on its own."""
     fr2 = froude**2
-    h_hll = C / (lam_R - lam_L)
+    h_hll = C / span
     active = (jump_fb != 0.0) & (lam_L < 0.0) & (lam_R > 0.0)
     live = active.copy()
     done = np.zeros_like(active)
@@ -252,16 +258,15 @@ def masked_star_depths(h_L, h_R, q_star, C, jump_fb, lam_L, lam_R, froude):
     return hL, hR, active & ~done
 
 
-def newton_star_depths(h_L, h_R, q_star, C, jump_fb, lam_L, lam_R, froude):
+def newton_star_depths(q_star, C, span, froude, jump_fb, lam_L, lam_R):
     """Oracle: the plain Newton iteration that the Newton-then-Halley one
     replaced, each guard a mask. Every step must fall below _NEWTON_TOL;
     a non-finite q*, a nonpositive iterate and no convergence by the cap
     give the HLL depths and a fallback. A zero derivative leaves the
     iterate where it is, which then counts as converged."""
     fr2 = froude**2
-    span = lam_R - lam_L
     h_hll = C / span
-    fallback = np.zeros_like(h_L, dtype=bool)
+    fallback = np.zeros_like(C, dtype=bool)
     active = (jump_fb != 0.0) & (lam_L < 0.0) & (lam_R > 0.0)
     hR = h_hll.copy()
     hL = h_hll.copy()
@@ -308,8 +313,7 @@ def bump_interfaces():
     original = rm._star_depths
 
     def record(*args):
-        # copies: solve_local_riemann reuses C's row once the call returns
-        calls.append([np.array(a, dtype=float) for a in args[:7]])
+        calls.append(recorded(args))
         return original(*args)
 
     n = 60
@@ -322,7 +326,7 @@ def bump_interfaces():
                 BoundarySpec(left=SubcriticalInflow(u_in=1.0)))
     finally:
         rm._star_depths = original
-    return calls[-1] + [1.0]
+    return calls[-1]
 
 
 @pytest.fixture(scope="module")
@@ -342,7 +346,7 @@ class TestStarDepthsMatchMasked:
 
     def check(self, args, quiet=False):
         with np.errstate(all="ignore" if quiet else "raise"):
-            got = _star_depths(*args, args[6] - args[5])
+            got = _star_depths(*args)
             want = masked_star_depths(*args)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype
@@ -350,12 +354,14 @@ class TestStarDepthsMatchMasked:
         return got
 
     def with_values(self, base, **changes):
-        """Copy of the argument list with {name: {interface: value}}."""
-        names = ("h_L", "h_R", "q_star", "C", "jump_fb", "lam_L", "lam_R")
-        args = [a.copy() for a in base[:7]] + [base[7]]
+        """Copy of the argument list with {name: {interface: value}} and
+        span = lam_R - lam_L."""
+        names = ("q_star", "C", "span", "froude", "jump_fb", "lam_L", "lam_R")
+        args = recorded(base)
         for name, values in changes.items():
             for i, v in values.items():
                 args[names.index(name)][i] = v
+        args[2] = args[6] - args[5]
         return args
 
     def test_all_positive_newton(self, bump_interfaces):
@@ -369,7 +375,7 @@ class TestStarDepthsMatchMasked:
         for _ in range(20):
             args = self.with_values(bump_interfaces)
             args[4] = rng.normal(0.0, 0.02, args[4].size)
-            args[2] *= rng.uniform(0.5, 1.5, args[2].size)
+            args[0] *= rng.uniform(0.5, 1.5, args[0].size)
             self.check(args, quiet=True)
 
     def test_iterates_go_nonpositive(self, bump_interfaces):
@@ -377,7 +383,7 @@ class TestStarDepthsMatchMasked:
         # a large jump makes a Newton step overshoot below zero
         args = self.with_values(bump_interfaces,
                                 jump_fb={30: 5.0, 31: -5.0})
-        assert (args[3] / (args[6] - args[5]))[[30, 31]].min() > 0.0
+        assert (args[1] / args[2])[[30, 31]].min() > 0.0
         _, _, fallback = self.check(args, quiet=True)
         assert np.flatnonzero(fallback).tolist() == [30, 31]
 
@@ -395,7 +401,7 @@ class TestStarDepthsMatchMasked:
         args = self.with_values(bump_interfaces, q_star={20: np.nan})
         hL, hR, fallback = self.check(args, quiet=True)
         assert np.flatnonzero(fallback).tolist() == [20]
-        h_hll = args[3][20] / (args[6][20] - args[5][20])
+        h_hll = args[1][20] / args[2][20]
         assert hL[20] == hR[20] == h_hll
 
     def test_unconverged_at_cap_falls_back(self, bump_interfaces,
@@ -404,10 +410,10 @@ class TestStarDepthsMatchMasked:
         # other Newton-active interface has not converged by the cap, so it
         # takes the HLL depths and is counted as a fallback
         args = bump_interfaces
-        hL, hR, _ = _star_depths(*args, args[6] - args[5])
+        hL, hR, _ = _star_depths(*args)
         monkeypatch.setattr(rm, "_NEWTON_MAX_ITER", 1)
-        hL1, hR1, fallback = _star_depths(*args, args[6] - args[5])
-        h_hll = args[3] / (args[6] - args[5])
+        hL1, hR1, fallback = _star_depths(*args)
+        h_hll = args[1] / args[2]
         assert 0 < np.count_nonzero(fallback) < np.count_nonzero(args[4])
         assert np.array_equal(hL1[fallback], h_hll[fallback])
         assert np.array_equal(hR1[fallback], h_hll[fallback])
@@ -419,8 +425,8 @@ class TestStarDepthsMatchMasked:
         # the interface falls back to the HLL depth
         n = 5
         ones = np.ones(n)
-        args = [ones, ones, np.array([1.0, 0.5, 1.0, 0.8, 1.0]),
-                2.0 * ones, np.full(n, 0.01), -ones, ones, 1.0]
+        args = [np.array([1.0, 0.5, 1.0, 0.8, 1.0]), 2.0 * ones, 2.0 * ones,
+                1.0, np.full(n, 0.01), -ones, ones]
         hL, hR, fallback = self.check(args, quiet=True)
         assert np.flatnonzero(fallback).tolist() == [0, 2, 4]
         assert hR[0] == hR[2] == hR[4] == 1.0
@@ -430,8 +436,8 @@ class TestStarDepthsMatchMasked:
         # linear in h_R*: the step is finite and lands on the root
         n = 4
         ones = np.ones(n)
-        args = [ones, ones, np.array([0.0, 1.0, 0.0, 1.0]), 2.0 * ones,
-                np.full(n, 0.01), -ones, ones, 1e154]
+        args = [np.array([0.0, 1.0, 0.0, 1.0]), 2.0 * ones, 2.0 * ones,
+                1e154, np.full(n, 0.01), -ones, ones]
         hL, hR, fallback = self.check(args, quiet=True)
         assert not fallback.any()
         assert np.allclose((hR - hL + 0.01)[[0, 2]], 0.0, atol=1e-12)
@@ -447,10 +453,10 @@ class TestStarDepthsMatchMasked:
             self.check(self.with_values(bump_interfaces, **changes),
                        quiet=True)
         # one-sided with a jump: the HLL depth C/span is the one the linear
-        # relation gives, (C + 0*h_L)/lam_R
+        # relation gives, C/lam_R
         args = self.with_values(bump_interfaces, lam_L={5: 0.0})
         hL, hR, _ = self.check(args, quiet=True)
-        assert hR[5] == (args[3][5] + 0.0 * args[0][5]) / args[6][5]
+        assert hR[5] == args[1][5] / args[6][5]
 
     def test_no_active_interface(self, bump_interfaces):
         flat = self.with_values(bump_interfaces)
@@ -459,6 +465,7 @@ class TestStarDepthsMatchMasked:
         assert np.array_equal(hL, hR) and not fallback.any()
         supercritical = self.with_values(bump_interfaces)
         supercritical[5] = np.zeros_like(supercritical[5])
+        supercritical[2] = supercritical[6] - supercritical[5]
         self.check(supercritical, quiet=True)
 
     def test_steep_bump_calls(self, steep_bump_calls):
@@ -474,7 +481,7 @@ class TestStarDepthsMatchNewton:
 
     def compare(self, args, same_fallback=True):
         with np.errstate(all="ignore"):
-            got = _star_depths(*args, args[6] - args[5])
+            got = _star_depths(*args)
             want = newton_star_depths(*args)
         if same_fallback:
             assert np.array_equal(got[2], want[2])
@@ -507,7 +514,7 @@ class TestStarDepthsMatchNewton:
         for _ in range(20):
             args = with_values(bump_interfaces)
             args[4] = rng.normal(0.0, 0.02, args[4].size)
-            args[2] *= rng.uniform(0.5, 1.5, args[2].size)
+            args[0] *= rng.uniform(0.5, 1.5, args[0].size)
             compared += self.compare(args, same_fallback=False)
         assert compared > 1000
 
@@ -536,7 +543,7 @@ def bump_calls(h0, alpha, n=400, t_end=0.25):
     original = rm._star_depths
 
     def record(*args):
-        calls.append([np.array(a, dtype=float) for a in args[:7]] + [args[7]])
+        calls.append(recorded(args))
         return original(*args)
 
     grid = Grid1D.uniform(0.0, 2.0, n,
@@ -564,11 +571,12 @@ class TestStarDepthsAgainstExtendedPrecision:
         checked = 0
         for args in calls:
             with np.errstate(all="ignore"):
-                _, hR, fallback = _star_depths(*args, args[6] - args[5])
+                _, hR, fallback = _star_depths(*args)
             converged = ((args[4] != 0.0) & (args[5] < 0.0) & (args[6] > 0.0)
                          & ~fallback)
             root, step = longdouble_roots(
-                hR[converged], *(a[converged] for a in args[2:7]), args[7])
+                hR[converged], *(args[k][converged] for k in (0, 1, 4, 5, 6)),
+                args[3])
             scale = np.maximum(1.0, root)
             assert np.all(np.abs(step) <= 1e-17 * scale)
             assert np.all(np.abs(hR[converged] - root) <= 1e-15 * scale)
@@ -599,9 +607,9 @@ class TestPerInterfaceStop:
     once its slowest interface is removed."""
 
     def solve(self, args, keep=slice(None)):
-        part = [a[keep] for a in args[:7]] + [args[7]]
+        part = [a[keep] if isinstance(a, np.ndarray) else a for a in args]
         with np.errstate(all="ignore"):
-            return _star_depths(*part, part[6] - part[5])
+            return _star_depths(*part)
 
     def iterations(self, args, monkeypatch):
         """Per interface, the smallest iteration cap that gives its result."""
@@ -636,9 +644,9 @@ class TestPerInterfaceStop:
     def test_seeded_jumps(self, bump_interfaces, monkeypatch):
         rng = np.random.default_rng(11)
         for _ in range(3):
-            args = [a.copy() for a in bump_interfaces[:7]] + [1.0]
+            args = recorded(bump_interfaces)
             args[4] = rng.normal(0.0, 0.02, args[4].size)
-            args[2] *= rng.uniform(0.5, 1.5, args[2].size)
+            args[0] *= rng.uniform(0.5, 1.5, args[0].size)
             self.check(args, monkeypatch)
 
     def test_one_slow_interface(self, steep_bump_calls, monkeypatch):

@@ -117,8 +117,8 @@ def ref_fan(h, q, r, lam_L, lam_R, F0, F1, F2, jump, params):
     q_star = (fan_R * q_R - fan_L * q_L - (F1[1] - F1[0])
               - topo_src + db * exchange_src) / span
     C = fan_R * h_R - fan_L * h_L - (F0[1] - F0[0])
-    h_Ls, h_Rs, fallback = masked_star_depths(h_L, h_R, q_star, C, jump,
-                                              fan_L, fan_R, fr)
+    h_Ls, h_Rs, fallback = masked_star_depths(q_star, C, span, fr, jump,
+                                              fan_L, fan_R)
     return {"lam_L": fan_L, "lam_R": fan_R, "q_star": q_star,
             "r_star": r_star, "h_L_star": h_Ls, "h_R_star": h_Rs,
             "F_left": tuple(f[0] + fan_L * (s - w) for f, s, w in
@@ -404,20 +404,19 @@ class TestHelpersMatchExpressions:
     @given(fields(4, forms=("array",)), st.floats(1e-6, 1.0))
     def test_friction_step(self, args, dt):
         h, q, r, f2H = args
-        p = PhysicalParams(1.0, 1e-3)
         with np.errstate(all="ignore"):
             d1 = ref_recover_delta1(q, r, h)
             disc = d1**2 + 4.0 * f2H * dt
         if np.any(disc < 0.0):
             with pytest.raises(NegativeDiscriminant), \
                     np.errstate(all="ignore"):
-                friction_step(ConservedState(h, q, r), dt, p, f2H, q / h)
+                friction_step(ConservedState(h, q, r), dt, f2H, q / h)
             return
 
         def ref(h, q, r, f2H):
             return 0.5 * (d1 + np.sqrt(disc)) * (q / h)
-        got = check(lambda *a: friction_step(ConservedState(*a[:3]), dt, p,
-                                             a[3], a[1] / a[0]).r, ref, *args)
+        got = check(lambda *a: friction_step(ConservedState(*a[:3]), dt, a[3],
+                                             a[1] / a[0]).r, ref, *args)
         assert got is not r
 
 

@@ -302,7 +302,7 @@ class TestConvectionStep:
 class TestFrictionStep:
     def test_growth_closed_form(self):
         W = ConservedState(h=[2.0], q=[2.0], r=[1.0])
-        W2 = friction_step(W, 0.01, params(), np.array([0.5716]), W.q / W.h)
+        W2 = friction_step(W, 0.01, np.array([0.5716]), W.q / W.h)
         assert W2.r[0] == pytest.approx(0.5 * (1 + np.sqrt(1.022864)),
                                         abs=1e-6)
 
@@ -311,17 +311,16 @@ class TestFrictionStep:
         # is skipped, as a comparison skips it
         W = ConservedState(h=[2.0, 2.0], q=[2.0, 2.0], r=[0.1, 0.1])
         with pytest.raises(NegativeDiscriminant):
-            friction_step(W, 1.0, params(), np.array([np.nan, -1.0]),
-                          W.q / W.h)
+            friction_step(W, 1.0, np.array([np.nan, -1.0]), W.q / W.h)
 
     def test_separation_neutral(self):
         W = ConservedState(h=[2.0], q=[2.0], r=[0.3])
-        W2 = friction_step(W, 0.01, params(), np.array([0.0]), W.q / W.h)
+        W2 = friction_step(W, 0.01, np.array([0.0]), W.q / W.h)
         assert W2.r[0] == pytest.approx(0.3, abs=1e-15)
 
     def test_h_q_untouched(self):
         W = ConservedState(h=[1.7], q=[2.1], r=[0.2])
-        W2 = friction_step(W, 0.05, params(), np.array([0.5]), W.q / W.h)
+        W2 = friction_step(W, 0.05, np.array([0.5]), W.q / W.h)
         assert W2.h[0] == 1.7 and W2.q[0] == 2.1
 
     @given(st.floats(0.0, 2.0), st.floats(-0.3, 0.8), st.floats(1e-6, 0.1))
@@ -333,7 +332,7 @@ class TestFrictionStep:
             if dt <= 0.0:
                 return
         W = ConservedState(h=[2.0], q=[2.0], r=[d1 * 1.0])
-        W2 = friction_step(W, dt, params(), np.array([f2H]), W.q / W.h)
+        W2 = friction_step(W, dt, np.array([f2H]), W.q / W.h)
         assert W2.r[0] >= 0.0
 
     def test_growth_matches_von_karman_ode(self):
@@ -342,7 +341,7 @@ class TestFrictionStep:
         W = ConservedState(h=[2.0], q=[2.0], r=[0.0])
         t, dt = 0.0, 1e-5
         for _ in range(2000):
-            W = friction_step(W, dt, params(), np.array([f2H]), W.q / W.h)
+            W = friction_step(W, dt, np.array([f2H]), W.q / W.h)
             t += dt
         assert W.r[0] == pytest.approx(np.sqrt(2 * f2H * t), rel=1e-3)
 
@@ -495,7 +494,7 @@ class TestStepDiagnostics:
         # is bump_run's, whose first step falls back under both solvers
         new, calls = fallback_counts.run(0.3, riemann._star_depths, steps=3)
         old, _ = fallback_counts.run(
-            0.3, lambda *args: newton_star_depths(*args[:8]), steps=3)
+            0.3, lambda *args: newton_star_depths(*args[:7]), steps=3)
         assert len(new) == len(old) == len(calls) == 3
         assert new[0] == old[0] > 0
 
