@@ -77,26 +77,19 @@ def build_parser() -> argparse.ArgumentParser:
         "Finite-volume solver for shallow-water flow coupled with a viscous "
         "boundary layer."))
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def common(p):
+    verbs = {}
+    for verb, text, func in (("run", "integrate a scenario", _cmd_run),
+                             ("converge", "mesh refinement study",
+                              _cmd_converge),
+                             ("mlsw", "multilayer reference run", _cmd_mlsw)):
+        p = verbs[verb] = sub.add_parser(verb, help=text)
         p.add_argument("--config", help="key=value configuration file")
         p.add_argument("--set", action="append", default=[],
                        metavar="KEY=VALUE", help="override a config entry")
         p.add_argument("--out", help="output directory")
-
-    p_run = sub.add_parser("run", help="integrate a scenario")
-    common(p_run)
-    p_run.set_defaults(func=_cmd_run)
-
-    p_conv = sub.add_parser("converge", help="mesh refinement study")
-    common(p_conv)
-    p_conv.add_argument("--dx", nargs="+", required=True,
-                        help="cell sizes to test")
-    p_conv.set_defaults(func=_cmd_converge)
-
-    p_mlsw = sub.add_parser("mlsw", help="multilayer reference run")
-    common(p_mlsw)
-    p_mlsw.set_defaults(func=_cmd_mlsw)
+        p.set_defaults(func=func)
+    verbs["converge"].add_argument("--dx", nargs="+", required=True,
+                                   help="cell sizes to test")
 
     p_an = sub.add_parser("analyze", help="summarize a snapshot CSV")
     p_an.add_argument("csv", help="snapshot CSV file")

@@ -65,4 +65,4 @@ class DryCell(StepFailure):
 
 
 class NegativeDiscriminant(StepFailure):
-    """Friction update discriminant went negative (time step too large)."""
+    """Friction update radicand went negative (time step too large)."""

@@ -28,12 +28,12 @@ _NEWTON_MAX_ITER = 50
 class CellEval(NamedTuple):
     """Per-cell state and flux ((3, n) arrays, rows h, q, r), Nickalls bounds
     and closure of one state, evaluated once per step; the cells on one side
-    of the interfaces, all that solve_local_riemann reads, have no closure."""
+    of the interfaces have only what solve_local_riemann reads, hqr and F."""
 
     hqr: np.ndarray
     F: np.ndarray
-    lam_L: np.ndarray
-    lam_R: np.ndarray
+    lam_L: Optional[np.ndarray] = None
+    lam_R: Optional[np.ndarray] = None
     delta1: Optional[np.ndarray] = None
     H: Optional[np.ndarray] = None
     f2: Optional[np.ndarray] = None
@@ -220,17 +220,14 @@ def _star_depths(q_star, C, span, froude, jump_fb, lam_L, lam_R, flat=False):
     return np.where(done, hl, h), np.where(done, hr, h), active ^ done
 
 
-def solve_local_riemann(L: CellEval, R: CellEval, jump_fb,
+def solve_local_riemann(L: CellEval, R: CellEval, lam_L, lam_R, jump_fb,
                         params: PhysicalParams, flat=False) -> RiemannFan:
     """Star states and left/right numerical fluxes at each interface.
 
-    L and R evaluate the cells left and right of each interface; on a flat
-    bed (Grid1D.flat_bed) the zero topography source is skipped.
+    L and R evaluate the cells left and right of each interface, whose
+    outer wave speeds are lam_L <= 0 <= lam_R (timeloop.interface_speeds);
+    on a flat bed (Grid1D.flat_bed) the zero topography source is skipped.
     """
-    lam_L = np.minimum(L.lam_L, R.lam_L)
-    np.minimum(lam_L, ZERO, out=lam_L)
-    lam_R = np.maximum(L.lam_R, R.lam_R)
-    np.maximum(lam_R, ZERO, out=lam_R)
     span = lam_R - lam_L
     topo_src, exchange_src = source_averages(
         L, R, None if flat else jump_fb, params.froude)

@@ -2,12 +2,12 @@
 
 Each step applies, in order: ghost-cell boundary conditions, velocity
 gradient freeze, one evaluation of every cell (closure, wave-speed bounds,
-flux) that the later phases share, CFL time-step selection, the Godunov
-convection step and the semi-implicit friction step.
+flux) and of the interface speeds that the later phases share, CFL
+time-step selection, the Godunov convection step and the friction step.
 
-The time loop and time-step rule of both models live here: the CFL number,
-the cap at the next stop (output or end time), the test for having reached
-a stop, and the stamping of a failed step with its step count and time.
+The time loop of both models lives here: their CFL number, the cap at the
+next stop (output or end time), the test for having reached a stop, and
+the stamping of a failed step with its step count and time.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from .closures import ue_gradient
 from .errors import (DomainError, DryCell, NegativeDiscriminant,
                      NonFiniteState, NonpositiveTimeStep, StepFailure)
-from .operands import FOUR, HALF, ZERO
+from .operands import FOUR, TWO, ZERO
 from .riemann import CellEval, evaluate_cells, solve_local_riemann
 from .state import (ConservedState, Grid1D, H_DRY, PhysicalParams,
                     _delta1_from_ue)
@@ -120,14 +120,28 @@ def frozen_gradient(u_e, dx, order=4) -> np.ndarray:
     return ue_gradient(u_e, dx, order)
 
 
-def compute_dt(cells: CellEval, dx, dt_cap=np.inf):
-    """(dt, limiter) for an evaluated extended state: the CFL step from the
-    Nickalls bounds, reduced by the reverse-flow cap and by dt_cap;
-    limiter is "cfl", "reverse_flow" or "cap"."""
-    lo, hi = np.minimum.reduce(cells.lam_L), np.maximum.reduce(cells.lam_R)
+def interface_speeds(cells: CellEval):
+    """(lam_L, lam_R) at the interior interfaces of an evaluated extended
+    state: min(lam_L, lam_L', 0) and max(lam_R, lam_R', 0) of its cells."""
+    left, right = _SIDES
+    lam_L = np.minimum(cells.lam_L[left], cells.lam_L[right])
+    np.minimum(lam_L, ZERO, out=lam_L)
+    lam_R = np.maximum(cells.lam_R[left], cells.lam_R[right])
+    np.maximum(lam_R, ZERO, out=lam_R)
+    return lam_L, lam_R
+
+
+def compute_dt(cells: CellEval, lam_L, lam_R, dx, dt_cap=np.inf):
+    """(dt, limiter) for an evaluated extended state and its interface
+    speeds; limiter is "cfl", "reverse_flow" or "cap". The CFL step makes
+    the largest dt/dx (|lam_L(i+1/2)| + lam_R(i-1/2)) CFL_NUMBER, so that
+    each cell's update is a convex combination of the cell and its two
+    adjacent star states; the reverse-flow cap and dt_cap may reduce it."""
     # a NaN in q or r alone can leave the bounds finite (the closure maps a
     # NaN Lambda1 to a finite H), but it always reaches delta1
-    if not all(map(math.isfinite, (lo, hi, np.add.reduce(cells.delta1)))):
+    if not all(map(math.isfinite, (np.minimum.reduce(cells.lam_L),
+                                   np.maximum.reduce(cells.lam_R),
+                                   np.add.reduce(cells.delta1)))):
         # the interior first: an inflow ghost inherits a NaN of cell 0
         n = cells.hqr.shape[1] - N_GHOST
         for i, j in ((N_GHOST, n), (0, N_GHOST), (n, n + N_GHOST)):
@@ -135,10 +149,9 @@ def compute_dt(cells: CellEval, dx, dt_cap=np.inf):
                 bad = np.flatnonzero(~np.isfinite(getattr(cells, name)[i:j]))
                 if bad.size:
                     raise NonFiniteState(name, int(bad[0]) + i - N_GHOST)
-    # max(|lam_L|, |lam_R|) is max(-lam_L, lam_R) because lam_L <= lam_R;
     # with no wave speed the CFL bound is unlimited
-    lam_max = max(-lo, hi)
-    dt = CFL_NUMBER * dx / (2.0 * lam_max) if lam_max > 0.0 else math.inf
+    width = np.maximum.reduce(np.subtract(lam_R[:-1], lam_L[1:]))
+    dt = CFL_NUMBER * dx / width if width > 0.0 else math.inf
     limiter = "cfl"
     # fmin.reduce skips NaN, as the comparisons of these guards do
     if np.fmin.reduce(cells.f2) < 0.0:
@@ -155,15 +168,14 @@ def compute_dt(cells: CellEval, dx, dt_cap=np.inf):
     return float(dt), limiter
 
 
-def convection_step(cells: CellEval, jump_fb, params: PhysicalParams, dx,
-                    dt, flat=False):
+def convection_step(cells: CellEval, lam_L, lam_R, jump_fb,
+                    params: PhysicalParams, dx, dt, flat=False):
     """One Godunov update of the interior cells of an evaluated extended
-    state, with jump_fb the bed jumps at its n + 1 interfaces (bed_jumps of
-    the Grid1D) and flat whether all are zero (its flat_bed); returns
-    (interior ConservedState, interface RiemannFan)."""
-    L, R = [CellEval(cells.hqr[:, s], cells.F[:, s], cells.lam_L[s],
-                     cells.lam_R[s]) for s in _SIDES]
-    fan = solve_local_riemann(L, R, jump_fb, params, flat)
+    state at its interface speeds, with jump_fb the bed jumps at its n + 1
+    interfaces (bed_jumps of the Grid1D) and flat whether all are zero (its
+    flat_bed); returns (interior ConservedState, interface RiemannFan)."""
+    L, R = [CellEval(cells.hqr[:, s], cells.F[:, s]) for s in _SIDES]
+    fan = solve_local_riemann(L, R, lam_L, lam_R, jump_fb, params, flat)
     # W - (dt/dx)*(F_left[1:] - F_right[:-1]), into a fresh (3, n) array
     new = np.subtract(fan.F_left[:, 1:], fan.F_right[:, :-1])
     new *= dt / dx
@@ -174,23 +186,19 @@ def convection_step(cells: CellEval, jump_fb, params: PhysicalParams, dx,
 
 
 def friction_step(W: ConservedState, dt, f2H, u_e) -> ConservedState:
-    """Semi-implicit friction update of delta1, written into W's r row;
-    h and q do not change. Returns W.
-
-    f2H is the per-cell product (f2*H) evaluated at the pre-convection state;
-    u_e is W's edge velocity q/h.
-    """
+    """Exact update of delta1 under d(delta1^2)/dt = 2*f2H over dt, written
+    into W's r row (h and q do not change); returns W. f2H is the per-cell
+    (f2*H) of the pre-convection state, frozen over dt; below the
+    reverse-flow cap the radicand is at least delta1^2/2. u_e is W's q/h."""
     delta1 = _delta1_from_ue(u_e, W.hqr[2])
-    # disc = delta1^2 + 4*f2H*dt, then 0.5*(delta1 + sqrt(disc))*u_e
-    r = np.multiply(FOUR, f2H, out=W.hqr[2])
+    # sqrt(delta1^2 + 2*f2H*dt)*u_e
+    r = np.multiply(TWO, f2H, out=W.hqr[2])
     r *= dt
-    r += np.square(delta1)
+    r += np.square(delta1, out=delta1)
     if np.fmin.reduce(r) < 0.0:
-        raise NegativeDiscriminant("friction discriminant negative; "
+        raise NegativeDiscriminant("friction radicand negative; "
                                    "time-step selection is broken")
     np.sqrt(r, out=r)
-    r += delta1
-    r *= HALF
     r *= u_e
     return W
 
@@ -202,12 +210,13 @@ def step(run: RunState, grid: Grid1D, params: PhysicalParams,
     u_e = np.divide(W_ext.hqr[1], W_ext.hqr[0])
     dudx = frozen_gradient(u_e, grid.dx, gradient_order)
     cells = evaluate_cells(W_ext, params, dudx, u_e)
-    dt, _ = compute_dt(cells, grid.dx, dt_cap)
+    lam_L, lam_R = interface_speeds(cells)
+    dt, _ = compute_dt(cells, lam_L, lam_R, grid.dx, dt_cap)
     # f2H first: the fewer arrays allocated after the update's new state,
     # the less heap malloc trims and faults in again each step
     f2H = cells.f2[N_GHOST:-N_GHOST] * cells.H[N_GHOST:-N_GHOST]
-    W, _ = convection_step(cells, grid.bed_jumps, params, grid.dx, dt,
-                           grid.flat_bed)
+    W, _ = convection_step(cells, lam_L, lam_R, grid.bed_jumps, params,
+                           grid.dx, dt, grid.flat_bed)
     u_e = np.divide(W.hqr[1], W.hqr[0])   # friction keeps h and q
     friction_step(W, dt, f2H, u_e)
     return RunState(run.t + dt, run.step_count + 1, W, dt)

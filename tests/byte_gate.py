@@ -11,6 +11,11 @@ out. Two source trees write the same bytes when their printouts are equal:
     PYTHONPATH=/path/to/other/tree/src python tests/byte_gate.py > before.txt
     diff before.txt after.txt
 
+With --out DIR the runs write into DIR, one subdirectory per run, and the
+files stay there, so that two trees' outputs can be compared value by
+value where their bytes differ. Give it a new directory: every file in a
+run's subdirectory is listed, also one left by an earlier run.
+
 The set: BlasiusSteady sub (two snapshots) and sup, the fixed closure with
 gradient order 2 and the Blasius closure on flat beds, ImpulsiveStart at
 n = 2 000 (two snapshots) and at n = 20 000 (three snapshots; each file is
@@ -102,9 +107,11 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--tiny", action="store_true",
                         help="run every member at a small size")
+    parser.add_argument("--out", type=Path, metavar="DIR",
+                        help="keep the run outputs in DIR")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
-        for line in gate_lines(tmp, args.tiny):
+        for line in gate_lines(args.out or tmp, args.tiny):
             print(line)
     return 0
 

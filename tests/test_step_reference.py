@@ -145,14 +145,6 @@ def reference_esw_step(run, grid, params, spec, gradient_order=4):
     _, b = ref_jacobian_coeffs(u_e, r, lambda1, H, params.closure)
     lam_L, lam_R = ref_nickalls_bounds(u_e, b, h, fr)
     F = ref_physical_flux(h, q, r, H, params)
-    # time step
-    lam_max = np.maximum(np.abs(lam_L), np.abs(lam_R)).max()
-    dt = CFL_NUMBER * grid.dx / (2.0 * lam_max) if lam_max > 0.0 else np.inf
-    reverse = f2 < 0.0
-    if reverse.any():
-        dt = min(dt, (-delta1[reverse] ** 2
-                      / (4.0 * (f2 * H)[reverse])).min())
-    dt = float(dt)
     # interface fan
     n_ext = h.size
     sl = slice(N_GHOST - 1, n_ext - N_GHOST)
@@ -160,6 +152,14 @@ def reference_esw_step(run, grid, params, spec, gradient_order=4):
     topo = with_ghosts(grid.topo, grid.topo[0], N_GHOST)
     fan = ref_fan(*((v[sl], v[sr]) for v in (h, q, r, lam_L, lam_R, *F)),
                   topo[sr] - topo[sl], params)
+    # time step: the largest lam_R(i-1/2) - lam_L(i+1/2) over the cells
+    width = (fan["lam_R"][:-1] - fan["lam_L"][1:]).max()
+    dt = CFL_NUMBER * grid.dx / width if width > 0.0 else np.inf
+    reverse = f2 < 0.0
+    if reverse.any():
+        dt = min(dt, (-delta1[reverse] ** 2
+                      / (4.0 * (f2 * H)[reverse])).min())
+    dt = float(dt)
     # conservative update, then friction
     lam = dt / grid.dx
     inner = slice(N_GHOST, -N_GHOST)
@@ -167,8 +167,8 @@ def reference_esw_step(run, grid, params, spec, gradient_order=4):
                             for v, fl, fr_ in zip((h, q, r), fan["F_left"],
                                                   fan["F_right"]))
     d1 = ref_recover_delta1(q_new, r_half, h_new)
-    disc = d1**2 + 4.0 * np.asarray((f2 * H)[inner], float) * dt
-    r_new = 0.5 * (d1 + np.sqrt(disc)) * (q_new / h_new)
+    disc = d1**2 + 2.0 * np.asarray((f2 * H)[inner], float) * dt
+    r_new = np.sqrt(disc) * (q_new / h_new)
     return (h_new, q_new, r_new, dt, int(np.count_nonzero(fan["fallback"])),
             float(f2.min()))
 
@@ -406,7 +406,7 @@ class TestHelpersMatchExpressions:
         h, q, r, f2H = args
         with np.errstate(all="ignore"):
             d1 = ref_recover_delta1(q, r, h)
-            disc = d1**2 + 4.0 * f2H * dt
+            disc = d1**2 + 2.0 * f2H * dt
         if np.any(disc < 0.0):
             with pytest.raises(NegativeDiscriminant), \
                     np.errstate(all="ignore"):
@@ -414,7 +414,7 @@ class TestHelpersMatchExpressions:
             return
 
         def ref(h, q, r, f2H):
-            return 0.5 * (d1 + np.sqrt(disc)) * (q / h)
+            return np.sqrt(disc) * (q / h)
         got = check(lambda *a: friction_step(ConservedState(*a[:3]), dt, a[3],
                                              a[1] / a[0]).r, ref, *args)
         assert got is not r
@@ -466,7 +466,8 @@ class TestRiemannMatchesExpressions:
             want = ref_fan(*(pair(k) for k in ("h", "q", "r", "lam_L",
                                                "lam_R")),
                            *zip(L.F, R.F), jump, p)
-            got = solve_local_riemann(L, R, jump, p)
+            got = solve_local_riemann(L, R, want["lam_L"], want["lam_R"],
+                                      jump, p)
         for name, value in want.items():
             if isinstance(value, tuple):
                 for g, w in zip(getattr(got, name), value):

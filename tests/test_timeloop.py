@@ -21,7 +21,8 @@ from eswsim.mlsw import _ghosted
 from eswsim.riemann import evaluate_cells
 from eswsim.state import H_DRY
 from eswsim.timeloop import (N_GHOST, apply_boundaries, convection_step,
-                             friction_step, frozen_gradient, with_ghosts)
+                             friction_step, frozen_gradient, interface_speeds,
+                             with_ghosts)
 
 
 def params(db=1e-3, fr=1.0):
@@ -31,6 +32,17 @@ def params(db=1e-3, fr=1.0):
 def uniform_state(n, h0=2.0, u0=1.0, d1=0.0):
     return from_primitive_fields(
         np.full(n, h0), np.full(n, u0), np.full(n, d1))
+
+
+def dt_of(cells, dx, dt_cap=np.inf):
+    """compute_dt of an evaluated extended state and its interface speeds."""
+    return compute_dt(cells, *interface_speeds(cells), dx, dt_cap)
+
+
+def convect(cells, jumps, p, dx, dt):
+    """convection_step of an evaluated extended state at its interface
+    speeds."""
+    return convection_step(cells, *interface_speeds(cells), jumps, p, dx, dt)
 
 
 class TestBoundaries:
@@ -176,9 +188,10 @@ class TestBoundaries:
 class TestComputeDt:
     def test_cfl_bound(self):
         W = uniform_state(10)
-        dt, _ = compute_dt(evaluate_cells(W, params()), dx=0.01)
-        # fastest Nickalls bound ~2.48 for (h=2, u=1, Fr=1)
-        assert dt == pytest.approx(0.9 * 0.01 / (2 * 2.4789), rel=1e-3)
+        dt, _ = dt_of(evaluate_cells(W, params()), dx=0.01)
+        # Nickalls bounds ~(-0.888, 2.479) for (h=2, u=1, Fr=1): each cell
+        # sees lam_R of its left interface and |lam_L| of its right one
+        assert dt == pytest.approx(0.9 * 0.01 / (2.4789 + 0.8881), rel=1e-3)
 
     @pytest.mark.parametrize("name, value", [("lam_L", np.nan),
                                              ("lam_L", -np.inf),
@@ -192,27 +205,27 @@ class TestComputeDt:
         bound = getattr(cells, name).copy()
         bound[index] = value
         with pytest.raises(NonFiniteState) as info:
-            compute_dt(cells._replace(**{name: bound}), dx=0.01)
+            dt_of(cells._replace(**{name: bound}), dx=0.01)
         assert (info.value.field, info.value.cell) == (name, cell)
 
     def test_zero_wave_speeds_take_the_cap(self):
         cells = evaluate_cells(uniform_state(10), params())
         still = cells._replace(lam_L=np.zeros(10), lam_R=np.zeros(10))
-        assert compute_dt(still, dx=0.01, dt_cap=0.25) == (0.25, "cap")
-        assert compute_dt(still, dx=0.01) == (np.inf, "cfl")
+        assert dt_of(still, dx=0.01, dt_cap=0.25) == (0.25, "cap")
+        assert dt_of(still, dx=0.01) == (np.inf, "cfl")
         with pytest.raises(NonpositiveTimeStep, match="set by cap"):
-            compute_dt(still, dx=0.01, dt_cap=0.0)
+            dt_of(still, dx=0.01, dt_cap=0.0)
 
     def test_dt_is_a_python_float_for_every_limiter(self):
         n = 10
         cells = evaluate_cells(uniform_state(n), params())
         reverse = evaluate_cells(uniform_state(n, d1=0.5), params(),
                                  np.full(n, -20.0))
-        cfl = compute_dt(cells, dx=0.01)
+        cfl = dt_of(cells, dx=0.01)
         for (dt, limiter), want in ((cfl, "cfl"),
-                                    (compute_dt(reverse, dx=1.0),
+                                    (dt_of(reverse, dx=1.0),
                                      "reverse_flow"),
-                                    (compute_dt(cells, 0.01, 0.5 * cfl[0]),
+                                    (dt_of(cells, 0.01, 0.5 * cfl[0]),
                                      "cap")):
             assert type(dt) is float and limiter == want
 
@@ -221,7 +234,7 @@ class TestComputeDt:
         n = 10
         W = uniform_state(n, d1=0.5)
         dudx = np.full(n, -20.0)  # Lambda1 = -5 -> H ~ 16.5, f2 < 0
-        dt, _ = compute_dt(evaluate_cells(W, params(), dudx), dx=1.0)
+        dt, _ = dt_of(evaluate_cells(W, params(), dudx), dx=1.0)
         from eswsim.closures import closure_factors
         H, f2 = closure_factors(params().closure, np.full(n, 0.25 * -20.0))
         cap = -0.25 / (4.0 * f2[0] * H[0])
@@ -233,8 +246,8 @@ class TestConvectionStep:
         n = 16
         W = uniform_state(n + 2 * N_GHOST)
         jumps = np.zeros(n + 1)
-        W2, _ = convection_step(evaluate_cells(W, params()), jumps, params(),
-                                0.01, 1e-3)
+        W2, _ = convect(evaluate_cells(W, params()), jumps, params(), 0.01,
+                        1e-3)
         assert np.allclose(W2.h, 2.0, atol=1e-15)
         assert np.allclose(W2.q, 2.0, atol=1e-15)
 
@@ -249,8 +262,8 @@ class TestConvectionStep:
         W_ext = apply_boundaries(W_int, spec, params())
         jumps = np.zeros(n + 1)
         dt, dx = 1e-4, 0.01
-        W2, fan = convection_step(evaluate_cells(W_ext, params()), jumps,
-                                  params(), dx, dt)
+        W2, fan = convect(evaluate_cells(W_ext, params()), jumps, params(),
+                          dx, dt)
         dM = np.sum(W2.h - W_int.h) * dx
         boundary = -dt * (fan.F_left[0][-1] - fan.F_right[0][0])
         assert dM == pytest.approx(boundary, abs=1e-14)
@@ -262,8 +275,8 @@ class TestConvectionStep:
         h = 1.0 - grid.topo
         W_ext = ConservedState(h=with_ghosts(h, h[0], N_GHOST),
                                q=np.zeros(n + 4), r=np.zeros(n + 4))
-        W2, _ = convection_step(evaluate_cells(W_ext, params()),
-                                grid.bed_jumps, params(), grid.dx, 1e-3)
+        W2, _ = convect(evaluate_cells(W_ext, params()), grid.bed_jumps,
+                        params(), grid.dx, 1e-3)
         assert np.max(np.abs(W2.h - h)) < 1e-13
         assert np.max(np.abs(W2.q)) < 1e-13
 
@@ -275,8 +288,8 @@ class TestConvectionStep:
         u = np.linspace(0.0, 2.0, m)
         W = from_primitive_fields(h, u, np.zeros(m))
         with pytest.raises(DryCell) as info:
-            convection_step(evaluate_cells(W, params()), np.zeros(n + 1),
-                            params(), 1e-4, 1.0)
+            convect(evaluate_cells(W, params()), np.zeros(n + 1), params(),
+                    1e-4, 1.0)
         assert (info.value.field, info.value.cell) == ("h", 0)
 
     def test_dry_cell_named_past_a_nan(self):
@@ -290,12 +303,12 @@ class TestConvectionStep:
             cells = evaluate_cells(W, params())
             cells.F[0, -3] = np.nan
             if want is None:
-                new, _ = convection_step(cells, np.zeros(n + 1), params(),
-                                         1e-4, 1e-6)
+                new, _ = convect(cells, np.zeros(n + 1), params(), 1e-4,
+                                 1e-6)
                 assert np.isnan(new.h[-1]) and np.isnan(new.h[-2])
                 continue
             with pytest.raises(DryCell) as info:
-                convection_step(cells, np.zeros(n + 1), params(), 1e-4, 1.0)
+                convect(cells, np.zeros(n + 1), params(), 1e-4, 1.0)
             assert info.value.cell == want
 
 
@@ -303,11 +316,11 @@ class TestFrictionStep:
     def test_growth_closed_form(self):
         W = ConservedState(h=[2.0], q=[2.0], r=[1.0])
         W2 = friction_step(W, 0.01, np.array([0.5716]), W.q / W.h)
-        assert W2.r[0] == pytest.approx(0.5 * (1 + np.sqrt(1.022864)),
-                                        abs=1e-6)
+        # delta1' = sqrt(1 + 2*0.5716*0.01)
+        assert W2.r[0] == pytest.approx(1.005699, abs=1e-6)
 
     def test_negative_discriminant_raises(self):
-        # delta1^2 + 4*f2H*dt < 0 in the second cell; the NaN in the first
+        # delta1^2 + 2*f2H*dt < 0 in the second cell; the NaN in the first
         # is skipped, as a comparison skips it
         W = ConservedState(h=[2.0, 2.0], q=[2.0, 2.0], r=[0.1, 0.1])
         with pytest.raises(NegativeDiscriminant):
@@ -335,6 +348,37 @@ class TestFrictionStep:
         W2 = friction_step(W, dt, np.array([f2H]), W.q / W.h)
         assert W2.r[0] >= 0.0
 
+    def test_two_half_steps_make_one_step(self):
+        # the update is the exact flow of d(delta1^2)/dt = 2*f2H, so it
+        # composes: two steps of dt/2 at one f2H are one step of dt
+        rng = np.random.default_rng(5)
+        n = 200
+        h = rng.uniform(0.5, 2.5, n)
+        u = rng.uniform(0.2, 2.0, n)
+        d1 = rng.uniform(0.0, 2.0, n)
+        f2H = rng.uniform(-0.5, 1.0, n)
+        # below the reverse-flow cap delta1^2/(4|f2H|)
+        dt = 0.9 * np.min(d1**2 / (4.0 * np.abs(f2H)))
+        one, two = (ConservedState(h=h, q=h * u, r=d1 * u) for _ in range(2))
+        friction_step(one, dt, f2H, one.q / one.h)
+        for _ in range(2):
+            friction_step(two, 0.5 * dt, f2H, two.q / two.h)
+        assert np.allclose(two.r, one.r, rtol=1e-15, atol=0.0)
+
+    def test_growth_from_rest_is_exact(self):
+        # delta1 = 0 grows as sqrt(2*f2H*t): in one step to roundoff, and in
+        # 2000 steps to their accumulated roundoff
+        f2H = np.array([0.5716216216216218, 0.3, 1e-3])
+        t = 0.02
+        W = ConservedState(h=np.full(3, 2.0), q=np.full(3, 2.0), r=np.zeros(3))
+        want = np.sqrt(2.0 * f2H * t)
+        assert np.allclose(friction_step(W, t, f2H, W.q / W.h).r, want,
+                           rtol=1e-15, atol=0.0)
+        W = ConservedState(h=np.full(3, 2.0), q=np.full(3, 2.0), r=np.zeros(3))
+        for _ in range(2000):
+            friction_step(W, t / 2000, f2H, W.q / W.h)
+        assert np.allclose(W.r, want, rtol=1e-13, atol=0.0)
+
     def test_growth_matches_von_karman_ode(self):
         # d(delta1^2)/dt = 2*f2*H at fixed u_e: exact solution sqrt(2 f2H t)
         f2H = 0.5716216216216218
@@ -344,6 +388,47 @@ class TestFrictionStep:
             W = friction_step(W, dt, np.array([f2H]), W.q / W.h)
             t += dt
         assert W.r[0] == pytest.approx(np.sqrt(2 * f2H * t), rel=1e-3)
+
+
+class TestPositivityTimeStep:
+    """At every cell of every step, nu (|lam_L(i+1/2)| + lam_R(i-1/2)) <= 0.9
+    with nu = dt/dx, the fan speeds taken from the evaluated cells that the
+    convection step is given: the update is a convex combination of the
+    cell and its two adjacent star states, with the CFL margin."""
+
+    def largest_sums(self, monkeypatch, config, tmp_path):
+        """Per step of the run, the largest nu (|lam_L| + lam_R) per cell."""
+        seen = []
+        convect_cells = timeloop.convection_step
+
+        def checking(cells, lam_L, lam_R, jump_fb, p, dx, dt, flat=False):
+            m = cells.lam_L.size
+            left = np.maximum(np.maximum(cells.lam_R[1:m - 3],
+                                         cells.lam_R[2:m - 2]), 0.0)
+            right = np.minimum(np.minimum(cells.lam_L[2:m - 2],
+                                          cells.lam_L[3:m - 1]), 0.0)
+            seen.append(float(np.max(dt / dx * (left - right))))
+            return convect_cells(cells, lam_L, lam_R, jump_fb, p, dx, dt,
+                                 flat)
+        monkeypatch.setattr(timeloop, "convection_step", checking)
+        scenarios.run_scenario(config, tmp_path)
+        return np.array(seen)
+
+    @pytest.mark.parametrize("fields", [
+        # criterion 5's subcritical bump and criterion 4's impulsive start
+        dict(scenario="Bump", x_max=2.0, n_cells=400, h0=2.0,
+             bump_alpha=0.01, bump_sigma=0.1, bump_center=1.0, t_end=6.0),
+        dict(scenario="ImpulsiveStart", x_max=10.0, n_cells=2000, h0=0.5,
+             t_end=2.0, snapshot_times=(0.5, 1.0, 2.0))],
+        ids=["bump", "impulsive"])
+    def test_every_cell_of_every_step(self, monkeypatch, tmp_path, fields):
+        sums = self.largest_sums(monkeypatch,
+                                 scenarios.ScenarioConfig(**fields), tmp_path)
+        assert sums.size > 500
+        assert np.all(sums <= timeloop.CFL_NUMBER * (1.0 + 4e-16))
+        # the bound is met, in all but the steps cut short by an output
+        assert np.count_nonzero(np.isclose(sums, timeloop.CFL_NUMBER,
+                                           rtol=1e-15)) >= sums.size - 4
 
 
 class TestStepAndAdvance:
@@ -469,15 +554,15 @@ class TestStepDiagnostics:
         W_ext = apply_boundaries(run.W, spec, p)
         cells = evaluate_cells(W_ext, p,
                                frozen_gradient(W_ext.q / W_ext.h, grid.dx))
-        dt, limiter = compute_dt(cells, grid.dx)
-        _, fan = convection_step(cells, grid.bed_jumps, p, grid.dx, dt)
+        dt, limiter = dt_of(cells, grid.dx)
+        _, fan = convect(cells, grid.bed_jumps, p, grid.dx, dt)
         assert limiter == "cfl"
         assert np.count_nonzero(fan.fallback) > 0
         assert step(run, grid, p, spec).dt == dt
 
         assert step(run, grid, p, spec, dt_cap=0.5 * dt).dt == 0.5 * dt
-        assert compute_dt(cells, grid.dx, dt_cap=0.5 * dt) == (0.5 * dt, "cap")
-        assert compute_dt(cells, grid.dx, dt_cap=np.inf) == (dt, "cfl")
+        assert dt_of(cells, grid.dx, dt_cap=0.5 * dt) == (0.5 * dt, "cap")
+        assert dt_of(cells, grid.dx, dt_cap=np.inf) == (dt, "cfl")
 
         seen = []
         advance(run, dt, grid, p, spec, snapshot_times=(0.5 * dt,),
@@ -487,7 +572,7 @@ class TestStepDiagnostics:
         n = 10
         W = uniform_state(n, d1=0.5)
         reverse = evaluate_cells(W, p, np.full(n, -20.0))
-        assert compute_dt(reverse, dx=1.0)[1] == "reverse_flow"
+        assert dt_of(reverse, dx=1.0)[1] == "reverse_flow"
 
     def test_fallback_counts_script(self):
         # tests/fallback_counts.py, shortened: its geometry at alpha = 0.3

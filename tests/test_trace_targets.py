@@ -91,14 +91,16 @@ def test_riemann_fan_fallback_is_a_bool_mask_per_interface():
     import numpy as np
     from eswsim import (BoundarySpec, ConservedState, Grid1D, PhysicalParams,
                         SubcriticalInflow, evaluate_cells)
-    from eswsim.timeloop import apply_boundaries, convection_step
+    from eswsim.timeloop import (apply_boundaries, convection_step,
+                                 interface_speeds)
     n = 6
     grid = Grid1D.uniform(0.0, 1.0, n)
     params = PhysicalParams(1.0, 1e-3)
     W = ConservedState(h=np.full(n, 2.0), q=np.full(n, 2.0),
                        r=np.full(n, 0.1))
     W_ext = apply_boundaries(W, BoundarySpec(SubcriticalInflow(1.0)), params)
-    _, fan = convection_step(evaluate_cells(W_ext, params), grid.bed_jumps,
+    cells = evaluate_cells(W_ext, params)
+    _, fan = convection_step(cells, *interface_speeds(cells), grid.bed_jumps,
                              params, grid.dx, 1e-3)
     assert type(fan.fallback) is np.ndarray
     assert fan.fallback.dtype == bool and fan.fallback.shape == (n + 1,)
