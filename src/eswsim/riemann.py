@@ -11,14 +11,14 @@ All functions are vectorized over interfaces.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
 from .closures import closure_factors
 from .hyperbolicity import jacobian_b, nickalls_bounds
 from .operands import HALF, ONE, THREE, ZERO
-from .state import ConservedState, PhysicalParams, _delta1_from_ue
+from .state import PhysicalParams, _delta1_from_ue
 
 _NEWTON_TOL = 1e-15
 _HALLEY_TOL = 4e-7
@@ -27,27 +27,24 @@ _NEWTON_MAX_ITER = 50
 
 class CellEval(NamedTuple):
     """Per-cell state and flux ((3, n) arrays, rows h, q, r), Nickalls bounds
-    and closure of one state, evaluated once per step; the cells on one side
-    of the interfaces have only what solve_local_riemann reads, hqr and F."""
+    and closure of one state, evaluated once per step."""
 
     hqr: np.ndarray
     F: np.ndarray
-    lam_L: Optional[np.ndarray] = None
-    lam_R: Optional[np.ndarray] = None
-    delta1: Optional[np.ndarray] = None
-    H: Optional[np.ndarray] = None
-    f2: Optional[np.ndarray] = None
+    lam_L: np.ndarray
+    lam_R: np.ndarray
+    delta1: np.ndarray
+    H: np.ndarray
+    f2: np.ndarray
 
     h, q, r = (property(lambda self, k=k: self.hqr[k]) for k in range(3))
 
 
 class RiemannFan(NamedTuple):
-    """Interface wave speeds, star states and the two numerical fluxes
-    (with no Newton-active interface h_L_star and h_R_star are one array);
-    F_left and F_right are (3, n + 1) arrays with rows h, q, r."""
+    """Interface star states and the two numerical fluxes (with no
+    Newton-active interface h_L_star and h_R_star are one array); F_left
+    and F_right are (3, n + 1) arrays with rows h, q, r."""
 
-    lam_L: np.ndarray
-    lam_R: np.ndarray
     q_star: np.ndarray
     r_star: np.ndarray
     h_L_star: np.ndarray
@@ -74,24 +71,24 @@ def physical_flux(h, q, r, H, params: PhysicalParams, u_e, out):
 
 
 def source_averages(W_L, W_R, jump_fb, froude):
-    """Vol'pert averages of the two non-conservative source terms; the
-    topography one is None for a flat bed, jump_fb None."""
-    L, R = W_L.hqr, W_R.hqr    # row indexing: cheaper than unpacking
-    h_sum = L[0] + R[0]
+    """Vol'pert averages of the two non-conservative source terms between
+    the (3, n) states W_L and W_R; the topography one is None if jump_fb is."""
+    h_sum = W_L[0] + W_R[0]
     topo_src = None
     if jump_fb is not None:
         topo_src = h_sum / (2.0 * froude**2)
         topo_src *= jump_fb
-    exchange_src = L[1] + R[1]
+    exchange_src = W_L[1] + W_R[1]
     exchange_src /= h_sum
-    exchange_src *= np.subtract(R[2], L[2], out=h_sum)
+    exchange_src *= np.subtract(W_R[2], W_L[2], out=h_sum)
     return topo_src, exchange_src
 
 
-def evaluate_cells(W: ConservedState, params: PhysicalParams,
-                   dudx=0.0, u_e=None) -> CellEval:
-    """Evaluate each cell of W at frozen gradient dudx; u_e = q/h if None."""
-    h, q, r = W.hqr[0], W.hqr[1], W.hqr[2]
+def evaluate_cells(hqr, params: PhysicalParams, dudx=0.0,
+                   u_e=None) -> CellEval:
+    """Evaluate each cell of the (3, n) state hqr at frozen gradient dudx;
+    u_e = q/h if None."""
+    h, q, r = hqr[0], hqr[1], hqr[2]
     u_e = q / h if u_e is None else u_e
     delta1 = _delta1_from_ue(u_e, r)
     lambda1 = np.square(delta1)
@@ -99,9 +96,9 @@ def evaluate_cells(W: ConservedState, params: PhysicalParams,
     H, f2 = closure_factors(params.closure, lambda1)
     b, _ = jacobian_b(u_e, lambda1, H, params.closure)
     lam_L, lam_R = nickalls_bounds(u_e, b, h, params.froude)
-    F = np.empty(W.hqr.shape)
+    F = np.empty(hqr.shape)
     physical_flux(h, q, r, H, params, u_e, F)
-    return CellEval(W.hqr, F, lam_L, lam_R, delta1, H, f2)
+    return CellEval(hqr, F, lam_L, lam_R, delta1, H, f2)
 
 
 def _star_depths(q_star, C, span, froude, jump_fb, lam_L, lam_R, flat=False):
@@ -220,24 +217,25 @@ def _star_depths(q_star, C, span, froude, jump_fb, lam_L, lam_R, flat=False):
     return np.where(done, hl, h), np.where(done, hr, h), active ^ done
 
 
-def solve_local_riemann(L: CellEval, R: CellEval, lam_L, lam_R, jump_fb,
+def solve_local_riemann(W_L, F_L, W_R, F_R, lam_L, lam_R, jump_fb,
                         params: PhysicalParams, flat=False) -> RiemannFan:
     """Star states and left/right numerical fluxes at each interface.
 
-    L and R evaluate the cells left and right of each interface, whose
-    outer wave speeds are lam_L <= 0 <= lam_R (timeloop.interface_speeds);
-    on a flat bed (Grid1D.flat_bed) the zero topography source is skipped.
+    W_L, F_L and W_R, F_R are the (3, n) states and physical fluxes of the
+    cells left and right of each interface, whose outer wave speeds are
+    lam_L <= 0 <= lam_R (timeloop.interface_speeds); on a flat bed
+    (Grid1D.flat_bed) the zero topography source is skipped.
     """
     span = lam_R - lam_L
     topo_src, exchange_src = source_averages(
-        L, R, None if flat else jump_fb, params.froude)
+        W_L, W_R, None if flat else jump_fb, params.froude)
 
     # rows C, q*, r* of lam_R*W_R - lam_L*W_L - (F_R - F_L), then
     # r* = (... + exchange) / span and q* = (... - topo + db*exchange) / span
-    star = np.multiply(lam_R, R.hqr)
-    work = np.multiply(lam_L, L.hqr)
+    star = np.multiply(lam_R, W_R)
+    work = np.multiply(lam_L, W_L)
     star -= work
-    star -= np.subtract(R.F, L.F, out=work)
+    star -= np.subtract(F_R, F_L, out=work)
     C, q_star, r_star = star[0], star[1], star[2]
     r_star += exchange_src
     if topo_src is not None:
@@ -251,13 +249,13 @@ def solve_local_riemann(L: CellEval, R: CellEval, lam_L, lam_R, jump_fb,
     # F_L + lam_L*(star_L - W_L) and F_R - lam_R*(W_R - star_R): the star
     # rows are (h_L*, q*, r*) and (h_R*, q*, r*), so row C is overwritten
     star[0] = h_L_star
-    F_left = np.subtract(star, L.hqr, out=work)
+    F_left = np.subtract(star, W_L, out=work)
     F_left *= lam_L
-    F_left += L.F
+    F_left += F_L
     star[0] = h_R_star
-    F_right = np.subtract(R.hqr, star)
+    F_right = np.subtract(W_R, star)
     F_right *= lam_R
-    np.subtract(R.F, F_right, out=F_right)
+    np.subtract(F_R, F_right, out=F_right)
 
-    return RiemannFan(lam_L, lam_R, q_star, r_star, h_L_star, h_R_star,
-                      F_left, F_right, fallback)
+    return RiemannFan(q_star, r_star, h_L_star, h_R_star, F_left, F_right,
+                      fallback)

@@ -103,8 +103,8 @@ def with_ghosts(interior, left, n_ghost):
 
 
 def apply_boundaries(W: ConservedState, spec: BoundarySpec,
-                     params: PhysicalParams) -> ConservedState:
-    """Return the state extended by two ghost cells per side.
+                     params: PhysicalParams) -> np.ndarray:
+    """Return W's (3, n) array extended by two ghost cells per side.
 
     Inflow imposes inflow_ghost's depth and velocity with a flat profile
     (delta1 = 0). Outflow copies the last interior cell.
@@ -112,7 +112,7 @@ def apply_boundaries(W: ConservedState, spec: BoundarySpec,
     h1, q1 = W.hqr[0, 0], W.hqr[1, 0]
     h_g, u_g = inflow_ghost(spec.left, h1, q1 / h1, params.froude)
     left = ((h_g,), (h_g * u_g,), (0.0,))
-    return ConservedState.wrap(with_ghosts(W.hqr, left, N_GHOST))
+    return with_ghosts(W.hqr, left, N_GHOST)
 
 
 def frozen_gradient(u_e, dx, order=4) -> np.ndarray:
@@ -173,26 +173,28 @@ def convection_step(cells: CellEval, lam_L, lam_R, jump_fb,
     """One Godunov update of the interior cells of an evaluated extended
     state at its interface speeds, with jump_fb the bed jumps at its n + 1
     interfaces (bed_jumps of the Grid1D) and flat whether all are zero (its
-    flat_bed); returns (interior ConservedState, interface RiemannFan)."""
-    L, R = [CellEval(cells.hqr[:, s], cells.F[:, s]) for s in _SIDES]
-    fan = solve_local_riemann(L, R, lam_L, lam_R, jump_fb, params, flat)
+    flat_bed); returns (interior (3, n) array, interface RiemannFan)."""
+    left, right = _SIDES
+    fan = solve_local_riemann(cells.hqr[:, left], cells.F[:, left],
+                              cells.hqr[:, right], cells.F[:, right],
+                              lam_L, lam_R, jump_fb, params, flat)
     # W - (dt/dx)*(F_left[1:] - F_right[:-1]), into a fresh (3, n) array
     new = np.subtract(fan.F_left[:, 1:], fan.F_right[:, :-1])
     new *= dt / dx
     np.subtract(cells.hqr[:, N_GHOST:-N_GHOST], new, out=new)
     if np.fmin.reduce(new[0]) <= H_DRY:
         raise DryCell(int(np.flatnonzero(new[0] <= H_DRY)[0]))
-    return ConservedState.wrap(new), fan
+    return new, fan
 
 
-def friction_step(W: ConservedState, dt, f2H, u_e) -> ConservedState:
+def friction_step(hqr, dt, f2H, u_e):
     """Exact update of delta1 under d(delta1^2)/dt = 2*f2H over dt, written
-    into W's r row (h and q do not change); returns W. f2H is the per-cell
-    (f2*H) of the pre-convection state, frozen over dt; below the
-    reverse-flow cap the radicand is at least delta1^2/2. u_e is W's q/h."""
-    delta1 = _delta1_from_ue(u_e, W.hqr[2])
+    into the r row of the (3, n) state hqr, which it returns; u_e is its q/h.
+    f2H is the per-cell (f2*H) of the pre-convection state, frozen over dt;
+    below the reverse-flow cap the radicand is at least delta1^2/2."""
+    delta1 = _delta1_from_ue(u_e, hqr[2])
     # sqrt(delta1^2 + 2*f2H*dt)*u_e
-    r = np.multiply(TWO, f2H, out=W.hqr[2])
+    r = np.multiply(TWO, f2H, out=hqr[2])
     r *= dt
     r += np.square(delta1, out=delta1)
     if np.fmin.reduce(r) < 0.0:
@@ -200,25 +202,25 @@ def friction_step(W: ConservedState, dt, f2H, u_e) -> ConservedState:
                                    "time-step selection is broken")
     np.sqrt(r, out=r)
     r *= u_e
-    return W
+    return hqr
 
 
 def step(run: RunState, grid: Grid1D, params: PhysicalParams,
          boundaries: BoundarySpec, gradient_order=4, dt_cap=np.inf):
     """Advance one full split step; returns the new RunState."""
-    W_ext = apply_boundaries(run.W, boundaries, params)
-    u_e = np.divide(W_ext.hqr[1], W_ext.hqr[0])
+    ext = apply_boundaries(run.W, boundaries, params)
+    u_e = np.divide(ext[1], ext[0])
     dudx = frozen_gradient(u_e, grid.dx, gradient_order)
-    cells = evaluate_cells(W_ext, params, dudx, u_e)
+    cells = evaluate_cells(ext, params, dudx, u_e)
     lam_L, lam_R = interface_speeds(cells)
     dt, _ = compute_dt(cells, lam_L, lam_R, grid.dx, dt_cap)
     # f2H first: the fewer arrays allocated after the update's new state,
     # the less heap malloc trims and faults in again each step
     f2H = cells.f2[N_GHOST:-N_GHOST] * cells.H[N_GHOST:-N_GHOST]
-    W, _ = convection_step(cells, lam_L, lam_R, grid.bed_jumps, params,
-                           grid.dx, dt, grid.flat_bed)
-    u_e = np.divide(W.hqr[1], W.hqr[0])   # friction keeps h and q
-    friction_step(W, dt, f2H, u_e)
+    hqr, _ = convection_step(cells, lam_L, lam_R, grid.bed_jumps, params,
+                             grid.dx, dt, grid.flat_bed)
+    u_e = np.divide(hqr[1], hqr[0])   # friction keeps h and q
+    W = ConservedState.wrap(friction_step(hqr, dt, f2H, u_e))
     return RunState(run.t + dt, run.step_count + 1, W, dt)
 
 

@@ -372,9 +372,9 @@ def test_criterion_08c_friction_positivity():
     keep = (f2H >= 0.0) | (dt < d1**2 / (4.0 * np.abs(f2H) + 1e-300))
     h, u, d1, f2H = h[keep], u[keep], d1[keep], f2H[keep]
     W = ConservedState(h=h, q=h * u, r=d1 * u)
-    W2 = friction_step(W, dt, f2H, W.q / W.h)
+    W2 = friction_step(W.hqr, dt, f2H, W.q / W.h)
     n_used = h.size
-    ok = n_used >= 100_000 and bool(np.all(W2.r >= 0.0))
+    ok = n_used >= 100_000 and bool(np.all(W2[2] >= 0.0))
     report(8, ok, f"(c) delta1 >= 0 on {n_used} admissible random inputs")
 
 

@@ -50,15 +50,15 @@ class TestBoundaries:
         W = uniform_state(8, h0=0.7, u0=1.2)
         spec = BoundarySpec(left=SupercriticalInflow(u_in=1.0, h_in=0.5))
         ext = apply_boundaries(W, spec, params())
-        assert np.all(ext.h[:N_GHOST] == 0.5)
-        assert np.all(ext.q[:N_GHOST] == 0.5)
-        assert np.all(ext.r[:N_GHOST] == 0.0)
+        assert np.all(ext[0][:N_GHOST] == 0.5)
+        assert np.all(ext[1][:N_GHOST] == 0.5)
+        assert np.all(ext[2][:N_GHOST] == 0.0)
 
     def test_subcritical_compatible_interior(self):
         W = uniform_state(8, h0=2.0, u0=1.0)
         spec = BoundarySpec(left=SubcriticalInflow(u_in=1.0))
         ext = apply_boundaries(W, spec, params())
-        assert ext.h[0] == pytest.approx(2.0, rel=1e-14)
+        assert ext[0][0] == pytest.approx(2.0, rel=1e-14)
 
     def test_subcritical_invariant_depth(self):
         # outgoing invariant u - 2*sqrt(h)/Fr: slow interior deepens the
@@ -66,16 +66,16 @@ class TestBoundaries:
         W = uniform_state(8, h0=2.02, u0=0.99)
         spec = BoundarySpec(left=SubcriticalInflow(u_in=1.0))
         ext = apply_boundaries(W, spec, params())
-        assert ext.h[0] == pytest.approx((np.sqrt(2.02) + 0.005) ** 2,
+        assert ext[0][0] == pytest.approx((np.sqrt(2.02) + 0.005) ** 2,
                                          rel=1e-13)
-        assert ext.h[0] > 2.02
+        assert ext[0][0] > 2.02
 
     def test_outflow_copies(self):
         W = uniform_state(8)
         W = ConservedState(W.h, W.q, np.linspace(0.0, 0.7, 8))
         spec = BoundarySpec(left=SubcriticalInflow(u_in=1.0))
         ext = apply_boundaries(W, spec, params())
-        assert np.all(ext.r[-N_GHOST:] == 0.7)
+        assert np.all(ext[2][-N_GHOST:] == 0.7)
 
     @pytest.mark.parametrize("left", [SupercriticalInflow(u_in=1, h_in=2),
                                       SubcriticalInflow(u_in=1.1)])
@@ -85,10 +85,10 @@ class TestBoundaries:
             rng.uniform(1.5, 2.5, 9), rng.uniform(0.8, 1.2, 9),
             rng.uniform(0.0, 0.3, 9))
         ext = apply_boundaries(W, BoundarySpec(left=left), params())
-        g = ext.h[0]
+        g = ext[0][0]
         u_g = left.u_in
-        for got, interior, ghost in ((ext.h, W.h, g), (ext.q, W.q, g * u_g),
-                                     (ext.r, W.r, 0.0)):
+        for got, interior, ghost in ((ext[0], W.h, g), (ext[1], W.q, g * u_g),
+                                     (ext[2], W.r, 0.0)):
             want = np.concatenate([np.full(N_GHOST, ghost), interior,
                                    np.full(N_GHOST, interior[-1])])
             assert got.dtype == np.float64
@@ -128,7 +128,7 @@ class TestBoundaries:
     def test_models_share_subcritical_ghost_depth(self, u0):
         W = uniform_state(6, h0=2.0, u0=u0)
         left = SubcriticalInflow(u_in=1.0)
-        esw = apply_boundaries(W, BoundarySpec(left=left), params()).h[0]
+        esw = apply_boundaries(W, BoundarySpec(left=left), params())[0, 0]
         layers = LayerGrid(100)
         mlsw, _ = _ghosted(MlswState.uniform(layers, 6, 2.0, u0), left,
                            layers, params())
@@ -149,8 +149,8 @@ class TestBoundaries:
             esw = apply_boundaries(W, BoundarySpec(left=left), params())
             h, u = _ghosted(MlswState.uniform(layers, 6, 2.0, 1.0), left,
                             layers, params())
-        assert np.all(esw.h[:N_GHOST] == H_DRY) and h[0] == H_DRY
-        assert np.all(esw.q[:N_GHOST] == H_DRY * u_in)
+        assert np.all(esw[0][:N_GHOST] == H_DRY) and h[0] == H_DRY
+        assert np.all(esw[1][:N_GHOST] == H_DRY * u_in)
         assert np.all(u[:, 0] == u_in)
         clamps = [r for r in caplog.records if "clamping" in r.getMessage()]
         assert len(clamps) == 2
@@ -178,7 +178,7 @@ class TestBoundaries:
         spec = BoundarySpec(left=SubcriticalInflow(u_in=1.0))
         with np.errstate(all="ignore"):
             ext = apply_boundaries(W, spec, params())
-            np.testing.assert_array_equal(ext.h[:N_GHOST], ghost)
+            np.testing.assert_array_equal(ext[0][:N_GHOST], ghost)
             with pytest.raises(NonFiniteState) as info:
                 step(RunState(0.0, 0, W), Grid1D.uniform(0.0, 1.0, 10),
                      params(), spec)
@@ -188,7 +188,7 @@ class TestBoundaries:
 class TestComputeDt:
     def test_cfl_bound(self):
         W = uniform_state(10)
-        dt, _ = dt_of(evaluate_cells(W, params()), dx=0.01)
+        dt, _ = dt_of(evaluate_cells(W.hqr, params()), dx=0.01)
         # Nickalls bounds ~(-0.888, 2.479) for (h=2, u=1, Fr=1): each cell
         # sees lam_R of its left interface and |lam_L| of its right one
         assert dt == pytest.approx(0.9 * 0.01 / (2.4789 + 0.8881), rel=1e-3)
@@ -201,7 +201,7 @@ class TestComputeDt:
     def test_non_finite_bound_is_named(self, name, value, index, cell):
         # an extended state of 14 cells: index 0 is the first inflow ghost,
         # index 13 the last outflow ghost
-        cells = evaluate_cells(uniform_state(14), params())
+        cells = evaluate_cells(uniform_state(14).hqr, params())
         bound = getattr(cells, name).copy()
         bound[index] = value
         with pytest.raises(NonFiniteState) as info:
@@ -209,7 +209,7 @@ class TestComputeDt:
         assert (info.value.field, info.value.cell) == (name, cell)
 
     def test_zero_wave_speeds_take_the_cap(self):
-        cells = evaluate_cells(uniform_state(10), params())
+        cells = evaluate_cells(uniform_state(10).hqr, params())
         still = cells._replace(lam_L=np.zeros(10), lam_R=np.zeros(10))
         assert dt_of(still, dx=0.01, dt_cap=0.25) == (0.25, "cap")
         assert dt_of(still, dx=0.01) == (np.inf, "cfl")
@@ -218,8 +218,8 @@ class TestComputeDt:
 
     def test_dt_is_a_python_float_for_every_limiter(self):
         n = 10
-        cells = evaluate_cells(uniform_state(n), params())
-        reverse = evaluate_cells(uniform_state(n, d1=0.5), params(),
+        cells = evaluate_cells(uniform_state(n).hqr, params())
+        reverse = evaluate_cells(uniform_state(n, d1=0.5).hqr, params(),
                                  np.full(n, -20.0))
         cfl = dt_of(cells, dx=0.01)
         for (dt, limiter), want in ((cfl, "cfl"),
@@ -234,7 +234,7 @@ class TestComputeDt:
         n = 10
         W = uniform_state(n, d1=0.5)
         dudx = np.full(n, -20.0)  # Lambda1 = -5 -> H ~ 16.5, f2 < 0
-        dt, _ = dt_of(evaluate_cells(W, params(), dudx), dx=1.0)
+        dt, _ = dt_of(evaluate_cells(W.hqr, params(), dudx), dx=1.0)
         from eswsim.closures import closure_factors
         H, f2 = closure_factors(params().closure, np.full(n, 0.25 * -20.0))
         cap = -0.25 / (4.0 * f2[0] * H[0])
@@ -246,10 +246,10 @@ class TestConvectionStep:
         n = 16
         W = uniform_state(n + 2 * N_GHOST)
         jumps = np.zeros(n + 1)
-        W2, _ = convect(evaluate_cells(W, params()), jumps, params(), 0.01,
+        W2, _ = convect(evaluate_cells(W.hqr, params()), jumps, params(), 0.01,
                         1e-3)
-        assert np.allclose(W2.h, 2.0, atol=1e-15)
-        assert np.allclose(W2.q, 2.0, atol=1e-15)
+        assert np.allclose(W2[0], 2.0, atol=1e-15)
+        assert np.allclose(W2[1], 2.0, atol=1e-15)
 
     def test_mass_conservation_interior(self):
         # flat topography: total mass change equals boundary flux difference
@@ -264,7 +264,7 @@ class TestConvectionStep:
         dt, dx = 1e-4, 0.01
         W2, fan = convect(evaluate_cells(W_ext, params()), jumps, params(),
                           dx, dt)
-        dM = np.sum(W2.h - W_int.h) * dx
+        dM = np.sum(W2[0] - W_int.h) * dx
         boundary = -dt * (fan.F_left[0][-1] - fan.F_right[0][0])
         assert dM == pytest.approx(boundary, abs=1e-14)
 
@@ -275,10 +275,10 @@ class TestConvectionStep:
         h = 1.0 - grid.topo
         W_ext = ConservedState(h=with_ghosts(h, h[0], N_GHOST),
                                q=np.zeros(n + 4), r=np.zeros(n + 4))
-        W2, _ = convect(evaluate_cells(W_ext, params()), grid.bed_jumps,
+        W2, _ = convect(evaluate_cells(W_ext.hqr, params()), grid.bed_jumps,
                         params(), grid.dx, 1e-3)
-        assert np.max(np.abs(W2.h - h)) < 1e-13
-        assert np.max(np.abs(W2.q)) < 1e-13
+        assert np.max(np.abs(W2[0] - h)) < 1e-13
+        assert np.max(np.abs(W2[1])) < 1e-13
 
     def test_dry_cell_raises(self):
         # thin film with diverging velocity drains below the dry threshold
@@ -288,7 +288,7 @@ class TestConvectionStep:
         u = np.linspace(0.0, 2.0, m)
         W = from_primitive_fields(h, u, np.zeros(m))
         with pytest.raises(DryCell) as info:
-            convect(evaluate_cells(W, params()), np.zeros(n + 1), params(),
+            convect(evaluate_cells(W.hqr, params()), np.zeros(n + 1), params(),
                     1e-4, 1.0)
         assert (info.value.field, info.value.cell) == ("h", 0)
 
@@ -300,12 +300,12 @@ class TestConvectionStep:
         for h0, want in ((1e-10, 0), (2.0, None)):
             W = from_primitive_fields(np.full(m, h0), np.linspace(0.0, 2.0, m),
                                       np.zeros(m))
-            cells = evaluate_cells(W, params())
+            cells = evaluate_cells(W.hqr, params())
             cells.F[0, -3] = np.nan
             if want is None:
                 new, _ = convect(cells, np.zeros(n + 1), params(), 1e-4,
                                  1e-6)
-                assert np.isnan(new.h[-1]) and np.isnan(new.h[-2])
+                assert np.isnan(new[0][-1]) and np.isnan(new[0][-2])
                 continue
             with pytest.raises(DryCell) as info:
                 convect(cells, np.zeros(n + 1), params(), 1e-4, 1.0)
@@ -315,26 +315,26 @@ class TestConvectionStep:
 class TestFrictionStep:
     def test_growth_closed_form(self):
         W = ConservedState(h=[2.0], q=[2.0], r=[1.0])
-        W2 = friction_step(W, 0.01, np.array([0.5716]), W.q / W.h)
+        W2 = friction_step(W.hqr, 0.01, np.array([0.5716]), W.q / W.h)
         # delta1' = sqrt(1 + 2*0.5716*0.01)
-        assert W2.r[0] == pytest.approx(1.005699, abs=1e-6)
+        assert W2[2][0] == pytest.approx(1.005699, abs=1e-6)
 
     def test_negative_discriminant_raises(self):
         # delta1^2 + 2*f2H*dt < 0 in the second cell; the NaN in the first
         # is skipped, as a comparison skips it
         W = ConservedState(h=[2.0, 2.0], q=[2.0, 2.0], r=[0.1, 0.1])
         with pytest.raises(NegativeDiscriminant):
-            friction_step(W, 1.0, np.array([np.nan, -1.0]), W.q / W.h)
+            friction_step(W.hqr, 1.0, np.array([np.nan, -1.0]), W.q / W.h)
 
     def test_separation_neutral(self):
         W = ConservedState(h=[2.0], q=[2.0], r=[0.3])
-        W2 = friction_step(W, 0.01, np.array([0.0]), W.q / W.h)
-        assert W2.r[0] == pytest.approx(0.3, abs=1e-15)
+        W2 = friction_step(W.hqr, 0.01, np.array([0.0]), W.q / W.h)
+        assert W2[2][0] == pytest.approx(0.3, abs=1e-15)
 
     def test_h_q_untouched(self):
         W = ConservedState(h=[1.7], q=[2.1], r=[0.2])
-        W2 = friction_step(W, 0.05, np.array([0.5]), W.q / W.h)
-        assert W2.h[0] == 1.7 and W2.q[0] == 2.1
+        W2 = friction_step(W.hqr, 0.05, np.array([0.5]), W.q / W.h)
+        assert W2[0][0] == 1.7 and W2[1][0] == 2.1
 
     @given(st.floats(0.0, 2.0), st.floats(-0.3, 0.8), st.floats(1e-6, 0.1))
     @settings(max_examples=300, deadline=None)
@@ -345,8 +345,8 @@ class TestFrictionStep:
             if dt <= 0.0:
                 return
         W = ConservedState(h=[2.0], q=[2.0], r=[d1 * 1.0])
-        W2 = friction_step(W, dt, np.array([f2H]), W.q / W.h)
-        assert W2.r[0] >= 0.0
+        W2 = friction_step(W.hqr, dt, np.array([f2H]), W.q / W.h)
+        assert W2[2][0] >= 0.0
 
     def test_two_half_steps_make_one_step(self):
         # the update is the exact flow of d(delta1^2)/dt = 2*f2H, so it
@@ -360,9 +360,9 @@ class TestFrictionStep:
         # below the reverse-flow cap delta1^2/(4|f2H|)
         dt = 0.9 * np.min(d1**2 / (4.0 * np.abs(f2H)))
         one, two = (ConservedState(h=h, q=h * u, r=d1 * u) for _ in range(2))
-        friction_step(one, dt, f2H, one.q / one.h)
+        friction_step(one.hqr, dt, f2H, one.q / one.h)
         for _ in range(2):
-            friction_step(two, 0.5 * dt, f2H, two.q / two.h)
+            friction_step(two.hqr, 0.5 * dt, f2H, two.q / two.h)
         assert np.allclose(two.r, one.r, rtol=1e-15, atol=0.0)
 
     def test_growth_from_rest_is_exact(self):
@@ -372,11 +372,11 @@ class TestFrictionStep:
         t = 0.02
         W = ConservedState(h=np.full(3, 2.0), q=np.full(3, 2.0), r=np.zeros(3))
         want = np.sqrt(2.0 * f2H * t)
-        assert np.allclose(friction_step(W, t, f2H, W.q / W.h).r, want,
+        assert np.allclose(friction_step(W.hqr, t, f2H, W.q / W.h)[2], want,
                            rtol=1e-15, atol=0.0)
         W = ConservedState(h=np.full(3, 2.0), q=np.full(3, 2.0), r=np.zeros(3))
         for _ in range(2000):
-            friction_step(W, t / 2000, f2H, W.q / W.h)
+            friction_step(W.hqr, t / 2000, f2H, W.q / W.h)
         assert np.allclose(W.r, want, rtol=1e-13, atol=0.0)
 
     def test_growth_matches_von_karman_ode(self):
@@ -385,7 +385,7 @@ class TestFrictionStep:
         W = ConservedState(h=[2.0], q=[2.0], r=[0.0])
         t, dt = 0.0, 1e-5
         for _ in range(2000):
-            W = friction_step(W, dt, np.array([f2H]), W.q / W.h)
+            friction_step(W.hqr, dt, np.array([f2H]), W.q / W.h)
             t += dt
         assert W.r[0] == pytest.approx(np.sqrt(2 * f2H * t), rel=1e-3)
 
@@ -553,7 +553,7 @@ class TestStepDiagnostics:
         p = params()
         W_ext = apply_boundaries(run.W, spec, p)
         cells = evaluate_cells(W_ext, p,
-                               frozen_gradient(W_ext.q / W_ext.h, grid.dx))
+                               frozen_gradient(W_ext[1] / W_ext[0], grid.dx))
         dt, limiter = dt_of(cells, grid.dx)
         _, fan = convect(cells, grid.bed_jumps, p, grid.dx, dt)
         assert limiter == "cfl"
@@ -571,7 +571,7 @@ class TestStepDiagnostics:
 
         n = 10
         W = uniform_state(n, d1=0.5)
-        reverse = evaluate_cells(W, p, np.full(n, -20.0))
+        reverse = evaluate_cells(W.hqr, p, np.full(n, -20.0))
         assert dt_of(reverse, dx=1.0)[1] == "reverse_flow"
 
     def test_fallback_counts_script(self):
