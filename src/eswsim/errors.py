@@ -22,7 +22,7 @@ class DegenerateProfile(EswError):
 
 
 class TridiagonalFailure(EswError):
-    """Vertical friction solve failed (should never happen)."""
+    """Vertical exchange and friction solve failed (should never happen)."""
 
 
 class ConfigError(EswError):

@@ -1,10 +1,13 @@
 """Multilayer Saint-Venant reference solver.
 
 Vertical discretization of the long-wave equations into N layers of fixed
-depth fractions; horizontal transport uses a local Lax-Friedrichs flux per
-layer (with the free-surface jump in the diffusion so that lake-at-rest
-states stay exact), vertical momentum diffusion is solved implicitly per
-cell. Used as a qualitative cross-check of the integrated model.
+depth fractions, with mass exchange between the layers (Audusse, Bristeau,
+Perthame & Sainte-Marie 2011); horizontal transport uses a local
+Lax-Friedrichs flux per layer (with the free-surface jump in the diffusion
+so that lake-at-rest states stay exact). The upwinded momentum exchange and
+the vertical momentum diffusion are solved implicitly per cell, in one
+tridiagonal M-matrix system, so only the transport limits the time step.
+Used as a qualitative cross-check of the integrated model.
 """
 
 from __future__ import annotations
@@ -65,47 +68,53 @@ def _ghosted(state: MlswState, left: InflowSpec, layers: LayerGrid,
 
 def mlsw_compute_dt(state: MlswState, params: PhysicalParams, dx,
                     dt_cap=np.inf) -> float:
-    """CFL step from the fastest layer speed |u| + sqrt(h)/Fr, reduced by
-    dt_cap."""
+    """CFL step 0.9*dx/max|lambda| from the fastest layer speed
+    |u| + sqrt(h)/Fr, reduced by dt_cap. It keeps the Rusanov transport's
+    per-cell sum dt*(s(i-1/2) + s(i+1/2))/(2 dx) within 0.9; the exchange,
+    implicit, sets no limit."""
     lam = np.max(np.abs(state.u), axis=0) + np.sqrt(state.h) / params.froude
     lam_max = float(np.max(lam))
     if not np.isfinite(lam_max):
         cell = int(np.flatnonzero(~np.isfinite(lam))[0])
         raise NonFiniteState("u" if np.isfinite(state.h[cell]) else "h", cell)
-    dt = min(CFL_NUMBER * dx / (2.0 * lam_max), dt_cap)
+    dt = min(CFL_NUMBER * dx / lam_max, dt_cap)
     if not dt > 0.0:
         raise NonpositiveTimeStep(f"nonpositive time step {dt!r}")
     return dt
 
 
-def _thomas(off, diag, rhs):
-    """Batched symmetric Thomas solve, systems along axis 0, batches along
-    axis 1; off[i] couples unknowns i and i + 1. Rows go into preallocated
-    buffers; a zero pivot raises TridiagonalFailure, with no warning first.
+def _thomas(lower, diag, upper, rhs):
+    """Batched Thomas solve, systems along axis 0, batches along axis 1:
+    lower[i] is row i + 1's coefficient of unknown i, upper[i] row i's of
+    unknown i + 1. There is no pivoting, which a matrix with nonpositive
+    off-diagonals and positive column sums (an M-matrix, as mlsw_step
+    assembles) never needs. Rows go into preallocated buffers; a zero pivot
+    raises TridiagonalFailure, with no warning first.
 
     A row costs eight ufunc calls on short rows, so their overhead is most
     of the solve: the loops walk zipped lists of row views and call the
-    ufuncs bound to locals, with out by position."""
+    ufuncs bound to locals, with out by position. With lower is upper it is
+    the symmetric solve, bit for bit."""
     mul, sub, div = np.multiply, np.subtract, np.divide
     pivot, c, d = np.empty_like(diag), np.empty_like(diag), np.empty_like(rhs)
-    # a zero row after the last off row gives c a spare last row (0/pivot),
-    # so that every row below the first runs the one loop
-    O = list(off) + [np.zeros_like(diag[0])]
+    # a zero row after the last upper row gives c a spare last row
+    # (0/pivot), so that every row below the first runs the one loop
+    U = list(upper) + [np.zeros_like(diag[0])]
     A, R, P, C, D = map(list, (diag, rhs, pivot, c, d))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         pivot[0] = diag[0]
-        div(O[0], P[0], C[0])
+        div(U[0], P[0], C[0])
         div(R[0], P[0], D[0])
-        for o, o_next, a, r, p, c_up, ci, d_up, di in zip(
-                O, O[1:], A[1:], R[1:], P[1:], C, C[1:], D, D[1:]):
-            mul(o, c_up, p)
+        for lo, up_next, a, r, p, c_up, ci, d_up, di in zip(
+                lower, U[1:], A[1:], R[1:], P[1:], C, C[1:], D, D[1:]):
+            mul(lo, c_up, p)
             sub(a, p, p)
-            div(o_next, p, ci)
-            mul(o, d_up, di)
+            div(up_next, p, ci)
+            mul(lo, d_up, di)
             sub(r, di, di)
             div(di, p, di)
         if (pivot == 0.0).any():
-            raise TridiagonalFailure("zero pivot in vertical friction solve")
+            raise TridiagonalFailure("zero pivot in the vertical solve")
         # back substitution in place, with a spent pivot row as scratch
         tmp = P[0]
         for ci, di, d_down in zip(C[-2::-1], D[-2::-1], D[::-1]):
@@ -143,7 +152,8 @@ def _cell_diff(faces, out):
 def mlsw_step(state: MlswState, layers: LayerGrid, dt,
               params: PhysicalParams, grid: Grid1D,
               left: InflowSpec) -> MlswState:
-    """One transport + exchange + implicit vertical friction step.
+    """One step: explicit transport, then the exchange and the vertical
+    friction in one implicit tridiagonal solve per cell.
 
     Every (N, .) array has the ghosted state's n + 2 columns: cell j and
     interface j + 1/2 both in column j. Neighbouring cells, interfaces and
@@ -155,8 +165,7 @@ def mlsw_step(state: MlswState, layers: LayerGrid, dt,
     Each quantity is computed once, mostly in place or into a buffer whose
     last use is above. The in-place updates keep the left-to-right order of
     the expression quoted above them, so every element gets its bits."""
-    N, n = state.u.shape
-    width = n + 2
+    width = state.u.shape[1] + 2
     dx2 = 2.0 * grid.dx
     fr2 = params.froude**2
     ell = layers.fractions
@@ -172,18 +181,15 @@ def mlsw_step(state: MlswState, layers: LayerGrid, dt,
     s, jump = np.zeros(width), np.zeros(width)
     np.maximum(cell_speed[:-1], cell_speed[1:], out=s[:-1])
     np.subtract(eta[1:], eta[:-1], out=jump[:-1])
-    huu = np.multiply(hu, u, out=abs_u)
+    huu = np.multiply(hu, u, out=u)
 
     # flux_mass = (hu_l + hu_r) - s*ell*(eta_r - eta_l)
     flux_mass = _faces(np.add, hu, np.empty_like(hu))
     work = _outer(ell, s)
     work *= jump
     flux_mass -= work
-    # flux_mom = (huu_l + huu_r) - s*(hu_r - hu_l), in a buffer with a
-    # spare row that the exchange below takes over (allocated there, a
-    # buffer of that size made malloc trim and refault the heap each step)
-    exchange = np.empty((N + 1, width))
-    flux_mom = _faces(np.add, huu, exchange[:-1])
+    # flux_mom = (huu_l + huu_r) - s*(hu_r - hu_l), in the spent abs_u
+    flux_mom = _faces(np.add, huu, abs_u)
     _faces(np.subtract, hu, work)
     work *= s
     flux_mom -= work
@@ -202,41 +208,32 @@ def mlsw_step(state: MlswState, layers: LayerGrid, dt,
 
     # cumulative mass exchange G = cumsum(div_mass - ell*div_total) through
     # the N - 1 inner layer interfaces (through the top one it vanishes),
-    # between rows of zeros for the bed and the surface; flux_mom is spent
-    exchange[0] = exchange[-1] = 0.0
-    G = _outer(ell[:-1], with_ghosts(div_total, 0.0, 1), out=exchange[1:-1])
+    # in the spent flux_mom
+    G = _outer(ell[:-1], with_ghosts(div_total, 0.0, 1), out=flux_mom[:-1])
     np.subtract(div_mass[:-1], G, out=G)
     rows = list(G)
     for below, row in zip(rows, rows[1:]):
         np.add(below, row, row)
-    # m = u_up*G, the interface velocity upwinded by the sign of G (a
-    # downward flux carries the upper layer's velocity), into G
-    G *= np.where(G >= 0.0, u[1:], u[:-1])
-    # dm = m - (m one layer down), with m = 0 at the bed and the surface
-    dm = np.subtract(exchange[1:], exchange[:-1], out=div_mass)
 
-    # hu_star = h_alpha*u - dt*div_mom - dt*h_alpha*deta_dx/fr2 + dt*dm,
-    # with a central free-surface slope for the hydrostatic pressure term;
-    # the interior of ellh is h_alpha = ell*state.h, so hu holds h_alpha*u
+    # rhs = h_alpha*u - dt*div_mom - dt*h_alpha*deta_dx/fr2, with a central
+    # free-surface slope for the hydrostatic pressure term; the interior of
+    # ellh is h_alpha = ell*state.h, so hu holds h_alpha*u
     deta_dx = with_ghosts((eta[2:] - eta[:-2]) / dx2, 0.0, 1)
-    hu_star = hu
+    rhs = hu
     div_mom *= dt
-    hu_star -= div_mom
+    rhs -= div_mom
     pressure = np.multiply(dt, ellh, out=div_mom)
     pressure *= deta_dx
     if fr2 != 1.0:        # a division by 1 would change no bit
         pressure /= fr2
-    hu_star -= pressure
-    dm *= dt
-    hu_star += dm
+    rhs -= pressure
 
-    # implicit vertical friction on the updated layer depths (positive also
-    # in the two columns that hold no cell, so that rhs stays finite there)
+    # implicit exchange and vertical friction on the updated layer depths
+    # (positive also in the two columns that hold no cell, so that the
+    # divisions stay finite there)
     h_alpha_new = _outer(ell, with_ghosts(h_new, 1.0, 1), out=ellh)
-    rhs = np.divide(hu_star, h_alpha_new, out=hu_star)    # u_star
-    rhs *= h_alpha_new
     nu = params.delta_bar**2
-    # symmetric matrix: off[a] = -(interface coupling of layers a, a+1)
+    # friction: off[a] = -(interface coupling of layers a, a+1)
     off = np.add(h_alpha_new[1:], h_alpha_new[:-1], out=work[:-1])
     np.divide(-2.0 * nu * dt, off, out=off)
     c_bot = 2.0 * nu * dt / h_alpha_new[0]
@@ -244,8 +241,21 @@ def mlsw_step(state: MlswState, layers: LayerGrid, dt,
     diag[0] += c_bot
     diag[:-1] -= off
     diag[1:] -= off
+    # exchange: layer a gains dt*(m(a+1/2) - m(a-1/2)), m = G*u_up, with
+    # u_up the new velocity upwinded by the sign of G (a downward flux,
+    # G >= 0, carries the upper layer's). So dt*max(G, 0) multiplies u[a+1]
+    # and dt*min(G, 0) u[a]: off-diagonals stay <= 0 and every column sums
+    # to h_alpha_new (plus c_bot in the bed row), an M-matrix at any dt
+    G *= dt
+    g_down = np.maximum(G, 0.0, out=div_mass[:-1])
+    g_up = np.minimum(G, 0.0, out=G)
+    diag[:-1] -= g_up
+    diag[1:] += g_down
+    upper = np.subtract(off, g_down, out=g_down)
+    lower = np.add(off, g_up, out=g_up)
     cells = np.s_[:, 1:-1]
-    return MlswState(h_new, _thomas(off[cells], diag[cells], rhs[cells]))
+    return MlswState(h_new, _thomas(lower[cells], diag[cells], upper[cells],
+                                    rhs[cells]))
 
 
 def mlsw_diagnostics(state: MlswState, layers: LayerGrid,

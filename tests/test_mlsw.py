@@ -9,6 +9,7 @@ import pytest
 from eswsim import (Grid1D, LayerGrid, MlswState, PhysicalParams, RunState,
                     SubcriticalInflow, SupercriticalInflow, mlsw_compute_dt,
                     mlsw_diagnostics, mlsw_step)
+from eswsim import mlsw
 from eswsim.analytic import gaussian_bump
 from eswsim.errors import (DegenerateProfile, DomainError, DryCell,
                            NonFiniteState, NonpositiveTimeStep,
@@ -51,35 +52,44 @@ class TestLayerGrid:
 
 
 class TestThomas:
+    @staticmethod
+    def column_dominant(rng, N, m):
+        """Nonsymmetric (lower, diag, upper) with nonpositive off-diagonals
+        and positive column sums, the kind mlsw_step assembles."""
+        lower = -rng.uniform(0.0, 1.0, (N - 1, m))
+        upper = -rng.uniform(0.0, 1.0, (N - 1, m))
+        diag = rng.uniform(0.1, 1.0, (N, m))
+        diag[:-1] -= lower
+        diag[1:] -= upper
+        return lower, diag, upper
+
     def test_matches_dense_solve(self):
         rng = np.random.default_rng(61)
         m = 7
         for N in (1, 2, 100):
-            off = -rng.uniform(0.0, 1.0, (N - 1, m))
-            diag = rng.uniform(0.1, 1.0, (N, m))
-            diag[:-1] -= off
-            diag[1:] -= off
+            lower, diag, upper = self.column_dominant(rng, N, m)
+            assert N == 1 or not np.array_equal(lower, upper)
             rhs = rng.normal(size=(N, m))
-            got = _thomas(off, diag, rhs)
+            got = _thomas(lower, diag, upper, rhs)
             assert got.shape == (N, m)
             for j in range(m):
-                A = (np.diag(diag[:, j]) + np.diag(off[:, j], 1)
-                     + np.diag(off[:, j], -1))
+                A = (np.diag(diag[:, j]) + np.diag(upper[:, j], 1)
+                     + np.diag(lower[:, j], -1))
                 ref = np.linalg.solve(A, rhs[:, j])
                 assert np.allclose(got[:, j], ref, rtol=1e-12, atol=0)
 
     @staticmethod
-    def reference_thomas(off, diag, rhs):
+    def reference_thomas(lower, diag, upper, rhs):
         """The solve as a plain loop over fresh arrays, in the expressions
-        of the first Thomas solve: c = off/p, d = (rhs - off*d_prev)/p,
+        of the first Thomas solve: c = upper/p, d = (rhs - lower*d_prev)/p,
         then back substitution."""
         n = diag.shape[0]
         c, d, x = np.zeros_like(rhs), np.zeros_like(rhs), np.zeros_like(rhs)
         for i in range(n):
-            p = diag[i] - off[i - 1] * c[i - 1] if i > 0 else diag[0]
+            p = diag[i] - lower[i - 1] * c[i - 1] if i > 0 else diag[0]
             if i < n - 1:
-                c[i] = off[i] / p
-            d[i] = (rhs[i] - off[i - 1] * d[i - 1]) / p if i > 0 \
+                c[i] = upper[i] / p
+            d[i] = (rhs[i] - lower[i - 1] * d[i - 1]) / p if i > 0 \
                 else rhs[0] / p
         x[-1] = d[-1]
         for i in range(n - 2, -1, -1):
@@ -90,25 +100,36 @@ class TestThomas:
     @pytest.mark.parametrize("m", [1, 7])
     def test_matches_reference_loop_bit_for_bit(self, N, m):
         rng = np.random.default_rng(67 + N + m)
-        off = -rng.uniform(0.0, 1.0, (N - 1, m))
-        diag = rng.uniform(0.1, 1.0, (N, m))
-        diag[:-1] -= off
-        diag[1:] -= off
+        lower, diag, upper = self.column_dominant(rng, N, m)
         rhs = rng.normal(size=(N, m))
-        inputs = [a.copy() for a in (off, diag, rhs)]
-        want = self.reference_thomas(off, diag, rhs).view(np.uint64)
-        got = _thomas(off, diag, rhs)
+        inputs = [a.copy() for a in (lower, diag, upper, rhs)]
+        want = self.reference_thomas(lower, diag, upper, rhs).view(np.uint64)
+        got = _thomas(lower, diag, upper, rhs)
         assert got.flags.c_contiguous
         assert np.array_equal(got.view(np.uint64), want)
         # the inputs are left alone
-        for a, b in zip((off, diag, rhs), inputs):
+        for a, b in zip((lower, diag, upper, rhs), inputs):
             assert np.array_equal(a, b)
         # column views of wider arrays, as mlsw_step passes them
         wide = [np.pad(a, ((0, 0), (1, 2)), constant_values=np.nan)
-                for a in (off, diag, rhs)]
+                for a in (lower, diag, upper, rhs)]
         got = _thomas(*(a[:, 1:-2] for a in wide))
         assert got.flags.c_contiguous
         assert np.array_equal(got.view(np.uint64), want)
+
+    @pytest.mark.parametrize("N", [1, 2, 100])
+    def test_lower_is_upper_gives_the_symmetric_solve(self, N):
+        rng = np.random.default_rng(71 + N)
+        off = -rng.uniform(0.0, 1.0, (N - 1, 7))
+        diag = rng.uniform(0.1, 1.0, (N, 7))
+        diag[:-1] -= off
+        diag[1:] -= off
+        rhs = rng.normal(size=(N, 7))
+        # with lower = upper = off, the reference loop's expressions are
+        # those of the first, symmetric Thomas solve
+        want = self.reference_thomas(off, diag, off, rhs)
+        got = _thomas(off, diag, off, rhs)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_zero_pivot_raises_without_warning(self):
         rhs = np.ones((3, 2))
@@ -116,11 +137,15 @@ class TestThomas:
         # the second row's pivot is 1 - 1*1/1 = 0 in column 1
         later = np.array([[2.0, 1.0], [3.0, 1.0], [3.0, 3.0]])
         off = np.array([[-1.0, -1.0], [-1.0, -1.0]])
-        for diag in (first, later):
+        # and 1 - 2*0.5/1 = 0 with different couplings below and above
+        lower = np.array([[-1.0, -2.0], [-1.0, -1.0]])
+        upper = np.array([[-1.0, -0.5], [-1.0, -1.0]])
+        for args in ((off, first, off), (off, later, off),
+                     (lower, later, upper)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(TridiagonalFailure):
-                    _thomas(off, diag, rhs)
+                    _thomas(*args, rhs)
 
 
 class TestComputeDt:
@@ -163,9 +188,11 @@ class TestMarch:
         assert run.t == pytest.approx(0.02, abs=1e-12)
 
 
-def reference_step(state, layers, dt, params, grid, left):
-    """mlsw_step as it was before its in-place rewrite, frozen as the
-    bit-for-bit reference; it also returns the exchange G."""
+def reference_transport(state, layers, dt, params, grid, left):
+    """The explicit part of mlsw_step as it was before its in-place
+    rewrite, frozen as the bit-for-bit reference for h: (h_new, the layer
+    momenta after transport and pressure, the exchange G through the N - 1
+    inner layer interfaces)."""
     dx = grid.dx
     fr2 = params.froude**2
     ell = layers.fractions[:, None]
@@ -194,37 +221,72 @@ def reference_step(state, layers, dt, params, grid, left):
         raise DomainError("total depth became nonpositive in transport")
 
     # cumulative mass exchange through layer interfaces (top one vanishes)
-    G = np.cumsum(div_mass - ell * div_total[None, :], axis=0)
-    G[-1] = 0.0
-    u_int = state.u
-    # interface velocity upwinded by the sign of G (downward flux carries
-    # the upper layer's velocity)
-    u_up = np.where(G[:-1] >= 0.0, u_int[1:], u_int[:-1])
-    m = np.zeros_like(G)
-    m[:-1] = u_up * G[:-1]
-    dm = m.copy()
-    dm[1:] -= m[:-1]
+    G = np.cumsum(div_mass - ell * div_total[None, :], axis=0)[:-1]
 
     # central free-surface slope for the hydrostatic pressure term
     deta_dx = (eta[2:] - eta[:-2]) / (2.0 * dx)
     h_alpha = ell * state.h[None, :]
     hu_star = (h_alpha * state.u - dt * div_mom
-               - dt * h_alpha * deta_dx[None, :] / fr2 + dt * dm)
+               - dt * h_alpha * deta_dx[None, :] / fr2)
+    return h_new, hu_star, G
 
-    # implicit vertical friction on the updated layer depths
-    h_alpha_new = ell * h_new[None, :]
-    u_star = hu_star / h_alpha_new
+
+def friction_coupling(h_alpha_new, params, dt):
+    """(c_bot, c): the implicit friction's bed coefficient per cell and its
+    coupling of layers a, a + 1 per inner interface."""
     nu = params.delta_bar**2
-    # symmetric matrix: off[a] = -(interface coupling of layers a, a+1)
-    off = -2.0 * nu * dt / (h_alpha_new[1:] + h_alpha_new[:-1])
-    c_bot = 2.0 * nu * dt / h_alpha_new[0]
+    return (2.0 * nu * dt / h_alpha_new[0],
+            2.0 * nu * dt / (h_alpha_new[1:] + h_alpha_new[:-1]))
+
+
+def explicit_exchange_step(state, layers, dt, params, grid, left):
+    """The step with the upwind exchange on the old velocities, explicit,
+    as mlsw_step took it until the exchange joined the implicit solve (in
+    the expressions of that step's frozen reference)."""
+    h_new, hu_star, G = reference_transport(state, layers, dt, params, grid,
+                                            left)
+    u_up = np.where(G >= 0.0, state.u[1:], state.u[:-1])
+    m = np.zeros_like(state.u)
+    m[:-1] = u_up * G
+    dm = m.copy()
+    dm[1:] -= m[:-1]
+    h_alpha_new = layers.fractions[:, None] * h_new[None, :]
+    rhs = h_alpha_new * ((hu_star + dt * dm) / h_alpha_new)
+    c_bot, c = friction_coupling(h_alpha_new, params, dt)
     diag = h_alpha_new.copy()
     diag[0] += c_bot
-    diag[:-1] -= off
-    diag[1:] -= off
-    rhs = h_alpha_new * u_star
-    u_new = _thomas(off, diag, rhs)
-    return MlswState(h=h_new, u=u_new), G
+    diag[:-1] += c
+    diag[1:] += c
+    return _thomas(-c, diag, -c, rhs)
+
+
+def assembled_system(state, layers, dt, params, grid, left):
+    """(h_new, A, rhs, G): the implicit exchange and friction system of
+    every cell j, A[j] @ u_new[:, j] = rhs[:, j], assembled dense from the
+    scheme's definition, coefficient by coefficient."""
+    h_new, rhs, G = reference_transport(state, layers, dt, params, grid,
+                                        left)
+    N, n = state.u.shape
+    h_alpha_new = layers.fractions[:, None] * h_new[None, :]
+    c_bot, c = friction_coupling(h_alpha_new, params, dt)
+    A = np.zeros((n, N, N))
+    for j in range(n):
+        A[j] = np.diag(h_alpha_new[:, j])
+        A[j, 0, 0] += c_bot[j]
+        for k in range(N - 1):
+            # friction between layers k and k + 1
+            A[j, k, k] += c[k, j]
+            A[j, k + 1, k + 1] += c[k, j]
+            A[j, k, k + 1] -= c[k, j]
+            A[j, k + 1, k] -= c[k, j]
+            # exchange m = G*u_up through interface k + 1/2, with the new
+            # velocity of the layer the flux leaves (a downward flux,
+            # G >= 0, leaves the upper one): layer k gains dt*m, layer
+            # k + 1 loses it
+            up = k + 1 if G[k, j] >= 0.0 else k
+            A[j, k, up] -= dt * G[k, j]
+            A[j, k + 1, up] += dt * G[k, j]
+    return h_new, A, rhs, G
 
 
 def bump_setup(fr, db, N, inflow, u0, alpha=0.2, n=40, seed=3):
@@ -241,7 +303,8 @@ def bump_setup(fr, db, N, inflow, u0, alpha=0.2, n=40, seed=3):
 
 
 class TestMlswStepMatchesReference:
-    """The in-place mlsw_step gives the frozen reference's bits."""
+    """mlsw_step gives the frozen transport's bits in h, and in u the
+    solution of the implicit exchange and friction system."""
 
     CASES = [(0.7, 1e-3, 10, "sub", 1.0), (0.9, 1e-3, 10, "super", 1.0),
              (1.3, 1e-3, 10, "sub", 1.0), (2.5, 1e-3, 10, "super", 1.0),
@@ -253,22 +316,29 @@ class TestMlswStepMatchesReference:
     def bits(a):
         return a.view(np.uint64)
 
+    def check_step(self, state, layers, dt, p, grid, left):
+        """One step against the assembled system; returns it and G."""
+        h_new, A, rhs, G = assembled_system(state, layers, dt, p, grid,
+                                            left)
+        before = state.h.copy(), state.u.copy()
+        got = mlsw_step(state, layers, dt, p, grid, left)
+        assert np.array_equal(self.bits(got.h), self.bits(h_new))
+        want = np.stack([np.linalg.solve(A[j], rhs[:, j])
+                         for j in range(grid.n_cells)], axis=1)
+        assert np.allclose(got.u, want, rtol=1e-12, atol=0)
+        # the work arrays are the step's own, never its input
+        assert np.array_equal(state.h, before[0])
+        assert np.array_equal(state.u, before[1])
+        return got, G
+
     @pytest.mark.parametrize("fr, db, N, inflow, u0", CASES)
     def test_steps_match_bit_for_bit(self, fr, db, N, inflow, u0):
         grid, p, layers, state, left = bump_setup(fr, db, N, inflow, u0)
         signs = set()
         for _ in range(8):
             dt = mlsw_compute_dt(state, p, grid.dx)
-            want, G = reference_step(state, layers, dt, p, grid, left)
-            before = state.h.copy(), state.u.copy()
-            got = mlsw_step(state, layers, dt, p, grid, left)
-            assert np.array_equal(self.bits(got.h), self.bits(want.h))
-            assert np.array_equal(self.bits(got.u), self.bits(want.u))
-            # the work arrays are the step's own, never its input
-            assert np.array_equal(state.h, before[0])
-            assert np.array_equal(state.u, before[1])
-            signs |= set(np.sign(G[:-1]).ravel().tolist())
-            state = got
+            state, G = self.check_step(state, layers, dt, p, grid, left)
+            signs |= set(np.sign(G).ravel().tolist())
         if N > 1:   # the exchange upwinds both ways
             assert {-1.0, 1.0} <= signs
 
@@ -278,10 +348,52 @@ class TestMlswStepMatchesReference:
             grid, p, layers, state, left = bump_setup(1.3, 1e-3, 6, "super",
                                                       u0, alpha=0.0)
             state = MlswState.uniform(layers, grid.n_cells, 2.0, u0)
-            want, _ = reference_step(state, layers, 1e-3, p, grid, left)
-            got = mlsw_step(state, layers, 1e-3, p, grid, left)
-            assert np.array_equal(self.bits(got.h), self.bits(want.h))
-            assert np.array_equal(self.bits(got.u), self.bits(want.u))
+            _, G = self.check_step(state, layers, 1e-3, p, grid, left)
+            assert not G.any()
+
+    @pytest.mark.parametrize("fr, db, N, inflow, u0",
+                             CASES[:5] + CASES[7:9])
+    def test_explicit_exchange_agrees_to_second_order(self, fr, db, N,
+                                                      inflow, u0):
+        # the implicit exchange differs from the explicit one by
+        # dt*G*(u_new - u_old) per step, O(dt^2). Left out: one layer (no
+        # exchange), and the strong friction and N = 100 cases, whose bed
+        # layers relax in a time h_alpha^2/nu below these dt, so that
+        # u_new - u_old is O(1) there and the gap only O(dt)
+        grid, p, layers, state, left = bump_setup(fr, db, N, inflow, u0)
+        gaps = []
+        for dt in (1e-3, 1e-4):
+            got = mlsw_step(state, layers, dt, p, grid, left)
+            old = explicit_exchange_step(state, layers, dt, p, grid, left)
+            gaps.append(np.max(np.abs(got.u - old)))
+        order = math.log10(gaps[0] / gaps[1])
+        assert 1.8 < order < 2.2
+
+    @pytest.mark.parametrize("fr, db, N, inflow, u0", CASES)
+    def test_assembled_matrix_is_an_m_matrix(self, fr, db, N, inflow, u0,
+                                             monkeypatch):
+        # the system mlsw_step hands to _thomas: off-diagonals <= 0, and
+        # each column sums to h_alpha_new, plus c_bot in the bed row
+        grid, p, layers, state, left = bump_setup(fr, db, N, inflow, u0)
+        seen = []
+        monkeypatch.setattr(mlsw, "_thomas",
+                            lambda *args: seen.append(args) or _thomas(*args))
+        for _ in range(4):
+            dt = mlsw_compute_dt(state, p, grid.dx)
+            state_new = mlsw_step(state, layers, dt, p, grid, left)
+            lower, diag, upper, _ = seen.pop()
+            assert (lower <= 0.0).all() and (upper <= 0.0).all()
+            h_alpha_new = layers.fractions[:, None] * state_new.h[None, :]
+            c_bot, _ = friction_coupling(h_alpha_new, p, dt)
+            want = h_alpha_new.copy()
+            want[0] += c_bot
+            column = diag.copy()
+            column[1:] += upper
+            column[:-1] += lower
+            # to the rounding of the sums, whose largest term is diag
+            eps = np.finfo(float).eps
+            assert (np.abs(column - want) <= 8.0 * eps * diag).all()
+            state = state_new
 
 
 class TestTransportFailure:

@@ -732,8 +732,10 @@ class TestCli:
                      "run.t_end=0.02")
 
     def mlsw_args(self, verb, out, *settings):
+        """The test's settings come last, so that they override the shared
+        ones."""
         args = [verb, "--out", str(out)]
-        for setting in (*settings, *self.MLSW_SETTINGS):
+        for setting in (*self.MLSW_SETTINGS, *settings):
             args += ["--set", setting]
         return args
 
@@ -762,7 +764,10 @@ class TestCli:
                                                   else 1), *rest)
 
         monkeypatch.setattr(scenarios, "mlsw_step", too_long)
-        rc = cli.main(self.mlsw_args("mlsw", tmp_path / "o", "bump.alpha=0.5"))
+        # long enough for a second step: the first CFL step is longer than
+        # the shared t_end of 0.02
+        rc = cli.main(self.mlsw_args("mlsw", tmp_path / "o", "bump.alpha=0.5",
+                                     "run.t_end=0.1"))
         assert rc == 3
         where = re.escape(f"(step 1, t={dts[0]!r})")
         assert re.fullmatch(rf"numerical failure: h at or below the dry "
