@@ -66,17 +66,19 @@ def _ghosted(state: MlswState, left: InflowSpec, layers: LayerGrid,
     return with_ghosts(state.h, h_g, 1), with_ghosts(state.u, u_g, 1)
 
 
-def mlsw_compute_dt(state: MlswState, params: PhysicalParams, dx,
-                    dt_cap=np.inf) -> float:
-    """CFL step 0.9*dx/max|lambda| from the fastest layer speed
-    |u| + sqrt(h)/Fr, reduced by dt_cap. It keeps the Rusanov transport's
-    per-cell sum dt*(s(i-1/2) + s(i+1/2))/(2 dx) within 0.9; the exchange,
-    implicit, sets no limit."""
-    lam = np.max(np.abs(state.u), axis=0) + np.sqrt(state.h) / params.froude
-    lam_max = float(np.max(lam))
+def mlsw_compute_dt(speed, h, dx, dt_cap=np.inf) -> float:
+    """CFL step 0.9*dx/max(speed), reduced by dt_cap, from the ghosted
+    cell speeds |u| + sqrt(h)/Fr of mlsw_step and their depths h. It keeps
+    the Rusanov transport's per-cell sum dt*(s(i-1/2) + s(i+1/2))/(2 dx)
+    within 0.9; the exchange, implicit, sets no limit. A non-finite speed
+    is named by its cell, the interior first, the ghosts as -1 and n."""
+    lam_max = float(np.max(speed[1:-1]))
     if not np.isfinite(lam_max):
-        cell = int(np.flatnonzero(~np.isfinite(lam))[0])
-        raise NonFiniteState("u" if np.isfinite(state.h[cell]) else "h", cell)
+        n = speed.size - 2
+        # the interior first: an inflow ghost inherits a NaN of cell 0
+        col = next(j for j in (*range(1, n + 1), 0, n + 1)
+                   if not np.isfinite(speed[j]))
+        raise NonFiniteState("u" if np.isfinite(h[col]) else "h", col - 1)
     dt = min(CFL_NUMBER * dx / lam_max, dt_cap)
     if not dt > 0.0:
         raise NonpositiveTimeStep(f"nonpositive time step {dt!r}")
@@ -149,11 +151,11 @@ def _cell_diff(faces, out):
     return out
 
 
-def mlsw_step(state: MlswState, layers: LayerGrid, dt,
-              params: PhysicalParams, grid: Grid1D,
-              left: InflowSpec) -> MlswState:
-    """One step: explicit transport, then the exchange and the vertical
-    friction in one implicit tridiagonal solve per cell.
+def mlsw_step(state: MlswState, layers: LayerGrid, params: PhysicalParams,
+              grid: Grid1D, left: InflowSpec, dt_cap=np.inf):
+    """One step of mlsw_compute_dt's dt, at most dt_cap: explicit
+    transport, then the exchange and the vertical friction in one implicit
+    tridiagonal solve per cell; returns (MlswState, dt).
 
     Every (N, .) array has the ghosted state's n + 2 columns: cell j and
     interface j + 1/2 both in column j. Neighbouring cells, interfaces and
@@ -170,14 +172,17 @@ def mlsw_step(state: MlswState, layers: LayerGrid, dt,
     fr2 = params.froude**2
     ell = layers.fractions
     h, u = _ghosted(state, left, layers, params)
+    # the cell speeds before any product, so that a non-finite cell is
+    # named before NumPy warns of it
+    abs_u = np.abs(u)
+    cell_speed = np.max(abs_u, axis=0) + np.sqrt(h) / params.froude
+    dt = mlsw_compute_dt(cell_speed, h, grid.dx, dt_cap)
     eta = h + with_ghosts(grid.topo, grid.topo[0], 1)
     ellh = _outer(ell, h)                 # layer depths
     hu = ellh * u
-    abs_u = np.abs(u)
 
     # interface wave speed (local Lax-Friedrichs) and free-surface jump, 0
     # in the last column
-    cell_speed = np.max(abs_u, axis=0) + np.sqrt(h) / params.froude
     s, jump = np.zeros(width), np.zeros(width)
     np.maximum(cell_speed[:-1], cell_speed[1:], out=s[:-1])
     np.subtract(eta[1:], eta[:-1], out=jump[:-1])
@@ -255,7 +260,7 @@ def mlsw_step(state: MlswState, layers: LayerGrid, dt,
     lower = np.add(off, g_up, out=g_up)
     cells = np.s_[:, 1:-1]
     return MlswState(h_new, _thomas(lower[cells], diag[cells], upper[cells],
-                                    rhs[cells]))
+                                    rhs[cells])), dt
 
 
 def mlsw_diagnostics(state: MlswState, layers: LayerGrid,

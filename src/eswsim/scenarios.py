@@ -16,8 +16,7 @@ from .closures import (BLASIUS_F2, BLASIUS_H, DELTA1_FLOOR, ClosureLaw,
                        FalknerSkanFit, FixedProfile, Pohlhausen4,
                        closure_factors, ue_gradient)
 from .errors import ConfigError, DomainError
-from .mlsw import LayerGrid, MlswState, mlsw_compute_dt, mlsw_diagnostics, \
-    mlsw_step
+from .mlsw import LayerGrid, MlswState, mlsw_diagnostics, mlsw_step
 from .state import ConservedState, Grid1D, PhysicalParams, recover_delta1
 from .timeloop import (BoundarySpec, RunState, SubcriticalInflow,
                        SupercriticalInflow, advance, march)
@@ -291,8 +290,8 @@ def run_scenario(config: ScenarioConfig, out_dir=None) -> RunState:
         layers = LayerGrid(config.n_layers)
 
         def mlsw_take_step(run: RunState, dt_cap) -> RunState:
-            dt = mlsw_compute_dt(run.W, params, grid.dx, dt_cap=dt_cap)
-            W = mlsw_step(run.W, layers, dt, params, grid, boundaries.left)
+            W, dt = mlsw_step(run.W, layers, params, grid, boundaries.left,
+                              dt_cap)
             return RunState(run.t + dt, run.step_count + 1, W, dt)
 
         run = march(run, config.t_end, mlsw_take_step)

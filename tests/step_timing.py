@@ -18,10 +18,11 @@ bump n = 400 step hands it, and the CPU
 milliseconds per emit_snapshot of an n = 20 000 ImpulsiveStart state at
 t = 0.0075: on one grid written again and again (as the files of one run
 are), and on a fresh grid for every write (as the first file of a run is).
-Last, the best microseconds per mlsw_step (the Thomas solve included) and
-per mlsw._thomas at the size of the mlsw_bump benchmark (n = 300, N = 100),
-on a bump state 30 steps into its run: the steps march on from it with its
-time step, and the solve is the one its first step makes.
+Last, the best microseconds per mlsw_step (its time step and the Thomas
+solve included) and per mlsw._thomas at the size of the mlsw_bump
+benchmark (n = 300, N = 100), on a bump state 30 steps into its run: the
+steps march on from it, each with its own time step, and the solve is the
+one its first step makes.
 
 With --ops it times nothing and prints, for the flat n = 10 and bump
 n = 400 steps, the NumPy calls that one timeloop.step makes on arrays:
@@ -210,13 +211,11 @@ def mlsw_us(rounds):
     layers = mlsw.LayerGrid(config.n_layers)
     state = initial_state(config).W
     for _ in range(MLSW_WARM_STEPS):
-        dt = mlsw.mlsw_compute_dt(state, params, grid.dx)
-        state = mlsw.mlsw_step(state, layers, dt, params, grid, left)
-    dt = mlsw.mlsw_compute_dt(state, params, grid.dx)
+        state, _ = mlsw.mlsw_step(state, layers, params, grid, left)
     solve, seen = mlsw._thomas, []
     mlsw._thomas = lambda *args: seen.append(args) or solve(*args)
     try:
-        mlsw.mlsw_step(state, layers, dt, params, grid, left)
+        mlsw.mlsw_step(state, layers, params, grid, left)
     finally:
         mlsw._thomas = solve
     best = [float("inf"), float("inf")]
@@ -225,7 +224,7 @@ def mlsw_us(rounds):
         # the heap sees a run's pattern of allocations
         t0, run = time.perf_counter(), state
         for _ in range(MLSW_REPS):
-            run = mlsw.mlsw_step(run, layers, dt, params, grid, left)
+            run, _ = mlsw.mlsw_step(run, layers, params, grid, left)
         best[0] = min(best[0], (time.perf_counter() - t0) / MLSW_REPS)
         t0 = time.perf_counter()
         for _ in range(MLSW_REPS):

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from eswsim import (Grid1D, LayerGrid, MlswState, PhysicalParams, RunState,
-                    SubcriticalInflow, SupercriticalInflow, mlsw_compute_dt,
-                    mlsw_diagnostics, mlsw_step)
+                    SubcriticalInflow, SupercriticalInflow, mlsw_diagnostics,
+                    mlsw_step)
 from eswsim import mlsw
 from eswsim.analytic import gaussian_bump
 from eswsim.errors import (DegenerateProfile, DomainError, DryCell,
@@ -149,21 +149,32 @@ class TestThomas:
 
 
 class TestComputeDt:
+    """mlsw_compute_dt on the ghosted cell speeds that mlsw_step hands it."""
+
+    layers, grid = LayerGrid(5), Grid1D.uniform(0.0, 1.0, 10)
+
+    def step(self, state, left=SubcriticalInflow(u_in=1.0), dt_cap=np.inf):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return mlsw_step(state, self.layers, params(), self.grid, left,
+                             dt_cap)
+
     def test_non_finite_cell_is_named(self):
-        layers = LayerGrid(5)
-        for field, value in (("h", np.nan), ("u", np.nan), ("h", np.inf)):
-            state = MlswState.uniform(layers, 10, 2.0, 1.0)
-            getattr(state, field)[..., 4] = value
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(NonFiniteState) as info:
-                    mlsw_compute_dt(state, params(), 0.1)
-            assert (info.value.field, info.value.cell) == (field, 4)
+        # the subcritical inflow ghost inherits a NaN of cell 0, which is
+        # named as cell 0 all the same
+        for field, value, cell in (("h", np.nan, 4), ("u", np.nan, 4),
+                                   ("h", np.inf, 4), ("h", np.nan, 0),
+                                   ("u", np.nan, 0)):
+            state = MlswState.uniform(self.layers, 10, 2.0, 1.0)
+            getattr(state, field)[..., cell] = value
+            with pytest.raises(NonFiniteState) as info:
+                self.step(state)
+            assert (info.value.field, info.value.cell) == (field, cell)
 
     def test_nonpositive_time_step(self):
-        state = MlswState.uniform(LayerGrid(5), 10, 2.0, 1.0)
+        state = MlswState.uniform(self.layers, 10, 2.0, 1.0)
         with pytest.raises(NonpositiveTimeStep):
-            mlsw_compute_dt(state, params(), 0.1, dt_cap=0.0)
+            self.step(state, dt_cap=0.0)
 
 
 class TestMarch:
@@ -174,9 +185,8 @@ class TestMarch:
         left = SubcriticalInflow(u_in=1.0)
 
         def take_step(run, dt_cap):
-            dt = mlsw_compute_dt(run.W, p, grid.dx, dt_cap=dt_cap)
-            return RunState(run.t + dt, run.step_count + 1,
-                            mlsw_step(run.W, layers, dt, p, grid, left), dt)
+            W, dt = mlsw_step(run.W, layers, p, grid, left, dt_cap)
+            return RunState(run.t + dt, run.step_count + 1, W, dt)
 
         start = RunState(0.01, 12, MlswState.uniform(layers, 10, 2.0, 1.0))
         seen = []
@@ -316,12 +326,14 @@ class TestMlswStepMatchesReference:
     def bits(a):
         return a.view(np.uint64)
 
-    def check_step(self, state, layers, dt, p, grid, left):
-        """One step against the assembled system; returns it and G."""
+    def check_step(self, state, layers, dt_cap, p, grid, left):
+        """One step of at most dt_cap against the assembled system; returns
+        it and G."""
+        before = state.h.copy(), state.u.copy()
+        got, dt = mlsw_step(state, layers, p, grid, left, dt_cap)
+        assert dt == dt_cap or dt_cap == np.inf
         h_new, A, rhs, G = assembled_system(state, layers, dt, p, grid,
                                             left)
-        before = state.h.copy(), state.u.copy()
-        got = mlsw_step(state, layers, dt, p, grid, left)
         assert np.array_equal(self.bits(got.h), self.bits(h_new))
         want = np.stack([np.linalg.solve(A[j], rhs[:, j])
                          for j in range(grid.n_cells)], axis=1)
@@ -336,8 +348,7 @@ class TestMlswStepMatchesReference:
         grid, p, layers, state, left = bump_setup(fr, db, N, inflow, u0)
         signs = set()
         for _ in range(8):
-            dt = mlsw_compute_dt(state, p, grid.dx)
-            state, G = self.check_step(state, layers, dt, p, grid, left)
+            state, G = self.check_step(state, layers, np.inf, p, grid, left)
             signs |= set(np.sign(G).ravel().tolist())
         if N > 1:   # the exchange upwinds both ways
             assert {-1.0, 1.0} <= signs
@@ -363,7 +374,8 @@ class TestMlswStepMatchesReference:
         grid, p, layers, state, left = bump_setup(fr, db, N, inflow, u0)
         gaps = []
         for dt in (1e-3, 1e-4):
-            got = mlsw_step(state, layers, dt, p, grid, left)
+            got, dt_got = mlsw_step(state, layers, p, grid, left, dt)
+            assert dt_got == dt
             old = explicit_exchange_step(state, layers, dt, p, grid, left)
             gaps.append(np.max(np.abs(got.u - old)))
         order = math.log10(gaps[0] / gaps[1])
@@ -379,8 +391,7 @@ class TestMlswStepMatchesReference:
         monkeypatch.setattr(mlsw, "_thomas",
                             lambda *args: seen.append(args) or _thomas(*args))
         for _ in range(4):
-            dt = mlsw_compute_dt(state, p, grid.dx)
-            state_new = mlsw_step(state, layers, dt, p, grid, left)
+            state_new, dt = mlsw_step(state, layers, p, grid, left)
             lower, diag, upper, _ = seen.pop()
             assert (lower <= 0.0).all() and (upper <= 0.0).all()
             h_alpha_new = layers.fractions[:, None] * state_new.h[None, :]
@@ -397,16 +408,18 @@ class TestMlswStepMatchesReference:
 
 
 class TestTransportFailure:
-    def test_first_nonpositive_cell_is_named(self):
+    def test_first_nonpositive_cell_is_named(self, monkeypatch):
         grid, p, layers, _, left = bump_setup(1.0, 1e-3, 10, "super", 1.0,
                                               alpha=0.5, n=30)
         state = MlswState.uniform(layers, grid.n_cells, 2.0, 1.0)
-        dt = 100.0 * mlsw_compute_dt(state, p, grid.dx)
+        # a step of 100 times the CFL step
+        monkeypatch.setattr(mlsw, "CFL_NUMBER", 100.0 * mlsw.CFL_NUMBER)
         # the total-depth update by hand, from the layer-summed mass flux
         h, u = _ghosted(state, left, layers, p)
         eta = h + np.concatenate([[grid.topo[0]], grid.topo,
                                   [grid.topo[-1]]])
         speed = np.max(np.abs(u), axis=0) + np.sqrt(h)
+        dt = mlsw.CFL_NUMBER * grid.dx / speed.max()
         s = np.maximum(speed[:-1], speed[1:])
         hU = h * np.sum(layers.fractions[:, None] * u, axis=0)
         F = 0.5 * (hU[:-1] + hU[1:]) - 0.5 * s * (eta[1:] - eta[:-1])
@@ -416,7 +429,7 @@ class TestTransportFailure:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DryCell) as info:
-                mlsw_step(state, layers, dt, p, grid, left)
+                mlsw_step(state, layers, p, grid, left)
         exc = info.value
         assert (exc.field, exc.cell, exc.step) == ("h", first, None)
         assert str(exc) == f"h at or below the dry threshold in cell {first}"
@@ -453,8 +466,7 @@ class TestSingleLayerDegeneration:
             u_new = hu_star / (h_new + 2.0 * nu * dt / h_new)
             return h_new, u_new
 
-        dt = mlsw_compute_dt(state, p, grid.dx)
-        got = mlsw_step(state, layers, dt, p, grid, left)
+        got, dt = mlsw_step(state, layers, p, grid, left)
         h_ref, u_ref = oracle(h, u, dt, grid.dx)
         assert np.allclose(got.h, h_ref, rtol=0, atol=1e-12)
         assert np.allclose(got.u[0], u_ref, rtol=0, atol=1e-12)
@@ -470,7 +482,7 @@ class TestConservation:
         state = MlswState(h=rng.uniform(1.8, 2.2, n),
                           u=rng.uniform(0.9, 1.1, (20, n)))
         left = SupercriticalInflow(u_in=1.0, h_in=2.0)
-        dt = mlsw_compute_dt(state, p, grid.dx)
+        got, dt = mlsw_step(state, layers, p, grid, left)
         # interior mass change must equal the boundary flux difference;
         # recompute the boundary fluxes from the ghosted state by hand
         from eswsim.mlsw import _ghosted
@@ -482,7 +494,6 @@ class TestConservation:
         jump = h_g[1:] - h_g[:-1]
         fm = np.sum(0.5 * (hu[:, :-1] + hu[:, 1:])
                     - 0.5 * s[None, :] * ell * jump[None, :], axis=0)
-        got = mlsw_step(state, layers, dt, p, grid, left)
         dM = np.sum(got.h - state.h) * grid.dx
         assert dM == pytest.approx(-dt * (fm[-1] - fm[0]), abs=1e-12)
 
@@ -494,8 +505,7 @@ class TestConservation:
         p = params(db=0.05)  # exaggerated friction
         state = MlswState.uniform(layers, n, 2.0, 1.0)
         left = SupercriticalInflow(u_in=1.0, h_in=2.0)
-        dt = mlsw_compute_dt(state, p, grid.dx)
-        got = mlsw_step(state, layers, dt, p, grid, left)
+        got, dt = mlsw_step(state, layers, p, grid, left)
         # uniform initial state: transport and exchange vanish, so the
         # whole momentum change is the implicit friction sink
         ell = layers.fractions[:, None]
@@ -514,7 +524,8 @@ class TestConservation:
         state = MlswState(h=1.0 - grid.topo,
                           u=np.zeros((10, n)))
         left = SupercriticalInflow(u_in=0.0, h_in=1.0 - grid.topo[0])
-        got = mlsw_step(state, layers, 1e-3, p, grid, left)
+        got, dt = mlsw_step(state, layers, p, grid, left, 1e-3)
+        assert dt == 1e-3
         assert np.max(np.abs(got.h - state.h)) < 1e-14
         assert np.max(np.abs(got.u)) < 1e-14
 
@@ -531,9 +542,8 @@ class TestStokesDiffusion:
         left = SupercriticalInflow(u_in=1.0, h_in=2.0)
         t = 0.0
         while t < 0.25:
-            dt = mlsw_compute_dt(state, p, grid.dx,
-                                 dt_cap=min(2e-3, 0.25 - t))
-            state = mlsw_step(state, layers, dt, p, grid, left)
+            state, dt = mlsw_step(state, layers, p, grid, left,
+                                  dt_cap=min(2e-3, 0.25 - t))
             t += dt
         d1, d2, H, f2, tau = mlsw_diagnostics(state, layers, p)
         j = n - 1  # inlet influence has not reached the last cell yet

@@ -8,7 +8,7 @@ import pytest
 from conftest import from_primitive_fields
 from hypothesis import example, given, settings, strategies as st
 
-from eswsim import cli, scenarios
+from eswsim import cli, mlsw, scenarios
 from eswsim.analytic import ReferenceCurve, blasius_steady, l1_error
 from eswsim.errors import ConfigError, DomainError, NonFiniteState
 from eswsim.scenarios import (_CHUNK_ROWS, ScenarioConfig, _run_columns,
@@ -477,11 +477,11 @@ class TestRunScenario:
         real_step, steps = scenarios.mlsw_step, []
 
         def poisoned(*args):
-            state = real_step(*args)
+            state, dt = real_step(*args)
             steps.append(state)
             if len(steps) == 3:
                 state.u[2, 4] = np.nan
-            return state
+            return state, dt
 
         monkeypatch.setattr(scenarios, "mlsw_step", poisoned)
         cfg = ScenarioConfig(scenario="MlswCompare", x_max=2.0, n_cells=30,
@@ -755,15 +755,14 @@ class TestCli:
 
     def test_mlsw_transport_failure_names_step_and_time(self, tmp_path,
                                                          monkeypatch, capsys):
-        real_step, dts = scenarios.mlsw_step, []
+        real_dt, dts = mlsw.mlsw_compute_dt, []
 
-        def too_long(state, layers, dt, *rest):
+        def too_long(*args):
             # the second step takes 100 times the CFL step over the bump
-            dts.append(dt)
-            return real_step(state, layers, dt * (100 if len(dts) == 2
-                                                  else 1), *rest)
+            dts.append(real_dt(*args) * (100 if dts else 1))
+            return dts[-1]
 
-        monkeypatch.setattr(scenarios, "mlsw_step", too_long)
+        monkeypatch.setattr(mlsw, "mlsw_compute_dt", too_long)
         # long enough for a second step: the first CFL step is longer than
         # the shared t_end of 0.02
         rc = cli.main(self.mlsw_args("mlsw", tmp_path / "o", "bump.alpha=0.5",
