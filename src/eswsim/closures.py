@@ -40,9 +40,9 @@ class FixedProfile:
     f2: float = BLASIUS_F2
 
     def __post_init__(self):
-        if not (1.0 <= self.H < np.inf and np.isfinite(self.f2)):
+        if not (1.0 <= self.H < np.inf and 0.0 <= self.f2 < np.inf):
             raise DomainError("FixedProfile requires a finite H >= 1 and a "
-                              "finite f2")
+                              "finite f2 >= 0")
 
 
 @dataclass(frozen=True)

@@ -67,18 +67,16 @@ def _ghosted(state: MlswState, left: InflowSpec, layers: LayerGrid,
 
 
 def mlsw_compute_dt(speed, h, dx, dt_cap=np.inf) -> float:
-    """CFL step 0.9*dx/max(speed), reduced by dt_cap, from the ghosted
-    cell speeds |u| + sqrt(h)/Fr of mlsw_step and their depths h. It keeps
-    the Rusanov transport's per-cell sum dt*(s(i-1/2) + s(i+1/2))/(2 dx)
-    within 0.9; the exchange, implicit, sets no limit. A non-finite speed
-    is named by its cell, the interior first, the ghosts as -1 and n."""
-    lam_max = float(np.max(speed[1:-1]))
+    """CFL step 0.9*dx/max(speed), reduced by dt_cap, over the speeds
+    |u| + sqrt(h)/Fr of mlsw_step's n + 2 ghosted cells, of depths h: every
+    cell's Rusanov sum dt*(s(i-1/2) + s(i+1/2))/(2 dx) stays within 0.9;
+    the exchange, implicit, sets no limit. The ghosts are cells -1 and n."""
+    lam_max = float(np.max(speed))
     if not np.isfinite(lam_max):
-        n = speed.size - 2
         # the interior first: an inflow ghost inherits a NaN of cell 0
-        col = next(j for j in (*range(1, n + 1), 0, n + 1)
-                   if not np.isfinite(speed[j]))
-        raise NonFiniteState("u" if np.isfinite(h[col]) else "h", col - 1)
+        for j in (*range(1, speed.size - 1), 0, speed.size - 1):
+            if not np.isfinite(speed[j]):
+                raise NonFiniteState("u" if np.isfinite(h[j]) else "h", j - 1)
     dt = min(CFL_NUMBER * dx / lam_max, dt_cap)
     if not dt > 0.0:
         raise NonpositiveTimeStep(f"nonpositive time step {dt!r}")
@@ -153,9 +151,9 @@ def _cell_diff(faces, out):
 
 def mlsw_step(state: MlswState, layers: LayerGrid, params: PhysicalParams,
               grid: Grid1D, left: InflowSpec, dt_cap=np.inf):
-    """One step of mlsw_compute_dt's dt, at most dt_cap: explicit
-    transport, then the exchange and the vertical friction in one implicit
-    tridiagonal solve per cell; returns (MlswState, dt).
+    """One step of mlsw_compute_dt's dt, at most dt_cap: explicit transport,
+    then the exchange and the vertical friction in one implicit tridiagonal
+    solve per cell. Returns (MlswState, dt).
 
     Every (N, .) array has the ghosted state's n + 2 columns: cell j and
     interface j + 1/2 both in column j. Neighbouring cells, interfaces and
@@ -172,8 +170,7 @@ def mlsw_step(state: MlswState, layers: LayerGrid, params: PhysicalParams,
     fr2 = params.froude**2
     ell = layers.fractions
     h, u = _ghosted(state, left, layers, params)
-    # the cell speeds before any product, so that a non-finite cell is
-    # named before NumPy warns of it
+    # the speeds that dt and the fluxes read, before a product can warn
     abs_u = np.abs(u)
     cell_speed = np.max(abs_u, axis=0) + np.sqrt(h) / params.froude
     dt = mlsw_compute_dt(cell_speed, h, grid.dx, dt_cap)

@@ -287,11 +287,10 @@ def run_scenario(config: ScenarioConfig, out_dir=None) -> RunState:
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     if config.scenario == "MlswCompare":
-        layers = LayerGrid(config.n_layers)
+        layers, left = LayerGrid(config.n_layers), boundaries.left
 
         def mlsw_take_step(run: RunState, dt_cap) -> RunState:
-            W, dt = mlsw_step(run.W, layers, params, grid, boundaries.left,
-                              dt_cap)
+            W, dt = mlsw_step(run.W, layers, params, grid, left, dt_cap)
             return RunState(run.t + dt, run.step_count + 1, W, dt)
 
         run = march(run, config.t_end, mlsw_take_step)

@@ -151,6 +151,11 @@ class TestFixedProfile:
             FixedProfile(H=2.0, f2=float("nan"))
         with pytest.raises(DomainError):
             FixedProfile(H=float("inf"))
+        # a negative f2 would set a zero reverse-flow step at delta1 = 0,
+        # where every run starts
+        with pytest.raises(DomainError):
+            FixedProfile(H=2.0, f2=-0.1)
+        FixedProfile(H=2.0, f2=0.0)
 
     def test_constant(self):
         law = FixedProfile(H=3.0, f2=0.1)

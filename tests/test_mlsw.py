@@ -9,7 +9,7 @@ import pytest
 from eswsim import (Grid1D, LayerGrid, MlswState, PhysicalParams, RunState,
                     SubcriticalInflow, SupercriticalInflow, mlsw_diagnostics,
                     mlsw_step)
-from eswsim import mlsw
+from eswsim import mlsw, scenarios
 from eswsim.analytic import gaussian_bump
 from eswsim.errors import (DegenerateProfile, DomainError, DryCell,
                            NonFiniteState, NonpositiveTimeStep,
@@ -170,6 +170,14 @@ class TestComputeDt:
             with pytest.raises(NonFiniteState) as info:
                 self.step(state)
             assert (info.value.field, info.value.cell) == (field, cell)
+
+    def test_non_finite_inflow_ghost_alone_is_named(self):
+        for left, field in ((SupercriticalInflow(u_in=1.0, h_in=np.nan), "h"),
+                            (SupercriticalInflow(u_in=np.inf, h_in=2.0), "u")):
+            state = MlswState.uniform(self.layers, 10, 2.0, 1.0)
+            with pytest.raises(NonFiniteState) as info:
+                self.step(state, left)
+            assert (info.value.field, info.value.cell) == (field, -1)
 
     def test_nonpositive_time_step(self):
         state = MlswState.uniform(self.layers, 10, 2.0, 1.0)
@@ -433,6 +441,35 @@ class TestTransportFailure:
         exc = info.value
         assert (exc.field, exc.cell, exc.step) == ("h", first, None)
         assert str(exc) == f"h at or below the dry threshold in cell {first}"
+
+
+class TestTransportSum:
+    def test_every_cell_of_every_step(self, monkeypatch, tmp_path):
+        # the Rusanov per-cell sum dt*(s(i-1/2) + s(i+1/2))/(2 dx) stays
+        # within the CFL number in every cell, the first included, whose
+        # left interface also reads the inflow ghost: on a flat run the
+        # ghost is faster than every cell in its first steps
+        config = scenarios.ScenarioConfig(
+            scenario="MlswCompare", x_max=2.0, n_cells=40, n_layers=10,
+            bump_alpha=0.0, t_end=0.3)
+        real_step, sums, widest = scenarios.mlsw_step, [], []
+
+        def checking(state, layers, p, grid, left, dt_cap):
+            h, u = _ghosted(state, left, layers, p)
+            speed = np.max(np.abs(u), axis=0) + np.sqrt(h) / p.froude
+            s = np.maximum(speed[:-1], speed[1:])
+            new, dt = real_step(state, layers, p, grid, left, dt_cap)
+            sums.append(dt * (s[:-1] + s[1:]) / (2.0 * grid.dx))
+            widest.append(dt * s.max() / grid.dx)
+            return new, dt
+
+        monkeypatch.setattr(scenarios, "mlsw_step", checking)
+        scenarios.run_scenario(config, tmp_path)
+        sums = np.array(sums)
+        assert sums.shape == (17, 40)
+        assert np.all(sums <= mlsw.CFL_NUMBER * (1.0 + 4e-16))
+        # and no step is shorter than the bound, but the last, cut short
+        assert np.allclose(widest[:-1], mlsw.CFL_NUMBER, rtol=1e-15, atol=0)
 
 
 class TestSingleLayerDegeneration:

@@ -106,10 +106,11 @@ class TestConfigParsing:
         ScenarioConfig(bump_alpha=nan)  # no bump is built
         ScenarioConfig(scenario="Bump", bump_alpha=-0.01)   # a dip is valid
         for H, f2 in ((0.5, 0.22), (nan, 0.22), (inf, 0.22), (2.59, nan),
-                      (2.59, inf)):
+                      (2.59, inf), (2.59, -0.1)):
             with pytest.raises(ConfigError, match="fixed"):
                 ScenarioConfig(closure="fixed", fixed_H=H, fixed_f2=f2)
-        ScenarioConfig(closure="fixed", fixed_H=1.0, fixed_f2=-0.1)
+        # no friction; a negative f2 could take no step from delta1 = 0
+        ScenarioConfig(closure="fixed", fixed_H=1.0, fixed_f2=0.0)
         ScenarioConfig(fixed_H=0.5)     # read by the fixed closure only
         # times whose snapshot files would overwrite each other
         for times in ((0.005, 0.005), (0.005, 0.0050000001), (0.0, -0.0)):
@@ -549,7 +550,9 @@ class TestCli:
                              ["run.boundary=supercritical", "init.h0=4"],
                              ["physics.closure=fixed", "physics.fixed_H=0.5"],
                              ["physics.closure=fixed",
-                              "physics.fixed_f2=nan"]):
+                              "physics.fixed_f2=nan"],
+                             ["physics.closure=fixed",
+                              "physics.fixed_f2=-0.1"]):
                 args = [verb, "--out", str(tmp_path / "o")]
                 for setting in settings:
                     args += ["--set", setting]
