@@ -60,8 +60,10 @@ class MlswState:
 def _ghosted(state: MlswState, left: InflowSpec, layers: LayerGrid,
              params: PhysicalParams):
     """One ghost cell per side: inflow_ghost's depth and velocity for the
-    depth-averaged U of the first cell, with a flat profile; free outflow."""
-    U1 = float(np.sum(layers.fractions * state.u[:, 0]))
+    depth-averaged U of the first cell, with a flat profile; free outflow.
+    A non-finite U (inf - inf) is left for mlsw_compute_dt to name."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        U1 = float(np.sum(layers.fractions * state.u[:, 0]))
     h_g, u_g = inflow_ghost(left, state.h[0], U1, params.froude)
     return with_ghosts(state.h, h_g, 1), with_ghosts(state.u, u_g, 1)
 

@@ -19,7 +19,7 @@ from .errors import ConfigError, DomainError
 from .mlsw import LayerGrid, MlswState, mlsw_diagnostics, mlsw_step
 from .state import ConservedState, Grid1D, PhysicalParams, recover_delta1
 from .timeloop import (BoundarySpec, RunState, SubcriticalInflow,
-                       SupercriticalInflow, advance, march)
+                       SupercriticalInflow, march, step)
 
 SCENARIOS = ("BlasiusSteady", "ImpulsiveStart", "Bump", "MlswCompare")
 _BED = ("Bump", "MlswCompare")          # the scenarios with a Gaussian bed
@@ -258,54 +258,51 @@ def _write_metadata(config: ScenarioConfig, out_dir: Path, wall_time: float,
                                           encoding="utf-8")
 
 
-def initial_state(config: ScenarioConfig) -> RunState:
-    """The t = 0 state of either model: depth h0 and velocity u0 in every
-    cell, with no viscous layer (ESW) or the same velocity in every layer
-    (MlswCompare, whose W is an MlswState)."""
-    n = config.n_cells
+def model(config: ScenarioConfig):
+    """(grid, start, take_step, write) of the configured model: the t = 0
+    RunState (h0, and u0 in every cell and MLSW layer; no ESW viscous
+    layer), take_step(run, dt_cap) -> RunState and write(W, path)."""
+    grid, params = config.grid(), config.physical_params()
+    boundaries = config.boundary_spec()
+    n, order = config.n_cells, config.gradient_order
     if config.scenario == "MlswCompare":
+        layers, left = LayerGrid(config.n_layers), boundaries.left
         try:
-            W = MlswState.uniform(LayerGrid(config.n_layers), n, config.h0,
-                                  config.u0)
+            W = MlswState.uniform(layers, n, config.h0, config.u0)
         except (MemoryError, OverflowError, ValueError) as exc:
             raise ConfigError(f"mlsw.n_layers too large: {exc}") from exc
+
+        def take_step(run: RunState, dt_cap) -> RunState:
+            W, dt = mlsw_step(run.W, layers, params, grid, left, dt_cap)
+            return RunState(run.t + dt, run.step_count + 1, W, dt)
+
+        write = lambda W, path: emit_mlsw_snapshot(W, layers, grid, params,
+                                                   path, order)
     else:
         W = ConservedState(h=np.full(n, config.h0),
                            q=np.full(n, config.h0 * config.u0), r=np.zeros(n))
-    return RunState(t=0.0, step_count=0, W=W)
+        take_step = lambda run, dt_cap: step(run, grid, params, boundaries,
+                                             order, dt_cap)
+        write = lambda W, path: emit_snapshot(W, grid, params, path, order)
+    return grid, RunState(t=0.0, step_count=0, W=W), take_step, write
+
+
+def initial_state(config: ScenarioConfig) -> RunState:
+    """The t = 0 state of the configured model (see model)."""
+    return model(config)[1]
 
 
 def run_scenario(config: ScenarioConfig, out_dir=None) -> RunState:
     """Run one scenario: write final.csv, metadata.txt and the snapshot CSVs
     (ESW) or final_profiles.csv (MlswCompare, whose RunState.W is the final
     MlswState); returns the final RunState."""
-    grid = config.grid()
-    params = config.physical_params()
-    boundaries = config.boundary_spec()
-    run = initial_state(config)
+    _, run, take_step, write = model(config)
     out = Path(out_dir if out_dir is not None else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    if config.scenario == "MlswCompare":
-        layers, left = LayerGrid(config.n_layers), boundaries.left
-
-        def mlsw_take_step(run: RunState, dt_cap) -> RunState:
-            W, dt = mlsw_step(run.W, layers, params, grid, left, dt_cap)
-            return RunState(run.t + dt, run.step_count + 1, W, dt)
-
-        run = march(run, config.t_end, mlsw_take_step)
-        emit_mlsw_snapshot(run.W, layers, grid, params, out / "final.csv",
-                           out / "final_profiles.csv")
-    else:
-        def snap(state: RunState):
-            emit_snapshot(state.W, grid, params, out / _snapshot_name(state.t),
-                          gradient_order=config.gradient_order)
-
-        run = advance(run, config.t_end, grid, params, boundaries,
-                      gradient_order=config.gradient_order,
-                      snapshot_times=config.snapshot_times, on_snapshot=snap)
-        emit_snapshot(run.W, grid, params, out / "final.csv",
-                      gradient_order=config.gradient_order)
+    run = march(run, config.t_end, take_step, config.snapshot_times,
+                lambda state: write(state.W, out / _snapshot_name(state.t)))
+    write(run.W, out / "final.csv")
     _write_metadata(config, out, time.perf_counter() - t0, run)
     return run
 
@@ -329,13 +326,11 @@ def convergence_study(config: ScenarioConfig, dx_list, out_dir=None) -> list:
     # every mesh is validated and allocated before the first one runs
     configs = [replace(config, n_cells=int(round(span / dx)))
                for dx in dx_list]
-    grids = [cfg.grid() for cfg in configs]
+    models = [model(cfg) for cfg in configs]
     results = []
-    for cfg, grid in zip(configs, grids):
+    for cfg, (grid, start, take_step, _) in zip(configs, models):
         t0 = time.perf_counter()
-        run = advance(initial_state(cfg), cfg.t_end, grid,
-                      cfg.physical_params(), cfg.boundary_spec(),
-                      gradient_order=cfg.gradient_order)
+        run = march(start, cfg.t_end, take_step)
         seconds = time.perf_counter() - t0
         x = grid.cell_centers[1:]
         delta1 = recover_delta1(run.W.q, run.W.r, run.W.h)[1:]
@@ -351,19 +346,22 @@ def convergence_study(config: ScenarioConfig, dx_list, out_dir=None) -> list:
 
 
 def emit_mlsw_snapshot(state: MlswState, layers: LayerGrid, grid: Grid1D,
-                       params: PhysicalParams, path, profiles_path):
-    """Snapshot CSV in the common column layout plus per-layer profiles."""
+                       params: PhysicalParams, path, gradient_order: int = 4):
+    """Snapshot CSV in the common column layout, plus the per-layer profiles
+    in <stem>_profiles.csv beside it."""
     delta1, _, H, f2, tau_bar = mlsw_diagnostics(state, layers, params)
     x = grid.cell_centers
     u_e = state.u[-1]
     U = np.sum(layers.fractions[:, None] * state.u, axis=0)
-    lambda1 = delta1**2 * ue_gradient(u_e, grid.dx, order=4)
+    lambda1 = delta1**2 * ue_gradient(u_e, grid.dx, order=gradient_order)
     _write_rows(path, _SNAPSHOT_HEADER, (x, grid.topo, state.h, u_e, delta1,
                                          tau_bar, H, f2, lambda1, U))
     z = layers.interfaces
     z_mid = 0.5 * (z[:-1] + z[1:])
     N = layers.n_layers      # one row per (cell, layer), layer fastest
-    _write_rows(profiles_path, "x,layer_index,z_mid,u",
+    path = Path(path)
+    _write_rows(path.with_name(f"{path.stem}_profiles.csv"),
+                "x,layer_index,z_mid,u",
                 (np.repeat(x, N), np.tile(np.arange(1, N + 1), x.size),
                  (z_mid[None, :] * state.h[:, None]).ravel(),
                  state.u.T.ravel()))

@@ -8,21 +8,21 @@ checkout, once per source tree, in one session, to compare two trees:
     PYTHONPATH=/path/to/other/tree/src python tests/step_timing.py
 
 It prints the best of --rounds rounds of microseconds per timeloop.step
-(wall time) for flat beds at n = 10, 1 000 and 20 000 and a bump at
-n = 400, each on a state a few steps into its run, with the minor page
-faults per step (at n = 20 000 whether malloc trims the heap under the
-step's temporaries, and faults it in again, depends on the heap's
-layout, which the cases run before set, not on the step), the best
-microseconds per riemann._star_depths call on the arguments that the
-bump n = 400 step hands it, and the CPU
+(wall time, through the take_step of scenarios.model) for flat beds at
+n = 10, 1 000 and 20 000 and a bump at n = 400, each on a state a few
+steps into its run, with the minor page faults per step (at n = 20 000
+whether malloc trims the heap under the step's temporaries, and faults it
+in again, depends on the heap's layout, which the cases run before set,
+not on the step), the best microseconds per riemann._star_depths call on
+the arguments that the bump n = 400 step hands it, and the CPU
 milliseconds per emit_snapshot of an n = 20 000 ImpulsiveStart state at
 t = 0.0075: on one grid written again and again (as the files of one run
 are), and on a fresh grid for every write (as the first file of a run is).
 Last, the best microseconds per mlsw_step (its time step and the Thomas
-solve included) and per mlsw._thomas at the size of the mlsw_bump
-benchmark (n = 300, N = 100), on a bump state 30 steps into its run: the
-steps march on from it, each with its own time step, and the solve is the
-one its first step makes.
+solve included, again through take_step) and per mlsw._thomas at the
+size of the mlsw_bump benchmark (n = 300, N = 100), on a bump state 30
+steps into its run: the steps march on from it, each with its own time
+step, and the solve is the one its first step makes.
 
 With --ops it times nothing and prints, for the flat n = 10 and bump
 n = 400 steps, the NumPy calls that one timeloop.step makes on arrays:
@@ -46,9 +46,9 @@ from pathlib import Path
 import numpy as np
 
 from eswsim import mlsw, riemann
-from eswsim.scenarios import ScenarioConfig, emit_snapshot, initial_state
+from eswsim.scenarios import ScenarioConfig, model
 from eswsim.state import ConservedState
-from eswsim.timeloop import advance, step
+from eswsim.timeloop import march, step
 
 BUMP = dict(scenario="Bump", x_max=2.0, n_cells=400, bump_alpha=0.03)
 # (label, ScenarioConfig fields, steps per round)
@@ -68,26 +68,25 @@ MLSW_WARM_STEPS, MLSW_REPS = 30, 30
 
 
 def warm_state(fields):
-    """(run state WARM_STEPS steps into its run, grid, params, spec)."""
+    """(config, grid, the model's take_step, run state WARM_STEPS steps
+    into its run)."""
     config = ScenarioConfig(**fields)
-    grid, params = config.grid(), config.physical_params()
-    spec = config.boundary_spec()
-    run = initial_state(config)
+    grid, run, take_step, _ = model(config)
     for _ in range(WARM_STEPS):
-        run = step(run, grid, params, spec)
-    return run, grid, params, spec
+        run = take_step(run, np.inf)
+    return config, grid, take_step, run
 
 
 def step_us(fields, reps, rounds):
     """(best microseconds per step over rounds of reps steps from one
     state, minor page faults per timed step)."""
-    run, grid, params, spec = warm_state(fields)
+    _, _, take_step, run = warm_state(fields)
     best = float("inf")
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(rounds):
         t0 = time.perf_counter()
         for _ in range(reps):
-            step(run, grid, params, spec)
+            take_step(run, np.inf)
         best = min(best, (time.perf_counter() - t0) / reps)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     return best * 1e6, faults / (rounds * reps)
@@ -141,7 +140,8 @@ def _counted_creator(create):
 def step_ops(fields):
     """Counter of ufunc, reduction and array-function calls in one step
     from the state that step_us times."""
-    run, grid, params, spec = warm_state(fields)
+    config, grid, _, run = warm_state(fields)
+    params, spec = config.physical_params(), config.boundary_spec()
     names = ("empty", "empty_like", "zeros", "full", "array", "where",
              "flatnonzero")
     saved = {name: getattr(np, name) for name in names + ("asarray",)}
@@ -167,14 +167,14 @@ def step_ops(fields):
 def star_depths_us(rounds):
     """Best microseconds per _star_depths call on the arguments of one bump
     n = 400 step, taken from the state that step_us times."""
-    run, grid, params, spec = warm_state(BUMP)
+    _, _, take_step, run = warm_state(BUMP)
     solve, seen = riemann._star_depths, []
     # copies: solve_local_riemann reuses C's row once the call returns
     riemann._star_depths = lambda *args: seen.append(
         [a.copy() if isinstance(a, np.ndarray) else a for a in args]) \
         or solve(*args)
     try:
-        step(run, grid, params, spec)
+        take_step(run, np.inf)
     finally:
         riemann._star_depths = solve
     best = float("inf")
@@ -189,33 +189,29 @@ def star_depths_us(rounds):
 def write_ms(rounds, out_dir):
     """Best CPU milliseconds per snapshot write: (same grid, fresh grid)."""
     config = ScenarioConfig(**IMPULSIVE)
-    grid, params = config.grid(), config.physical_params()
-    run = advance(initial_state(config), config.t_end, grid, params,
-                  config.boundary_spec())
+    _, start, take_step, write = model(config)
+    run = march(start, config.t_end, take_step)
     path = Path(out_dir) / "snapshot.csv"
-    emit_snapshot(run.W, grid, params, path)    # the run's first file
+    write(run.W, path)    # the run's first file
     best = [float("inf"), float("inf")]
     for _ in range(rounds):
-        for k, g in enumerate((grid, config.grid())):
+        # a fresh model's writer has a fresh grid
+        for k, w in enumerate((write, model(config)[3])):
             t0 = time.process_time()
-            emit_snapshot(run.W, g, params, path)
+            w(run.W, path)
             best[k] = min(best[k], time.process_time() - t0)
     return [b * 1e3 for b in best]
 
 
 def mlsw_us(rounds):
     """Best microseconds per mlsw_step and per _thomas call on one state."""
-    config = ScenarioConfig(**MLSW)
-    grid, params = config.grid(), config.physical_params()
-    left = config.boundary_spec().left
-    layers = mlsw.LayerGrid(config.n_layers)
-    state = initial_state(config).W
+    _, state, take_step, _ = model(ScenarioConfig(**MLSW))
     for _ in range(MLSW_WARM_STEPS):
-        state, _ = mlsw.mlsw_step(state, layers, params, grid, left)
+        state = take_step(state, np.inf)
     solve, seen = mlsw._thomas, []
     mlsw._thomas = lambda *args: seen.append(args) or solve(*args)
     try:
-        mlsw.mlsw_step(state, layers, params, grid, left)
+        take_step(state, np.inf)
     finally:
         mlsw._thomas = solve
     best = [float("inf"), float("inf")]
@@ -224,7 +220,7 @@ def mlsw_us(rounds):
         # the heap sees a run's pattern of allocations
         t0, run = time.perf_counter(), state
         for _ in range(MLSW_REPS):
-            run, _ = mlsw.mlsw_step(run, layers, params, grid, left)
+            run = take_step(run, np.inf)
         best[0] = min(best[0], (time.perf_counter() - t0) / MLSW_REPS)
         t0 = time.perf_counter()
         for _ in range(MLSW_REPS):

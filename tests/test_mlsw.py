@@ -179,6 +179,17 @@ class TestComputeDt:
                 self.step(state, left)
             assert (info.value.field, info.value.cell) == (field, -1)
 
+    def test_opposite_infinities_in_the_first_cell_are_named(self):
+        # their depth average is inf - inf: the speed scan names the cell,
+        # with no NumPy warning first
+        for left in (SubcriticalInflow(u_in=1.0),
+                     SupercriticalInflow(u_in=3.0, h_in=0.5)):
+            state = MlswState.uniform(self.layers, 10, 2.0, 1.0)
+            state.u[1, 0], state.u[3, 0] = np.inf, -np.inf
+            with pytest.raises(NonFiniteState) as info:
+                self.step(state, left)
+            assert (info.value.field, info.value.cell) == ("u", 0)
+
     def test_nonpositive_time_step(self):
         state = MlswState.uniform(self.layers, 10, 2.0, 1.0)
         with pytest.raises(NonpositiveTimeStep):
@@ -189,14 +200,10 @@ class TestMarch:
     def test_resumed_march_fires_a_snapshot_due_at_its_start(self):
         # the snapshot due at the start fires on the start state, before
         # the first step, so no step is capped to zero length
-        layers, grid, p = LayerGrid(5), Grid1D.uniform(0.0, 1.0, 10), params()
-        left = SubcriticalInflow(u_in=1.0)
-
-        def take_step(run, dt_cap):
-            W, dt = mlsw_step(run.W, layers, p, grid, left, dt_cap)
-            return RunState(run.t + dt, run.step_count + 1, W, dt)
-
-        start = RunState(0.01, 12, MlswState.uniform(layers, 10, 2.0, 1.0))
+        _, initial, take_step, _ = scenarios.model(scenarios.ScenarioConfig(
+            scenario="MlswCompare", x_max=1.0, n_cells=10, n_layers=5,
+            bump_alpha=0.0))
+        start = RunState(0.01, 12, initial.W)
         seen = []
         run = march(start, 0.02, take_step, snapshot_times=(0.01, 0.015),
                     on_snapshot=seen.append)

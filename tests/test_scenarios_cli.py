@@ -10,13 +10,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from eswsim import cli, mlsw, scenarios
 from eswsim.analytic import ReferenceCurve, blasius_steady, l1_error
+from eswsim.closures import ue_gradient
 from eswsim.errors import ConfigError, DomainError, NonFiniteState
 from eswsim.scenarios import (_CHUNK_ROWS, ScenarioConfig, _run_columns,
                               _segments, _write_rows, config_to_text,
                               emit_snapshot, initial_state, parse_config,
                               run_scenario)
 from eswsim.state import Grid1D, PhysicalParams
-from eswsim.timeloop import reached
+from eswsim.timeloop import advance, march, reached
 
 
 class TestConfigParsing:
@@ -474,6 +475,38 @@ class TestRunScenario:
             assert 0.0 < run.dt, scenario
             assert reached(run.t, cfg.t_end), scenario
 
+    def test_esw_model_steps_as_advance_does(self):
+        # advance, kept for library callers, and the ESW model's take_step
+        # under march, the product path, give the same bits
+        for fields in (dict(scenario="Bump", h0=0.5, gradient_order=2),
+                       dict(scenario="BlasiusSteady", closure="pohlhausen4")):
+            cfg = ScenarioConfig(x_max=2.0, n_cells=40, t_end=0.05, **fields)
+            grid, start, take_step, _ = scenarios.model(cfg)
+            got = march(start, cfg.t_end, take_step)
+            want = advance(start, cfg.t_end, grid, cfg.physical_params(),
+                           cfg.boundary_spec(), cfg.gradient_order)
+            assert (got.t, got.step_count, got.dt) == \
+                (want.t, want.step_count, want.dt), fields
+            assert got.W.hqr.tobytes() == want.W.hqr.tobytes(), fields
+
+    def test_mlsw_lambda1_takes_the_gradient_order(self, tmp_path):
+        lambda1 = {}
+        for order in (2, 4):
+            cfg = ScenarioConfig(scenario="MlswCompare", x_max=2.0,
+                                 n_cells=20, n_layers=4, t_end=0.05,
+                                 gradient_order=order,
+                                 out_dir=str(tmp_path / str(order)))
+            run = run_scenario(cfg)
+            data = np.genfromtxt(tmp_path / str(order) / "final.csv",
+                                 delimiter=",", names=True)
+            delta1 = mlsw.mlsw_diagnostics(run.W, mlsw.LayerGrid(4),
+                                           cfg.physical_params())[0]
+            want = delta1**2 * ue_gradient(run.W.u[-1], cfg.grid().dx,
+                                           order=order)
+            assert np.array_equal(data["Lambda1"], want), order
+            lambda1[order] = want
+        assert not np.array_equal(lambda1[2], lambda1[4])
+
     def test_mlsw_failure_names_step_and_time(self, tmp_path, monkeypatch):
         real_step, steps = scenarios.mlsw_step, []
 
@@ -635,7 +668,7 @@ class TestCli:
         # a cell count NumPy refuses before allocating: no mesh runs, and
         # converge builds every grid first
         runs = []
-        monkeypatch.setattr(scenarios, "advance",
+        monkeypatch.setattr(scenarios, "march",
                             lambda *args, **kw: runs.append(args))
         assert cli.main(["converge", "--out", str(tmp_path / "c"),
                          "--dx", "0.01", "1e-300"]) == 2
@@ -697,7 +730,7 @@ class TestCli:
     def test_converge_rejects_before_any_run(self, tmp_path, monkeypatch,
                                              capsys):
         runs = []
-        monkeypatch.setattr(scenarios, "advance",
+        monkeypatch.setattr(scenarios, "march",
                             lambda *args, **kw: runs.append(args))
         # a valid mesh before one with too few cells, a cell count that
         # overflows, and snapshot times
