@@ -261,7 +261,7 @@ def _write_metadata(config: ScenarioConfig, out_dir: Path, wall_time: float,
 def model(config: ScenarioConfig):
     """(grid, start, take_step, write) of the configured model: the t = 0
     RunState (h0, and u0 in every cell and MLSW layer; no ESW viscous
-    layer), take_step(run, dt_cap) -> RunState and write(W, path)."""
+    layer), take_step(W, dt_cap) -> (W, dt) and write(W, path)."""
     grid, params = config.grid(), config.physical_params()
     boundaries = config.boundary_spec()
     n, order = config.n_cells, config.gradient_order
@@ -271,18 +271,15 @@ def model(config: ScenarioConfig):
             W = MlswState.uniform(layers, n, config.h0, config.u0)
         except (MemoryError, OverflowError, ValueError) as exc:
             raise ConfigError(f"mlsw.n_layers too large: {exc}") from exc
-
-        def take_step(run: RunState, dt_cap) -> RunState:
-            W, dt = mlsw_step(run.W, layers, params, grid, left, dt_cap)
-            return RunState(run.t + dt, run.step_count + 1, W, dt)
-
+        take_step = lambda W, dt_cap: mlsw_step(W, layers, params, grid,
+                                                left, dt_cap)
         write = lambda W, path: emit_mlsw_snapshot(W, layers, grid, params,
                                                    path, order)
     else:
         W = ConservedState(h=np.full(n, config.h0),
                            q=np.full(n, config.h0 * config.u0), r=np.zeros(n))
-        take_step = lambda run, dt_cap: step(run, grid, params, boundaries,
-                                             order, dt_cap)
+        take_step = lambda W, dt_cap: step(W, grid, params, boundaries,
+                                           order, dt_cap)
         write = lambda W, path: emit_snapshot(W, grid, params, path, order)
     return grid, RunState(t=0.0, step_count=0, W=W), take_step, write
 

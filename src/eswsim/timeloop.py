@@ -5,9 +5,9 @@ gradient freeze, one evaluation of every cell (closure, wave-speed bounds,
 flux) and of the interface speeds that the later phases share, CFL
 time-step selection, the Godunov convection step and the friction step.
 
-The time loop of both models lives here: their CFL number, the cap at the
-next stop (output or end time), the test for having reached a stop, and
-the stamping of a failed step with its step count and time.
+The time loop of both models lives here: their CFL number, the run's
+clock, the cap at the next stop (output or end time), the test for having
+reached a stop, and the stamping of a failed step.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class BoundarySpec:
 
 
 class RunState(NamedTuple):
-    """Time, step counter, interior states and the last step's time step."""
+    """Time, step count, state (an MlswState in MLSW runs) and last dt."""
 
     t: float
     step_count: int
@@ -205,10 +205,10 @@ def friction_step(hqr, dt, f2H, u_e):
     return hqr
 
 
-def step(run: RunState, grid: Grid1D, params: PhysicalParams,
+def step(W: ConservedState, grid: Grid1D, params: PhysicalParams,
          boundaries: BoundarySpec, gradient_order=4, dt_cap=np.inf):
-    """Advance one full split step; returns the new RunState."""
-    ext = apply_boundaries(run.W, boundaries, params)
+    """One split step of at most dt_cap; returns (ConservedState, dt)."""
+    ext = apply_boundaries(W, boundaries, params)
     u_e = np.divide(ext[1], ext[0])
     dudx = frozen_gradient(u_e, grid.dx, gradient_order)
     cells = evaluate_cells(ext, params, dudx, u_e)
@@ -220,20 +220,21 @@ def step(run: RunState, grid: Grid1D, params: PhysicalParams,
     hqr, _ = convection_step(cells, lam_L, lam_R, grid.bed_jumps, params,
                              grid.dx, dt, grid.flat_bed)
     u_e = np.divide(hqr[1], hqr[0])   # friction keeps h and q
-    W = ConservedState.wrap(friction_step(hqr, dt, f2H, u_e))
-    return RunState(run.t + dt, run.step_count + 1, W, dt)
+    return ConservedState.wrap(friction_step(hqr, dt, f2H, u_e)), dt
 
 
 def march(run: RunState, t_end, take_step: Callable, snapshot_times=(),
           on_snapshot: Optional[Callable] = None) -> RunState:
-    """The time loop of both models: take_step(run, dt_cap) -> RunState
-    until t_end, each step capped to land exactly on the next stop.
+    """The time loop of both models: take_step(W, dt_cap) -> (W, dt) until
+    t_end, each step capped to land exactly on the next stop.
 
     Snapshot callbacks fire once per requested time, as soon as the run
     time reaches it; those due at the start state, fresh or resumed, fire
     before the first step. A StepFailure leaves with the step count and
     time of the state that the failed step started from.
     """
+    if not all(map(math.isfinite, (t_end, *snapshot_times))):
+        raise DomainError("t_end and every snapshot time must be finite")
     pending = sorted(t for t in snapshot_times if t >= run.t)
     while True:
         while pending and reached(run.t, pending[0]):
@@ -242,12 +243,12 @@ def march(run: RunState, t_end, take_step: Callable, snapshot_times=(),
             pending.pop(0)
         if reached(run.t, t_end):
             return run
-        next_stop = pending[0] if pending else t_end
         try:
-            run = take_step(run, min(next_stop, t_end) - run.t)
+            W, dt = take_step(run.W, min(pending[:1] + [t_end]) - run.t)
         except StepFailure as exc:
             exc.step, exc.t = run.step_count, run.t
             raise
+        run = RunState(run.t + dt, run.step_count + 1, W, dt)
 
 
 def advance(run: RunState, t_end, grid: Grid1D, params: PhysicalParams,
@@ -255,6 +256,6 @@ def advance(run: RunState, t_end, grid: Grid1D, params: PhysicalParams,
             on_snapshot: Optional[Callable] = None) -> RunState:
     """march with the ESW split step."""
     return march(run, t_end,
-                 lambda run, dt_cap: step(run, grid, params, boundaries,
-                                          gradient_order, dt_cap),
+                 lambda W, dt_cap: step(W, grid, params, boundaries,
+                                        gradient_order, dt_cap),
                  snapshot_times, on_snapshot)

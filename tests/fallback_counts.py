@@ -36,7 +36,7 @@ from conftest import from_primitive_fields  # noqa: E402
 from test_riemann import newton_star_depths, recorded  # noqa: E402
 
 from eswsim import (BoundarySpec, Grid1D, PhysicalParams,  # noqa: E402
-                    RunState, SupercriticalInflow, riemann, step)
+                    SupercriticalInflow, riemann, step)
 from eswsim.analytic import gaussian_bump  # noqa: E402
 
 ALPHAS = (0.3, 0.4, 0.5)
@@ -52,8 +52,8 @@ def run(alpha, star_depths, steps=STEPS):
                           lambda x: gaussian_bump(x, alpha, 0.1, 1.0))
     spec = BoundarySpec(left=SupercriticalInflow(u_in=1.0, h_in=0.5))
     params = PhysicalParams(1.0, 1e-3)
-    state = RunState(0.0, 0, from_primitive_fields(
-        np.full(n, 0.5), np.full(n, 1.0), np.zeros(n)))
+    state = from_primitive_fields(np.full(n, 0.5), np.full(n, 1.0),
+                                  np.zeros(n))
     calls, fallbacks = [], []
 
     def recording(*args):
@@ -66,7 +66,7 @@ def run(alpha, star_depths, steps=STEPS):
     riemann._star_depths = recording
     try:
         for _ in range(steps):
-            state = step(state, grid, params, spec)
+            state, _ = step(state, grid, params, spec)
     finally:
         riemann._star_depths = original
     return fallbacks, calls

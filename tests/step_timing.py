@@ -68,25 +68,26 @@ MLSW_WARM_STEPS, MLSW_REPS = 30, 30
 
 
 def warm_state(fields):
-    """(config, grid, the model's take_step, run state WARM_STEPS steps
+    """(config, grid, the model's take_step, the state WARM_STEPS steps
     into its run)."""
     config = ScenarioConfig(**fields)
-    grid, run, take_step, _ = model(config)
+    grid, start, take_step, _ = model(config)
+    W = start.W
     for _ in range(WARM_STEPS):
-        run = take_step(run, np.inf)
-    return config, grid, take_step, run
+        W, _ = take_step(W, np.inf)
+    return config, grid, take_step, W
 
 
 def step_us(fields, reps, rounds):
     """(best microseconds per step over rounds of reps steps from one
     state, minor page faults per timed step)."""
-    _, _, take_step, run = warm_state(fields)
+    _, _, take_step, W = warm_state(fields)
     best = float("inf")
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(rounds):
         t0 = time.perf_counter()
         for _ in range(reps):
-            take_step(run, np.inf)
+            take_step(W, np.inf)
         best = min(best, (time.perf_counter() - t0) / reps)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     return best * 1e6, faults / (rounds * reps)
@@ -140,7 +141,7 @@ def _counted_creator(create):
 def step_ops(fields):
     """Counter of ufunc, reduction and array-function calls in one step
     from the state that step_us times."""
-    config, grid, _, run = warm_state(fields)
+    config, grid, _, W = warm_state(fields)
     params, spec = config.physical_params(), config.boundary_spec()
     names = ("empty", "empty_like", "zeros", "full", "array", "where",
              "flatnonzero")
@@ -153,11 +154,10 @@ def step_ops(fields):
             a if isinstance(a, Counted) and a.dtype == np.float64
             else asarray(a, *args, **kwargs))
         grid = replace(grid, topo=grid.topo.view(Counted))
-        run = type(run)(run.t, run.step_count,
-                        ConservedState.wrap(run.W.hqr.view(Counted)), run.dt)
+        W = ConservedState.wrap(W.hqr.view(Counted))
         grid.bed_jumps, grid.flat_bed    # built before counting
         Counted.OPS.clear()
-        step(run, grid, params, spec)
+        step(W, grid, params, spec)
         return Counter(Counted.OPS)
     finally:
         for name, fn in saved.items():
@@ -167,14 +167,14 @@ def step_ops(fields):
 def star_depths_us(rounds):
     """Best microseconds per _star_depths call on the arguments of one bump
     n = 400 step, taken from the state that step_us times."""
-    _, _, take_step, run = warm_state(BUMP)
+    _, _, take_step, W = warm_state(BUMP)
     solve, seen = riemann._star_depths, []
     # copies: solve_local_riemann reuses C's row once the call returns
     riemann._star_depths = lambda *args: seen.append(
         [a.copy() if isinstance(a, np.ndarray) else a for a in args]) \
         or solve(*args)
     try:
-        take_step(run, np.inf)
+        take_step(W, np.inf)
     finally:
         riemann._star_depths = solve
     best = float("inf")
@@ -205,9 +205,10 @@ def write_ms(rounds, out_dir):
 
 def mlsw_us(rounds):
     """Best microseconds per mlsw_step and per _thomas call on one state."""
-    _, state, take_step, _ = model(ScenarioConfig(**MLSW))
+    _, start, take_step, _ = model(ScenarioConfig(**MLSW))
+    state = start.W
     for _ in range(MLSW_WARM_STEPS):
-        state = take_step(state, np.inf)
+        state, _ = take_step(state, np.inf)
     solve, seen = mlsw._thomas, []
     mlsw._thomas = lambda *args: seen.append(args) or solve(*args)
     try:
@@ -218,9 +219,9 @@ def mlsw_us(rounds):
     for _ in range(rounds):
         # each step starts from the last one's state, as in a run, so that
         # the heap sees a run's pattern of allocations
-        t0, run = time.perf_counter(), state
+        t0, W = time.perf_counter(), state
         for _ in range(MLSW_REPS):
-            run = take_step(run, np.inf)
+            W, _ = take_step(W, np.inf)
         best[0] = min(best[0], (time.perf_counter() - t0) / MLSW_REPS)
         t0 = time.perf_counter()
         for _ in range(MLSW_REPS):

@@ -1,11 +1,15 @@
-"""Smoke test: every demo's main() runs at a tiny size and prints."""
+"""Smoke test: every demo's main() runs at a tiny size and prints, and
+the README quick start runs as written."""
 
 import importlib.util
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-DEMOS = Path(__file__).resolve().parent.parent / "demos"
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
 
 # demo name -> main() arguments that keep the run to a fraction of a second
 TINY = {
@@ -37,3 +41,17 @@ def test_demo_main_runs(name, capsys):
     module.main(**TINY[name])
     out = capsys.readouterr().out
     assert out.count("\n") >= 2 and "nan" not in out
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Quick start\n\n```python\n(.*?)^```", readme,
+                      re.S | re.M).group(1)
+    names = {}
+    exec(compile(block, "README.md quick start", "exec"), names)
+    run, delta1 = names["run"], names["delta1"]
+    assert run.t == pytest.approx(1.0, abs=1e-14) and run.step_count > 0
+    # its comment: delta1 ~ 1.718*sqrt(x), away from the leading edge
+    x = names["grid"].cell_centers
+    assert np.allclose(delta1[10:], 1.718 * np.sqrt(x[10:]), rtol=0.1,
+                       atol=0)

@@ -180,8 +180,7 @@ class TestBoundaries:
             ext = apply_boundaries(W, spec, params())
             np.testing.assert_array_equal(ext[0][:N_GHOST], ghost)
             with pytest.raises(NonFiniteState) as info:
-                step(RunState(0.0, 0, W), Grid1D.uniform(0.0, 1.0, 10),
-                     params(), spec)
+                step(W, Grid1D.uniform(0.0, 1.0, 10), params(), spec)
         assert (info.value.field, info.value.cell) == ("lam_L", 0)
 
 
@@ -436,12 +435,10 @@ class TestStepAndAdvance:
         n = 32
         grid = Grid1D.uniform(0.0, 1.0, n)
         p = params(db=0.0)
-        W = uniform_state(n)
-        run = RunState(t=0.0, step_count=0, W=W)
         spec = BoundarySpec(left=SubcriticalInflow(u_in=1.0))
-        run = step(run, grid, p, spec)
-        assert np.allclose(run.W.h, 2.0, atol=1e-15)
-        assert np.allclose(run.W.q, 2.0, atol=1e-15)
+        W, _ = step(uniform_state(n), grid, p, spec)
+        assert np.allclose(W.h, 2.0, atol=1e-15)
+        assert np.allclose(W.q, 2.0, atol=1e-15)
 
     def test_inviscid_matches_zero_coupling_oracle(self):
         # delta_bar = 0 with a constant-H closure decouples (h, q) from r:
@@ -454,21 +451,18 @@ class TestStepAndAdvance:
         p = PhysicalParams(froude=1.0, delta_bar=0.0,
                            closure=FixedProfile())
         spec = BoundarySpec(left=SubcriticalInflow(u_in=1.0))
-        runA = RunState(t=0.0, step_count=0, W=uniform_state(n, d1=0.3))
-        runB = RunState(t=0.0, step_count=0, W=uniform_state(n, d1=0.0))
+        WA, WB = uniform_state(n, d1=0.3), uniform_state(n, d1=0.0)
         for _ in range(50):
-            runA = step(runA, grid, p, spec)
-            runB = step(runB, grid, p, spec, dt_cap=runA.dt)
-        assert np.allclose(runA.W.h, runB.W.h, rtol=0, atol=1e-12)
-        assert np.allclose(runA.W.q, runB.W.q, rtol=0, atol=1e-12)
+            WA, dt = step(WA, grid, p, spec)
+            WB, _ = step(WB, grid, p, spec, dt_cap=dt)
+        assert np.allclose(WA.h, WB.h, rtol=0, atol=1e-12)
+        assert np.allclose(WA.q, WB.q, rtol=0, atol=1e-12)
 
     def test_state_rows_share_one_array(self):
         n = 12
         grid = Grid1D.uniform(0.0, 0.1, n)
         spec = BoundarySpec(left=SubcriticalInflow(u_in=1.0))
-        run = step(RunState(0.0, 0, uniform_state(n, d1=0.01)), grid,
-                   params(), spec)
-        W = run.W
+        W, _ = step(uniform_state(n, d1=0.01), grid, params(), spec)
         assert W.hqr.shape == (3, n) and W.hqr.flags.c_contiguous
         for row in (W.h, W.q, W.r):
             assert np.shares_memory(row, W.hqr)
@@ -508,12 +502,89 @@ class TestStepAndAdvance:
                               lambda x: gaussian_bump(x, 0.2, 0.1))
         h0 = 1.0 - grid.topo
         W = from_primitive_fields(h0, np.zeros(n), np.zeros(n))
-        run = RunState(t=0.0, step_count=0, W=W)
         spec = BoundarySpec(left=SubcriticalInflow(u_in=0.0))
         for _ in range(100):
-            run = step(run, grid, params(), spec)
-        assert np.max(np.abs(run.W.h - h0)) < 1e-12
-        assert np.max(np.abs(run.W.q)) < 1e-12
+            W, _ = step(W, grid, params(), spec)
+        assert np.max(np.abs(W.h - h0)) < 1e-12
+        assert np.max(np.abs(W.q)) < 1e-12
+
+
+class FakeStep:
+    """take_step(W, dt_cap) -> (W + 1, min(dt, dt_cap)) on an int W, with
+    each cap recorded; raises DryCell(3) on call fail_at, and fails the
+    test on call LIMIT + 1 instead of marching on."""
+
+    LIMIT = 100
+
+    def __init__(self, dt, fail_at=None):
+        self.dt, self.fail_at, self.caps = dt, fail_at, []
+
+    def __call__(self, W, dt_cap):
+        self.caps.append(dt_cap)
+        if len(self.caps) > self.LIMIT:
+            pytest.fail(f"march still stepping after {self.LIMIT} steps")
+        if len(self.caps) == self.fail_at:
+            raise DryCell(3)
+        return W + 1, min(self.dt, dt_cap)
+
+
+class TestMarch:
+    def test_march_advances_the_clock(self):
+        fake = FakeStep(0.25)
+        run = timeloop.march(RunState(0.0, 0, 0), 1.0, fake)
+        assert run == RunState(1.0, 4, 4, 0.25)
+        assert fake.caps == [1.0, 0.75, 0.5, 0.25]
+
+    def test_the_cap_lands_a_step_on_each_stop(self):
+        fake, seen = FakeStep(0.25), []
+        run = timeloop.march(RunState(0.0, 0, 0), 0.9, fake,
+                             snapshot_times=(0.1, 0.6, 2.0),
+                             on_snapshot=seen.append)
+        assert fake.caps[:2] == [0.1, 0.5]
+        assert [(s.step_count, s.W) for s in seen] == [(1, 1), (3, 3)]
+        assert [s.t for s in seen] == pytest.approx([0.1, 0.6], abs=1e-15)
+        assert seen[0].dt == 0.1
+        assert run.step_count == 5 and run.dt == fake.caps[-1] < 0.25
+        assert run.t == pytest.approx(0.9, abs=1e-15)
+
+    def test_a_snapshot_due_at_the_start_fires_before_the_first_step(self):
+        fake, seen = FakeStep(0.25), []
+        start = RunState(0.5, 7, 0)
+        run = timeloop.march(start, 1.0, fake,
+                             snapshot_times=(0.25, 0.5, 0.75),
+                             on_snapshot=seen.append)
+        assert seen[0] is start and len(seen) == 2
+        assert seen[1] == RunState(0.75, 8, 1, 0.25)
+        assert fake.caps == [0.25, 0.25]
+        assert run == RunState(1.0, 9, 2, 0.25)
+
+    def test_a_failure_is_stamped_with_the_state_it_started_from(self):
+        fake = FakeStep(0.25, fail_at=3)
+        with pytest.raises(DryCell) as info:
+            timeloop.march(RunState(0.5, 7, 0), 2.0, fake)
+        assert (info.value.cell, info.value.step, info.value.t) == (3, 9, 1.0)
+
+    @pytest.mark.parametrize("t_end, times", [
+        (np.nan, ()), (np.inf, ()), (-np.inf, ()), (1.0, (0.5, np.nan)),
+        (1.0, (np.inf,)), (1.0, (-np.inf, 0.5))])
+    def test_non_finite_stops_are_rejected_before_any_step(self, t_end,
+                                                           times):
+        fake, seen = FakeStep(0.25), []
+        with pytest.raises(DomainError, match="finite"):
+            timeloop.march(RunState(0.0, 0, 0), t_end, fake, times,
+                           seen.append)
+        assert fake.caps == [] and seen == []
+
+    @pytest.mark.parametrize("t_end", [np.nan, np.inf])
+    def test_advance_rejects_a_non_finite_end(self, monkeypatch, t_end):
+        fake = FakeStep(0.25)
+        monkeypatch.setattr(timeloop, "step",
+                            lambda W, *args: fake(W, args[-1]))
+        spec = BoundarySpec(left=SubcriticalInflow(u_in=1.0))
+        with pytest.raises(DomainError):
+            advance(RunState(0.0, 0, 0), t_end, Grid1D.uniform(0.0, 1.0, 4),
+                    params(), spec)
+        assert fake.caps == []
 
 
 class TestStepDiagnostics:
@@ -543,7 +614,7 @@ class TestStepDiagnostics:
                     monkeypatch.setattr(mod, name,
                                         counting(name, getattr(mod, name)))
         run, grid, spec = self.bump_run()
-        step(run, grid, params(), spec)
+        step(run.W, grid, params(), spec)
         # delta1 once for the cell evaluation and once for friction: the
         # step computes nothing that no later phase reads
         assert calls == {**{name: 1 for name in names}, "_delta1_from_ue": 2}
@@ -558,9 +629,9 @@ class TestStepDiagnostics:
         _, fan = convect(cells, grid.bed_jumps, p, grid.dx, dt)
         assert limiter == "cfl"
         assert np.count_nonzero(fan.fallback) > 0
-        assert step(run, grid, p, spec).dt == dt
+        assert step(run.W, grid, p, spec)[1] == dt
 
-        assert step(run, grid, p, spec, dt_cap=0.5 * dt).dt == 0.5 * dt
+        assert step(run.W, grid, p, spec, dt_cap=0.5 * dt)[1] == 0.5 * dt
         assert dt_of(cells, grid.dx, dt_cap=0.5 * dt) == (0.5 * dt, "cap")
         assert dt_of(cells, grid.dx, dt_cap=np.inf) == (dt, "cfl")
 
@@ -615,7 +686,7 @@ class TestStepDiagnostics:
             assert f"cell {cell}" in str(info.value)
             assert f"step {step_count}" in str(info.value)
             with pytest.raises(NonFiniteState) as info:
-                step(run, grid, params(), spec)
+                step(W, grid, params(), spec)
             assert (info.value.field, info.value.cell) == (field, cell)
             assert (info.value.step, info.value.t) == (None, None)
 
@@ -630,7 +701,7 @@ class TestStepDiagnostics:
         getattr(W, field)[12] = np.nan
         spec = BoundarySpec(left=SupercriticalInflow(u_in=3.0, h_in=0.5))
         with pytest.raises(NonFiniteState) as info:
-            step(RunState(0.0, 0, W), grid, params(), spec)
+            step(W, grid, params(), spec)
         assert (info.value.field, info.value.cell) == (field, 12)
 
     def test_dry_cell_is_named(self):
@@ -649,12 +720,11 @@ class TestStepDiagnostics:
         assert str(info.value) == ("h at or below the dry threshold in cell 1"
                                    " (step 7, t=0.25)")
         with pytest.raises(DryCell) as info:
-            step(RunState(0.25, 7, W), grid, params(), spec)
+            step(W, grid, params(), spec)
         assert (info.value.cell, info.value.step) == (1, None)
 
     def test_nonpositive_dt_is_named(self):
-        run = RunState(t=0.0, step_count=0, W=uniform_state(10))
         spec = BoundarySpec(left=SubcriticalInflow(u_in=1.0))
         with pytest.raises(NonpositiveTimeStep, match="cap"):
-            step(run, Grid1D.uniform(0.0, 1.0, 10), params(), spec,
-                 dt_cap=0.0)
+            step(uniform_state(10), Grid1D.uniform(0.0, 1.0, 10), params(),
+                 spec, dt_cap=0.0)
