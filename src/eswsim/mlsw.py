@@ -78,6 +78,8 @@ def mlsw_compute_dt(speed, h, dx, dt_cap=np.inf) -> float:
         # the interior first: an inflow ghost inherits a NaN of cell 0
         for j in (*range(1, speed.size - 1), 0, speed.size - 1):
             if not np.isfinite(speed[j]):
+                if -np.inf < h[j] <= 0.0:
+                    raise DryCell(j - 1)
                 raise NonFiniteState("u" if np.isfinite(h[j]) else "h", j - 1)
     dt = min(CFL_NUMBER * dx / lam_max, dt_cap)
     if not dt > 0.0:
@@ -171,10 +173,11 @@ def mlsw_step(state: MlswState, layers: LayerGrid, params: PhysicalParams,
     dx2 = 2.0 * grid.dx
     fr2 = params.froude**2
     ell = layers.fractions
-    h, u = _ghosted(state, left, layers, params)
-    # the speeds that dt and the fluxes read, before a product can warn
-    abs_u = np.abs(u)
-    cell_speed = np.max(abs_u, axis=0) + np.sqrt(h) / params.froude
+    with np.errstate(invalid="ignore"):   # sqrt(h < 0), named below
+        h, u = _ghosted(state, left, layers, params)
+        # the speeds that dt and the fluxes read, before a product can warn
+        abs_u = np.abs(u)
+        cell_speed = np.max(abs_u, axis=0) + np.sqrt(h) / params.froude
     dt = mlsw_compute_dt(cell_speed, h, grid.dx, dt_cap)
     eta = h + with_ghosts(grid.topo, grid.topo[0], 1)
     ellh = _outer(ell, h)                 # layer depths

@@ -47,6 +47,9 @@ def _at_least(n):
 
 _FINITE = "finite", math.isfinite
 _POSITIVE = "finite and > 0", lambda v: math.isfinite(v) and v > 0
+# froude**2 is taken in the wave-speed bounds, sigma**2 in gaussian_bump
+_SQUARABLE = ("finite, > 0, with a finite nonzero square",
+              lambda v: v > 0 and 0 < v * v < math.inf)
 
 
 def _key(key: str, default, domain=None, on=None, mlsw=None):
@@ -65,9 +68,7 @@ class ScenarioConfig:
     """One field per configuration key, in metadata.txt order; the field's
     type (an annotation string) picks the key's converter in _PARSERS."""
     scenario: str = _key("scenario", "BlasiusSteady", _one_of(SCENARIOS))
-    froude: float = _key(  # froude**2 is taken in the wave-speed bounds
-        "physics.froude", 1.0, ("finite, > 0, with a finite nonzero square",
-                                lambda v: v > 0 and 0 < v * v < math.inf))
+    froude: float = _key("physics.froude", 1.0, _SQUARABLE)
     delta_bar: float = _key(
         "physics.delta_bar", 1e-3,
         ("finite and >= 0", lambda v: math.isfinite(v) and v >= 0),
@@ -82,7 +83,7 @@ class ScenarioConfig:
     h0: float = _key("init.h0", 2.0)
     u0: float = _key("init.u0", 1.0)
     bump_alpha: float = _key("bump.alpha", 0.01, _FINITE, on=_BED)
-    bump_sigma: float = _key("bump.sigma", 0.1, _POSITIVE, on=_BED)
+    bump_sigma: float = _key("bump.sigma", 0.1, _SQUARABLE, on=_BED)
     bump_center: float = _key("bump.center", 1.0, _FINITE, on=_BED)
     t_end: float = _key("run.t_end", 1.0, _POSITIVE)
     snapshot_times: tuple = _key(

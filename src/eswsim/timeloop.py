@@ -131,16 +131,16 @@ def interface_speeds(cells: CellEval):
     return lam_L, lam_R
 
 
-def compute_dt(cells: CellEval, lam_L, lam_R, dx, dt_cap=np.inf):
-    """(dt, limiter) for an evaluated extended state and its interface
-    speeds; limiter is "cfl", "reverse_flow" or "cap". The CFL step makes
-    the largest dt/dx (|lam_L(i+1/2)| + lam_R(i-1/2)) CFL_NUMBER, so that
-    each cell's update is a convex combination of the cell and its two
-    adjacent star states; the reverse-flow cap and dt_cap may reduce it."""
-    # a NaN in q or r alone can leave the bounds finite (the closure maps a
-    # NaN Lambda1 to a finite H), but it always reaches delta1
-    if not all(map(math.isfinite, (np.minimum.reduce(cells.lam_L),
-                                   np.maximum.reduce(cells.lam_R),
+def compute_dt(cells: CellEval, lam_L, lam_R, f2H, dx, dt_cap=np.inf):
+    """(dt, limiter) for an evaluated extended state, its interface speeds
+    and friction_step's f2H; limiter is "cfl", "reverse_flow" or "cap". The
+    CFL step keeps each cell's update a convex combination of the cell and
+    its two adjacent star states, with max dt/dx (|lam_L(i+1/2)| +
+    lam_R(i-1/2)) = CFL_NUMBER; the reverse-flow cap and dt_cap may cut it."""
+    width = np.maximum.reduce(np.subtract(lam_R[:-1], lam_L[1:]))
+    # width skips only the end speeds; a NaN in q or r alone may leave the
+    # speeds finite (a NaN Lambda1 gives a finite H), but not delta1
+    if not all(map(math.isfinite, (width, lam_L[0], lam_R[-1],
                                    np.add.reduce(cells.delta1)))):
         # the interior first: an inflow ghost inherits a NaN of cell 0
         n = cells.hqr.shape[1] - N_GHOST
@@ -150,14 +150,13 @@ def compute_dt(cells: CellEval, lam_L, lam_R, dx, dt_cap=np.inf):
                 if bad.size:
                     raise NonFiniteState(name, int(bad[0]) + i - N_GHOST)
     # with no wave speed the CFL bound is unlimited
-    width = np.maximum.reduce(np.subtract(lam_R[:-1], lam_L[1:]))
     dt = CFL_NUMBER * dx / width if width > 0.0 else math.inf
     limiter = "cfl"
     # fmin.reduce skips NaN, as the comparisons of these guards do
-    if np.fmin.reduce(cells.f2) < 0.0:
-        reverse = cells.f2 < ZERO
-        cap = (-cells.delta1[reverse] ** 2
-               / (FOUR * (cells.f2 * cells.H)[reverse])).min()
+    if np.fmin.reduce(f2H) < 0.0:
+        reverse = f2H < ZERO
+        cap = (-cells.delta1[N_GHOST:-N_GHOST][reverse] ** 2
+               / (FOUR * f2H[reverse])).min()
         if cap < dt:
             dt, limiter = cap, "reverse_flow"
     if dt_cap < dt:
@@ -213,10 +212,10 @@ def step(W: ConservedState, grid: Grid1D, params: PhysicalParams,
     dudx = frozen_gradient(u_e, grid.dx, gradient_order)
     cells = evaluate_cells(ext, params, dudx, u_e)
     lam_L, lam_R = interface_speeds(cells)
-    dt, _ = compute_dt(cells, lam_L, lam_R, grid.dx, dt_cap)
-    # f2H first: the fewer arrays allocated after the update's new state,
-    # the less heap malloc trims and faults in again each step
+    # f2H ahead of the update's new state: the fewer arrays allocated
+    # after it, the less heap malloc trims and faults in again each step
     f2H = cells.f2[N_GHOST:-N_GHOST] * cells.H[N_GHOST:-N_GHOST]
+    dt, _ = compute_dt(cells, lam_L, lam_R, f2H, grid.dx, dt_cap)
     hqr, _ = convection_step(cells, lam_L, lam_R, grid.bed_jumps, params,
                              grid.dx, dt, grid.flat_bed)
     u_e = np.divide(hqr[1], hqr[0])   # friction keeps h and q

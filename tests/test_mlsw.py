@@ -190,6 +190,20 @@ class TestComputeDt:
                 self.step(state, left)
             assert (info.value.field, info.value.cell) == ("u", 0)
 
+    def test_negative_or_minus_infinite_depth_is_named(self):
+        # such a depth, whose sqrt the cell speeds take (and, in cell 0, the
+        # subcritical inflow ghost), is named with no NumPy warning first
+        for left in (SubcriticalInflow(u_in=1.0),
+                     SupercriticalInflow(u_in=3.0, h_in=0.5)):
+            for value, error in ((-1.0, DryCell), (-1e-300, DryCell),
+                                 (-np.inf, NonFiniteState)):
+                for cell in (0, 4, 9):
+                    state = MlswState.uniform(self.layers, 10, 2.0, 1.0)
+                    state.h[cell] = value
+                    with pytest.raises(error) as info:
+                        self.step(state, left)
+                    assert (info.value.field, info.value.cell) == ("h", cell)
+
     def test_nonpositive_time_step(self):
         state = MlswState.uniform(self.layers, 10, 2.0, 1.0)
         with pytest.raises(NonpositiveTimeStep):

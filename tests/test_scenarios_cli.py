@@ -94,7 +94,9 @@ class TestConfigParsing:
                 with pytest.raises(ConfigError, match="t_end"):
                     ScenarioConfig(scenario=scenario, t_end=t_end)
         for scenario in ("Bump", "MlswCompare"):
-            for sigma in (0.0, -0.1, nan, inf):
+            # gaussian_bump divides by sigma**2, which must stay finite
+            # and nonzero
+            for sigma in (0.0, -0.1, nan, inf, 1e160, 1e-300):
                 with pytest.raises(ConfigError, match="sigma"):
                     ScenarioConfig(scenario=scenario, bump_sigma=sigma)
         ScenarioConfig(bump_sigma=0.0)  # no bump is built

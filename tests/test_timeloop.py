@@ -35,8 +35,10 @@ def uniform_state(n, h0=2.0, u0=1.0, d1=0.0):
 
 
 def dt_of(cells, dx, dt_cap=np.inf):
-    """compute_dt of an evaluated extended state and its interface speeds."""
-    return compute_dt(cells, *interface_speeds(cells), dx, dt_cap)
+    """compute_dt of an evaluated extended state, its interface speeds and
+    the f2H of its interior, as step hands them."""
+    f2H = cells.f2[N_GHOST:-N_GHOST] * cells.H[N_GHOST:-N_GHOST]
+    return compute_dt(cells, *interface_speeds(cells), f2H, dx, dt_cap)
 
 
 def convect(cells, jumps, p, dx, dt):
@@ -196,16 +198,39 @@ class TestComputeDt:
                                              ("lam_L", -np.inf),
                                              ("lam_R", np.nan),
                                              ("lam_R", np.inf)])
-    @pytest.mark.parametrize("index, cell", [(5, 3), (0, -2), (13, 11)])
+    @pytest.mark.parametrize("index, cell", [(5, 3), (1, -1), (12, 10)])
     def test_non_finite_bound_is_named(self, name, value, index, cell):
-        # an extended state of 14 cells: index 0 is the first inflow ghost,
-        # index 13 the last outflow ghost
+        # an extended state of 14 cells: index 1 is the inner inflow ghost,
+        # whose lam_L only the first interface's lam_L reads, and index 12
+        # the inner outflow ghost, whose lam_R only the last one's reads
         cells = evaluate_cells(uniform_state(14).hqr, params())
         bound = getattr(cells, name).copy()
         bound[index] = value
         with pytest.raises(NonFiniteState) as info:
             dt_of(cells._replace(**{name: bound}), dx=0.01)
         assert (info.value.field, info.value.cell) == (name, cell)
+
+    def test_cell_bounds_are_read_through_the_interface_speeds(self):
+        # the outer ghosts' bounds feed no interface speed, and the time
+        # step reads the speeds it is handed, not the cells' bounds
+        cells = evaluate_cells(uniform_state(14).hqr, params())
+        f2H = cells.f2[N_GHOST:-N_GHOST] * cells.H[N_GHOST:-N_GHOST]
+        speeds = interface_speeds(cells)
+        nan = np.full(14, np.nan)
+        assert compute_dt(cells._replace(lam_L=nan, lam_R=nan), *speeds,
+                          f2H, 0.01) == dt_of(cells, 0.01)
+
+    @pytest.mark.parametrize("index", [0, 1, 12, 13])
+    def test_a_reverse_ghost_sets_no_cap(self, index):
+        # friction updates the interior only, so a ghost's f2 < 0 limits
+        # nothing, even with delta1 > 0 there
+        cells = evaluate_cells(uniform_state(14, d1=0.5).hqr, params())
+        f2 = cells.f2.copy()
+        f2[index] = -1e3
+        assert cells.delta1[index] > 0.0
+        assert dt_of(cells._replace(f2=f2), dx=0.01) == \
+            dt_of(cells, dx=0.01)
+        assert dt_of(cells, dx=0.01)[1] == "cfl"
 
     def test_zero_wave_speeds_take_the_cap(self):
         cells = evaluate_cells(uniform_state(10).hqr, params())
@@ -618,6 +643,24 @@ class TestStepDiagnostics:
         # delta1 once for the cell evaluation and once for friction: the
         # step computes nothing that no later phase reads
         assert calls == {**{name: 1 for name in names}, "_delta1_from_ue": 2}
+
+    def test_the_cap_reads_the_f2H_that_friction_takes(self, monkeypatch):
+        seen = []
+
+        def spy(fn, position):
+            def wrapper(*args):
+                seen.append(args[position])
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(timeloop, "compute_dt",
+                            spy(timeloop.compute_dt, 3))
+        monkeypatch.setattr(timeloop, "friction_step",
+                            spy(timeloop.friction_step, 2))
+        run, grid, spec = self.bump_run()
+        step(run.W, grid, params(), spec)
+        assert len(seen) == 2 and seen[0] is seen[1]
+        assert seen[0].shape == (40,)
 
     def test_dt_limiter_and_fallback_count(self):
         run, grid, spec = self.bump_run()
