@@ -88,7 +88,8 @@ def gaussian_bump(x, alpha, sigma, center=1.0):
     if sigma <= 0.0:
         raise DomainError("sigma must be positive")
     x = np.asarray(x, float)
-    return alpha * np.exp(-((x - center) ** 2) / (2.0 * sigma**2))
+    with np.errstate(over="ignore"):    # -inf, as exp underflows, gives 0
+        return alpha * np.exp(-((x - center) ** 2) / (2.0 * sigma**2))
 
 
 def l1_error(numeric: ReferenceCurve, reference: ReferenceCurve) -> float:

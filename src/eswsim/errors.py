@@ -54,8 +54,8 @@ class NonpositiveTimeStep(StepFailure):
 
 class DryCell(StepFailure):
     """Water depth at or below the dry threshold H_DRY after the ESW
-    convection or the MLSW transport, or at most 0 in a state that
-    mlsw_step is given; cell counts the interior cells from 0."""
+    convection or the MLSW transport, or at most 0 in a state that a step
+    is given (in its first cell, to the ESW step); cell counts from 0."""
 
     field = "h"
 

@@ -58,14 +58,15 @@ class MlswState:
 
 
 def _ghosted(state: MlswState, left: InflowSpec, layers: LayerGrid,
-             params: PhysicalParams):
-    """One ghost cell per side: inflow_ghost's depth and velocity for the
-    depth-averaged U of the first cell, with a flat profile; free outflow.
-    A non-finite U (inf - inf) is left for mlsw_compute_dt to name."""
+             params: PhysicalParams, out=(None, None)):
+    """One ghost cell per side, in out's (h, u) if given: inflow_ghost's
+    depth and velocity for the first cell's depth-averaged U, with a flat
+    profile; free outflow. mlsw_compute_dt names a non-finite U (inf - inf)."""
     with np.errstate(invalid="ignore", over="ignore"):
         U1 = float(np.sum(layers.fractions * state.u[:, 0]))
     h_g, u_g = inflow_ghost(left, state.h[0], U1, params.froude)
-    return with_ghosts(state.h, h_g, 1), with_ghosts(state.u, u_g, 1)
+    return (with_ghosts(state.h, h_g, 1, out[0]),
+            with_ghosts(state.u, u_g, 1, out[1]))
 
 
 def mlsw_compute_dt(speed, h, dx, dt_cap=np.inf) -> float:
@@ -87,7 +88,15 @@ def mlsw_compute_dt(speed, h, dx, dt_cap=np.inf) -> float:
     return dt
 
 
-def _thomas(lower, diag, upper, rhs):
+def _thomas_rows(lower, diag, upper, rhs):
+    """_thomas's pivot and row lists; a zero row after upper's last gives
+    c a spare last row (0/pivot), so one loop runs every row but the first."""
+    pivot, c = np.empty_like(diag), np.empty_like(diag)
+    return (pivot, list(lower), list(upper) + [np.zeros_like(diag[0])],
+            *map(list, (diag, rhs, pivot, c)))
+
+
+def _thomas(lower, diag, upper, rhs, rows=None):
     """Batched Thomas solve, systems along axis 0, batches along axis 1:
     lower[i] is row i + 1's coefficient of unknown i, upper[i] row i's of
     unknown i + 1. There is no pivoting, which a matrix with nonpositive
@@ -97,20 +106,17 @@ def _thomas(lower, diag, upper, rhs):
 
     A row costs eight ufunc calls on short rows, so their overhead is most
     of the solve: the loops walk zipped lists of row views and call the
-    ufuncs bound to locals, with out by position. With lower is upper it is
-    the symmetric solve, bit for bit."""
+    ufuncs bound to locals, with out by position; a run keeps its rows.
+    With lower is upper it is the symmetric solve, bit for bit."""
     mul, sub, div = np.multiply, np.subtract, np.divide
-    pivot, c, d = np.empty_like(diag), np.empty_like(diag), np.empty_like(rhs)
-    # a zero row after the last upper row gives c a spare last row
-    # (0/pivot), so that every row below the first runs the one loop
-    U = list(upper) + [np.zeros_like(diag[0])]
-    A, R, P, C, D = map(list, (diag, rhs, pivot, c, d))
+    pivot, L, U, A, R, P, C = rows or _thomas_rows(lower, diag, upper, rhs)
+    D = list(d := np.empty_like(rhs))       # the one array a call makes
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         pivot[0] = diag[0]
         div(U[0], P[0], C[0])
         div(R[0], P[0], D[0])
         for lo, up_next, a, r, p, c_up, ci, d_up, di in zip(
-                lower, U[1:], A[1:], R[1:], P[1:], C, C[1:], D, D[1:]):
+                L, U[1:], A[1:], R[1:], P[1:], C, C[1:], D, D[1:]):
             mul(lo, c_up, p)
             sub(a, p, p)
             div(up_next, p, ci)
@@ -153,8 +159,23 @@ def _cell_diff(faces, out):
     return out
 
 
+class MlswWork:
+    """mlsw_step's buffers and row lists, kept by a run (scenarios.model);
+    with rows=False, as for a one-off step, _thomas builds its own rows."""
+
+    def __init__(self, n_layers, n_cells, rows=True):
+        self.h = np.empty(n_cells + 2)
+        (self.u, self.abs_u, self.ellh, self.hu, self.flux_mass,
+         self.scratch) = np.empty((6, n_layers, n_cells + 2))
+        self.cumsum_rows = list(self.abs_u[:-1])
+        # lower, diag, upper and rhs at the cells, where mlsw_step leaves them
+        system = (self.abs_u[:-1, 1:-1], self.ellh[:, 1:-1],
+                  self.u[:-1, 1:-1], self.hu[:, 1:-1])
+        self.thomas_args = system + ((_thomas_rows(*system),) if rows else ())
+
+
 def mlsw_step(state: MlswState, layers: LayerGrid, params: PhysicalParams,
-              grid: Grid1D, left: InflowSpec, dt_cap=np.inf):
+              grid: Grid1D, left: InflowSpec, dt_cap=np.inf, work=None):
     """One step of mlsw_compute_dt's dt, at most dt_cap: explicit transport,
     then the exchange and the vertical friction in one implicit tridiagonal
     solve per cell. Returns (MlswState, dt).
@@ -166,43 +187,44 @@ def mlsw_step(state: MlswState, layers: LayerGrid, params: PhysicalParams,
     holds finite values that no result reads. The fluxes are kept doubled,
     which the divergences' 1/(2 dx) halves exactly.
 
-    Each quantity is computed once, mostly in place or into a buffer whose
-    last use is above. The in-place updates keep the left-to-right order of
-    the expression quoted above them, so every element gets its bits."""
-    width = state.u.shape[1] + 2
+    Each quantity is computed once, in place or into a buffer of work (the
+    run's MlswWork) whose last use is above; only the returned h and u are
+    new. The in-place updates keep the left-to-right order of the quoted
+    expressions, so every element gets its bits."""
+    work = work or MlswWork(*state.u.shape, rows=False)
     dx2 = 2.0 * grid.dx
     fr2 = params.froude**2
     ell = layers.fractions
     with np.errstate(invalid="ignore"):   # sqrt(h < 0), named below
-        h, u = _ghosted(state, left, layers, params)
+        h, u = _ghosted(state, left, layers, params, (work.h, work.u))
         # the speeds that dt and the fluxes read, before a product can warn
-        abs_u = np.abs(u)
+        abs_u = np.abs(u, out=work.abs_u)
         cell_speed = np.max(abs_u, axis=0) + np.sqrt(h) / params.froude
     dt = mlsw_compute_dt(cell_speed, h, grid.dx, dt_cap)
     eta = h + with_ghosts(grid.topo, grid.topo[0], 1)
-    ellh = _outer(ell, h)                 # layer depths
-    hu = ellh * u
+    ellh = _outer(ell, h, out=work.ellh)  # layer depths
+    hu = np.multiply(ellh, u, out=work.hu)
 
     # interface wave speed (local Lax-Friedrichs) and free-surface jump, 0
     # in the last column
-    s, jump = np.zeros(width), np.zeros(width)
+    s, jump = np.zeros((2, work.h.size))
     np.maximum(cell_speed[:-1], cell_speed[1:], out=s[:-1])
     np.subtract(eta[1:], eta[:-1], out=jump[:-1])
     huu = np.multiply(hu, u, out=u)
 
     # flux_mass = (hu_l + hu_r) - s*ell*(eta_r - eta_l)
-    flux_mass = _faces(np.add, hu, np.empty_like(hu))
-    work = _outer(ell, s)
-    work *= jump
-    flux_mass -= work
+    flux_mass = _faces(np.add, hu, work.flux_mass)
+    scratch = _outer(ell, s, out=work.scratch)
+    scratch *= jump
+    flux_mass -= scratch
     # flux_mom = (huu_l + huu_r) - s*(hu_r - hu_l), in the spent abs_u
     flux_mom = _faces(np.add, huu, abs_u)
-    _faces(np.subtract, hu, work)
-    work *= s
-    flux_mom -= work
+    _faces(np.subtract, hu, scratch)
+    scratch *= s
+    flux_mom -= scratch
     flux_total = np.sum(flux_mass, axis=0)
 
-    # from here on huu and work are spent
+    # from here on huu and scratch are spent
     div_mass = _cell_diff(flux_mass, huu)
     div_mass /= dx2
     div_total = (flux_total[1:-1] - flux_total[:-2]) / dx2       # (n,)
@@ -218,8 +240,7 @@ def mlsw_step(state: MlswState, layers: LayerGrid, params: PhysicalParams,
     # in the spent flux_mom
     G = _outer(ell[:-1], with_ghosts(div_total, 0.0, 1), out=flux_mom[:-1])
     np.subtract(div_mass[:-1], G, out=G)
-    rows = list(G)
-    for below, row in zip(rows, rows[1:]):
+    for below, row in zip(work.cumsum_rows, work.cumsum_rows[1:]):
         np.add(below, row, row)
 
     # rhs = h_alpha*u - dt*div_mom - dt*h_alpha*deta_dx/fr2, with a central
@@ -241,7 +262,7 @@ def mlsw_step(state: MlswState, layers: LayerGrid, params: PhysicalParams,
     h_alpha_new = _outer(ell, with_ghosts(h_new, 1.0, 1), out=ellh)
     nu = params.delta_bar**2
     # friction: off[a] = -(interface coupling of layers a, a+1)
-    off = np.add(h_alpha_new[1:], h_alpha_new[:-1], out=work[:-1])
+    off = np.add(h_alpha_new[1:], h_alpha_new[:-1], out=scratch[:-1])
     np.divide(-2.0 * nu * dt, off, out=off)
     c_bot = 2.0 * nu * dt / h_alpha_new[0]
     diag = h_alpha_new                    # last use of h_alpha_new
@@ -258,11 +279,9 @@ def mlsw_step(state: MlswState, layers: LayerGrid, params: PhysicalParams,
     g_up = np.minimum(G, 0.0, out=G)
     diag[:-1] -= g_up
     diag[1:] += g_down
-    upper = np.subtract(off, g_down, out=g_down)
-    lower = np.add(off, g_up, out=g_up)
-    cells = np.s_[:, 1:-1]
-    return MlswState(h_new, _thomas(lower[cells], diag[cells], upper[cells],
-                                    rhs[cells])), dt
+    np.subtract(off, g_down, out=g_down)    # upper, in work.u
+    np.add(off, g_up, out=g_up)             # lower, in work.abs_u
+    return MlswState(h_new, _thomas(*work.thomas_args)), dt
 
 
 def mlsw_diagnostics(state: MlswState, layers: LayerGrid,

@@ -16,7 +16,7 @@ from .closures import (BLASIUS_F2, BLASIUS_H, DELTA1_FLOOR, ClosureLaw,
                        FalknerSkanFit, FixedProfile, Pohlhausen4,
                        closure_factors, ue_gradient)
 from .errors import ConfigError, DomainError
-from .mlsw import LayerGrid, MlswState, mlsw_diagnostics, mlsw_step
+from .mlsw import LayerGrid, MlswState, MlswWork, mlsw_diagnostics, mlsw_step
 from .state import ConservedState, Grid1D, PhysicalParams, recover_delta1
 from .timeloop import (BoundarySpec, RunState, SubcriticalInflow,
                        SupercriticalInflow, march, step)
@@ -270,10 +270,11 @@ def model(config: ScenarioConfig):
         layers, left = LayerGrid(config.n_layers), boundaries.left
         try:
             W = MlswState.uniform(layers, n, config.h0, config.u0)
+            work = MlswWork(layers.n_layers, n)
         except (MemoryError, OverflowError, ValueError) as exc:
             raise ConfigError(f"mlsw.n_layers too large: {exc}") from exc
         take_step = lambda W, dt_cap: mlsw_step(W, layers, params, grid,
-                                                left, dt_cap)
+                                                left, dt_cap, work)
         write = lambda W, path: emit_mlsw_snapshot(W, layers, grid, params,
                                                    path, order)
     else:
@@ -300,6 +301,7 @@ def run_scenario(config: ScenarioConfig, out_dir=None) -> RunState:
     t0 = time.perf_counter()
     run = march(run, config.t_end, take_step, config.snapshot_times,
                 lambda state: write(state.W, out / _snapshot_name(state.t)))
+    del take_step        # frees an MLSW run's MlswWork before the writes
     write(run.W, out / "final.csv")
     _write_metadata(config, out, time.perf_counter() - t0, run)
     return run

@@ -92,10 +92,11 @@ def inflow_ghost(left: InflowSpec, h1, u1, froude):
     return h_g, left.u_in
 
 
-def with_ghosts(interior, left, n_ghost):
+def with_ghosts(interior, left, n_ghost, out=None):
     """interior padded along its last axis: n_ghost copies of left before
-    it and n_ghost copies of its last column after it."""
-    out = np.empty(interior.shape[:-1] + (interior.shape[-1] + 2 * n_ghost,))
+    it and n_ghost copies of its last column after it, in out if given."""
+    n = interior.shape[-1] + 2 * n_ghost
+    out = np.empty((*interior.shape[:-1], n)) if out is None else out
     out[..., :n_ghost] = left
     out[..., n_ghost:-n_ghost] = interior
     out[..., -n_ghost:] = interior[..., -1:]
@@ -110,6 +111,8 @@ def apply_boundaries(W: ConservedState, spec: BoundarySpec,
     (delta1 = 0). Outflow copies the last interior cell.
     """
     h1, q1 = W.hqr[0, 0], W.hqr[1, 0]
+    if not h1 > 0.0:    # named as in mlsw_step, before a division warns
+        raise DryCell(0) if h1 > -math.inf else NonFiniteState("h", 0)
     h_g, u_g = inflow_ghost(spec.left, h1, q1 / h1, params.froude)
     left = ((h_g,), (h_g * u_g,), (0.0,))
     return with_ghosts(W.hqr, left, N_GHOST)

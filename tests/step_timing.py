@@ -19,10 +19,17 @@ milliseconds per emit_snapshot of an n = 20 000 ImpulsiveStart state at
 t = 0.0075: on one grid written again and again (as the files of one run
 are), and on a fresh grid for every write (as the first file of a run is).
 Last, the best microseconds per mlsw_step (its time step and the Thomas
-solve included, again through take_step) and per mlsw._thomas at the
-size of the mlsw_bump benchmark (n = 300, N = 100), on a bump state 30
-steps into its run: the steps march on from it, each with its own time
-step, and the solve is the one its first step makes.
+solve included, again through take_step), with its minor page faults,
+and per mlsw._thomas at the size of the mlsw_bump benchmark (n = 300,
+N = 100), on a bump state 30 steps into its run: the steps march on from
+it, each with its own time step, and the solve is the one its first step
+makes, timed as the step makes it: on the run's MlswWork, its system
+written back into the workspace before each round (the steps overwrite
+it), with the rows and buffers that the workspace keeps. Timed alone on
+fresh arrays, as a plain _thomas(lower, diag, upper, rhs) call runs, in a
+loop of its own, the solve faulted 143 pages a call and took 623-667 us,
+against 344 us on the kept rows (2 cores of a shared host), so that
+figure would not be the step's.
 
 With --ops it times nothing and prints, for the flat n = 10 and bump
 n = 400 steps, the NumPy calls that one timeloop.step makes on arrays:
@@ -204,7 +211,9 @@ def write_ms(rounds, out_dir):
 
 
 def mlsw_us(rounds):
-    """Best microseconds per mlsw_step and per _thomas call on one state."""
+    """(best microseconds per mlsw_step, its minor page faults, best
+    microseconds per _thomas call) from one state, through the run's
+    workspace."""
     _, start, take_step, _ = model(ScenarioConfig(**MLSW))
     state = start.W
     for _ in range(MLSW_WARM_STEPS):
@@ -215,19 +224,27 @@ def mlsw_us(rounds):
         take_step(state, np.inf)
     finally:
         mlsw._thomas = solve
-    best = [float("inf"), float("inf")]
+    # the workspace's system views and kept rows, and the first step's
+    # system, which each round of steps overwrites
+    args = seen[0]
+    system = [a.copy() for a in args[:4]]
+    best, faults = [float("inf"), float("inf")], 0
     for _ in range(rounds):
         # each step starts from the last one's state, as in a run, so that
         # the heap sees a run's pattern of allocations
+        f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0, W = time.perf_counter(), state
         for _ in range(MLSW_REPS):
             W, _ = take_step(W, np.inf)
         best[0] = min(best[0], (time.perf_counter() - t0) / MLSW_REPS)
+        faults += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0
+        for view, value in zip(args, system):
+            np.copyto(view, value)
         t0 = time.perf_counter()
         for _ in range(MLSW_REPS):
-            solve(*seen[0])
+            solve(*args)
         best[1] = min(best[1], (time.perf_counter() - t0) / MLSW_REPS)
-    return [b * 1e6 for b in best]
+    return best[0] * 1e6, faults / (rounds * MLSW_REPS), best[1] * 1e6
 
 
 def main():
@@ -253,9 +270,9 @@ def main():
         same, fresh = write_ms(2 * args.rounds + 1, tmp)
     print(f"impulsive n=20000 write: {same:.2f} ms CPU on the run's grid, "
           f"{fresh:.2f} ms CPU on a fresh grid")
-    mlsw_step_us, thomas_us = mlsw_us(3 * args.rounds)
+    mlsw_step_us, faults, thomas_us = mlsw_us(3 * args.rounds)
     print(f"mlsw n=300 N=100: {mlsw_step_us:.1f} us per mlsw_step, "
-          f"{thomas_us:.1f} us per _thomas")
+          f"{faults:.1f} page faults, {thomas_us:.1f} us per _thomas")
 
 
 if __name__ == "__main__":

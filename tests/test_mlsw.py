@@ -475,11 +475,11 @@ class TestTransportSum:
             bump_alpha=0.0, t_end=0.3)
         real_step, sums, widest = scenarios.mlsw_step, [], []
 
-        def checking(state, layers, p, grid, left, dt_cap):
+        def checking(state, layers, p, grid, left, dt_cap, work=None):
             h, u = _ghosted(state, left, layers, p)
             speed = np.max(np.abs(u), axis=0) + np.sqrt(h) / p.froude
             s = np.maximum(speed[:-1], speed[1:])
-            new, dt = real_step(state, layers, p, grid, left, dt_cap)
+            new, dt = real_step(state, layers, p, grid, left, dt_cap, work)
             sums.append(dt * (s[:-1] + s[1:]) / (2.0 * grid.dx))
             widest.append(dt * s.max() / grid.dx)
             return new, dt
@@ -491,6 +491,86 @@ class TestTransportSum:
         assert np.all(sums <= mlsw.CFL_NUMBER * (1.0 + 4e-16))
         # and no step is shorter than the bound, but the last, cut short
         assert np.allclose(widest[:-1], mlsw.CFL_NUMBER, rtol=1e-15, atol=0)
+
+
+class TestWorkspace:
+    """The MlswWork that scenarios.model builds once per run: every step
+    writes into it, and only the returned state is new."""
+
+    @staticmethod
+    def case(alpha):
+        """(config, layers, params, grid, inflow) of a small flat or bump
+        run."""
+        config = scenarios.ScenarioConfig(
+            scenario="MlswCompare", x_max=2.0, n_cells=40, n_layers=12,
+            bump_alpha=alpha, t_end=0.2)
+        return (config, LayerGrid(config.n_layers), config.physical_params(),
+                config.grid(), config.boundary_spec().left)
+
+    @staticmethod
+    def bits(a):
+        return a.view(np.uint64).copy()
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.05], ids=["flat", "bump"])
+    def test_held_states_keep_their_bits(self, alpha):
+        config, layers, p, grid, left = self.case(alpha)
+        work = mlsw.MlswWork(config.n_layers, grid.n_cells)
+        # h, the block of the six (N, n + 2) buffers, and _thomas's pivot,
+        # c and spare zero row
+        pivot, _, U, _, _, _, C = work.thomas_args[4]
+        arrays = (work.h, work.u.base, pivot, C[0].base, U[-1])
+        held, state = [], scenarios.initial_state(config).W
+        for _ in range(12):
+            state, _ = mlsw_step(state, layers, p, grid, left, np.inf, work)
+            held.append((state, self.bits(state.h), self.bits(state.u)))
+        for state, h, u in held:
+            assert np.array_equal(self.bits(state.h), h)
+            assert np.array_equal(self.bits(state.u), u)
+            assert not any(np.shares_memory(a, b) for a in (state.h, state.u)
+                           for b in arrays)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.05], ids=["flat", "bump"])
+    def test_run_matches_one_off_steps_bit_for_bit(self, alpha):
+        config, layers, p, grid, left = self.case(alpha)
+        _, start, take_step, _ = scenarios.model(config)
+        dts = []
+
+        def both(W, dt_cap):
+            got, dt = take_step(W, dt_cap)
+            want, dt_want = mlsw_step(W, layers, p, grid, left, dt_cap)
+            dts.append(dt)
+            assert dt == dt_want
+            assert np.array_equal(self.bits(got.h), self.bits(want.h))
+            assert np.array_equal(self.bits(got.u), self.bits(want.u))
+            return got, dt
+
+        run = march(start, config.t_end, both)
+        assert len(dts) == run.step_count > 10
+
+    def test_zero_pivot_raises_through_kept_rows(self):
+        # TestThomas's zero-pivot systems, solved on a workspace's rows
+        rhs = np.ones((3, 2))
+        first = np.array([[0.0, 1.0], [3.0, 3.0], [3.0, 3.0]])
+        later = np.array([[2.0, 1.0], [3.0, 1.0], [3.0, 3.0]])
+        off = np.array([[-1.0, -1.0], [-1.0, -1.0]])
+        lower = np.array([[-1.0, -2.0], [-1.0, -1.0]])
+        upper = np.array([[-1.0, -0.5], [-1.0, -1.0]])
+        args = mlsw.MlswWork(3, 2).thomas_args
+        for system in ((off, first, off, rhs), (off, later, off, rhs),
+                       (lower, later, upper, rhs)):
+            for view, value in zip(args, system):
+                np.copyto(view, value)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(TridiagonalFailure):
+                    _thomas(*args)
+        # after the failures the kept rows still give a plain call's bits
+        rng = np.random.default_rng(5)
+        system = (*TestThomas.column_dominant(rng, 3, 2), rhs)
+        for view, value in zip(args, system):
+            np.copyto(view, value)
+        want = _thomas(*system)
+        assert np.array_equal(self.bits(_thomas(*args)), self.bits(want))
 
 
 class TestSingleLayerDegeneration:

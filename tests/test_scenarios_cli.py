@@ -531,6 +531,31 @@ class TestRunScenario:
 
 
 class TestCli:
+    @pytest.mark.parametrize("key", ["bump.sigma=1e-160",
+                                     "bump.center=1e300"])
+    @pytest.mark.parametrize("verb", ["run", "mlsw"])
+    def test_bed_exponent_overflow_gives_a_flat_bed(self, verb, key,
+                                                    tmp_path):
+        # (x - center)**2/(2 sigma**2) overflows to inf in every cell, and
+        # exp(-inf) is the 0 that a large finite exponent underflows to
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main([verb, "--out", str(out), "--set", "scenario=Bump",
+                           "--set", key, "--set", "grid.n_cells=20",
+                           "--set", "run.t_end=1e-3"])
+        assert rc == 0
+        paths = sorted(out.glob("*.csv"))
+        assert [p.name for p in paths] == (
+            ["final.csv"] + ["final_profiles.csv"] * (verb == "mlsw"))
+        for path in paths:
+            data = np.genfromtxt(path, delimiter=",", names=True)
+            assert data.size >= 20
+            for name in data.dtype.names:
+                assert np.isfinite(data[name]).all(), (path.name, name)
+        assert (np.genfromtxt(out / "final.csv", delimiter=",",
+                              names=True)["fb"] == 0.0).all()
+
     def test_run_exit_zero(self, tmp_path, capsys):
         rc = cli.main(["run", "--out", str(tmp_path / "o"),
                        "--set", "grid.n_cells=40",

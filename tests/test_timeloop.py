@@ -1,5 +1,6 @@
 """Splitting scheme: boundaries, CFL, conservation, friction step."""
 
+import warnings
 from collections import Counter
 
 import fallback_counts
@@ -172,18 +173,57 @@ class TestBoundaries:
                                                (1e-200, 1.0, H_DRY)])
     def test_nonpositive_first_cell_at_subcritical_inflow(self, h1, q1,
                                                           ghost, caplog):
-        # its velocity and root are NumPy's: inf or NaN, with a warning
-        # (silenced here), and so is the square of a root of -5e199, which
-        # overflows to inf; the step then names the wave speed of cell 0
+        # inflow_ghost's velocity and root are NumPy's: inf or NaN, with a
+        # warning (silenced here), and so is the square of a root of -5e199,
+        # which overflows to inf
         W = uniform_state(10)
         W.h[0], W.q[0] = h1, q1
         spec = BoundarySpec(left=SubcriticalInflow(u_in=1.0))
+        grid = Grid1D.uniform(0.0, 1.0, 10)
+        with np.errstate(all="ignore"):
+            h_g, _ = timeloop.inflow_ghost(spec.left, W.h[0], W.q[0] / W.h[0],
+                                           1.0)
+        np.testing.assert_array_equal(h_g, ghost)
+        if h1 <= 0.0:
+            # the ESW step names a depth of at most 0 before it takes the
+            # ghost, with no warning
+            with pytest.raises(DryCell) as info:
+                apply_boundaries(W, spec, params())
+            with pytest.raises(DryCell) as through_step:
+                step(W, grid, params(), spec)
+            assert info.value.cell == through_step.value.cell == 0
+            return
+        # the step names the wave speed of cell 0
         with np.errstate(all="ignore"):
             ext = apply_boundaries(W, spec, params())
             np.testing.assert_array_equal(ext[0][:N_GHOST], ghost)
             with pytest.raises(NonFiniteState) as info:
-                step(W, Grid1D.uniform(0.0, 1.0, 10), params(), spec)
+                step(W, grid, params(), spec)
         assert (info.value.field, info.value.cell) == ("lam_L", 0)
+
+    @pytest.mark.parametrize("h0, error, field", [
+        (-1.0, DryCell, "h"), (0.0, DryCell, "h"), (-0.0, DryCell, "h"),
+        (-1e-300, DryCell, "h"), (-np.inf, NonFiniteState, "h"),
+        (np.nan, NonFiniteState, "h")])
+    @pytest.mark.parametrize("left", [SubcriticalInflow(u_in=1.0),
+                                      SupercriticalInflow(u_in=3.0,
+                                                          h_in=0.5)])
+    def test_bad_first_depth_is_named(self, h0, error, field, left):
+        # a first cell of depth at most 0, -inf or NaN is named before the
+        # inflow ghost's square root (or q/h) can warn, as in mlsw_step
+        W = uniform_state(20)
+        W.h[0] = h0
+        spec = BoundarySpec(left=left)
+        run = RunState(t=0.25, step_count=7, W=W)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error) as info:
+                timeloop.march(run, 1.0, lambda W, dt_cap: step(
+                    W, Grid1D.uniform(0.0, 1.0, 20), params(), spec,
+                    dt_cap=dt_cap))
+        exc = info.value
+        assert (type(exc), exc.field, exc.cell) == (error, field, 0)
+        assert (exc.step, exc.t) == (7, 0.25)
 
 
 class TestComputeDt:
